@@ -7,6 +7,7 @@ bound exceeded.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -83,9 +84,10 @@ def _make_oracle(selector: str, model_file: str):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    workdir = None
     try:
         model = _load_model(args.file)
-        oracle, _ = _make_oracle(args.oracle, args.file)
+        oracle, workdir = _make_oracle(args.oracle, args.file)
         report = check_model(model, oracle=oracle, max_options=args.max_options)
     except TooManyOptions as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -93,6 +95,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     except KconfexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if workdir is not None:
+            shutil.rmtree(workdir, ignore_errors=True)
     for mismatch in report.mismatches:
         print(mismatch.describe())
     for note in report.notes:

@@ -36,6 +36,8 @@ from .kconfig import (
     Or,
     Sym,
     TRI_NAMES,
+    number_text,
+    parse_number,
 )
 from .prop import (
     Constraint,
@@ -141,33 +143,6 @@ class NumericDomain:
     def domain(self, name: str) -> list[str]:
         return self.values.get(name, [])
 
-    def variables(self, name: str) -> list[PropFormula]:
-        return [value_var(name, v) for v in self.domain(name)]
-
-
-def canonical_value(text: str, opt_type: OptionType) -> str | None:
-    """Canonical text for a numeric literal; None when it does not parse."""
-    if opt_type is OptionType.STRING:
-        return text
-    try:
-        if opt_type is OptionType.HEX:
-            value = int(text, 16)
-            return ("-0x%x" % -value) if value < 0 else ("0x%x" % value)
-        value = int(text, 10)
-        return str(value)
-    except ValueError:
-        return None
-
-
-def _parse_for(text: str, opt_type: OptionType) -> int | None:
-    try:
-        return int(text, 16 if opt_type is OptionType.HEX else 10)
-    except ValueError:
-        try:
-            return int(text, 0)
-        except ValueError:
-            return None
-
 
 def _all_exprs(model: KconfigModel):
     for it in model.items:
@@ -196,69 +171,61 @@ def _all_exprs(model: KconfigModel):
                 yield d.condition
 
 
-def _comparison_literals(model: KconfigModel, name: str, opt_type: OptionType) -> list[int]:
-    """Integer values this option is compared against anywhere in the model."""
-    found: list[int] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Not):
-            walk(e.operand)
-            return
-        if isinstance(e, (And, Or)):
-            walk(e.left)
-            walk(e.right)
-            return
-        if isinstance(e, (Eq, Neq, Lt, Leq, Gt, Geq)):
-            sides = (e.left, e.right)
-            if any(isinstance(s, Sym) and s.name == name for s in sides):
-                for s in sides:
-                    text = None
-                    if isinstance(s, Literal):
-                        text = s.text
-                    elif isinstance(s, Sym) and s.name != name and not model.has_option(s.name):
-                        text = s.name
-                    if text is not None:
-                        value = _parse_for(text, opt_type)
-                        if value is not None:
-                            found.append(value)
-
-    for e in _all_exprs(model):
-        walk(e)
-    return found
-
-
 def collect_numeric_values(model: KconfigModel) -> NumericDomain:
     """Harvest the known values of every non-boolean option.
 
     int/hex options: default literals, range endpoints, and comparison
-    literals, deduplicated by numeric value and sorted ascending.  String
-    options: default literals in source order.
+    literals (against a literal or an undeclared symbol), deduplicated by
+    numeric value and sorted ascending.  A text that does not parse in the
+    option's base is read with the base its prefix names.  String options:
+    default literals in source order.
     """
     dom = NumericDomain()
+    numbers: dict[str, set[int]] = {}
+
+    def harvest(name: str, text: str) -> None:
+        value = parse_number(text, model.item(name).type)
+        if value is None:
+            value = parse_number(text)
+        if value is not None:
+            numbers[name].add(value)
+
+    def walk(e: Expr) -> None:
+        if isinstance(e, Not):
+            walk(e.operand)
+        elif isinstance(e, (And, Or)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, (Eq, Neq, Lt, Leq, Gt, Geq)):
+            sides = (e.left, e.right)
+            for name in {s.name for s in sides if isinstance(s, Sym) and s.name in numbers}:
+                for s in sides:
+                    if isinstance(s, Literal):
+                        harvest(name, s.text)
+                    elif isinstance(s, Sym) and s.name != name and not model.has_option(s.name):
+                        harvest(name, s.name)
+
     for it in model.items:
         if it.is_numeric:
-            numbers: set[int] = set()
+            numbers[it.name] = set()
+            dom.values[it.name] = []
             for d in it.defaults:
                 if isinstance(d.value, Literal):
-                    value = _parse_for(d.value.text, it.type)
-                    if value is not None:
-                        numbers.add(value)
+                    harvest(it.name, d.value.text)
             for r in it.ranges:
-                for bound in (r.low, r.high):
-                    value = _parse_for(bound, it.type)
-                    if value is not None:
-                        numbers.add(value)
-            numbers.update(_comparison_literals(model, it.name, it.type))
-            texts = [canonical_value(str(v), OptionType.INT) for v in sorted(numbers)]
-            if it.type is OptionType.HEX:
-                texts = [("-0x%x" % -v) if v < 0 else ("0x%x" % v) for v in sorted(numbers)]
-            dom.values[it.name] = [t for t in texts if t is not None]
+                harvest(it.name, r.low)
+                harvest(it.name, r.high)
         elif it.type is OptionType.STRING:
             seen: dict[str, None] = {}
             for d in it.defaults:
                 if isinstance(d.value, Literal):
                     seen.setdefault(d.value.text)
             dom.values[it.name] = list(seen)
+    if numbers:
+        for e in _all_exprs(model):
+            walk(e)
+        for name, found in numbers.items():
+            dom.values[name] = [number_text(v, model.item(name).type) for v in sorted(found)]
     return dom
 
 
@@ -293,10 +260,8 @@ def _tri_equals_label(name: str, label: str, model: KconfigModel) -> PropFormula
 
 
 def _texts_equal(a: str, b: str) -> bool:
-    try:
-        return int(a, 0) == int(b, 0)
-    except ValueError:
-        return a == b
+    number = parse_number(a)
+    return a == b or (number is not None and number == parse_number(b))
 
 
 def _encode_equality(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFormula:
@@ -366,7 +331,7 @@ def encode_numeric_constraint(
         Geq: lambda v: v >= literal,
     }
     check = checks[op]
-    parts = [value_var(option, text) for text in domain if check(int(text, 0))]
+    parts = [value_var(option, text) for text in domain if check(parse_number(text))]
     return or_(*parts)
 
 
@@ -380,22 +345,18 @@ def _encode_ordered(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFor
         (lk, lv), (rk, rv) = (rk, rv), (lk, lv)
         op = _FLIP[op]
     if lk == "const":
-        try:
-            left, right = int(lv, 0), int(rv, 0)
-        except ValueError:
+        left, right = parse_number(lv), parse_number(rv)
+        if left is None or right is None:
             raise UnsupportedComparison(
                 f"ordered comparison over non-numeric constants {lv!r}, {rv!r}"
-            ) from None
+            )
         result = {Lt: left < right, Leq: left <= right, Gt: left > right, Geq: left >= right}[op]
         return TRUE if result else FALSE
     if lk != "valued" or not model.item(lv).is_numeric:
         raise UnsupportedComparison(f"ordered comparison over non-numeric option {lv}")
-    try:
-        literal = int(rv, 0)
-    except ValueError:
-        raise UnsupportedComparison(
-            f"ordered comparison of {lv} against non-numeric {rv!r}"
-        ) from None
+    literal = parse_number(rv)
+    if literal is None:
+        raise UnsupportedComparison(f"ordered comparison of {lv} against non-numeric {rv!r}")
     return encode_numeric_constraint(op, lv, literal, dom)
 
 
@@ -590,11 +551,10 @@ def _range_activity(
     item, model, dom = ctx.item, ctx.model, ctx.dom
     chain: list[tuple[int, int, PropFormula]] = []
     prior: list[PropFormula] = []
-    base = 16 if item.type is OptionType.HEX else 10
     for r in item.ranges:
         cond = enc_and(_encode_opt(r.condition, model, dom), ctx.dep)
         active = and_(*prior, cond.nonzero)
-        chain.append((int(r.low, base), int(r.high, base), active))
+        chain.append((parse_number(r.low, item.type), parse_number(r.high, item.type), active))
         prior.append(not_(cond.nonzero))
     return chain, and_(*prior)
 
@@ -613,7 +573,7 @@ def _encode_valued_option(
         chain, _ = _range_activity(ctx)
         for j, (low, high, active) in enumerate(chain):
             for v in domain:
-                if not low <= int(v, 0) <= high:
+                if not low <= parse_number(v) <= high:
                     _add(
                         out,
                         not_(and_(ctx.visible, active, value_vars[v])),
@@ -630,21 +590,17 @@ def _encode_valued_option(
         assert isinstance(default.value, Literal)
         if item.is_numeric:
             chain, none_active = _range_activity(ctx)
-            raw = int(default.value.text, 16 if item.type is OptionType.HEX else 10)
+            raw = parse_number(default.value.text, item.type)
             for j, (low, high, active) in enumerate(chain):
-                clamped = min(max(raw, low), high)
-                text = canonical_value(str(clamped), OptionType.INT)
-                if item.type is OptionType.HEX:
-                    text = ("-0x%x" % -clamped) if clamped < 0 else ("0x%x" % clamped)
+                text = number_text(min(max(raw, low), high), item.type)
                 _add(
                     out,
                     implies(and_(guard, active), value_vars[text]),
                     f"{item.name}:default[{i}]/range[{j}]",
                 )
-            canon = canonical_value(default.value.text, item.type)
             _add(
                 out,
-                implies(and_(guard, none_active), value_vars[canon]),
+                implies(and_(guard, none_active), value_vars[number_text(raw, item.type)]),
                 f"{item.name}:default[{i}]",
             )
         else:

@@ -40,7 +40,8 @@ __all__ = [
     "Diagnostic",
     "parse_model",
     "validate_model",
-    "collect_options",
+    "parse_number",
+    "number_text",
     "pretty_model",
     "expr_text",
     "expr_symbols",
@@ -244,6 +245,11 @@ class KconfigModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {it.name: it for it in self.items})
+        selectors: dict[str, list[tuple[ConfigItem, Select]]] = {}
+        for it in self.items:
+            for sel in it.selects:
+                selectors.setdefault(sel.target, []).append((it, sel))
+        object.__setattr__(self, "_selectors", selectors)
 
     def item(self, name: str) -> ConfigItem:
         return self._by_name[name]
@@ -266,12 +272,8 @@ class KconfigModel:
         return And(item.depends, choice.depends)
 
     def selects_targeting(self, name: str) -> list[tuple[ConfigItem, Select]]:
-        out = []
-        for it in self.items:
-            for sel in it.selects:
-                if sel.target == name:
-                    out.append((it, sel))
-        return out
+        """(selector, select) pairs naming ``name`` as target, in declaration order."""
+        return self._selectors.get(name, [])
 
 
 # --------------------------------------------------------------------------
@@ -402,21 +404,36 @@ def _parse_expr(ts: _TokenStream) -> Expr:
     return parse_or()
 
 
-def _is_number(text: str) -> bool:
+def parse_number(text: str, opt_type: OptionType | None = None) -> int | None:
+    """Integer value of a numeric literal; None when it does not parse.
+
+    With an option type the text is read in that type's base (16 for hex, 10
+    otherwise; a hex literal may carry the ``0x`` prefix or not).  Without
+    one the base follows the text: ``0x`` reads as hex, the rest as decimal.
+    """
     try:
-        int(text, 0)
-        return True
+        if opt_type is None:
+            return int(text, 0)
+        return int(text, 16 if opt_type is OptionType.HEX else 10)
     except ValueError:
-        return False
+        return None
+
+
+def number_text(value: int, opt_type: OptionType) -> str:
+    """Canonical text of a numeric value: ``0x…``/``-0x…`` in lowercase for
+    hex options, plain decimal otherwise."""
+    if opt_type is OptionType.HEX:
+        return ("-0x%x" % -value) if value < 0 else ("0x%x" % value)
+    return str(value)
 
 
 def _check_ordered_operands(ts: _TokenStream, left: Expr, right: Expr) -> None:
     # <, <=, >, >= require a symbol on one side and a numeric literal on the other.
     sides = (left, right)
-    has_sym = any(isinstance(s, Sym) and not _is_number(s.name) for s in sides)
+    has_sym = any(isinstance(s, Sym) and parse_number(s.name) is None for s in sides)
     has_num = any(
-        (isinstance(s, Literal) and _is_number(s.text))
-        or (isinstance(s, Sym) and _is_number(s.name))
+        (isinstance(s, Literal) and parse_number(s.text) is not None)
+        or (isinstance(s, Sym) and parse_number(s.name) is not None)
         for s in sides
     )
     if not (has_sym and has_num):
@@ -685,7 +702,7 @@ class _Parser:
             low = _parse_value(ts)
             high = _parse_value(ts)
             for bound in (low, high):
-                if not isinstance(bound, Literal) or not _is_number(bound.text):
+                if not isinstance(bound, Literal) or parse_number(bound.text) is None:
                     raise ParseError(
                         "range bounds must be numeric literals", lineno, 1, self.source
                     )
@@ -763,14 +780,6 @@ class Diagnostic:
         return f"{self.severity}{where}: {self.message}"
 
 
-def _numeric_literal_ok(text: str, opt_type: OptionType) -> bool:
-    try:
-        int(text, 16 if opt_type is OptionType.HEX else 10)
-        return True
-    except ValueError:
-        return False
-
-
 def validate_model(model: KconfigModel) -> list[Diagnostic]:
     """Check type rules and report undeclared symbols.
 
@@ -784,7 +793,7 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
         if e is None:
             return
         for name in expr_symbols(e):
-            if name in TRI_NAMES or _is_number(name):
+            if name in TRI_NAMES or parse_number(name) is not None:
                 continue
             if not model.has_option(name) and name not in warned:
                 warned.add(name)
@@ -831,9 +840,14 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
             out.append(Diagnostic("error", "select on a non-boolean option", it.name))
         if it.is_numeric:
             for d in it.defaults:
-                if not isinstance(d.value, Literal) or not _numeric_literal_ok(d.value.text, it.type):
+                if not isinstance(d.value, Literal) or parse_number(d.value.text, it.type) is None:
                     out.append(
                         Diagnostic("error", "numeric option default must be a numeric literal", it.name)
+                    )
+            for r in it.ranges:
+                if parse_number(r.low, it.type) is None or parse_number(r.high, it.type) is None:
+                    out.append(
+                        Diagnostic("error", f"range bounds must be {it.type.value} literals", it.name)
                     )
         if it.type is OptionType.STRING:
             for d in it.defaults:
@@ -983,11 +997,6 @@ def value_dependency_cycles(model: KconfigModel) -> list[list[str]]:
     return cycles
 
 
-def collect_options(model: KconfigModel) -> list[tuple[str, OptionType]]:
-    """All declared options with their types, in declaration order."""
-    return [(it.name, it.type) for it in model.items]
-
-
 # --------------------------------------------------------------------------
 # Pretty printer (round-trip support)
 
@@ -996,7 +1005,7 @@ def _format_value(value: Expr) -> str:
     if isinstance(value, Sym):
         return value.name
     if isinstance(value, Literal):
-        if _is_number(value.text):
+        if parse_number(value.text) is not None:
             return value.text
         return '"' + value.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"not a value node: {value!r}")

@@ -8,8 +8,9 @@ applicable default raised to the select floor, and active choices enforce a
 single selected member among the visible ones.
 
 This module deliberately shares nothing with the encoder beyond the
-declaration model and the three-valued semantics; that independence is what
-makes differential comparison meaningful.
+declaration model (which owns the numeric-literal format) and the
+three-valued semantics; that independence is what makes differential
+comparison meaningful.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import subprocess
 from dataclasses import dataclass
 
 from .errors import FormatError, NonConvergence, ProcessError
-from .kconfig import ConfigItem, KconfigModel, Literal, OptionType, Sym
+from .kconfig import ConfigItem, KconfigModel, Literal, OptionType, Sym, number_text, parse_number
 from .tri import (
     Configuration,
     Tri,
+    _eval_opt,
     choice_visibility,
     effective_bool,
     eval_expr,
@@ -52,30 +54,12 @@ class RepairOutcome:
     select_override_fired: bool
 
 
-def _eval_opt(e, work: Configuration, model: KconfigModel) -> Tri:
-    return Tri.Y if e is None else eval_expr(e, work, model)
-
-
-def _canonical_numeric(text: str, opt_type: OptionType) -> str | None:
-    try:
-        if opt_type is OptionType.HEX:
-            value = int(text, 16)
-            return ("-0x%x" % -value) if value < 0 else ("0x%x" % value)
-        return str(int(text, 10))
-    except ValueError:
-        return None
-
-
 class _Repair:
     def __init__(self, model: KconfigModel, cfg: Configuration):
         self.model = model
         self.work: Configuration = dict(cfg)
         self.changed_this_pass = False
         self.override = False
-        self.selects: dict[str, list] = {}
-        for it in model.items:
-            for sel in it.selects:
-                self.selects.setdefault(sel.target, []).append((it, sel))
 
     def set(self, name: str, value) -> None:
         if self.work.get(name) != value:
@@ -84,7 +68,7 @@ class _Repair:
 
     def select_floor(self, item: ConfigItem) -> Tri:
         floor = Tri.N
-        for selector, sel in self.selects.get(item.name, ()):
+        for selector, sel in self.model.selects_targeting(item.name):
             sval = self.work.get(selector.name)
             if not isinstance(sval, Tri):
                 continue
@@ -127,11 +111,10 @@ class _Repair:
 
         active_range: tuple[int, int] | None = None
         if item.is_numeric:
-            base = 16 if item.type is OptionType.HEX else 10
             for r in item.ranges:
                 cond = _eval_opt(r.condition, self.work, self.model)
                 if tri_min(cond, dep) is not Tri.N:
-                    active_range = (int(r.low, base), int(r.high, base))
+                    active_range = (parse_number(r.low, item.type), parse_number(r.high, item.type))
                     break
 
         if item.type is OptionType.STRING:
@@ -141,10 +124,7 @@ class _Repair:
             return
 
         if vis is not Tri.N and current:
-            try:
-                value = int(current, 16 if item.type is OptionType.HEX else 10)
-            except ValueError:
-                value = None
+            value = parse_number(current, item.type)
             if value is not None and (
                 active_range is None or active_range[0] <= value <= active_range[1]
             ):
@@ -164,15 +144,12 @@ class _Repair:
         for default in item.defaults:
             cond = _eval_opt(default.condition, self.work, self.model)
             if tri_min(cond, dep) is not Tri.N and isinstance(default.value, Literal):
-                try:
-                    value = int(
-                        default.value.text, 16 if item.type is OptionType.HEX else 10
-                    )
-                except ValueError:
+                value = parse_number(default.value.text, item.type)
+                if value is None:
                     return None
                 if active_range is not None:
                     value = min(max(value, active_range[0]), active_range[1])
-                return _canonical_numeric(str(value), item.type)
+                return number_text(value, item.type)
         return None
 
     def run_choice(self, choice) -> None:
@@ -291,14 +268,6 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def _looks_numeric(text: str) -> bool:
-    try:
-        int(text, 0)
-        return True
-    except ValueError:
-        return False
-
-
 def write_dotconfig(cfg: Configuration, sink, model: KconfigModel | None = None) -> None:
     """Write the kernel-style ``.config`` form of a configuration.
 
@@ -322,7 +291,7 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel | None = None)
         else:
             quoted = model is not None and model.item(name).type is OptionType.STRING
             if model is None:
-                quoted = not _looks_numeric(value)
+                quoted = parse_number(value) is None
             if quoted:
                 lines.append(f'CONFIG_{name}="{_escape(value)}"')
             else:

@@ -27,6 +27,7 @@ from .kconfig import (
     OptionType,
     Or,
     Sym,
+    parse_number,
 )
 
 __all__ = [
@@ -77,10 +78,10 @@ def tri_not(a: Tri) -> Tri:
 def _as_int(text: str) -> int:
     if text == "":
         return 0  # unset options read as zero, the strtoll convention
-    try:
-        return int(text, 0)
-    except ValueError as exc:
-        raise EvalError(f"non-numeric value {text!r} in numeric comparison") from exc
+    value = parse_number(text)
+    if value is None:
+        raise EvalError(f"non-numeric value {text!r} in numeric comparison")
+    return value
 
 
 def _operand_text(e: Expr, cfg: Configuration, model: KconfigModel) -> str:
@@ -137,10 +138,8 @@ def eval_expr(e: Expr, cfg: Configuration, model: KconfigModel) -> Tri:
     if isinstance(e, (Eq, Neq)):
         left = _operand_text(e.left, cfg, model)
         right = _operand_text(e.right, cfg, model)
-        try:
-            equal = int(left, 0) == int(right, 0)
-        except ValueError:
-            equal = left == right
+        number = parse_number(left)
+        equal = left == right or (number is not None and number == parse_number(right))
         if isinstance(e, Neq):
             equal = not equal
         return Tri.Y if equal else Tri.N

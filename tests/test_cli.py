@@ -1,4 +1,6 @@
 
+import tempfile
+
 import pytest
 
 from kconfex.cli import main
@@ -88,10 +90,28 @@ class TestCheckCommand:
         path.write_text("".join(f'config O{i}\n\tbool "o"\n' for i in range(12)))
         assert main(["check", str(path)]) == 3
 
+    def test_exec_oracle_removes_its_workdir(self, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.write_text("#!/bin/sh\nexit 0\n")
+        conf.chmod(0o755)
+        path = tmp_path / "one.kconfig"
+        path.write_text('config A\n\tbool "a"\n')
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 0
+        assert not list(tmp_path.glob("kconfex-conf-*"))
+
     def test_bound_override(self, tmp_path):
         path = tmp_path / "wide.kconfig"
         path.write_text("".join(f'config O{i}\n\tbool "o"\n' for i in range(12)))
         assert main(["check", str(path), "--max-options", "12"]) == 0
+
+
+@pytest.mark.parametrize("command", ["check", "translate"])
+def test_range_bound_outside_option_type_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "range.kconfig"
+    path.write_text('config N\n\tint "n"\n\trange 0x0 0x10\n')
+    assert main([command, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestCorpusCommand:

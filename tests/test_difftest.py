@@ -182,6 +182,11 @@ class TestRunCorpus:
         assert by_name["good.kconfig"].passed
         assert by_name["broken.kconfig"].error
 
+    def test_range_bound_outside_option_type_is_error_row(self, tmp_path):
+        (tmp_path / "range.kconfig").write_text('config N\n\tint "n"\n\trange 0x0 0x10\n')
+        (report,) = run_corpus(tmp_path).reports
+        assert "range bounds must be int literals" in report.error
+
     def test_parallel_equals_sequential(self, corpus_dir):
         seq = run_corpus(corpus_dir, CorpusOptions(jobs=1))
         par = run_corpus(corpus_dir, CorpusOptions(jobs=4))

@@ -1,5 +1,9 @@
+import hashlib
+import io
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,9 @@ from kconfex.prop import (
     not_,
     or_,
     substitute,
+    tseitin_cnf,
     var,
+    write_dimacs,
 )
 from kconfex.tri import Tri, eval_expr
 
@@ -347,3 +353,20 @@ class TestSatisfyingAssignmentInvariants:
                 for i, a in enumerate(variables):
                     for b in variables[i + 1 :]:
                         assert sat & a & b == 0, (name, item.name)
+
+
+CORPUS_DIGESTS = Path(__file__).resolve().parent / "corpus_digests.json"
+
+
+def test_corpus_output_bytes_match_recorded_digests():
+    """The .model text and DIMACS bytes of every corpus model stay as recorded
+    in corpus_digests.json (sha256 of each)."""
+    recorded = json.loads(CORPUS_DIGESTS.read_text(encoding="utf-8"))
+    for name, model in corpus_models():
+        cs = translate(model)
+        sink = io.BytesIO()
+        write_dimacs(tseitin_cnf(cs.conjunction(), cs.variable_order), sink)
+        assert recorded[name] == {
+            "model": hashlib.sha256(cs.model_text().encode("utf-8")).hexdigest(),
+            "dimacs": hashlib.sha256(sink.getvalue()).hexdigest(),
+        }, name

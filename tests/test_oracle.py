@@ -83,6 +83,15 @@ class TestRepair:
         assert not outcome.changed
         assert outcome.select_override_fired
 
+    def test_invisible_hex_defaults_keep_hex_text(self):
+        model = _model(
+            'config A\n\tbool "a"\n'
+            "config H\n\thex\n\tdefault 0x10 if A\n\tdefault 0x3\n"
+            "config L\n\thex\n\tdefault 0x100\n\trange 0x0 0xff\n"
+        )
+        cfg = {"A": Tri.Y, "H": "0x10", "L": "0xff"}
+        assert not repair(model, cfg).changed
+
     def test_nonconvergence_reported(self):
         # a self-referential invisible default oscillates; built directly
         # because validation rejects it
