@@ -34,8 +34,10 @@ from .kconfig import (
     Not,
     OptionType,
     Or,
+    Prompt,
     Sym,
     TRI_NAMES,
+    expr_nodes,
     number_text,
     parse_number,
 )
@@ -190,21 +192,6 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
         if value is not None:
             numbers[name].add(value)
 
-    def walk(e: Expr) -> None:
-        if isinstance(e, Not):
-            walk(e.operand)
-        elif isinstance(e, (And, Or)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, (Eq, Neq, Lt, Leq, Gt, Geq)):
-            sides = (e.left, e.right)
-            for name in {s.name for s in sides if isinstance(s, Sym) and s.name in numbers}:
-                for s in sides:
-                    if isinstance(s, Literal):
-                        harvest(name, s.text)
-                    elif isinstance(s, Sym) and s.name != name and not model.has_option(s.name):
-                        harvest(name, s.name)
-
     for it in model.items:
         if it.is_numeric:
             numbers[it.name] = set()
@@ -223,7 +210,16 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
             dom.values[it.name] = list(seen)
     if numbers:
         for e in _all_exprs(model):
-            walk(e)
+            for node in expr_nodes(e):
+                if not isinstance(node, (Eq, Neq, Lt, Leq, Gt, Geq)):
+                    continue
+                sides = (node.left, node.right)
+                for name in {s.name for s in sides if isinstance(s, Sym) and s.name in numbers}:
+                    for s in sides:
+                        if isinstance(s, Literal):
+                            harvest(name, s.text)
+                        elif isinstance(s, Sym) and s.name != name and not model.has_option(s.name):
+                            harvest(name, s.name)
         for name, found in numbers.items():
             dom.values[name] = [number_text(v, model.item(name).type) for v in sorted(found)]
     return dom
@@ -245,6 +241,13 @@ def _operand_kind(e: Expr, model: KconfigModel) -> tuple[str, str]:
     raise UnsupportedComparison(f"comparison operand {e!r} is not a symbol or literal")
 
 
+def _nonzero(item: ConfigItem) -> PropFormula:
+    """The option is y or m; a bool option's m variable is never read."""
+    if item.type is OptionType.BOOL:
+        return yvar(item.name)
+    return or_(yvar(item.name), mvar(item.name))
+
+
 def _tri_equals_label(name: str, label: str, model: KconfigModel) -> PropFormula:
     if label == "y":
         return yvar(name)
@@ -253,9 +256,7 @@ def _tri_equals_label(name: str, label: str, model: KconfigModel) -> PropFormula
             return FALSE
         return mvar(name)
     if label == "n":
-        if model.item(name).type is OptionType.BOOL:
-            return not_(yvar(name))
-        return not_(or_(yvar(name), mvar(name)))
+        return not_(_nonzero(model.item(name)))
     return FALSE
 
 
@@ -404,6 +405,27 @@ def _encode_opt(e: Expr | None, model: KconfigModel, dom: NumericDomain) -> TriE
 # Shared per-item context
 
 
+def _prompt_visibility(
+    prompts: tuple[Prompt, ...], dep: TriEncoding, model: KconfigModel, dom: NumericDomain
+) -> TriEncoding:
+    """The strongest prompt condition and-ed with the dependencies; n without
+    a prompt."""
+    vis = ENC_N
+    for prompt in prompts:
+        vis = enc_or(vis, enc_and(_encode_opt(prompt.condition, model, dom), dep))
+    return vis
+
+
+def _bool_effective(bool_typed: bool, model: KconfigModel) -> PropFormula:
+    """Where a value cannot be m: everywhere for bool options and bool
+    choices, else while the modules switch is off (nowhere without one)."""
+    if bool_typed:
+        return TRUE
+    if model.modules_option is not None:
+        return not_(yvar(model.modules_option))
+    return FALSE
+
+
 class _ItemContext:
     """Derived formulas for one option under one model."""
 
@@ -412,23 +434,14 @@ class _ItemContext:
         self.model = model
         self.dom = dom
         self.dep = _encode_opt(model.effective_depends(item), model, dom)
-        vis = ENC_N
-        for prompt in item.prompts:
-            cond = enc_and(_encode_opt(prompt.condition, model, dom), self.dep)
-            vis = enc_or(vis, cond)
-        self.vis = vis
-        self.visible = vis.nonzero
-        self.invisible = not_(vis.nonzero)
-        # Effective-bool: the option cannot hold m under this formula.
+        self.vis = _prompt_visibility(item.prompts, self.dep, model, dom)
+        self.visible = self.vis.nonzero
+        self.invisible = not_(self.visible)
         choice = model.choice_of(item)
-        if item.type is OptionType.BOOL or (
-            choice is not None and choice.type is OptionType.BOOL
-        ):
-            self.bool_effective: PropFormula = TRUE
-        elif model.modules_option is not None:
-            self.bool_effective = not_(yvar(model.modules_option))
-        else:
-            self.bool_effective = FALSE
+        self.bool_effective = _bool_effective(
+            item.type is OptionType.BOOL or (choice is not None and choice.type is OptionType.BOOL),
+            model,
+        )
 
     def select_floor(self) -> tuple[PropFormula, PropFormula]:
         """(floor is y, floor is at least m) over all selects targeting the item."""
@@ -436,15 +449,28 @@ class _ItemContext:
         floor_m = []
         for selector, sel in self.model.selects_targeting(self.item.name):
             cond = _encode_opt(sel.condition, self.model, self.dom)
-            s_y = yvar(selector.name)
-            s_any = (
-                s_y
-                if selector.type is OptionType.BOOL
-                else or_(s_y, mvar(selector.name))
-            )
-            floor_y.append(and_(s_y, cond.f_y))
-            floor_m.append(and_(s_any, cond.nonzero))
+            floor_y.append(and_(yvar(selector.name), cond.f_y))
+            floor_m.append(and_(_nonzero(selector), cond.nonzero))
         return or_(*floor_y), or_(*floor_m)
+
+    def first_match(
+        self, entries, prior: list[PropFormula]
+    ) -> tuple[list[tuple[TriEncoding, PropFormula]], PropFormula]:
+        """kconfig's first-applicable-entry rule over defaults or ranges.
+
+        An entry applies where its condition and the dependencies are nonzero.
+        Returns, per entry, that condition and-ed with the dependencies and the
+        guard under which the entry wins: every ``prior`` formula holds, the
+        entry applies and no earlier entry does.  The last formula holds where
+        every ``prior`` formula holds and no entry applies.
+        """
+        chain = []
+        prior = list(prior)
+        for entry in entries:
+            applies = enc_and(_encode_opt(entry.condition, self.model, self.dom), self.dep)
+            chain.append((applies, and_(*prior, applies.nonzero)))
+            prior.append(not_(applies.nonzero))
+        return chain, and_(*prior)
 
 
 def _forced_value(
@@ -525,38 +551,20 @@ def _invisible_value_chain(ctx: _ItemContext) -> list[Constraint]:
     out: list[Constraint] = []
     rev_y, rev_ge_m = ctx.select_floor()
 
-    prior_inapplicable: list[PropFormula] = [ctx.invisible]
-    for i, default in enumerate(item.defaults):
-        applicable = enc_and(_encode_opt(default.condition, model, dom), ctx.dep)
-        value = enc_and(encode_expr(default.value, model, dom), applicable)
-        guard = and_(*prior_inapplicable, applicable.nonzero)
+    chain, none_applies = ctx.first_match(item.defaults, [ctx.invisible])
+    for i, (default, (applies, guard)) in enumerate(zip(item.defaults, chain)):
+        value = enc_and(encode_expr(default.value, model, dom), applies)
         _add(
             out,
             implies(guard, _forced_value(ctx, value, rev_y, rev_ge_m)),
             f"{item.name}:default[{i}]",
         )
-        prior_inapplicable.append(not_(applicable.nonzero))
     _add(
         out,
-        implies(and_(*prior_inapplicable), _forced_value(ctx, ENC_N, rev_y, rev_ge_m)),
+        implies(none_applies, _forced_value(ctx, ENC_N, rev_y, rev_ge_m)),
         f"{item.name}:default-else",
     )
     return out
-
-
-def _range_activity(
-    ctx: _ItemContext,
-) -> tuple[list[tuple[int, int, PropFormula]], PropFormula]:
-    """First-active-range chain: [(low, high, active-formula)...], none-active."""
-    item, model, dom = ctx.item, ctx.model, ctx.dom
-    chain: list[tuple[int, int, PropFormula]] = []
-    prior: list[PropFormula] = []
-    for r in item.ranges:
-        cond = enc_and(_encode_opt(r.condition, model, dom), ctx.dep)
-        active = and_(*prior, cond.nonzero)
-        chain.append((parse_number(r.low, item.type), parse_number(r.high, item.type), active))
-        prior.append(not_(cond.nonzero))
-    return chain, and_(*prior)
 
 
 def _encode_valued_option(
@@ -570,8 +578,12 @@ def _encode_valued_option(
     value_vars = {v: value_var(item.name, v) for v in domain}
 
     if item.is_numeric:
-        chain, _ = _range_activity(ctx)
-        for j, (low, high, active) in enumerate(chain):
+        chain, none_active = ctx.first_match(item.ranges, [])
+        ranges = [
+            (parse_number(r.low, item.type), parse_number(r.high, item.type), active)
+            for r, (_, active) in zip(item.ranges, chain)
+        ]
+        for j, (low, high, active) in enumerate(ranges):
             for v in domain:
                 if not low <= parse_number(v) <= high:
                     _add(
@@ -583,15 +595,12 @@ def _encode_valued_option(
     # Invisible options hold the first applicable default, clamped into the
     # active range for numerics; with no applicable default they are unset,
     # which no enumerated value matches.
-    prior_inapplicable: list[PropFormula] = [ctx.invisible]
-    for i, default in enumerate(item.defaults):
-        applicable = enc_and(_encode_opt(default.condition, model, dom), ctx.dep)
-        guard = and_(*prior_inapplicable, applicable.nonzero)
+    chain, unset = ctx.first_match(item.defaults, [ctx.invisible])
+    for i, (default, (_, guard)) in enumerate(zip(item.defaults, chain)):
         assert isinstance(default.value, Literal)
         if item.is_numeric:
-            chain, none_active = _range_activity(ctx)
             raw = parse_number(default.value.text, item.type)
-            for j, (low, high, active) in enumerate(chain):
+            for j, (low, high, active) in enumerate(ranges):
                 text = number_text(min(max(raw, low), high), item.type)
                 _add(
                     out,
@@ -609,10 +618,9 @@ def _encode_valued_option(
                 implies(guard, value_vars[default.value.text]),
                 f"{item.name}:default[{i}]",
             )
-        prior_inapplicable.append(not_(applicable.nonzero))
     _add(
         out,
-        implies(and_(*prior_inapplicable), not_(or_(*value_vars.values()))),
+        implies(unset, not_(or_(*value_vars.values()))),
         f"{item.name}:unset-guard",
     )
     return out
@@ -643,20 +651,14 @@ def encode_reverse_dependencies(
             guard = TRUE
             if target.declared_in_choice is not None:
                 guard = _ItemContext(target, model, dom).invisible
-            s_y = yvar(item.name)
-            s_any = s_y if item.type is OptionType.BOOL else or_(s_y, mvar(item.name))
-            t_y = yvar(target.name)
-            t_any = (
-                t_y if target.type is OptionType.BOOL else or_(t_y, mvar(target.name))
-            )
             _add(
                 out,
-                implies(and_(guard, s_y, cond.f_y), t_y),
+                implies(and_(guard, yvar(item.name), cond.f_y), yvar(target.name)),
                 f"{item.name}:select({sel.target})[{k}]/y",
             )
             _add(
                 out,
-                implies(and_(guard, s_any, cond.nonzero), t_any),
+                implies(and_(guard, _nonzero(item), cond.nonzero), _nonzero(target)),
                 f"{item.name}:select({sel.target})[{k}]/m",
             )
     return out
@@ -681,18 +683,9 @@ def encode_choice(
     out: list[Constraint] = []
     tag = f"choice#{choice.id}"
 
-    ch_dep = _encode_opt(choice.depends, model, dom)
-    ch_vis = ENC_N
-    for prompt in choice.prompts:
-        ch_vis = enc_or(ch_vis, enc_and(_encode_opt(prompt.condition, model, dom), ch_dep))
+    ch_vis = _prompt_visibility(choice.prompts, _encode_opt(choice.depends, model, dom), model, dom)
     active = ch_vis.nonzero
-
-    if choice.type is OptionType.BOOL:
-        bool_effective: PropFormula = TRUE
-    elif model.modules_option is not None:
-        bool_effective = not_(yvar(model.modules_option))
-    else:
-        bool_effective = FALSE
+    bool_effective = _bool_effective(choice.type is OptionType.BOOL, model)
 
     members = [model.item(name) for name in choice.members]
     member_visible = {
@@ -725,14 +718,9 @@ def encode_choice(
                 f"{tag}:no-module-value({it.name})",
             )
     for it in members:
-        value_off = (
-            not_(yvar(it.name))
-            if it.type is OptionType.BOOL
-            else not_(or_(yvar(it.name), mvar(it.name)))
-        )
         _add(
             out,
-            implies(and_(not_(active), member_visible[it.name]), value_off),
+            implies(and_(not_(active), member_visible[it.name]), not_(_nonzero(it))),
             f"{tag}:inactive({it.name})",
         )
     if choice.type is OptionType.TRISTATE:

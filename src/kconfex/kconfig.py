@@ -126,26 +126,28 @@ class Geq(_Cmp):
     __slots__ = ()
 
 
-COMPARISONS = (Eq, Neq, Lt, Leq, Gt, Geq)
 ORDERED_COMPARISONS = (Lt, Leq, Gt, Geq)
+
+
+def expr_nodes(e: Expr):
+    """Every node of ``e`` in pre-order: each node before its operands, left
+    operands before right ones."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (And, Or, _Cmp)):
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 def expr_symbols(e: Expr | None) -> list[str]:
     """All symbol names referenced by ``e``, left to right, with duplicates."""
-    out: list[str] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Sym):
-            out.append(node.name)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        elif isinstance(node, (And, Or, _Cmp)):
-            walk(node.left)
-            walk(node.right)
-
-    if e is not None:
-        walk(e)
-    return out
+    if e is None:
+        return []
+    return [node.name for node in expr_nodes(e) if isinstance(node, Sym)]
 
 
 _CMP_TOKEN = {Eq: "=", Neq: "!=", Lt: "<", Leq: "<=", Gt: ">", Geq: ">="}
@@ -804,7 +806,7 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                         owner,
                     )
                 )
-        for node in _walk(e):
+        for node in expr_nodes(e):
             if isinstance(node, ORDERED_COMPARISONS):
                 for side in (node.left, node.right):
                     if isinstance(side, Sym) and model.has_option(side.name):
@@ -816,14 +818,6 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                                     owner,
                                 )
                             )
-
-    def _walk(e: Expr):
-        yield e
-        if isinstance(e, Not):
-            yield from _walk(e.operand)
-        elif isinstance(e, (And, Or, _Cmp)):
-            yield from _walk(e.left)
-            yield from _walk(e.right)
 
     derived_names = set()
     for it in model.items:
@@ -845,10 +839,14 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                         Diagnostic("error", "numeric option default must be a numeric literal", it.name)
                     )
             for r in it.ranges:
-                if parse_number(r.low, it.type) is None or parse_number(r.high, it.type) is None:
+                low, high = parse_number(r.low, it.type), parse_number(r.high, it.type)
+                if low is None or high is None:
                     out.append(
                         Diagnostic("error", f"range bounds must be {it.type.value} literals", it.name)
                     )
+                elif low > high:
+                    message = f"range {r.low} {r.high} has its low bound above its high bound"
+                    out.append(Diagnostic("error", message, it.name))
         if it.type is OptionType.STRING:
             for d in it.defaults:
                 if not isinstance(d.value, Literal):

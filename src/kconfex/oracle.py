@@ -29,7 +29,7 @@ from .tri import (
     effective_bool,
     eval_expr,
     modules_enabled,
-    visibility,
+    prompt_visibility,
 )
 from .tri import tri_and as tri_min
 from .tri import tri_or as tri_max
@@ -38,7 +38,6 @@ __all__ = [
     "MAX_PASSES",
     "RepairOutcome",
     "repair",
-    "is_valid",
     "write_dotconfig",
     "parse_dotconfig",
     "external_conf_oracle",
@@ -76,21 +75,22 @@ class _Repair:
             floor = tri_max(floor, tri_min(sval, cond))
         return floor
 
-    def first_default(self, item: ConfigItem) -> Tri:
-        """Value of the first default whose condition (and the dependencies)
-        holds, clamped by both; n when none applies."""
-        dep = _eval_opt(self.model.effective_depends(item), self.work, self.model)
-        for default in item.defaults:
-            cond = _eval_opt(default.condition, self.work, self.model)
-            if tri_min(cond, dep) is not Tri.N:
-                value = eval_expr(default.value, self.work, self.model)
-                return tri_min(value, tri_min(cond, dep))
-        return Tri.N
+    def first_applicable(self, entries, dep: Tri):
+        """The first default or range whose condition, and-ed with the
+        dependency value, is not n, with that and-ed value; (None, n) when
+        none applies."""
+        for entry in entries:
+            applies = tri_min(_eval_opt(entry.condition, self.work, self.model), dep)
+            if applies is not Tri.N:
+                return entry, applies
+        return None, Tri.N
 
-    def recompute_boolish(self, item: ConfigItem) -> None:
-        vis = visibility(item, self.work, self.model)
-        floor = self.select_floor(item)
+    def dependency_and_visibility(self, item: ConfigItem) -> tuple[Tri, Tri]:
         dep = _eval_opt(self.model.effective_depends(item), self.work, self.model)
+        return dep, prompt_visibility(item.prompts, dep, self.work, self.model)
+
+    def recompute_boolish(self, item: ConfigItem, dep: Tri, vis: Tri) -> None:
+        floor = self.select_floor(item)
         if vis is not Tri.N:
             if floor > vis:
                 self.override = True
@@ -99,64 +99,44 @@ class _Repair:
         else:
             if floor > dep:
                 self.override = True
-            new = tri_max(self.first_default(item), floor)
+            # The first applicable default, clamped by its condition and the
+            # dependencies; n when none applies.
+            default, applies = self.first_applicable(item.defaults, dep)
+            if default is not None:
+                applies = tri_min(eval_expr(default.value, self.work, self.model), applies)
+            new = tri_max(applies, floor)
         if new is Tri.M and effective_bool(item, self.work, self.model):
             new = Tri.Y
         self.set(item.name, new)
 
-    def recompute_valued(self, item: ConfigItem) -> None:
-        vis = visibility(item, self.work, self.model)
-        dep = _eval_opt(self.model.effective_depends(item), self.work, self.model)
+    def recompute_valued(self, item: ConfigItem, dep: Tri, vis: Tri) -> None:
         current = self.work.get(item.name)
-
-        active_range: tuple[int, int] | None = None
-        if item.is_numeric:
-            for r in item.ranges:
-                cond = _eval_opt(r.condition, self.work, self.model)
-                if tri_min(cond, dep) is not Tri.N:
-                    active_range = (parse_number(r.low, item.type), parse_number(r.high, item.type))
-                    break
-
+        literal_defaults = [d for d in item.defaults if isinstance(d.value, Literal)]
         if item.type is OptionType.STRING:
-            if vis is not Tri.N and current is not None:
-                return
-            self.set(item.name, self._string_default(item, dep))
+            if vis is Tri.N or current is None:
+                default, _ = self.first_applicable(literal_defaults, dep)
+                self.set(item.name, None if default is None else default.value.text)
             return
 
+        active, _ = self.first_applicable(item.ranges, dep)
+        if active is not None:
+            low, high = parse_number(active.low, item.type), parse_number(active.high, item.type)
         if vis is not Tri.N and current:
             value = parse_number(current, item.type)
-            if value is not None and (
-                active_range is None or active_range[0] <= value <= active_range[1]
-            ):
+            if value is not None and (active is None or low <= value <= high):
                 return  # user value kept verbatim
-        self.set(item.name, self._numeric_default(item, dep, active_range))
-
-    def _string_default(self, item: ConfigItem, dep: Tri) -> str | None:
-        for default in item.defaults:
-            cond = _eval_opt(default.condition, self.work, self.model)
-            if tri_min(cond, dep) is not Tri.N and isinstance(default.value, Literal):
-                return default.value.text
-        return None
-
-    def _numeric_default(
-        self, item: ConfigItem, dep: Tri, active_range: tuple[int, int] | None
-    ) -> str | None:
-        for default in item.defaults:
-            cond = _eval_opt(default.condition, self.work, self.model)
-            if tri_min(cond, dep) is not Tri.N and isinstance(default.value, Literal):
-                value = parse_number(default.value.text, item.type)
-                if value is None:
-                    return None
-                if active_range is not None:
-                    value = min(max(value, active_range[0]), active_range[1])
-                return number_text(value, item.type)
-        return None
+        default, _ = self.first_applicable(literal_defaults, dep)
+        value = None if default is None else parse_number(default.value.text, item.type)
+        if value is not None and active is not None:
+            value = min(max(value, low), high)
+        self.set(item.name, None if value is None else number_text(value, item.type))
 
     def run_choice(self, choice) -> None:
         model, work = self.model, self.work
         ch_vis = choice_visibility(choice, work, model)
         members = [model.item(name) for name in choice.members]
-        visible = [it for it in members if visibility(it, work, model) is not Tri.N]
+        member_vis = {it.name: self.dependency_and_visibility(it)[1] for it in members}
+        visible = [it for it in members if member_vis[it.name] is not Tri.N]
         eff_bool = choice.type is OptionType.BOOL or not modules_enabled(work, model)
 
         user_mode: Tri | None = None
@@ -178,8 +158,7 @@ class _Repair:
             candidates = [
                 it
                 for it in visible
-                if visibility(it, work, model) is Tri.Y
-                or effective_bool(it, work, model)
+                if member_vis[it.name] is Tri.Y or effective_bool(it, work, model)
             ]
             chosen = self._chosen_member(choice, candidates)
             for it in visible:
@@ -190,8 +169,11 @@ class _Repair:
                     self.set(it.name, Tri.M)
 
         for it in members:
-            if visibility(it, work, model) is Tri.N:
-                self.recompute_boolish(it)
+            # The selection above may have changed what a member's
+            # dependencies and prompts read.
+            dep, vis = self.dependency_and_visibility(it)
+            if vis is Tri.N:
+                self.recompute_boolish(it, dep, vis)
 
     def _chosen_member(self, choice, candidates: list[ConfigItem]) -> ConfigItem | None:
         already = [it for it in candidates if self.work.get(it.name) is Tri.Y]
@@ -199,12 +181,12 @@ class _Repair:
             return already[0]
         ch_dep = _eval_opt(choice.depends, self.work, self.model)
         names = {it.name for it in candidates}
-        for default in choice.defaults:
-            cond = _eval_opt(default.condition, self.work, self.model)
-            if tri_min(cond, ch_dep) is Tri.N:
-                continue
-            if isinstance(default.value, Sym) and default.value.name in names:
-                return self.model.item(default.value.name)
+        naming_candidate = [
+            d for d in choice.defaults if isinstance(d.value, Sym) and d.value.name in names
+        ]
+        default, _ = self.first_applicable(naming_candidate, ch_dep)
+        if default is not None:
+            return self.model.item(default.value.name)
         return candidates[0] if candidates else None
 
     def one_pass(self) -> bool:
@@ -216,10 +198,11 @@ class _Repair:
                     done_choices.add(item.declared_in_choice)
                     self.run_choice(self.model.choices[item.declared_in_choice])
                 continue
+            dep, vis = self.dependency_and_visibility(item)
             if item.is_boolish:
-                self.recompute_boolish(item)
+                self.recompute_boolish(item, dep, vis)
             else:
-                self.recompute_valued(item)
+                self.recompute_valued(item, dep, vis)
         return self.changed_this_pass
 
 
@@ -239,20 +222,12 @@ def repair(model: KconfigModel, cfg: Configuration) -> RepairOutcome:
     )
 
 
-def is_valid(model: KconfigModel, cfg: Configuration) -> bool:
-    """True iff repairing leaves the configuration untouched."""
-    return not repair(model, cfg).changed
-
-
 # --------------------------------------------------------------------------
 # .config reading and writing
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-_UNESCAPE = {"\\\\": "\\", '\\"': '"'}
 
 
 def _unescape(text: str) -> str:
@@ -338,7 +313,6 @@ def external_conf_oracle(
     cfg: Configuration,
     workdir: str,
     model: KconfigModel | None = None,
-    mode_flag: str = "--olddefconfig",
 ) -> bool:
     """Ask a real ``conf`` binary whether the configuration survives repair.
 
@@ -357,7 +331,7 @@ def external_conf_oracle(
     env["KCONFIG_CONFIG"] = config_path
     try:
         result = subprocess.run(
-            [conf_path, mode_flag, model_file],
+            [conf_path, "--olddefconfig", model_file],
             cwd=workdir,
             env=env,
             stdout=subprocess.PIPE,

@@ -26,6 +26,7 @@ from .kconfig import (
     Not,
     OptionType,
     Or,
+    Prompt,
     Sym,
     parse_number,
 )
@@ -160,6 +161,17 @@ def _eval_opt(e: Expr | None, cfg: Configuration, model: KconfigModel) -> Tri:
     return Tri.Y if e is None else eval_expr(e, cfg, model)
 
 
+def prompt_visibility(
+    prompts: tuple[Prompt, ...], depends: Tri, cfg: Configuration, model: KconfigModel
+) -> Tri:
+    """The strongest prompt condition and-ed with the already evaluated
+    dependency value; n when there is no prompt."""
+    best = Tri.N
+    for prompt in prompts:
+        best = tri_or(best, tri_and(_eval_opt(prompt.condition, cfg, model), depends))
+    return best
+
+
 def visibility(item: ConfigItem, cfg: Configuration, model: KconfigModel) -> Tri:
     """How far the user may raise ``item``: n when it has no prompt, else the
     strongest prompt condition and-ed with the item's effective dependencies
@@ -167,21 +179,14 @@ def visibility(item: ConfigItem, cfg: Configuration, model: KconfigModel) -> Tri
     if not item.prompts:
         return Tri.N
     depends = _eval_opt(model.effective_depends(item), cfg, model)
-    best = Tri.N
-    for prompt in item.prompts:
-        best = tri_or(best, tri_and(_eval_opt(prompt.condition, cfg, model), depends))
-    return best
+    return prompt_visibility(item.prompts, depends, cfg, model)
 
 
 def choice_visibility(choice: ChoiceBlock, cfg: Configuration, model: KconfigModel) -> Tri:
     """Visibility of a choice block itself; n when the block has no prompt."""
     if not choice.prompts:
         return Tri.N
-    depends = _eval_opt(choice.depends, cfg, model)
-    best = Tri.N
-    for prompt in choice.prompts:
-        best = tri_or(best, tri_and(_eval_opt(prompt.condition, cfg, model), depends))
-    return best
+    return prompt_visibility(choice.prompts, _eval_opt(choice.depends, cfg, model), cfg, model)
 
 
 def modules_enabled(cfg: Configuration, model: KconfigModel) -> bool:

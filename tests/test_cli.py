@@ -109,9 +109,10 @@ class TestCheckCommand:
 @pytest.mark.parametrize("command", ["check", "translate"])
 def test_range_bound_outside_option_type_exits_2(command, tmp_path, capsys):
     path = tmp_path / "range.kconfig"
-    path.write_text('config N\n\tint "n"\n\trange 0x0 0x10\n')
-    assert main([command, str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for ranges in ("\trange 0x0 0x10\n", "\trange 10 5\n\tdefault 7\n"):
+        path.write_text('config N\n\tint "n"\n' + ranges)
+        assert main([command, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCorpusCommand:

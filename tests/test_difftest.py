@@ -1,4 +1,9 @@
 
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from kconfex.difftest import (
@@ -184,8 +189,23 @@ class TestRunCorpus:
 
     def test_range_bound_outside_option_type_is_error_row(self, tmp_path):
         (tmp_path / "range.kconfig").write_text('config N\n\tint "n"\n\trange 0x0 0x10\n')
-        (report,) = run_corpus(tmp_path).reports
-        assert "range bounds must be int literals" in report.error
+        (tmp_path / "inverted.kconfig").write_text(
+            'config N\n\tint "n"\n\trange 10 5\n\tdefault 7\n'
+        )
+        inverted, outside = run_corpus(tmp_path).reports
+        assert "range bounds must be int literals" in outside.error
+        assert "range 10 5 has its low bound above its high bound" in inverted.error
+
+    def test_report_text_matches_recorded_digest(self, corpus_dir):
+        """Every report line but the timings (verdicts, KNOWN-LIMITATION rows,
+        violated constraints, notes) stays as recorded in
+        corpus_report_digest.json."""
+        recorded = json.loads(
+            (Path(__file__).resolve().parent / "corpus_report_digest.json").read_text(encoding="utf-8")
+        )
+        text = run_corpus(corpus_dir, CorpusOptions(generated=recorded["generated"])).render_text()
+        untimed = re.sub(r" millis=\S+", "", text)
+        assert hashlib.sha256(untimed.encode("utf-8")).hexdigest() == recorded["sha256"]
 
     def test_parallel_equals_sequential(self, corpus_dir):
         seq = run_corpus(corpus_dir, CorpusOptions(jobs=1))

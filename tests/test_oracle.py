@@ -16,7 +16,6 @@ from kconfex.kconfig import (
 )
 from kconfex.oracle import (
     external_conf_oracle,
-    is_valid,
     parse_dotconfig,
     repair,
     write_dotconfig,
@@ -52,7 +51,7 @@ class TestRepair:
         valid = set()
         for a, b, npt in itertools.product((Tri.N, Tri.Y), repeat=3):
             cfg = {"A": a, "B": b, "NOPROMPT": npt}
-            if is_valid(noprompt_choice_model, cfg):
+            if not repair(noprompt_choice_model, cfg).changed:
                 names = frozenset(k for k, v in cfg.items() if v is Tri.Y)
                 valid.add(names)
         assert valid == {
@@ -61,14 +60,14 @@ class TestRepair:
         }
 
     def test_empty_model(self):
-        assert is_valid(_model(""), {})
+        assert not repair(_model(""), {}).changed
 
     def test_select_truth_table(self):
         model = _model('config O\n\tbool "o"\n\tselect P\nconfig P\n\tbool "p"\n')
         valid = {
             (o, p)
             for o, p in itertools.product((Tri.N, Tri.Y), repeat=2)
-            if is_valid(model, {"O": o, "P": p})
+            if not repair(model, {"O": o, "P": p}).changed
         }
         assert valid == {(Tri.N, Tri.N), (Tri.N, Tri.Y), (Tri.Y, Tri.Y)}
 
