@@ -12,19 +12,20 @@ else is a FAILURE.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
-from .encode import collect_numeric_values, translate, variable_order
+from .encode import NumericDomain, collect_numeric_values, translate, variable_order
 from .errors import KconfexError, TooManyOptions
-from .kconfig import KconfigModel, OptionType, parse_model, validate_model
+from .kconfig import ConfigItem, KconfigModel, OptionType, parse_model, validate_model
 from .oracle import repair
-from .prop import ConstraintSet, PropFormula, and_, evaluate, not_, or_, var
-from .tri import Configuration, Tri
+from .prop import ConstraintSet, PropFormula, and_, evaluate, evaluate_mask, not_, or_, var
+from .tri import Configuration, ConfigValue, Tri
 
 __all__ = [
     "DEFAULT_MAX_OPTIONS",
@@ -59,9 +60,20 @@ def builtin_oracle(model: KconfigModel, cfg: Configuration) -> tuple[bool, bool]
 # Enumeration and embedding
 
 
-def _enumerate(
-    model: KconfigModel, max_options: int
-) -> tuple[list[Configuration], list[str]]:
+class _Space(NamedTuple):
+    """The enumeration axes of a model: the enumerated options in declaration
+    order, each with the values it ranges over."""
+
+    names: list[str]
+    axes: list[list]
+    notes: list[str]
+    dom: NumericDomain
+
+    def configs(self) -> list[Configuration]:
+        return [dict(zip(self.names, combo)) for combo in itertools.product(*self.axes)]
+
+
+def _enumerate(model: KconfigModel, max_options: int) -> _Space:
     if len(model.items) > max_options:
         raise TooManyOptions(len(model.items), max_options)
     dom = collect_numeric_values(model)
@@ -82,8 +94,7 @@ def _enumerate(
                 axes.append(list(domain))
             else:
                 notes.append(f"{item.name}: no known values, skipped in enumeration")
-    configs = [dict(zip(names, combo)) for combo in itertools.product(*axes)]
-    return configs, notes
+    return _Space(names, axes, notes, dom)
 
 
 def enumerate_configs(
@@ -96,23 +107,63 @@ def enumerate_configs(
     options over their harvested values.  Valued options without any known
     value are skipped (the check report carries a note for them).
     """
-    return _enumerate(model, max_options)[0]
+    return _enumerate(model, max_options).configs()
 
 
-def embed(model: KconfigModel, cfg: Configuration) -> dict[str, bool]:
-    """Boolean image of a configuration over the translated variables."""
-    dom = collect_numeric_values(model)
-    out: dict[str, bool] = {}
+def _image(item: ConfigItem, value: ConfigValue, domain: list[str]) -> Iterator[tuple[str, bool]]:
+    """The translated variables of one option, each with its truth value
+    while the option holds ``value`` (None: unset)."""
+    if item.is_boolish:
+        yield item.name, value is Tri.Y
+        yield item.name + "_MODULE", value is Tri.M
+    else:
+        for known in domain:
+            yield f"{item.name}_EQ_{known}", value == known
+
+
+def embed(
+    model: KconfigModel, cfg: Configuration, dom: NumericDomain | None = None
+) -> dict[str, bool]:
+    """Boolean image of a configuration over the translated variables;
+    ``dom`` is the model's harvested domain, computed when not given."""
+    if dom is None:
+        dom = collect_numeric_values(model)
+    return {
+        name: bit
+        for item in model.items
+        for name, bit in _image(item, cfg.get(item.name), dom.domain(item.name))
+    }
+
+
+def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
+    """The boolean images of all enumerated configurations at once: bit k of
+    ``masks[v]`` is ``embed(model, configs[k])[v]``, with the configurations
+    in ``enumerate_configs`` order; ``ones`` has one bit per configuration.
+
+    Row k is a mixed-radix number, the last axis its lowest digit, so an
+    axis's value number j holds on runs of ``stride`` rows starting at
+    ``j * stride`` within every period of ``stride * len(axis)`` rows.
+    """
+    rows = math.prod(len(axis) for axis in space.axes)
+    ones = (1 << rows) - 1
+    axis_of = dict(zip(space.names, space.axes))
+    masks: dict[str, int] = {}
+    stride = rows
     for item in model.items:
-        if item.is_boolish:
-            value = cfg.get(item.name, Tri.N)
-            out[item.name] = value is Tri.Y
-            out[item.name + "_MODULE"] = value is Tri.M
-        else:
-            value = cfg.get(item.name)
-            for known in dom.domain(item.name):
-                out[f"{item.name}_EQ_{known}"] = value == known
-    return out
+        domain = space.dom.domain(item.name)
+        for name, _ in _image(item, None, domain):
+            masks[name] = 0
+        axis = axis_of.get(item.name)
+        if axis is None:
+            continue  # skipped in enumeration: unset in every row
+        period, stride = stride, stride // len(axis)
+        period_starts = ones // ((1 << period) - 1)  # bit 0 of every period
+        for j, value in enumerate(axis):
+            run = ((1 << stride) - 1) << (j * stride)
+            for name, bit in _image(item, value, domain):
+                if bit:
+                    masks[name] |= run * period_starts
+    return masks, ones
 
 
 # --------------------------------------------------------------------------
@@ -186,18 +237,21 @@ class TestReport:
         return self.error is None and not self.mismatches
 
 
+def _table(model: KconfigModel, oracle: Oracle, space: _Space) -> TruthTable:
+    rows = []
+    for cfg in space.configs():
+        valid, override = oracle(model, cfg)
+        rows.append(TableRow(cfg, valid, override))
+    return TruthTable(model, rows, space.notes)
+
+
 def ground_truth(
     model: KconfigModel,
     oracle: Oracle = builtin_oracle,
     max_options: int = DEFAULT_MAX_OPTIONS,
 ) -> TruthTable:
     """One oracle verdict per enumerated configuration."""
-    configs, notes = _enumerate(model, max_options)
-    rows = []
-    for cfg in configs:
-        valid, override = oracle(model, cfg)
-        rows.append(TableRow(cfg, valid, override))
-    return TruthTable(model, rows, notes)
+    return _table(model, oracle, _enumerate(model, max_options))
 
 
 def check_model(
@@ -207,22 +261,33 @@ def check_model(
     max_options: int = DEFAULT_MAX_OPTIONS,
     name: str | None = None,
 ) -> TestReport:
-    """Compare the translated conjunction against the oracle row by row."""
+    """Compare the translated conjunction against the oracle on every
+    enumerated configuration.
+
+    The formula's verdicts on all rows come from one bit-parallel evaluation
+    over the rows' boolean images; only the rows where it disagrees with the
+    oracle are embedded one by one, to name the constraints they violate.
+    """
     started = time.perf_counter()
     if constraints is None:
         constraints = translate(model)
-    table = ground_truth(model, oracle, max_options)
-    conjunction = constraints.conjunction()
+    space = _enumerate(model, max_options)
+    table = _table(model, oracle, space)
+    masks, ones = _masks(model, space)
+    formula = evaluate_mask(constraints.conjunction(), masks, ones)
+    # Bit k is row k, so the binary text of a mask lists row 0 last.
+    valid = int(bytes(ord("0") + row.valid for row in reversed(table.rows)), 2)
+    disagree = format(formula ^ valid, f"0{len(table.rows)}b")[::-1]
     mismatches: list[Mismatch] = []
-    for row in table.rows:
-        assignment = embed(model, row.cfg)
-        formula_verdict = evaluate(conjunction, assignment)
-        if formula_verdict == row.valid:
+    for row, bit in zip(table.rows, disagree):
+        if bit == "0":
             continue
-        if row.valid and not formula_verdict and row.select_override:
+        formula_verdict = not row.valid
+        if row.valid and row.select_override:
             classification = "KNOWN-LIMITATION"
         else:
             classification = "FAILURE"
+        assignment = embed(model, row.cfg, space.dom)
         failed = tuple(
             c.provenance for c in constraints if not evaluate(c.formula, assignment)
         )
@@ -244,12 +309,13 @@ def truth_table_formula(table: TruthTable) -> PropFormula:
     """Disjunction over the valid rows of the table, each row rendered as the
     conjunction of its variable literals."""
     model = table.model
-    order = variable_order(model, collect_numeric_values(model))
+    dom = collect_numeric_values(model)
+    order = variable_order(model, dom)
     rows = []
     for row in table.rows:
         if not row.valid:
             continue
-        assignment = embed(model, row.cfg)
+        assignment = embed(model, row.cfg, dom)
         rows.append(
             and_(*(var(n) if assignment[n] else not_(var(n)) for n in order))
         )

@@ -13,8 +13,11 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .errors import DuplicateOption, ParseError
+
+T = TypeVar("T")
 
 __all__ = [
     "OptionType",
@@ -252,6 +255,7 @@ class KconfigModel:
             for sel in it.selects:
                 selectors.setdefault(sel.target, []).append((it, sel))
         object.__setattr__(self, "_selectors", selectors)
+        object.__setattr__(self, "_derived", {})
 
     def item(self, name: str) -> ConfigItem:
         return self._by_name[name]
@@ -276,6 +280,15 @@ class KconfigModel:
     def selects_targeting(self, name: str) -> list[tuple[ConfigItem, Select]]:
         """(selector, select) pairs naming ``name`` as target, in declaration order."""
         return self._selectors.get(name, [])
+
+    def derived(self, build: Callable[[KconfigModel], T]) -> T:
+        """``build(self)``, computed on first use and kept with the model; the
+        model is immutable, so nothing derived from it goes stale."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
 
 # --------------------------------------------------------------------------

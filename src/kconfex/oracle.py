@@ -18,15 +18,26 @@ from __future__ import annotations
 import os
 import subprocess
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, NonConvergence, ProcessError
-from .kconfig import ConfigItem, KconfigModel, Literal, OptionType, Sym, number_text, parse_number
+from .kconfig import (
+    ChoiceBlock,
+    ConfigItem,
+    Default,
+    Expr,
+    KconfigModel,
+    Literal,
+    OptionType,
+    Sym,
+    number_text,
+    parse_number,
+)
 from .tri import (
     Configuration,
     Tri,
     _eval_opt,
     choice_visibility,
-    effective_bool,
     eval_expr,
     modules_enabled,
     prompt_visibility,
@@ -53,9 +64,67 @@ class RepairOutcome:
     select_override_fired: bool
 
 
+class _Option(NamedTuple):
+    """What the repair reads of one option's declaration, derived once per
+    model."""
+
+    item: ConfigItem
+    name: str
+    boolish: bool
+    depends: Expr | None  # with the enclosing choice's dependencies folded in
+    selectors: tuple[tuple[str, Expr | None], ...]  # (selector, condition)
+    literal_defaults: tuple[Default, ...]
+    # Cannot hold m in any configuration: bool options, and tristate members
+    # of a bool choice (they behave like boolean options).
+    always_bool: bool
+
+
+class _Choice(NamedTuple):
+    block: ChoiceBlock
+    members: tuple[_Option, ...]
+
+
+def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
+    """The steps of one repair pass: options outside choices in declaration
+    order, and each choice at the position of its first member."""
+
+    def option(item: ConfigItem) -> _Option:
+        choice = model.choice_of(item)
+        return _Option(
+            item=item,
+            name=item.name,
+            boolish=item.is_boolish,
+            depends=model.effective_depends(item),
+            selectors=tuple(
+                (selector.name, sel.condition)
+                for selector, sel in model.selects_targeting(item.name)
+            ),
+            literal_defaults=tuple(d for d in item.defaults if isinstance(d.value, Literal)),
+            always_bool=item.type is OptionType.BOOL
+            or (
+                item.type is OptionType.TRISTATE
+                and choice is not None
+                and choice.type is OptionType.BOOL
+            ),
+        )
+
+    steps: list[_Option | _Choice] = []
+    done_choices: set[int] = set()
+    for item in model.items:
+        if item.declared_in_choice is None:
+            steps.append(option(item))
+        elif item.declared_in_choice not in done_choices:
+            done_choices.add(item.declared_in_choice)
+            block = model.choices[item.declared_in_choice]
+            members = tuple(option(model.item(name)) for name in block.members)
+            steps.append(_Choice(block, members))
+    return tuple(steps)
+
+
 class _Repair:
     def __init__(self, model: KconfigModel, cfg: Configuration):
         self.model = model
+        self.steps = model.derived(_plan)
         self.work: Configuration = dict(cfg)
         self.changed_this_pass = False
         self.override = False
@@ -65,13 +134,20 @@ class _Repair:
             self.work[name] = value
             self.changed_this_pass = True
 
-    def select_floor(self, item: ConfigItem) -> Tri:
+    def effective_bool(self, opt: _Option) -> bool:
+        """True when the option cannot hold m: always-bool options, and
+        tristate options while modules are disabled."""
+        return opt.always_bool or (
+            opt.item.type is OptionType.TRISTATE and not modules_enabled(self.work, self.model)
+        )
+
+    def select_floor(self, opt: _Option) -> Tri:
         floor = Tri.N
-        for selector, sel in self.model.selects_targeting(item.name):
-            sval = self.work.get(selector.name)
+        for selector, condition in opt.selectors:
+            sval = self.work.get(selector)
             if not isinstance(sval, Tri):
                 continue
-            cond = _eval_opt(sel.condition, self.work, self.model)
+            cond = _eval_opt(condition, self.work, self.model)
             floor = tri_max(floor, tri_min(sval, cond))
         return floor
 
@@ -85,36 +161,36 @@ class _Repair:
                 return entry, applies
         return None, Tri.N
 
-    def dependency_and_visibility(self, item: ConfigItem) -> tuple[Tri, Tri]:
-        dep = _eval_opt(self.model.effective_depends(item), self.work, self.model)
-        return dep, prompt_visibility(item.prompts, dep, self.work, self.model)
+    def dependency_and_visibility(self, opt: _Option) -> tuple[Tri, Tri]:
+        dep = _eval_opt(opt.depends, self.work, self.model)
+        return dep, prompt_visibility(opt.item.prompts, dep, self.work, self.model)
 
-    def recompute_boolish(self, item: ConfigItem, dep: Tri, vis: Tri) -> None:
-        floor = self.select_floor(item)
+    def recompute_boolish(self, opt: _Option, dep: Tri, vis: Tri) -> None:
+        floor = self.select_floor(opt) if opt.selectors else Tri.N
         if vis is not Tri.N:
             if floor > vis:
                 self.override = True
-            current = self.work.get(item.name, Tri.N)
+            current = self.work.get(opt.name, Tri.N)
             new = tri_max(tri_min(current, vis), floor)
         else:
             if floor > dep:
                 self.override = True
             # The first applicable default, clamped by its condition and the
             # dependencies; n when none applies.
-            default, applies = self.first_applicable(item.defaults, dep)
+            default, applies = self.first_applicable(opt.item.defaults, dep)
             if default is not None:
                 applies = tri_min(eval_expr(default.value, self.work, self.model), applies)
             new = tri_max(applies, floor)
-        if new is Tri.M and effective_bool(item, self.work, self.model):
+        if new is Tri.M and self.effective_bool(opt):
             new = Tri.Y
-        self.set(item.name, new)
+        self.set(opt.name, new)
 
-    def recompute_valued(self, item: ConfigItem, dep: Tri, vis: Tri) -> None:
+    def recompute_valued(self, opt: _Option, dep: Tri, vis: Tri) -> None:
+        item = opt.item
         current = self.work.get(item.name)
-        literal_defaults = [d for d in item.defaults if isinstance(d.value, Literal)]
         if item.type is OptionType.STRING:
             if vis is Tri.N or current is None:
-                default, _ = self.first_applicable(literal_defaults, dep)
+                default, _ = self.first_applicable(opt.literal_defaults, dep)
                 self.set(item.name, None if default is None else default.value.text)
             return
 
@@ -125,84 +201,80 @@ class _Repair:
             value = parse_number(current, item.type)
             if value is not None and (active is None or low <= value <= high):
                 return  # user value kept verbatim
-        default, _ = self.first_applicable(literal_defaults, dep)
+        default, _ = self.first_applicable(opt.literal_defaults, dep)
         value = None if default is None else parse_number(default.value.text, item.type)
         if value is not None and active is not None:
             value = min(max(value, low), high)
         self.set(item.name, None if value is None else number_text(value, item.type))
 
-    def run_choice(self, choice) -> None:
-        model, work = self.model, self.work
+    def run_choice(self, step: _Choice) -> None:
+        model, work, choice = self.model, self.work, step.block
         ch_vis = choice_visibility(choice, work, model)
-        members = [model.item(name) for name in choice.members]
-        member_vis = {it.name: self.dependency_and_visibility(it)[1] for it in members}
-        visible = [it for it in members if member_vis[it.name] is not Tri.N]
+        member_vis = {opt.name: self.dependency_and_visibility(opt)[1] for opt in step.members}
+        visible = [opt for opt in step.members if member_vis[opt.name] is not Tri.N]
         eff_bool = choice.type is OptionType.BOOL or not modules_enabled(work, model)
 
         user_mode: Tri | None = None
-        if any(work.get(it.name) is Tri.Y for it in visible):
+        if any(work.get(opt.name) is Tri.Y for opt in visible):
             user_mode = Tri.Y
-        elif any(work.get(it.name) is Tri.M for it in visible):
+        elif any(work.get(opt.name) is Tri.M for opt in visible):
             user_mode = Tri.M
         mode = tri_min(tri_max(Tri.M, user_mode or Tri.N), ch_vis)
         if eff_bool and mode is Tri.M:
             mode = Tri.Y
 
         if mode is Tri.N:
-            for it in visible:
-                self.set(it.name, Tri.N)
+            for opt in visible:
+                self.set(opt.name, Tri.N)
         elif mode is Tri.Y:
             # A true tristate member whose own visibility only reaches m
             # cannot carry the selection of a y-mode choice; effectively
             # boolean members have their m visibility promoted to y.
             candidates = [
-                it
-                for it in visible
-                if member_vis[it.name] is Tri.Y or effective_bool(it, work, model)
+                opt
+                for opt in visible
+                if member_vis[opt.name] is Tri.Y or self.effective_bool(opt)
             ]
             chosen = self._chosen_member(choice, candidates)
-            for it in visible:
-                self.set(it.name, Tri.Y if it is chosen else Tri.N)
+            for opt in visible:
+                self.set(opt.name, Tri.Y if opt is chosen else Tri.N)
         else:
-            for it in visible:
-                if work.get(it.name) is Tri.Y:
-                    self.set(it.name, Tri.M)
+            for opt in visible:
+                if work.get(opt.name) is Tri.Y:
+                    self.set(opt.name, Tri.M)
 
-        for it in members:
+        for opt in step.members:
             # The selection above may have changed what a member's
             # dependencies and prompts read.
-            dep, vis = self.dependency_and_visibility(it)
+            dep, vis = self.dependency_and_visibility(opt)
             if vis is Tri.N:
-                self.recompute_boolish(it, dep, vis)
+                self.recompute_boolish(opt, dep, vis)
 
-    def _chosen_member(self, choice, candidates: list[ConfigItem]) -> ConfigItem | None:
-        already = [it for it in candidates if self.work.get(it.name) is Tri.Y]
+    def _chosen_member(self, choice: ChoiceBlock, candidates: list[_Option]) -> _Option | None:
+        already = [opt for opt in candidates if self.work.get(opt.name) is Tri.Y]
         if already:
             return already[0]
         ch_dep = _eval_opt(choice.depends, self.work, self.model)
-        names = {it.name for it in candidates}
+        names = {opt.name: opt for opt in candidates}
         naming_candidate = [
             d for d in choice.defaults if isinstance(d.value, Sym) and d.value.name in names
         ]
         default, _ = self.first_applicable(naming_candidate, ch_dep)
         if default is not None:
-            return self.model.item(default.value.name)
+            return names[default.value.name]
         return candidates[0] if candidates else None
 
     def one_pass(self) -> bool:
         self.changed_this_pass = False
-        done_choices: set[int] = set()
-        for item in self.model.items:
-            if item.declared_in_choice is not None:
-                if item.declared_in_choice not in done_choices:
-                    done_choices.add(item.declared_in_choice)
-                    self.run_choice(self.model.choices[item.declared_in_choice])
+        for step in self.steps:
+            if type(step) is _Choice:
+                self.run_choice(step)
                 continue
-            dep, vis = self.dependency_and_visibility(item)
-            if item.is_boolish:
-                self.recompute_boolish(item, dep, vis)
+            dep, vis = self.dependency_and_visibility(step)
+            if step.boolish:
+                self.recompute_boolish(step, dep, vis)
             else:
-                self.recompute_valued(item, dep, vis)
+                self.recompute_valued(step, dep, vis)
         return self.changed_this_pass
 
 
@@ -329,9 +401,13 @@ def external_conf_oracle(
 
     env = dict(os.environ)
     env["KCONFIG_CONFIG"] = config_path
+    # conf runs in the work directory, so relative paths are resolved here; a
+    # bare command name is still looked up on PATH.
+    if os.sep in conf_path:
+        conf_path = os.path.abspath(conf_path)
     try:
         result = subprocess.run(
-            [conf_path, "--olddefconfig", model_file],
+            [conf_path, "--olddefconfig", os.path.abspath(model_file)],
             cwd=workdir,
             env=env,
             stdout=subprocess.PIPE,

@@ -13,7 +13,6 @@ from .errors import EvalError
 from .kconfig import (
     And,
     ChoiceBlock,
-    ConfigItem,
     Eq,
     Expr,
     Geq,
@@ -24,7 +23,6 @@ from .kconfig import (
     Lt,
     Neq,
     Not,
-    OptionType,
     Or,
     Prompt,
     Sym,
@@ -39,7 +37,6 @@ __all__ = [
     "tri_or",
     "tri_not",
     "eval_expr",
-    "visibility",
     "choice_visibility",
 ]
 
@@ -172,16 +169,6 @@ def prompt_visibility(
     return best
 
 
-def visibility(item: ConfigItem, cfg: Configuration, model: KconfigModel) -> Tri:
-    """How far the user may raise ``item``: n when it has no prompt, else the
-    strongest prompt condition and-ed with the item's effective dependencies
-    (which include the enclosing choice's dependencies)."""
-    if not item.prompts:
-        return Tri.N
-    depends = _eval_opt(model.effective_depends(item), cfg, model)
-    return prompt_visibility(item.prompts, depends, cfg, model)
-
-
 def choice_visibility(choice: ChoiceBlock, cfg: Configuration, model: KconfigModel) -> Tri:
     """Visibility of a choice block itself; n when the block has no prompt."""
     if not choice.prompts:
@@ -198,17 +185,3 @@ def modules_enabled(cfg: Configuration, model: KconfigModel) -> bool:
     if model.modules_option is None:
         return True
     return cfg.get(model.modules_option) is Tri.Y
-
-
-def effective_bool(item: ConfigItem, cfg: Configuration, model: KconfigModel) -> bool:
-    """True when the option cannot hold m: bool options always, members of a
-    bool choice (they behave like boolean options), and tristate options
-    while modules are disabled."""
-    if item.type is OptionType.BOOL:
-        return True
-    if item.type is OptionType.TRISTATE:
-        choice = model.choice_of(item)
-        if choice is not None and choice.type is OptionType.BOOL:
-            return True
-        return not modules_enabled(cfg, model)
-    return False

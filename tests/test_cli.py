@@ -100,6 +100,14 @@ class TestCheckCommand:
         assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 0
         assert not list(tmp_path.glob("kconfex-conf-*"))
 
+    def test_exec_oracle_with_relative_paths(self, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.write_text('#!/bin/sh\ntest -f "$2"\n')  # fails unless the model file is found
+        conf.chmod(0o755)
+        (tmp_path / "one.kconfig").write_text('config A\n\tbool "a"\n')
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "one.kconfig", "--oracle", "exec:./conf"]) == 0
+
     def test_bound_override(self, tmp_path):
         path = tmp_path / "wide.kconfig"
         path.write_text("".join(f'config O{i}\n\tbool "o"\n' for i in range(12)))

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from kconfex.difftest import (
+    DEFAULT_MAX_OPTIONS,
     CorpusOptions,
+    _enumerate,
+    _masks,
     check_model,
     embed,
     enumerate_configs,
@@ -164,6 +167,45 @@ class TestEmbed:
         model = _model('config N\n\tint "n"\n\tdefault 0\n\tdefault 5\n')
         image = embed(model, {"N": "5"})
         assert image == {"N_EQ_0": False, "N_EQ_5": True}
+
+
+class TestMasks:
+    def test_masks_match_embed(self):
+        """Bit k of each variable's mask is embed(model, configs[k])[variable],
+        on every corpus model and generated seeds 0-99."""
+        models = corpus_models() + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        valued = 0
+        for name, model in models:
+            space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            masks, ones = _masks(model, space)
+            configs = space.configs()
+            assert ones == (1 << len(configs)) - 1, name
+            for k, cfg in enumerate(configs):
+                image = embed(model, cfg)
+                assert image.keys() == masks.keys(), name
+                assert {v: bool(masks[v] >> k & 1) for v in image} == image, (name, cfg)
+            valued += sum("_EQ_" in v for v in masks)
+        assert valued > 0
+
+    def test_skipped_and_never_true_variables(self):
+        model = _model(
+            'config N\n\tint "n"\nconfig A\n\tbool "a"\n'
+            'config S\n\tstring "s"\n\tdefault "x"\n\tdefault "y"\n'
+        )
+        space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+        masks, ones = _masks(model, space)
+        # N has no known value: skipped in enumeration, no variable of its own.
+        assert space.names == ["A", "S"]
+        assert masks == {
+            "A": 0b1100,
+            "A_MODULE": 0,
+            "S_EQ_x": 0b0101,
+            "S_EQ_y": 0b1010,
+        }
+        assert ones == 0b1111
 
 
 class TestRunCorpus:

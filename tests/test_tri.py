@@ -6,11 +6,12 @@ from kconfex.errors import EvalError
 from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Sym, parse_model
 from kconfex.tri import (
     Tri,
+    _eval_opt,
     eval_expr,
+    prompt_visibility,
     tri_and,
     tri_not,
     tri_or,
-    visibility,
 )
 
 ALL = (Tri.N, Tri.M, Tri.Y)
@@ -121,16 +122,23 @@ class TestEvalExpr:
             assert (v is Tri.Y) == e_y and (v is Tri.M) == e_m
 
 
+def _visibility(item, cfg, model):
+    """An option's prompt visibility, with its effective dependencies
+    evaluated here."""
+    depends = _eval_opt(model.effective_depends(item), cfg, model)
+    return prompt_visibility(item.prompts, depends, cfg, model)
+
+
 class TestVisibility:
     def test_noprompt_is_never_visible(self, noprompt_choice_model):
         noprompt = noprompt_choice_model.item("NOPROMPT")
         for a, b, c in itertools.product((Tri.N, Tri.Y), repeat=3):
             cfg = {"A": a, "B": b, "NOPROMPT": c}
-            assert visibility(noprompt, cfg, noprompt_choice_model) is Tri.N
+            assert _visibility(noprompt, cfg, noprompt_choice_model) is Tri.N
 
     def test_unconditional_prompt(self):
         model = _model('config A\n\tbool "a"\n')
-        assert visibility(model.item("A"), {"A": Tri.N}, model) is Tri.Y
+        assert _visibility(model.item("A"), {"A": Tri.N}, model) is Tri.Y
 
     def test_prompt_and_depends_min(self):
         model = _model(
@@ -140,7 +148,7 @@ class TestVisibility:
         item = model.item("I")
         for p, q in itertools.product(ALL, ALL):
             cfg = {"P": p, "Q": q, "I": Tri.N}
-            assert visibility(item, cfg, model) == tri_and(p, q)
+            assert _visibility(item, cfg, model) == tri_and(p, q)
 
     def test_choice_dependencies_gate_members(self):
         model = _model(
@@ -149,6 +157,6 @@ class TestVisibility:
             'config A\n\tbool "a"\nconfig B\n\tbool "b"\nendchoice\n'
         )
         cfg = {"G": Tri.N, "A": Tri.N, "B": Tri.N}
-        assert visibility(model.item("A"), cfg, model) is Tri.N
+        assert _visibility(model.item("A"), cfg, model) is Tri.N
         cfg["G"] = Tri.Y
-        assert visibility(model.item("A"), cfg, model) is Tri.Y
+        assert _visibility(model.item("A"), cfg, model) is Tri.Y
