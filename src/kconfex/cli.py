@@ -17,6 +17,7 @@ from .difftest import (
     DEFAULT_MAX_OPTIONS,
     builtin_oracle,
     check_model,
+    row_oracle,
     run_corpus,
 )
 from .encode import translate
@@ -75,11 +76,10 @@ def _make_oracle(selector: str, model_file: str):
         conf_path = selector[len("exec:") :]
         workdir = tempfile.mkdtemp(prefix="kconfex-conf-")
 
-        def oracle(model, cfg):
-            verdict = external_conf_oracle(conf_path, model_file, cfg, workdir, model)
-            return verdict, False
+        def verdict(model, cfg):
+            return external_conf_oracle(conf_path, model_file, cfg, workdir, model)
 
-        return oracle, workdir
+        return row_oracle(verdict), workdir
     raise KconfexError(f"unknown oracle {selector!r} (use 'builtin' or 'exec:<path>')")
 
 

@@ -3,7 +3,9 @@
 For a small model the harness enumerates every configuration, asks an oracle
 (the builtin reference configurator by default) for a validity verdict per
 configuration, evaluates the translated conjunction on the boolean image of
-each configuration, and reports disagreements.  Disagreements explained by
+each configuration, and reports disagreements.  Both sides see all
+configurations at once, as row masks (bit k is row k); only the rows where
+they disagree become configuration maps.  Disagreements explained by
 the documented select inaccuracy (the configurator lets a select force an
 option past its dependencies) are classified KNOWN-LIMITATION; everything
 else is a FAILURE.
@@ -15,17 +17,18 @@ import itertools
 import math
 import random
 import time
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .encode import NumericDomain, collect_numeric_values, translate, variable_order
 from .errors import KconfexError, TooManyOptions
 from .kconfig import ConfigItem, KconfigModel, OptionType, parse_model, validate_model
-from .oracle import repair
+from .oracle import repair_space
 from .prop import ConstraintSet, PropFormula, and_, evaluate, evaluate_mask, not_, or_, var
-from .tri import Configuration, ConfigValue, Tri
+from .tri import Columns, Configuration, ConfigValue, Tri
 
 __all__ = [
     "DEFAULT_MAX_OPTIONS",
@@ -35,6 +38,7 @@ __all__ = [
     "TestReport",
     "CorpusReport",
     "builtin_oracle",
+    "row_oracle",
     "enumerate_configs",
     "embed",
     "ground_truth",
@@ -47,30 +51,63 @@ __all__ = [
 
 DEFAULT_MAX_OPTIONS = 10
 
-# An oracle maps (model, configuration) to (valid, select_override_fired).
-Oracle = Callable[[KconfigModel, Configuration], tuple[bool, bool]]
-
-
-def builtin_oracle(model: KconfigModel, cfg: Configuration) -> tuple[bool, bool]:
-    outcome = repair(model, cfg)
-    return (not outcome.changed, outcome.select_override_fired)
-
-
 # --------------------------------------------------------------------------
 # Enumeration and embedding
 
 
 class _Space(NamedTuple):
     """The enumeration axes of a model: the enumerated options in declaration
-    order, each with the values it ranges over."""
+    order, each with the values it ranges over, and the rows they span.
+
+    Row k is a mixed-radix number, the last axis its lowest digit, so an
+    axis's value number j holds on runs of ``stride`` rows starting at
+    ``j * stride`` within every period of ``stride * len(axis)`` rows.
+    ``columns`` holds those rows per option and value, ``ones`` one bit per
+    row.
+    """
 
     names: list[str]
     axes: list[list]
     notes: list[str]
     dom: NumericDomain
+    columns: Columns
+    ones: int
 
     def configs(self) -> list[Configuration]:
         return [dict(zip(self.names, combo)) for combo in itertools.product(*self.axes)]
+
+    def config(self, k: int) -> Configuration:
+        digits = []
+        for axis in reversed(self.axes):
+            k, j = divmod(k, len(axis))
+            digits.append(axis[j])
+        return dict(zip(self.names, reversed(digits)))
+
+
+# An oracle maps a model and its enumerated rows to two row masks: the rows it
+# finds valid and the rows where a select overrode an option's dependencies.
+Oracle = Callable[[KconfigModel, _Space], tuple[int, int]]
+
+
+def builtin_oracle(model: KconfigModel, space: _Space) -> tuple[int, int]:
+    """The reference configurator, repairing every row at once."""
+    outcome = repair_space(model, space.columns, space.ones)
+    return space.ones & ~outcome.changed, outcome.select_override_fired
+
+
+def row_oracle(verdict: Callable[[KconfigModel, Configuration], tuple[bool, bool]]) -> Oracle:
+    """An oracle asking ``verdict`` for (valid, select override fired) one
+    configuration at a time, in row order."""
+
+    def oracle(model: KconfigModel, space: _Space) -> tuple[int, int]:
+        valid = override = 0
+        for k, cfg in enumerate(space.configs()):
+            ok, fired = verdict(model, cfg)
+            valid |= ok << k
+            override |= fired << k
+        return valid, override
+
+    return oracle
 
 
 def _enumerate(model: KconfigModel, max_options: int) -> _Space:
@@ -94,7 +131,20 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
                 axes.append(list(domain))
             else:
                 notes.append(f"{item.name}: no known values, skipped in enumeration")
-    return _Space(names, axes, notes, dom)
+    rows = math.prod(len(axis) for axis in axes)
+    ones = (1 << rows) - 1
+    columns: Columns = {}
+    stride = rows
+    for name, axis in zip(names, axes):
+        period, stride = stride, stride // len(axis)
+        column = columns[name] = {}
+        for j, value in enumerate(axis):
+            mask, width = ((1 << stride) - 1) << (j * stride), period
+            while width < rows:  # copy the periods so far over the next ones
+                mask |= mask << width
+                width *= 2
+            column[value] = mask & ones
+    return _Space(names, axes, notes, dom, columns, ones)
 
 
 def enumerate_configs(
@@ -138,40 +188,25 @@ def embed(
 def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
     """The boolean images of all enumerated configurations at once: bit k of
     ``masks[v]`` is ``embed(model, configs[k])[v]``, with the configurations
-    in ``enumerate_configs`` order; ``ones`` has one bit per configuration.
-
-    Row k is a mixed-radix number, the last axis its lowest digit, so an
-    axis's value number j holds on runs of ``stride`` rows starting at
-    ``j * stride`` within every period of ``stride * len(axis)`` rows.
-    """
-    rows = math.prod(len(axis) for axis in space.axes)
-    ones = (1 << rows) - 1
-    axis_of = dict(zip(space.names, space.axes))
+    in ``enumerate_configs`` order; ``ones`` has one bit per configuration."""
     masks: dict[str, int] = {}
-    stride = rows
     for item in model.items:
         domain = space.dom.domain(item.name)
         for name, _ in _image(item, None, domain):
             masks[name] = 0
-        axis = axis_of.get(item.name)
-        if axis is None:
-            continue  # skipped in enumeration: unset in every row
-        period, stride = stride, stride // len(axis)
-        period_starts = ones // ((1 << period) - 1)  # bit 0 of every period
-        for j, value in enumerate(axis):
-            run = ((1 << stride) - 1) << (j * stride)
+        # An option skipped in enumeration has no column: unset in every row.
+        for value, rows in space.columns.get(item.name, {}).items():
             for name, bit in _image(item, value, domain):
                 if bit:
-                    masks[name] |= run * period_starts
-    return masks, ones
+                    masks[name] |= rows
+    return masks, space.ones
 
 
 # --------------------------------------------------------------------------
 # Truth tables and reports
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     cfg: Configuration
     valid: bool
     select_override: bool
@@ -184,8 +219,7 @@ class TruthTable:
     notes: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     cfg: Configuration
     oracle_verdict: bool
     formula_verdict: bool
@@ -237,21 +271,19 @@ class TestReport:
         return self.error is None and not self.mismatches
 
 
-def _table(model: KconfigModel, oracle: Oracle, space: _Space) -> TruthTable:
-    rows = []
-    for cfg in space.configs():
-        valid, override = oracle(model, cfg)
-        rows.append(TableRow(cfg, valid, override))
-    return TruthTable(model, rows, space.notes)
-
-
 def ground_truth(
     model: KconfigModel,
     oracle: Oracle = builtin_oracle,
     max_options: int = DEFAULT_MAX_OPTIONS,
 ) -> TruthTable:
     """One oracle verdict per enumerated configuration."""
-    return _table(model, oracle, _enumerate(model, max_options))
+    space = _enumerate(model, max_options)
+    valid, override = oracle(model, space)
+    rows = [
+        TableRow(cfg, bool(valid >> k & 1), bool(override >> k & 1))
+        for k, cfg in enumerate(space.configs())
+    ]
+    return TruthTable(model, rows, space.notes)
 
 
 def check_model(
@@ -264,44 +296,43 @@ def check_model(
     """Compare the translated conjunction against the oracle on every
     enumerated configuration.
 
-    The formula's verdicts on all rows come from one bit-parallel evaluation
-    over the rows' boolean images; only the rows where it disagrees with the
-    oracle are embedded one by one, to name the constraints they violate.
+    The oracle's verdicts and the formula's, from one bit-parallel
+    evaluation over the rows' boolean images, are row masks; only the rows
+    where they disagree are decoded and embedded, in row order, to name the
+    constraints they violate.
     """
     started = time.perf_counter()
     if constraints is None:
         constraints = translate(model)
     space = _enumerate(model, max_options)
-    table = _table(model, oracle, space)
+    valid, override = oracle(model, space)
     masks, ones = _masks(model, space)
-    formula = evaluate_mask(constraints.conjunction(), masks, ones)
-    # Bit k is row k, so the binary text of a mask lists row 0 last.
-    valid = int(bytes(ord("0") + row.valid for row in reversed(table.rows)), 2)
-    disagree = format(formula ^ valid, f"0{len(table.rows)}b")[::-1]
+    disagree = evaluate_mask(constraints.conjunction(), masks, ones) ^ valid
     mismatches: list[Mismatch] = []
-    for row, bit in zip(table.rows, disagree):
-        if bit == "0":
-            continue
-        formula_verdict = not row.valid
-        if row.valid and row.select_override:
+    while disagree:
+        row = disagree & -disagree
+        disagree ^= row
+        cfg = space.config(row.bit_length() - 1)
+        oracle_verdict = bool(valid & row)
+        if oracle_verdict and override & row:
             classification = "KNOWN-LIMITATION"
         else:
             classification = "FAILURE"
-        assignment = embed(model, row.cfg, space.dom)
+        assignment = embed(model, cfg, space.dom)
         failed = tuple(
             c.provenance for c in constraints if not evaluate(c.formula, assignment)
         )
         mismatches.append(
-            Mismatch(row.cfg, row.valid, formula_verdict, classification, failed)
+            Mismatch(cfg, oracle_verdict, not oracle_verdict, classification, failed)
         )
     millis = (time.perf_counter() - started) * 1000.0
     return TestReport(
         name=name or model.source_name,
         option_count=len(model.items),
-        config_count=len(table.rows),
+        config_count=ones.bit_length(),
         mismatches=mismatches,
         millis=millis,
-        notes=table.notes,
+        notes=space.notes,
     )
 
 

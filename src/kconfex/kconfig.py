@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import DuplicateOption, ParseError
 
@@ -183,26 +183,22 @@ def expr_text(e: Expr) -> str:
 # Declarations
 
 
-@dataclass(frozen=True, slots=True)
-class Prompt:
+class Prompt(NamedTuple):
     text: str
     condition: Expr | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Default:
+class Default(NamedTuple):
     value: Expr
     condition: Expr | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Select:
+class Select(NamedTuple):
     target: str
     condition: Expr | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Range:
+class Range(NamedTuple):
     low: str
     high: str
     condition: Expr | None = None
@@ -784,8 +780,7 @@ def parse_model(source_text: str, source_name: str = "<input>") -> KconfigModel:
 # Validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     option: str | None = None

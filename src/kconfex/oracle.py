@@ -7,6 +7,16 @@ select floor and their visibility, invisible options take their first
 applicable default raised to the select floor, and active choices enforce a
 single selected member among the visible ones.
 
+The repair runs on every enumerated configuration at once
+(:func:`repair_space`), over the row masks of :class:`~kconfex.tri.RowValues`.
+Each branch of the per-configuration procedure becomes a row mask (visible or
+not, the choice's mode, which first-applicable entry applies), and each write
+records the rows whose value it changed.  Passes repeat until no row changes;
+a row already at its fixpoint only repeats a pass that changes nothing, so
+every row gets the result, the select-override flag and the ``MAX_PASSES``
+limit of its own repair.  A configuration's verdict is whether its final
+values differ from its initial ones.  :func:`repair` is the one-row case.
+
 This module deliberately shares nothing with the encoder beyond the
 declaration model (which owns the numeric-literal format) and the
 three-valued semantics; that independence is what makes differential
@@ -17,7 +27,6 @@ from __future__ import annotations
 
 import os
 import subprocess
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FormatError, NonConvergence, ProcessError
@@ -33,22 +42,14 @@ from .kconfig import (
     number_text,
     parse_number,
 )
-from .tri import (
-    Configuration,
-    Tri,
-    _eval_opt,
-    choice_visibility,
-    eval_expr,
-    modules_enabled,
-    prompt_visibility,
-)
-from .tri import tri_and as tri_min
-from .tri import tri_or as tri_max
+from .tri import Columns, Configuration, ConfigValue, RowValues, Tri, TriRows, single_row
 
 __all__ = [
     "MAX_PASSES",
     "RepairOutcome",
+    "SpaceRepair",
     "repair",
+    "repair_space",
     "write_dotconfig",
     "parse_dotconfig",
     "external_conf_oracle",
@@ -57,11 +58,20 @@ __all__ = [
 MAX_PASSES = 32
 
 
-@dataclass(frozen=True)
-class RepairOutcome:
+class RepairOutcome(NamedTuple):
     repaired: Configuration
     changed: bool
     select_override_fired: bool
+
+
+class SpaceRepair(NamedTuple):
+    """The repair of every row: the final values, and the row masks of the
+    rows it changed and of the rows where a select overrode an option's
+    dependencies."""
+
+    repaired: RowValues
+    changed: int
+    select_override_fired: int
 
 
 class _Option(NamedTuple):
@@ -72,7 +82,7 @@ class _Option(NamedTuple):
     name: str
     boolish: bool
     depends: Expr | None  # with the enclosing choice's dependencies folded in
-    selectors: tuple[tuple[str, Expr | None], ...]  # (selector, condition)
+    selectors: tuple[tuple[str, Expr | None], ...]  # (bool/tristate selector, condition)
     literal_defaults: tuple[Default, ...]
     # Cannot hold m in any configuration: bool options, and tristate members
     # of a bool choice (they behave like boolean options).
@@ -98,6 +108,7 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
             selectors=tuple(
                 (selector.name, sel.condition)
                 for selector, sel in model.selects_targeting(item.name)
+                if selector.is_boolish
             ),
             literal_defaults=tuple(d for d in item.defaults if isinstance(d.value, Literal)),
             always_bool=item.type is OptionType.BOOL
@@ -121,176 +132,295 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
     return tuple(steps)
 
 
+def _add(assignment: dict[ConfigValue, int], value: ConfigValue, rows: int) -> None:
+    assignment[value] = assignment.get(value, 0) | rows
+
+
 class _Repair:
-    def __init__(self, model: KconfigModel, cfg: Configuration):
+    """Repair passes over all rows at once.  ``changed`` collects the rows
+    the current pass changed, ``override`` the rows where a select floor
+    exceeded an option's visibility or dependencies in any pass."""
+
+    def __init__(self, model: KconfigModel, values: RowValues):
         self.model = model
+        self.values = values
+        self.ones = values.ones
         self.steps = model.derived(_plan)
-        self.work: Configuration = dict(cfg)
-        self.changed_this_pass = False
-        self.override = False
+        self.changed = 0
+        self.override = 0
 
-    def set(self, name: str, value) -> None:
-        if self.work.get(name) != value:
-            self.work[name] = value
-            self.changed_this_pass = True
+    # ---- writes: a row changes when the value written differs from its
+    # value, or when its configuration did not hold the option
 
-    def effective_bool(self, opt: _Option) -> bool:
-        """True when the option cannot hold m: always-bool options, and
+    def set_tri(self, name: str, value: TriRows, lanes: int) -> None:
+        v = self.values
+        ge, y = value
+        write = lanes & ((ge ^ v.ge[name]) | (y ^ v.y[name]) | ~v.present[name])
+        if write:
+            v.ge[name] = (v.ge[name] & ~write) | (ge & write)
+            v.y[name] = (v.y[name] & ~write) | (y & write)
+            v.present[name] |= write
+            self.changed |= write
+
+    def set_values(self, name: str, assignment: dict[ConfigValue, int]) -> None:
+        part = self.values.values[name]
+        moves = []
+        writes = 0
+        for value, rows in assignment.items():
+            write = rows & ~part.get(value, 0)  # unset reads as None
+            if write:
+                moves.append((value, write))
+                writes |= write
+        if writes:
+            part = {value: rows & ~writes for value, rows in part.items()}
+            for value, write in moves:
+                _add(part, value, write)
+            self.values.values[name] = {value: rows for value, rows in part.items() if rows}
+            self.values.present[name] |= writes
+            self.changed |= writes
+
+    # ---- reads
+
+    def modules_disabled(self) -> int:
+        """Rows where tristate options cannot take the value m: without a
+        declared modules switch none, with one every row where the switch is
+        not y."""
+        switch = self.model.modules_option
+        return 0 if switch is None else self.ones & ~self.values.y.get(switch, 0)
+
+    def effective_bool(self, opt: _Option) -> int:
+        """Rows where the option cannot hold m: always-bool options, and
         tristate options while modules are disabled."""
-        return opt.always_bool or (
-            opt.item.type is OptionType.TRISTATE and not modules_enabled(self.work, self.model)
-        )
+        if opt.always_bool:
+            return self.ones
+        return self.modules_disabled() if opt.item.type is OptionType.TRISTATE else 0
 
-    def select_floor(self, opt: _Option) -> Tri:
-        floor = Tri.N
-        for selector, condition in opt.selectors:
-            sval = self.work.get(selector)
-            if not isinstance(sval, Tri):
-                continue
-            cond = _eval_opt(condition, self.work, self.model)
-            floor = tri_max(floor, tri_min(sval, cond))
-        return floor
-
-    def first_applicable(self, entries, dep: Tri):
-        """The first default or range whose condition, and-ed with the
-        dependency value, is not n, with that and-ed value; (None, n) when
-        none applies."""
+    def first_applicable(self, entries, dep: TriRows, lanes: int):
+        """For each default or range, the rows of ``lanes`` where it is the
+        first whose condition, and-ed with the dependency value, is not n,
+        with that and-ed value; and the rows where none applies."""
+        found = []
         for entry in entries:
-            applies = tri_min(_eval_opt(entry.condition, self.work, self.model), dep)
-            if applies is not Tri.N:
-                return entry, applies
-        return None, Tri.N
+            if not lanes:
+                break
+            cge, cy = self.values.tri(entry.condition, lanes)
+            applies = cge & dep[0], cy & dep[1]
+            rows = lanes & applies[0]
+            if rows:
+                found.append((entry, rows, applies))
+                lanes &= ~rows
+        return found, lanes
 
-    def dependency_and_visibility(self, opt: _Option) -> tuple[Tri, Tri]:
-        dep = _eval_opt(opt.depends, self.work, self.model)
-        return dep, prompt_visibility(opt.item.prompts, dep, self.work, self.model)
+    def dependency_and_visibility(self, opt: _Option) -> tuple[TriRows, TriRows]:
+        dep = self.values.tri(opt.depends, self.ones)
+        return dep, self.values.visibility(opt.item.prompts, dep, self.ones)
 
-    def recompute_boolish(self, opt: _Option, dep: Tri, vis: Tri) -> None:
-        floor = self.select_floor(opt) if opt.selectors else Tri.N
-        if vis is not Tri.N:
-            if floor > vis:
-                self.override = True
-            current = self.work.get(opt.name, Tri.N)
-            new = tri_max(tri_min(current, vis), floor)
-        else:
-            if floor > dep:
-                self.override = True
-            # The first applicable default, clamped by its condition and the
-            # dependencies; n when none applies.
-            default, applies = self.first_applicable(opt.item.defaults, dep)
-            if default is not None:
-                applies = tri_min(eval_expr(default.value, self.work, self.model), applies)
-            new = tri_max(applies, floor)
-        if new is Tri.M and self.effective_bool(opt):
-            new = Tri.Y
-        self.set(opt.name, new)
+    # ---- steps
 
-    def recompute_valued(self, opt: _Option, dep: Tri, vis: Tri) -> None:
-        item = opt.item
-        current = self.work.get(item.name)
+    def recompute_boolish(self, opt: _Option, dep: TriRows, vis: TriRows, lanes: int) -> None:
+        v = self.values
+        fge = fy = 0  # the select floor
+        for selector, condition in opt.selectors:
+            # Only rows whose configuration holds the selector read its condition.
+            cge, cy = v.tri(condition, lanes & v.present[selector])
+            fge |= v.ge[selector] & cge
+            fy |= v.y[selector] & cy
+        shown = vis[0]
+        hidden = lanes & ~shown
+        # The floor exceeds the visibility on shown rows, the dependencies on
+        # hidden ones.
+        self.override |= (lanes & shown & fy & ~vis[1]) | (
+            hidden & ((fge & ~dep[0]) | (fy & ~dep[1]))
+        )
+        # Shown rows keep their value clamped between the floor and the
+        # visibility.
+        ge = (v.ge[opt.name] & vis[0]) | fge
+        y = (v.y[opt.name] & vis[1]) | fy
+        if hidden:
+            # Hidden rows take the first applicable default, clamped by its
+            # condition and the dependencies and raised to the floor.
+            dge, dy = fge, fy
+            found, _ = self.first_applicable(opt.item.defaults, dep, hidden)
+            for default, rows, (age, ay) in found:
+                vge, vy = v.tri(default.value, rows)
+                dge |= rows & vge & age
+                dy |= rows & vy & ay
+            ge = (ge & shown) | (dge & ~shown)
+            y = (y & shown) | (dy & ~shown)
+        y |= ge & self.effective_bool(opt)
+        self.set_tri(opt.name, (ge, y), lanes)
+
+    def recompute_valued(self, opt: _Option, dep: TriRows, vis: TriRows) -> None:
+        item, ones = opt.item, self.ones
+        current = self.values.values[item.name]
         if item.type is OptionType.STRING:
-            if vis is Tri.N or current is None:
-                default, _ = self.first_applicable(opt.literal_defaults, dep)
-                self.set(item.name, None if default is None else default.value.text)
+            rows = ones & (~vis[0] | current.get(None, 0))
+            if rows:
+                found, rest = self.first_applicable(opt.literal_defaults, dep, rows)
+                assignment = {None: rest}
+                for default, drows, _ in found:
+                    _add(assignment, default.value.text, drows)
+                self.set_values(item.name, assignment)
             return
 
-        active, _ = self.first_applicable(item.ranges, dep)
-        if active is not None:
-            low, high = parse_number(active.low, item.type), parse_number(active.high, item.type)
-        if vis is not Tri.N and current:
-            value = parse_number(current, item.type)
-            if value is not None and (active is None or low <= value <= high):
-                return  # user value kept verbatim
-        default, _ = self.first_applicable(opt.literal_defaults, dep)
-        value = None if default is None else parse_number(default.value.text, item.type)
-        if value is not None and active is not None:
-            value = min(max(value, low), high)
-        self.set(item.name, None if value is None else number_text(value, item.type))
+        found, rest = self.first_applicable(item.ranges, dep, ones)
+        limits = [
+            ((parse_number(active.low, item.type), parse_number(active.high, item.type)), rows)
+            for active, rows, _ in found
+        ] + [(None, rest)]
+        # Shown rows keep a user value that parses and lies in the active
+        # range verbatim; each distinct value is decided once.
+        kept = 0
+        for value, rows in current.items():
+            rows &= vis[0]
+            number = parse_number(value, item.type) if rows and value else None
+            if number is None:
+                continue
+            for bounds, lrows in limits:
+                if bounds is None or bounds[0] <= number <= bounds[1]:
+                    kept |= rows & lrows
+        todo = ones & ~kept
+        if not todo:
+            return
+        found, rest = self.first_applicable(opt.literal_defaults, dep, todo)
+        assignment = {None: rest}
+        for default, drows, _ in found:
+            number = parse_number(default.value.text, item.type)
+            for bounds, lrows in limits:
+                rows = drows & lrows
+                if not rows:
+                    continue
+                if number is None:
+                    _add(assignment, None, rows)
+                    continue
+                value = number if bounds is None else min(max(number, bounds[0]), bounds[1])
+                _add(assignment, number_text(value, item.type), rows)
+        self.set_values(item.name, assignment)
 
     def run_choice(self, step: _Choice) -> None:
-        model, work, choice = self.model, self.work, step.block
-        ch_vis = choice_visibility(choice, work, model)
-        member_vis = {opt.name: self.dependency_and_visibility(opt)[1] for opt in step.members}
-        visible = [opt for opt in step.members if member_vis[opt.name] is not Tri.N]
-        eff_bool = choice.type is OptionType.BOOL or not modules_enabled(work, model)
+        v, ones, choice = self.values, self.ones, step.block
+        ch_vis = (0, 0)
+        if choice.prompts:
+            ch_vis = v.visibility(choice.prompts, v.tri(choice.depends, ones), ones)
+        member_vis = [self.dependency_and_visibility(opt)[1] for opt in step.members]
+        eff_bool = ones if choice.type is OptionType.BOOL else self.modules_disabled()
 
-        user_mode: Tri | None = None
-        if any(work.get(opt.name) is Tri.Y for opt in visible):
-            user_mode = Tri.Y
-        elif any(work.get(opt.name) is Tri.M for opt in visible):
-            user_mode = Tri.M
-        mode = tri_min(tri_max(Tri.M, user_mode or Tri.N), ch_vis)
-        if eff_bool and mode is Tri.M:
-            mode = Tri.Y
+        # The mode: m raised to y where a visible member is y, lowered to
+        # the choice's visibility, and y where the choice is effectively
+        # boolean.
+        any_y = 0
+        for opt, (shown, _) in zip(step.members, member_vis):
+            any_y |= shown & v.y[opt.name]
+        mode_on = ch_vis[0]
+        mode_y = (any_y & ch_vis[1]) | (mode_on & eff_bool)
+        mode_m = mode_on & ~mode_y
 
-        if mode is Tri.N:
-            for opt in visible:
-                self.set(opt.name, Tri.N)
-        elif mode is Tri.Y:
-            # A true tristate member whose own visibility only reaches m
-            # cannot carry the selection of a y-mode choice; effectively
-            # boolean members have their m visibility promoted to y.
-            candidates = [
-                opt
-                for opt in visible
-                if member_vis[opt.name] is Tri.Y or self.effective_bool(opt)
-            ]
-            chosen = self._chosen_member(choice, candidates)
-            for opt in visible:
-                self.set(opt.name, Tri.Y if opt is chosen else Tri.N)
-        else:
-            for opt in visible:
-                if work.get(opt.name) is Tri.Y:
-                    self.set(opt.name, Tri.M)
+        picks = self.chosen_members(step, member_vis, mode_y)
+        for opt, (shown, _), pick in zip(step.members, member_vis, picks):
+            # n mode clears the visible members, y mode selects the chosen
+            # one alone, m mode lowers a visible y to m.
+            lanes = shown & (~mode_on | mode_y | (mode_m & v.y[opt.name]))
+            self.set_tri(opt.name, (mode_m | pick, pick), lanes)
 
         for opt in step.members:
             # The selection above may have changed what a member's
             # dependencies and prompts read.
             dep, vis = self.dependency_and_visibility(opt)
-            if vis is Tri.N:
-                self.recompute_boolish(opt, dep, vis)
+            hidden = ones & ~vis[0]
+            if hidden:
+                self.recompute_boolish(opt, dep, vis, hidden)
 
-    def _chosen_member(self, choice: ChoiceBlock, candidates: list[_Option]) -> _Option | None:
-        already = [opt for opt in candidates if self.work.get(opt.name) is Tri.Y]
-        if already:
-            return already[0]
-        ch_dep = _eval_opt(choice.depends, self.work, self.model)
-        names = {opt.name: opt for opt in candidates}
-        naming_candidate = [
-            d for d in choice.defaults if isinstance(d.value, Sym) and d.value.name in names
+    def chosen_members(self, step: _Choice, member_vis: list[TriRows], lanes: int) -> list[int]:
+        """Per member, the rows of ``lanes`` (the y-mode rows) that select it.
+
+        The candidates are the visible members whose own visibility reaches
+        y, or that are effectively boolean: a true tristate member visible
+        only at m cannot carry the selection of a y-mode choice.  A candidate
+        already at y keeps it; otherwise the first choice default naming a
+        candidate whose condition applies, else the first candidate.  The
+        choice's dependencies are at least m on y-mode rows, so they do not
+        limit the defaults there."""
+        v, members = self.values, step.members
+        candidates = [
+            lanes & shown & (shown_y | self.effective_bool(opt))
+            for opt, (shown, shown_y) in zip(members, member_vis)
         ]
-        default, _ = self.first_applicable(naming_candidate, ch_dep)
-        if default is not None:
-            return names[default.value.name]
-        return candidates[0] if candidates else None
+        picks = [0] * len(members)
+        for i, opt in enumerate(members):
+            picks[i] = lanes & candidates[i] & v.y[opt.name]
+            lanes &= ~picks[i]
+        if not lanes:
+            return picks
+        index = {opt.name: i for i, opt in enumerate(members)}
+        for default in step.block.defaults:
+            if not (isinstance(default.value, Sym) and default.value.name in index):
+                continue
+            i = index[default.value.name]
+            naming = lanes & candidates[i]
+            if naming:
+                cge, _ = v.tri(default.condition, naming)
+                rows = naming & cge
+                picks[i] |= rows
+                lanes &= ~rows
+        for i in range(len(members)):
+            rows = lanes & candidates[i]
+            picks[i] |= rows
+            lanes &= ~rows
+        return picks
 
-    def one_pass(self) -> bool:
-        self.changed_this_pass = False
+    def one_pass(self) -> int:
+        self.changed = 0
         for step in self.steps:
             if type(step) is _Choice:
                 self.run_choice(step)
                 continue
             dep, vis = self.dependency_and_visibility(step)
             if step.boolish:
-                self.recompute_boolish(step, dep, vis)
+                self.recompute_boolish(step, dep, vis, self.ones)
             else:
                 self.recompute_valued(step, dep, vis)
-        return self.changed_this_pass
+        return self.changed
 
 
-def repair(model: KconfigModel, cfg: Configuration) -> RepairOutcome:
-    """Run the repair to a fixpoint; raises :class:`NonConvergence` when the
-    value computation oscillates past ``MAX_PASSES`` passes."""
-    state = _Repair(model, cfg)
+def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepair:
+    """Run the repair to a fixpoint on every row of ``columns`` at once
+    (``ones`` has one bit per row).
+
+    Raises what the repair of the first failing row raises: the first
+    :class:`~kconfex.errors.EvalError` met on that row, or
+    :class:`NonConvergence` when its values still change after
+    ``MAX_PASSES`` passes.
+    """
+    values = RowValues(model, columns, ones)
+    state = _Repair(model, values)
     for _ in range(MAX_PASSES):
         if not state.one_pass():
             break
-    else:
-        raise NonConvergence(model.source_name, MAX_PASSES)
-    return RepairOutcome(
-        repaired=state.work,
-        changed=state.work != cfg,
+    failing = state.changed  # rows still changing after the last pass
+    for rows, _ in values.errors:
+        failing |= rows
+    if failing:
+        row = failing & -failing
+        errors = (exc for rows, exc in values.errors if rows & row)
+        raise next(errors, NonConvergence(model.source_name, MAX_PASSES))
+    return SpaceRepair(
+        repaired=values,
+        changed=values.rows_differing(RowValues(model, columns, ones)),
         select_override_fired=state.override,
+    )
+
+
+def repair(model: KconfigModel, cfg: Configuration) -> RepairOutcome:
+    """Repair one configuration, the one-row case of :func:`repair_space`.
+
+    Options missing from ``cfg`` read as n, or as unset; the repaired
+    configuration holds them once the repair writes a value that differs.
+    """
+    outcome = repair_space(model, single_row(cfg), 1)
+    return RepairOutcome(
+        repaired={**cfg, **outcome.repaired.config(0)},
+        changed=bool(outcome.changed),
+        select_override_fired=bool(outcome.select_override_fired),
     )
 
 
@@ -379,19 +509,24 @@ def parse_dotconfig(source) -> Configuration:
 # External configurator adapter
 
 
+_UNMET_DEPENDENCIES = b"unmet direct dependencies"
+
+
 def external_conf_oracle(
     conf_path: str,
     model_file: str,
     cfg: Configuration,
     workdir: str,
     model: KconfigModel | None = None,
-) -> bool:
+) -> tuple[bool, bool]:
     """Ask a real ``conf`` binary whether the configuration survives repair.
 
     The configuration is written to a ``.config`` file, the binary runs in
     its non-interactive repair mode with ``KCONFIG_CONFIG`` pointing at the
     file, and the verdict is whether the file is semantically unchanged: the
-    same set lines and the same not-set lines.
+    same set lines and the same not-set lines.  Returns the verdict and
+    whether a select overrode an option's dependencies, which conf reports
+    with its "unmet direct dependencies" warning.
     """
     config_path = os.path.join(workdir, ".config.kconfex")
     with open(config_path, "w", encoding="utf-8") as sink:
@@ -426,4 +561,5 @@ def external_conf_oracle(
             after = parse_dotconfig(fh)
     except OSError as exc:
         raise ProcessError(f"cannot read back {config_path}: {exc}") from exc
-    return before == after
+    warned = _UNMET_DEPENDENCIES in result.stdout or _UNMET_DEPENDENCIES in result.stderr
+    return before == after, warned

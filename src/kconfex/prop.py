@@ -66,31 +66,63 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
+def _hash_once(cls):
+    """Keep a compound node's structural hash in its ``_hash`` slot after
+    first use.  The generated hash rehashes the whole subtree on every call,
+    and Tseitin conversion looks nodes up by value; equality stays
+    structural."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+def _hash_slot():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class NotF(PropFormula):
     operand: PropFormula
+    _hash: int | None = _hash_slot()
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class AndF(PropFormula):
     operands: tuple[PropFormula, ...]
+    _hash: int | None = _hash_slot()
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class OrF(PropFormula):
     operands: tuple[PropFormula, ...]
+    _hash: int | None = _hash_slot()
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Implies(PropFormula):
     antecedent: PropFormula
     consequent: PropFormula
+    _hash: int | None = _hash_slot()
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Iff(PropFormula):
     left: PropFormula
     right: PropFormula
+    _hash: int | None = _hash_slot()
 
 
 # --------------------------------------------------------------------------
@@ -417,12 +449,22 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
     """
     order = list(var_order) if var_order is not None else formula_vars(f)
     var_map: dict[str, int] = {}
+    # The negation of every literal.  Each literal in the clauses is one of
+    # these int objects, so clauses share them instead of holding a copy of
+    # the same number each.
+    neg: dict[int, int] = {}
+
+    def index(idx: int) -> int:
+        neg[idx] = -idx
+        neg[neg[idx]] = idx
+        return idx
+
     for name in order:
         if name not in var_map:
-            var_map[name] = len(var_map) + 1
+            var_map[name] = index(len(var_map) + 1)
     for name in formula_vars(f):
         if name not in var_map:
-            var_map[name] = len(var_map) + 1
+            var_map[name] = index(len(var_map) + 1)
 
     clauses: list[list[int]] = []
     aux_definitions: dict[int, PropFormula] = {}
@@ -433,13 +475,13 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         # Tautological clauses carry no information and would violate the
         # no-complementary-literals invariant.
         clause = list(dict.fromkeys(clause))
-        if any(-lit in clause for lit in clause):
+        if any(neg[lit] in clause for lit in clause):
             return
         clauses.append(clause)
 
     def fresh(node: PropFormula) -> int:
         counter[0] += 1
-        idx = counter[0]
+        idx = index(counter[0])
         var_map[f"__aux{len(aux_definitions)}"] = idx
         aux_definitions[idx] = node
         return idx
@@ -450,36 +492,36 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         if isinstance(node, Var):
             return var_map[node.name]
         if isinstance(node, NotF):
-            return -literal(node.operand)
+            return neg[literal(node.operand)]
         if node in cache:
             return cache[node]
         if isinstance(node, AndF):
             lits = [literal(op) for op in node.operands]
             g = fresh(node)
             for lit in lits:
-                add([-g, lit])
-            add([g] + [-lit for lit in lits])
+                add([neg[g], lit])
+            add([g] + [neg[lit] for lit in lits])
         elif isinstance(node, OrF):
             lits = [literal(op) for op in node.operands]
             g = fresh(node)
             for lit in lits:
-                add([-lit, g])
-            add([-g] + lits)
+                add([neg[lit], g])
+            add([neg[g]] + lits)
         elif isinstance(node, Implies):
             a = literal(node.antecedent)
             b = literal(node.consequent)
             g = fresh(node)
-            add([-g, -a, b])
+            add([neg[g], neg[a], b])
             add([g, a])
-            add([g, -b])
+            add([g, neg[b]])
         elif isinstance(node, Iff):
             a = literal(node.left)
             b = literal(node.right)
             g = fresh(node)
-            add([-g, -a, b])
-            add([-g, a, -b])
+            add([neg[g], neg[a], b])
+            add([neg[g], a, neg[b]])
             add([g, a, b])
-            add([g, -a, -b])
+            add([g, neg[a], neg[b]])
         else:
             raise TypeError(f"not a formula node: {node!r}")
         cache[node] = g

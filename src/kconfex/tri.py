@@ -3,16 +3,25 @@
 Values form the chain n < m < y.  Conjunction is min, disjunction is max,
 negation is rank complement.  Comparisons are two-valued: they yield y or n,
 never m.
+
+Expressions are evaluated over many configurations (rows) at once.
+:class:`RowValues` holds each option's value on every row as bit masks, bit
+k standing for row k.  A bool or tristate option is two masks, the rows where
+it is at least m and the rows where it is y, so min, max and complement
+become ``&``, ``|`` and a swap.  An int, hex or string option is a partition
+``{value: rows}``, and a comparison is decided once per distinct pair of
+operand texts.  :func:`eval_expr` is the one-row case.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 
 from .errors import EvalError
 from .kconfig import (
+    TRI_NAMES,
     And,
-    ChoiceBlock,
     Eq,
     Expr,
     Geq,
@@ -33,11 +42,14 @@ __all__ = [
     "Tri",
     "Configuration",
     "ConfigValue",
+    "Columns",
+    "TriRows",
     "tri_and",
     "tri_or",
     "tri_not",
+    "RowValues",
+    "single_row",
     "eval_expr",
-    "choice_visibility",
 ]
 
 
@@ -59,6 +71,13 @@ class Tri(enum.IntEnum):
 # literal text (int/hex/string).  None marks an unset non-boolean option.
 ConfigValue = Tri | str | None
 Configuration = dict[str, ConfigValue]
+
+# Per option, the rows holding each of its values; an option a row does not
+# hold is missing from that row's configuration.
+Columns = dict[str, dict[ConfigValue, int]]
+
+# A Tri value on every row: (rows at m or y, rows at y).
+TriRows = tuple[int, int]
 
 
 def tri_and(a: Tri, b: Tri) -> Tri:
@@ -82,24 +101,6 @@ def _as_int(text: str) -> int:
     return value
 
 
-def _operand_text(e: Expr, cfg: Configuration, model: KconfigModel) -> str:
-    """Comparison operand rendered as text.
-
-    Tri values compare through their canonical names; undeclared symbols act
-    as string literals equal to their own name; unset options compare as "".
-    """
-    if isinstance(e, Literal):
-        return e.text
-    if isinstance(e, Sym):
-        if model.has_option(e.name):
-            value = cfg.get(e.name)
-            if isinstance(value, Tri):
-                return value.label
-            return value if value is not None else ""
-        return e.name
-    raise EvalError(f"comparison operand {e!r} is not a symbol or literal")
-
-
 def _boolish_value(text: str) -> Tri:
     # Bare non-boolean symbols and literals in a boolean position: the three
     # canonical names keep their meaning, any other nonempty text acts as y.
@@ -110,78 +111,216 @@ def _boolish_value(text: str) -> Tri:
     return Tri.Y
 
 
+_ORDERED = {Lt: operator.lt, Leq: operator.le, Gt: operator.gt, Geq: operator.ge}
+_COMPARISONS = frozenset({Eq, Neq, *_ORDERED})
+
+
+def _compare(kind: type, left: str, right: str) -> bool:
+    """One comparison of two operand texts.  Equality also holds between
+    equal numbers; ordered comparisons read both sides as numbers and raise
+    :class:`EvalError` on the first that is not one."""
+    if kind is Eq or kind is Neq:
+        number = parse_number(left)
+        equal = left == right or (number is not None and number == parse_number(right))
+        return equal == (kind is Eq)
+    return _ORDERED[kind](_as_int(left), _as_int(right))
+
+
+def _split(column) -> TriRows:
+    """The rows at m or y and the rows at y of ``(Tri value, rows)`` pairs."""
+    ge = y = 0
+    for value, rows in column:
+        if value is not Tri.N:
+            ge |= rows
+        if value is Tri.Y:
+            y |= rows
+    return ge, y
+
+
+def _text(value: ConfigValue) -> str:
+    """A value as a comparison operand: Tri values through their canonical
+    names, unset as ""."""
+    if isinstance(value, Tri):
+        return value.label
+    return value if value is not None else ""
+
+
+class RowValues:
+    """The values of a model's options on a set of rows.
+
+    ``ge``/``y`` hold the bool and tristate options (rows at m or y, rows at
+    y), ``values`` the int, hex and string options (``{value: rows}``, None
+    for unset) and ``present`` the rows whose configuration holds the option
+    at all; a row without it reads n, or unset.  Evaluation records each
+    :class:`EvalError` in ``errors`` with the rows it applies to, in the order
+    met, and goes on with n on those rows.
+    """
+
+    __slots__ = ("model", "ones", "ge", "y", "values", "present", "errors")
+
+    def __init__(self, model: KconfigModel, columns: Columns, ones: int):
+        self.model = model
+        self.ones = ones
+        self.ge: dict[str, int] = {}
+        self.y: dict[str, int] = {}
+        self.values: dict[str, dict[ConfigValue, int]] = {}
+        self.present: dict[str, int] = {}
+        self.errors: list[tuple[int, EvalError]] = []
+        for item in model.items:
+            column = columns.get(item.name, {})
+            present = 0
+            for rows in column.values():
+                present |= rows
+            self.present[item.name] = present
+            if item.is_boolish:
+                for value in column:
+                    if not isinstance(value, Tri):
+                        raise TypeError(f"{item.name} holds {value!r}, not a Tri value")
+                self.ge[item.name], self.y[item.name] = _split(column.items())
+            else:
+                part = dict(column)
+                part[None] = part.get(None, 0) | (ones & ~present)
+                self.values[item.name] = {value: rows for value, rows in part.items() if rows}
+
+    def config(self, k: int) -> Configuration:
+        """Row k as a configuration of the options it holds."""
+        bit = 1 << k
+        cfg: Configuration = {}
+        for item in self.model.items:
+            name = item.name
+            if not self.present[name] & bit:
+                continue
+            if name in self.ge:
+                cfg[name] = Tri(bool(self.ge[name] & bit) + bool(self.y[name] & bit))
+            else:
+                cfg[name] = next(v for v, rows in self.values[name].items() if rows & bit)
+        return cfg
+
+    def rows_differing(self, other: RowValues) -> int:
+        """The rows on which some option's value, or whether the row holds
+        it, differs from ``other``."""
+        diff = 0
+        for name, present in self.present.items():
+            diff |= present ^ other.present[name]
+        for name, ge in self.ge.items():
+            diff |= (ge ^ other.ge[name]) | (self.y[name] ^ other.y[name])
+        for name, part in self.values.items():
+            theirs = other.values[name]
+            same = 0
+            for value, rows in part.items():
+                same |= rows & theirs.get(value, 0)
+            diff |= self.ones & ~same
+        return diff
+
+    # ---- evaluation
+
+    def tri(self, e: Expr | None, live: int) -> TriRows:
+        """The value of ``e`` (y when absent) on every row.  Errors are
+        recorded for the ``live`` rows only, the rows the caller reads the
+        value of."""
+        if e is None:
+            return self.ones, self.ones
+        kind = type(e)
+        if kind is Sym:
+            name = e.name
+            if name in self.ge:
+                return self.ge[name], self.y[name]
+            if name in self.values:
+                return _split(
+                    (value if isinstance(value, Tri) else _boolish_value(_text(value)), rows)
+                    for value, rows in self.values[name].items()
+                )
+            return self._const(Tri.from_label(name) if name in TRI_NAMES else Tri.N)
+        if kind is Literal:
+            return self._const(_boolish_value(e.text))
+        if kind is Not:
+            ge, y = self.tri(e.operand, live)
+            return self.ones ^ y, self.ones ^ ge
+        if kind is And or kind is Or:
+            lge, ly = self.tri(e.left, live)
+            rge, ry = self.tri(e.right, live)
+            if kind is And:
+                return lge & rge, ly & ry
+            return lge | rge, ly | ry
+        if kind in _COMPARISONS:
+            rows = self._holds(e, live)
+            return rows, rows
+        self.errors.append((live, EvalError(f"cannot evaluate node {e!r}")))
+        return 0, 0
+
+    def visibility(self, prompts: tuple[Prompt, ...], depends: TriRows, live: int) -> TriRows:
+        """The strongest prompt condition and-ed with the already evaluated
+        dependency value; n when there is no prompt."""
+        ge = y = 0
+        for prompt in prompts:
+            cge, cy = self.tri(prompt.condition, live)
+            ge |= cge & depends[0]
+            y |= cy & depends[1]
+        return ge, y
+
+    def _const(self, value: Tri) -> TriRows:
+        return (self.ones if value is not Tri.N else 0), (self.ones if value is Tri.Y else 0)
+
+    def _texts(self, e: Expr) -> dict[str, int]:
+        """A comparison operand's text on every row, as ``{text: rows}``.
+
+        Undeclared symbols act as string literals equal to their own name;
+        unset options, and bool/tristate options a row does not hold, read
+        as ""."""
+        if type(e) is Literal:
+            return {e.text: self.ones}
+        if type(e) is not Sym:
+            raise EvalError(f"comparison operand {e!r} is not a symbol or literal")
+        name = e.name
+        if name in self.ge:
+            ge, y, present = self.ge[name], self.y[name], self.present[name]
+            return {"y": y, "m": ge & ~y, "n": present & ~ge, "": self.ones & ~present}
+        if name in self.values:
+            texts: dict[str, int] = {}
+            for value, rows in self.values[name].items():
+                text = _text(value)
+                texts[text] = texts.get(text, 0) | rows
+            return texts
+        return {name: self.ones}
+
+    def _holds(self, e, live: int) -> int:
+        """The live rows on which comparison ``e`` holds."""
+        try:
+            lefts, rights = self._texts(e.left), self._texts(e.right)
+        except EvalError as exc:
+            self.errors.append((live, exc))
+            return 0
+        kind = type(e)
+        holds = 0
+        for left, lrows in lefts.items():
+            lrows &= live
+            if not lrows:
+                continue
+            for right, rrows in rights.items():
+                rows = lrows & rrows
+                if not rows:
+                    continue
+                try:
+                    if _compare(kind, left, right):
+                        holds |= rows
+                except EvalError as exc:
+                    self.errors.append((rows, exc))
+        return holds
+
+
+def single_row(cfg: Configuration) -> Columns:
+    """The columns of the one row ``cfg``."""
+    return {name: {value: 1} for name, value in cfg.items()}
+
+
 def eval_expr(e: Expr, cfg: Configuration, model: KconfigModel) -> Tri:
     """Evaluate ``e`` to a Tri value under a concrete configuration.
 
     Raises :class:`EvalError` when an ordered comparison meets a value that
     does not parse as a number.
     """
-    if isinstance(e, Sym):
-        if model.has_option(e.name):
-            value = cfg.get(e.name)
-            if isinstance(value, Tri):
-                return value
-            return _boolish_value(value if value is not None else "")
-        if e.name in ("n", "m", "y"):
-            return Tri.from_label(e.name)
-        return Tri.N
-    if isinstance(e, Literal):
-        return _boolish_value(e.text)
-    if isinstance(e, Not):
-        return tri_not(eval_expr(e.operand, cfg, model))
-    if isinstance(e, And):
-        return tri_and(eval_expr(e.left, cfg, model), eval_expr(e.right, cfg, model))
-    if isinstance(e, Or):
-        return tri_or(eval_expr(e.left, cfg, model), eval_expr(e.right, cfg, model))
-    if isinstance(e, (Eq, Neq)):
-        left = _operand_text(e.left, cfg, model)
-        right = _operand_text(e.right, cfg, model)
-        number = parse_number(left)
-        equal = left == right or (number is not None and number == parse_number(right))
-        if isinstance(e, Neq):
-            equal = not equal
-        return Tri.Y if equal else Tri.N
-    if isinstance(e, (Lt, Leq, Gt, Geq)):
-        left = _as_int(_operand_text(e.left, cfg, model))
-        right = _as_int(_operand_text(e.right, cfg, model))
-        result = {
-            Lt: left < right,
-            Leq: left <= right,
-            Gt: left > right,
-            Geq: left >= right,
-        }[type(e)]
-        return Tri.Y if result else Tri.N
-    raise EvalError(f"cannot evaluate node {e!r}")
-
-
-def _eval_opt(e: Expr | None, cfg: Configuration, model: KconfigModel) -> Tri:
-    return Tri.Y if e is None else eval_expr(e, cfg, model)
-
-
-def prompt_visibility(
-    prompts: tuple[Prompt, ...], depends: Tri, cfg: Configuration, model: KconfigModel
-) -> Tri:
-    """The strongest prompt condition and-ed with the already evaluated
-    dependency value; n when there is no prompt."""
-    best = Tri.N
-    for prompt in prompts:
-        best = tri_or(best, tri_and(_eval_opt(prompt.condition, cfg, model), depends))
-    return best
-
-
-def choice_visibility(choice: ChoiceBlock, cfg: Configuration, model: KconfigModel) -> Tri:
-    """Visibility of a choice block itself; n when the block has no prompt."""
-    if not choice.prompts:
-        return Tri.N
-    return prompt_visibility(choice.prompts, _eval_opt(choice.depends, cfg, model), cfg, model)
-
-
-def modules_enabled(cfg: Configuration, model: KconfigModel) -> bool:
-    """Tristate options may take the value m only when this holds.
-
-    Without a declared modules switch every model behaves as if modules were
-    enabled; with one, only the switch standing at y enables them.
-    """
-    if model.modules_option is None:
-        return True
-    return cfg.get(model.modules_option) is Tri.Y
+    values = RowValues(model, single_row(cfg), 1)
+    ge, y = values.tri(e, 1)
+    if values.errors:
+        raise values.errors[0][1]
+    return Tri(ge + y)

@@ -287,12 +287,30 @@ def test_criterion_9_oracle_idempotence():
     report("9 oracle-idempotence", elapsed)
 
 
+BOUND_MODEL_SOURCE = 'config MODULES\n\tbool "modules"\n\toption modules\n' + "".join(
+    f'config T{i}\n\ttristate "t{i}"\n' + (f"\tdepends on T{i - 1}\n" if i > 1 else "")
+    for i in range(1, 10)
+)
+
+
+def test_criterion_11_bound_model_within_budget():
+    """MODULES plus nine chained tristates, 2 * 3**9 configurations: the
+    whole-space repair checks the model at the 10-option bound in well
+    under a second."""
+    clock = Stopwatch(1.0)
+    model = parse_model(BOUND_MODEL_SOURCE, "bound")
+    rep = check_model(model)
+    assert rep.config_count == 39366
+    assert rep.mismatches == []
+    elapsed = clock.check("criterion 11")
+    report("11 bound-model", elapsed)
+
+
 @pytest.mark.skipif(
     not os.environ.get("KCONFEX_CONF_BIN"),
     reason="set KCONFEX_CONF_BIN to a real kconfig 'conf' binary to run",
 )
 def test_criterion_10_external_conf(corpus_dir, tmp_path):
-    from kconfex.difftest import builtin_oracle
     from kconfex.oracle import external_conf_oracle
 
     conf = os.environ["KCONFEX_CONF_BIN"]
@@ -308,8 +326,7 @@ def test_criterion_10_external_conf(corpus_dir, tmp_path):
     for name in compatible:
         path = corpus_dir / name
         model = parse_model(path.read_text(), name)
-        for cfg in enumerate_configs(model):
-            builtin, _ = builtin_oracle(model, cfg)
-            external = external_conf_oracle(conf, str(path), cfg, str(tmp_path), model)
-            assert builtin == external, (name, cfg)
+        for row in ground_truth(model).rows:
+            external, _ = external_conf_oracle(conf, str(path), row.cfg, str(tmp_path), model)
+            assert row.valid == external, (name, row.cfg)
     report("10 external-conf", 0.0)

@@ -5,15 +5,22 @@ import itertools
 import json
 import shutil
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import kconfex
-from kconfex.cli import _make_oracle
-from kconfex.difftest import check_model, enumerate_configs, generate_model_text
-from kconfex.errors import FormatError, NonConvergence, ProcessError
+from kconfex.cli import _make_oracle, main
+from kconfex.difftest import (
+    DEFAULT_MAX_OPTIONS,
+    _enumerate,
+    check_model,
+    enumerate_configs,
+    generate_model_text,
+)
+from kconfex.errors import EvalError, FormatError, NonConvergence, ProcessError
 from kconfex.kconfig import (
     ConfigItem,
     Default,
@@ -27,6 +34,7 @@ from kconfex.oracle import (
     external_conf_oracle,
     parse_dotconfig,
     repair,
+    repair_space,
     write_dotconfig,
 )
 from kconfex.tri import Tri
@@ -151,6 +159,98 @@ class TestRepair:
             assert not repair(noprompt_choice_model, repaired).changed
 
 
+def _whole_space(model):
+    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    return space, repair_space(model, space.columns, space.ones)
+
+
+class TestRepairSpace:
+    def test_one_row_equals_whole_space(self):
+        """repair(model, cfg_k) is row k of the whole-space repair, repaired
+        values and the options they hold included, on every corpus model and
+        generated seeds 0-99."""
+        models = corpus_models() + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        for name, model in models:
+            space, whole = _whole_space(model)
+            for k, cfg in enumerate(space.configs()):
+                one = repair(model, cfg)
+                assert one.repaired == whole.repaired.config(k), (name, cfg)
+                assert one.changed == bool(whole.changed >> k & 1), (name, cfg)
+                assert one.select_override_fired == bool(
+                    whole.select_override_fired >> k & 1
+                ), (name, cfg)
+
+    def test_empty_configuration(self, noprompt_choice_model):
+        outcome = repair(noprompt_choice_model, {})
+        assert outcome.changed
+        assert outcome.repaired == {"A": Tri.Y, "B": Tri.N, "NOPROMPT": Tri.Y}
+
+    def test_missing_choice_member_stays_missing(self):
+        model = _model(
+            'choice\n\ttristate "pick"\nconfig A\n\ttristate "a"\n'
+            'config B\n\ttristate "b"\nendchoice\n'
+        )
+        outcome = repair(model, {"A": Tri.M})
+        assert not outcome.changed
+        assert outcome.repaired == {"A": Tri.M}
+
+    def test_visible_values_outside_the_domain_kept_verbatim(self):
+        model = _model(
+            'config N\n\tint "n"\n\trange 0 100\n\tdefault 5\n'
+            'config H\n\thex "h"\n\tdefault 0x10\n'
+        )
+        assert not repair(model, {"N": "42", "H": "7f"}).changed
+        assert not repair(model, {"N": "42", "H": "0X7F"}).changed
+        outcome = repair(model, {"N": "200"})
+        assert outcome.repaired == {"N": "5", "H": "0x10"}
+
+    def test_unreached_comparison_does_not_raise(self):
+        # B reads S < 5 only on rows where A is n.
+        model = _model(
+            'config A\n\tbool "a"\nconfig S\n\tstring "s"\n\tdefault "sa"\n'
+            "config B\n\tbool\n\tdefault y if A\n\tdefault y if S < 5\n"
+        )
+        assert not repair(model, {"A": Tri.Y, "S": "sa", "B": Tri.Y}).changed
+        columns = {"A": {Tri.Y: 0b11}, "S": {"sa": 0b11}, "B": {Tri.N: 0b01, Tri.Y: 0b10}}
+        assert repair_space(model, columns, 0b11).changed == 0b01
+        with pytest.raises(EvalError, match="'sa'"):
+            _whole_space(model)
+
+    def test_select_condition_unread_while_the_selector_is_missing(self):
+        # O is missing until its own step writes it, so P's select condition
+        # is not read in the first pass; D fails first, on T's text.
+        model = _model(
+            'config S\n\tstring "s"\n\tdefault "sa"\n'
+            'config T\n\tstring "t"\n\tdefault "tb"\n'
+            'config P\n\tbool "p"\n'
+            "config D\n\tbool\n\tdefault y if T < 5\n"
+            'config O\n\tbool "o"\n\tselect P if S < 5\n'
+        )
+        with pytest.raises(EvalError, match="'tb'"):
+            repair(model, {"S": "sa", "T": "tb", "P": Tri.N, "D": Tri.N})
+
+    def test_error_of_the_first_failing_row(self):
+        # Row 0 (C=n) first fails at D on T's text; rows with C=y fail
+        # earlier in the pass, at B on S's text.
+        model = _model(
+            'config S\n\tstring "s"\n\tdefault "sa"\n'
+            'config T\n\tstring "t"\n\tdefault "tb"\n'
+            "config B\n\tbool\n\tdefault y if !C\n\tdefault y if S < 5\n"
+            "config D\n\tbool\n\tdefault y if T < 5\n"
+            "config C\n\tbool\n\tdefault y\n"
+        )
+        first, second = enumerate_configs(model)[:2]
+        with pytest.raises(EvalError, match="'tb'"):
+            repair(model, first)
+        with pytest.raises(EvalError, match="'sa'"):
+            repair(model, second)
+        with pytest.raises(EvalError, match="'tb'"):
+            _whole_space(model)
+
+
 class TestDotConfig:
     def test_write_bool_lines(self):
         sink = io.StringIO()
@@ -209,7 +309,7 @@ class TestExternalOracle:
         verdict = external_conf_oracle(
             str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
         )
-        assert verdict is True
+        assert verdict == (True, False)
 
     def test_repairing_binary(self, tmp_path):
         conf = tmp_path / "conf"
@@ -219,7 +319,18 @@ class TestExternalOracle:
         verdict = external_conf_oracle(
             str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
         )
-        assert verdict is False
+        assert verdict == (False, False)
+
+    def test_unmet_dependencies_warning_flags_override(self, tmp_path):
+        conf = tmp_path / "conf"
+        _write_fake_conf(
+            conf,
+            "#!/bin/sh\necho 'WARNING: unmet direct dependencies detected for A' >&2\nexit 0\n",
+        )
+        verdict = external_conf_oracle(
+            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
+        )
+        assert verdict == (True, True)
 
     def test_failing_binary(self, tmp_path):
         conf = tmp_path / "conf"
@@ -231,7 +342,8 @@ class TestExternalOracle:
 
 
 # A stand-in for kconfig's ``conf --olddefconfig MODEL``: it repairs the
-# .config named by KCONFIG_CONFIG in place, with the builtin repair.
+# .config named by KCONFIG_CONFIG in place, with the builtin repair, and warns
+# as conf does when a select overrode an option's dependencies.
 _STUB_CONF = """\
 #!{python} -IS
 import os
@@ -245,15 +357,23 @@ config = os.environ["KCONFIG_CONFIG"]
 model = parse_model(open(sys.argv[-1], encoding="utf-8").read(), sys.argv[-1])
 with open(config, encoding="utf-8") as fh:
     cfg = parse_dotconfig(fh)
+outcome = repair(model, cfg)
 with open(config, "w", encoding="utf-8") as fh:
-    write_dotconfig(repair(model, cfg).repaired, fh, model)
+    write_dotconfig(outcome.repaired, fh, model)
+if outcome.select_override_fired:
+    print("WARNING: unmet direct dependencies detected", file=sys.stderr)
 {tail}"""
 
 
-def _check_with_stub_conf(tmp_path, model_name, tail=""):
+def _stub_conf(tmp_path, tail=""):
     conf = tmp_path / "conf"
     src = str(Path(kconfex.__file__).resolve().parent.parent)
     _write_fake_conf(conf, _STUB_CONF.format(python=sys.executable, src=src, tail=tail))
+    return conf
+
+
+def _check_with_stub_conf(tmp_path, model_name, tail=""):
+    conf = _stub_conf(tmp_path, tail)
     path = CORPUS_DIR / model_name
     model = parse_model(path.read_text(encoding="utf-8"), model_name)
     oracle, workdir = _make_oracle(f"exec:{conf}", str(path))
@@ -271,17 +391,16 @@ class TestExecOracleStub:
     def test_matches_builtin_report(self, tmp_path, model_name):
         model, report = _check_with_stub_conf(tmp_path, model_name)
         builtin = check_model(model)
-
-        def rows(r):
-            # The exec oracle cannot tell that a select override fired, so a
-            # KNOWN-LIMITATION row of the builtin report is a FAILURE here.
-            return [
-                (m.cfg, m.oracle_verdict, m.formula_verdict, m.failed_constraints)
-                for m in r.mismatches
-            ]
-
         assert report.config_count == builtin.config_count
-        assert rows(report) == rows(builtin)
+        assert report.mismatches == builtin.mismatches
+
+    def test_cli_reports_known_limitation(self, tmp_path, capsys):
+        conf = _stub_conf(tmp_path)
+        path = CORPUS_DIR / "select_violates_depends.kconfig"
+        assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 0
+        out = capsys.readouterr().out
+        assert "[KNOWN-LIMITATION] {D=n, P=y, O=y}" in out
+        assert "[FAILURE]" not in out
 
     def test_nonzero_exit_raises(self, tmp_path):
         with pytest.raises(ProcessError, match="exited with 1"):
@@ -290,6 +409,24 @@ class TestExecOracleStub:
     def test_missing_read_back_raises(self, tmp_path):
         with pytest.raises(ProcessError, match="cannot read back"):
             _check_with_stub_conf(tmp_path, "choice_bool_basic.kconfig", "os.remove(config)\n")
+
+
+class TestExecTimeout:
+    @pytest.fixture(autouse=True)
+    def conf_times_out(self, monkeypatch):
+        def run(args, **kwargs):
+            raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+        monkeypatch.setattr(subprocess, "run", run)
+
+    def test_oracle_raises_process_error(self, tmp_path):
+        with pytest.raises(ProcessError, match="timed out after 60 seconds"):
+            external_conf_oracle("conf", "model.kconfig", {"A": Tri.Y}, str(tmp_path))
+
+    def test_check_exits_with_input_error(self, capsys):
+        path = CORPUS_DIR / "single_bool.kconfig"
+        assert main(["check", str(path), "--oracle", "exec:conf"]) == 2
+        assert capsys.readouterr().err.startswith("error: failed to run conf")
 
 
 def _imported_modules(module) -> set[str]:

@@ -5,10 +5,10 @@ import pytest
 from kconfex.errors import EvalError
 from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Sym, parse_model
 from kconfex.tri import (
+    RowValues,
     Tri,
-    _eval_opt,
     eval_expr,
-    prompt_visibility,
+    single_row,
     tri_and,
     tri_not,
     tri_or,
@@ -123,10 +123,12 @@ class TestEvalExpr:
 
 
 def _visibility(item, cfg, model):
-    """An option's prompt visibility, with its effective dependencies
-    evaluated here."""
-    depends = _eval_opt(model.effective_depends(item), cfg, model)
-    return prompt_visibility(item.prompts, depends, cfg, model)
+    """An option's prompt visibility in the one row ``cfg``, with its
+    effective dependencies evaluated here."""
+    values = RowValues(model, single_row(cfg), 1)
+    depends = values.tri(model.effective_depends(item), 1)
+    ge, y = values.visibility(item.prompts, depends, 1)
+    return Tri(ge + y)
 
 
 class TestVisibility:
