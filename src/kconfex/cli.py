@@ -7,6 +7,7 @@ bound exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import shutil
 import sys
 import tempfile
@@ -46,6 +47,17 @@ def _load_model(path: str) -> KconfigModel:
     return model
 
 
+@contextlib.contextmanager
+def _output(path: str, mode: str = "w"):
+    """An output file opened for writing; a failure to open or write it is
+    an input error naming the path."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as sink:
+            yield sink
+    except OSError as exc:
+        raise KconfexError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_translate(args: argparse.Namespace) -> int:
     try:
         model = _load_model(args.file)
@@ -54,11 +66,12 @@ def cmd_translate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.model_out:
-        Path(args.model_out).write_text(constraints.model_text(), encoding="utf-8")
+        with _output(args.model_out) as sink:
+            sink.write(constraints.model_text())
     cnf = None
     if args.dimacs:
         cnf = tseitin_cnf(constraints.conjunction(), constraints.variable_order)
-        with open(args.dimacs, "wb") as sink:
+        with _output(args.dimacs, "wb") as sink:
             write_dimacs(cnf, sink)
     print(f"options: {len(model.items)}")
     print(f"variables: {len(constraints.variable_order)}")
@@ -129,7 +142,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     report = run_corpus(directory, options)
     text = report.render_text()
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        with _output(args.report) as sink:
+            sink.write(text)
     sys.stdout.write(text)
     return EXIT_PASS if report.passed else EXIT_DIFF_FAILURE
 

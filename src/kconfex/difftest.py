@@ -2,10 +2,12 @@
 
 For a small model the harness enumerates every configuration, asks an oracle
 (the builtin reference configurator by default) for a validity verdict per
-configuration, evaluates the translated conjunction on the boolean image of
+configuration, evaluates each translated constraint on the boolean image of
 each configuration, and reports disagreements.  Both sides see all
-configurations at once, as row masks (bit k is row k); only the rows where
-they disagree become configuration maps.  Disagreements explained by
+configurations at once, as row masks (bit k is row k): the formula's verdict
+is the AND of the constraints' masks, and those masks name the constraints a
+row violates.  Only the rows where the two sides disagree become
+configuration maps.  Disagreements explained by
 the documented select inaccuracy (the configurator lets a select force an
 option past its dependencies) are classified KNOWN-LIMITATION; everything
 else is a FAILURE.
@@ -23,27 +25,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .encode import NumericDomain, collect_numeric_values, translate, variable_order
+from .encode import NumericDomain, collect_numeric_values, translate
 from .errors import KconfexError, TooManyOptions
 from .kconfig import ConfigItem, KconfigModel, OptionType, parse_model, validate_model
 from .oracle import repair_space
-from .prop import ConstraintSet, PropFormula, and_, evaluate, evaluate_mask, not_, or_, var
+from .prop import ConstraintSet, evaluate_mask
 from .tri import Columns, Configuration, ConfigValue, Tri
 
 __all__ = [
     "DEFAULT_MAX_OPTIONS",
-    "TableRow",
-    "TruthTable",
     "Mismatch",
     "TestReport",
     "CorpusReport",
     "builtin_oracle",
     "row_oracle",
     "enumerate_configs",
-    "embed",
-    "ground_truth",
     "check_model",
-    "truth_table_formula",
     "run_corpus",
     "CorpusOptions",
     "generate_model_text",
@@ -52,7 +49,7 @@ __all__ = [
 DEFAULT_MAX_OPTIONS = 10
 
 # --------------------------------------------------------------------------
-# Enumeration and embedding
+# Enumeration and boolean images
 
 
 class _Space(NamedTuple):
@@ -171,24 +168,11 @@ def _image(item: ConfigItem, value: ConfigValue, domain: list[str]) -> Iterator[
             yield f"{item.name}_EQ_{known}", value == known
 
 
-def embed(
-    model: KconfigModel, cfg: Configuration, dom: NumericDomain | None = None
-) -> dict[str, bool]:
-    """Boolean image of a configuration over the translated variables;
-    ``dom`` is the model's harvested domain, computed when not given."""
-    if dom is None:
-        dom = collect_numeric_values(model)
-    return {
-        name: bit
-        for item in model.items
-        for name, bit in _image(item, cfg.get(item.name), dom.domain(item.name))
-    }
-
-
 def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
     """The boolean images of all enumerated configurations at once: bit k of
-    ``masks[v]`` is ``embed(model, configs[k])[v]``, with the configurations
-    in ``enumerate_configs`` order; ``ones`` has one bit per configuration."""
+    ``masks[v]`` is the value of translated variable ``v`` in the image of
+    configuration k, in ``enumerate_configs`` order; ``ones`` has one bit per
+    configuration."""
     masks: dict[str, int] = {}
     for item in model.items:
         domain = space.dom.domain(item.name)
@@ -203,20 +187,7 @@ def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
 
 
 # --------------------------------------------------------------------------
-# Truth tables and reports
-
-
-class TableRow(NamedTuple):
-    cfg: Configuration
-    valid: bool
-    select_override: bool
-
-
-@dataclass
-class TruthTable:
-    model: KconfigModel
-    rows: list[TableRow]
-    notes: list[str] = field(default_factory=list)
+# Reports
 
 
 class Mismatch(NamedTuple):
@@ -266,25 +237,6 @@ class TestReport:
     def passed(self) -> bool:
         return self.error is None and not self.failures
 
-    @property
-    def clean(self) -> bool:
-        return self.error is None and not self.mismatches
-
-
-def ground_truth(
-    model: KconfigModel,
-    oracle: Oracle = builtin_oracle,
-    max_options: int = DEFAULT_MAX_OPTIONS,
-) -> TruthTable:
-    """One oracle verdict per enumerated configuration."""
-    space = _enumerate(model, max_options)
-    valid, override = oracle(model, space)
-    rows = [
-        TableRow(cfg, bool(valid >> k & 1), bool(override >> k & 1))
-        for k, cfg in enumerate(space.configs())
-    ]
-    return TruthTable(model, rows, space.notes)
-
 
 def check_model(
     model: KconfigModel,
@@ -293,13 +245,14 @@ def check_model(
     max_options: int = DEFAULT_MAX_OPTIONS,
     name: str | None = None,
 ) -> TestReport:
-    """Compare the translated conjunction against the oracle on every
+    """Compare the translated constraints against the oracle on every
     enumerated configuration.
 
-    The oracle's verdicts and the formula's, from one bit-parallel
-    evaluation over the rows' boolean images, are row masks; only the rows
-    where they disagree are decoded and embedded, in row order, to name the
-    constraints they violate.
+    The oracle's verdicts and the formula's are row masks.  Each constraint
+    is evaluated once, bit-parallel over the rows' boolean images; the
+    formula's verdict is the AND of those masks, and a disagreeing row
+    violates the constraints whose mask lacks it.  Only the disagreeing rows
+    are decoded, in row order.
     """
     started = time.perf_counter()
     if constraints is None:
@@ -307,7 +260,11 @@ def check_model(
     space = _enumerate(model, max_options)
     valid, override = oracle(model, space)
     masks, ones = _masks(model, space)
-    disagree = evaluate_mask(constraints.conjunction(), masks, ones) ^ valid
+    holds = [evaluate_mask(c.formula, masks, ones) for c in constraints]
+    verdict = ones
+    for rows in holds:
+        verdict &= rows
+    disagree = verdict ^ valid
     mismatches: list[Mismatch] = []
     while disagree:
         row = disagree & -disagree
@@ -318,10 +275,7 @@ def check_model(
             classification = "KNOWN-LIMITATION"
         else:
             classification = "FAILURE"
-        assignment = embed(model, cfg, space.dom)
-        failed = tuple(
-            c.provenance for c in constraints if not evaluate(c.formula, assignment)
-        )
+        failed = tuple(c.provenance for c, rows in zip(constraints, holds) if not rows & row)
         mismatches.append(
             Mismatch(cfg, oracle_verdict, not oracle_verdict, classification, failed)
         )
@@ -334,23 +288,6 @@ def check_model(
         millis=millis,
         notes=space.notes,
     )
-
-
-def truth_table_formula(table: TruthTable) -> PropFormula:
-    """Disjunction over the valid rows of the table, each row rendered as the
-    conjunction of its variable literals."""
-    model = table.model
-    dom = collect_numeric_values(model)
-    order = variable_order(model, dom)
-    rows = []
-    for row in table.rows:
-        if not row.valid:
-            continue
-        assignment = embed(model, row.cfg, dom)
-        rows.append(
-            and_(*(var(n) if assignment[n] else not_(var(n)) for n in order))
-        )
-    return or_(*rows)
 
 
 # --------------------------------------------------------------------------

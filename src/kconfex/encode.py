@@ -94,10 +94,6 @@ class TriEncoding:
     def nonzero(self) -> PropFormula:
         return or_(self.f_y, self.f_m)
 
-    @property
-    def is_n(self) -> PropFormula:
-        return not_(or_(self.f_y, self.f_m))
-
 
 ENC_Y = TriEncoding(TRUE, FALSE)
 ENC_M = TriEncoding(FALSE, TRUE)
@@ -305,9 +301,6 @@ def _encode_equality(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFo
     if not dom.domain(lv) and not dom.domain(rv):
         return TRUE  # both permanently unset: "" equals ""
     return or_(*parts)
-
-
-_ORDER_OPS = {Lt: "<", Leq: "<=", Gt: ">", Geq: ">="}
 
 
 def encode_numeric_constraint(

@@ -451,14 +451,6 @@ def _check_ordered_operands(ts: _TokenStream, left: Expr, right: Expr) -> None:
         raise ts.error("ordered comparison needs a symbol and a numeric literal")
 
 
-def _parse_full_expr(text: str, line: int, source: str) -> Expr:
-    ts = _TokenStream(text, line, source)
-    e = _parse_expr(ts)
-    if not ts.at_end():
-        raise ts.error("trailing tokens after expression")
-    return e
-
-
 # --------------------------------------------------------------------------
 # Line-oriented parser
 

@@ -430,14 +430,6 @@ class CnfFormula:
     var_map: dict[str, int]  # name -> positive index; original variables first
     aux_definitions: dict[int, PropFormula] = field(default_factory=dict)
 
-    def index_to_name(self) -> dict[int, str]:
-        return {idx: name for name, idx in self.var_map.items()}
-
-    def satisfied_by(self, assignment: dict[int, bool]) -> bool:
-        return all(
-            any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in self.clauses
-        )
-
 
 def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFormula:
     """Convert to CNF with one auxiliary variable per compound subformula.

@@ -44,9 +44,6 @@ __all__ = [
     "ConfigValue",
     "Columns",
     "TriRows",
-    "tri_and",
-    "tri_or",
-    "tri_not",
     "RowValues",
     "single_row",
     "eval_expr",
@@ -78,18 +75,6 @@ Columns = dict[str, dict[ConfigValue, int]]
 
 # A Tri value on every row: (rows at m or y, rows at y).
 TriRows = tuple[int, int]
-
-
-def tri_and(a: Tri, b: Tri) -> Tri:
-    return a if a < b else b
-
-
-def tri_or(a: Tri, b: Tri) -> Tri:
-    return a if a > b else b
-
-
-def tri_not(a: Tri) -> Tri:
-    return Tri(2 - a.value)
 
 
 def _as_int(text: str) -> int:

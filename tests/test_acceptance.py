@@ -13,13 +13,14 @@ import pytest
 
 from kconfex.cli import main as cli_main
 from kconfex.difftest import (
+    DEFAULT_MAX_OPTIONS,
     CorpusOptions,
+    _enumerate,
+    _masks,
+    builtin_oracle,
     check_model,
     enumerate_configs,
-    embed,
-    ground_truth,
     run_corpus,
-    truth_table_formula,
 )
 from kconfex.encode import (
     NumericDomain,
@@ -44,7 +45,6 @@ from kconfex.prop import (
     ConstraintSet,
     assignment_masks,
     equivalent,
-    evaluate,
     evaluate_mask,
     implies,
     not_,
@@ -54,9 +54,9 @@ from kconfex.prop import (
     tseitin_cnf,
     var,
 )
-from kconfex.tri import Tri, eval_expr, tri_and, tri_not, tri_or
+from kconfex.tri import RowValues, Tri, eval_expr
 
-from conftest import NOPROMPT_CHOICE_SOURCE, corpus_models
+from conftest import NOPROMPT_CHOICE_SOURCE, corpus_models, model_counts
 
 ALL_TRI = (Tri.N, Tri.M, Tri.Y)
 
@@ -80,12 +80,13 @@ def test_criterion_1_golden_choice_golden(tmp_path, capsys):
     clock = Stopwatch(1.0)
     model = parse_model(NOPROMPT_CHOICE_SOURCE, "golden_choice")
 
-    table = ground_truth(model)
-    assert len(table.rows) == 8
+    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    valid_rows, _ = builtin_oracle(model, space)
+    assert space.ones == 0xFF
     valid = {
-        frozenset(k for k, v in row.cfg.items() if v is Tri.Y)
-        for row in table.rows
-        if row.valid
+        frozenset(k for k, v in space.config(row).items() if v is Tri.Y)
+        for row in range(8)
+        if valid_rows >> row & 1
     }
     assert valid == {frozenset({"A", "NOPROMPT"}), frozenset({"B", "NOPROMPT"})}
 
@@ -108,13 +109,16 @@ def test_criterion_1_golden_choice_golden(tmp_path, capsys):
 
 def test_criterion_2_tristate_algebra():
     clock = Stopwatch(1.0)
+    model = parse_model('config A\n\ttristate "a"\nconfig B\n\ttristate "b"\n', "algebra")
+    A, B = Sym("A"), Sym("B")
     for a, b in itertools.product(ALL_TRI, ALL_TRI):
-        assert tri_and(a, b) == Tri(min(a.value, b.value))
-        assert tri_or(a, b) == Tri(max(a.value, b.value))
-        assert tri_not(tri_and(a, b)) == tri_or(tri_not(a), tri_not(b))
-        assert tri_not(tri_or(a, b)) == tri_and(tri_not(a), tri_not(b))
-    for a in ALL_TRI:
-        assert tri_not(a) == Tri(2 - a.value)
+        cfg = {"A": a, "B": b}
+        assert eval_expr(EAnd(A, B), cfg, model) == Tri(min(a.value, b.value))
+        assert eval_expr(EOr(A, B), cfg, model) == Tri(max(a.value, b.value))
+        assert eval_expr(ENot(EAnd(A, B)), cfg, model) == eval_expr(EOr(ENot(A), ENot(B)), cfg, model)
+        assert eval_expr(ENot(EOr(A, B)), cfg, model) == eval_expr(EAnd(ENot(A), ENot(B)), cfg, model)
+        assert eval_expr(ENot(A), cfg, model) == Tri(2 - a.value)
+        assert eval_expr(ENot(ENot(A)), cfg, model) == a
     elapsed = clock.check("criterion 2")
     report("2 tristate-algebra", elapsed)
 
@@ -126,6 +130,10 @@ def test_criterion_3_pair_encoding_correspondence():
         "pairs",
     )
     dom = collect_numeric_values(model)
+    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    masks, ones = _masks(model, space)
+    values = RowValues(model, space.columns, ones)
+    assert ones.bit_length() == 27
     rng = random.Random(20140401)
     syms = ["A", "B", "C"]
 
@@ -147,12 +155,9 @@ def test_criterion_3_pair_encoding_correspondence():
     for _ in range(1000):
         expr = gen(3)
         enc = encode_expr(expr, model, dom)
-        for combo in itertools.product(ALL_TRI, repeat=3):
-            cfg = dict(zip(syms, combo))
-            assignment = embed(model, cfg)
-            value = eval_expr(expr, cfg, model)
-            assert evaluate(enc.f_y, assignment) == (value is Tri.Y), expr
-            assert evaluate(enc.f_m, assignment) == (value is Tri.M), expr
+        ge, y = values.tri(expr, ones)
+        assert evaluate_mask(enc.f_y, masks, ones) == y, expr
+        assert evaluate_mask(enc.f_m, masks, ones) == ge & ~y, expr
         checked += 1
     assert checked >= 1000
     elapsed = clock.check("criterion 3")
@@ -241,8 +246,6 @@ def test_criterion_7_tseitin_dimacs():
         direct = evaluate_mask(conjunction, masks, ones)
 
         cnf = tseitin_cnf(conjunction, order)
-        idx2name = cnf.index_to_name()
-        full_masks = {idx2name[cnf.var_map[n]]: masks[n] for n in order}
         values = {cnf.var_map[n]: masks[n] for n in order}
         for idx, definition in cnf.aux_definitions.items():
             values[idx] = evaluate_mask(definition, masks, ones)
@@ -266,12 +269,18 @@ def test_criterion_7_tseitin_dimacs():
 
 
 def test_criterion_8_cross_strategy():
+    """On every corpus model whose rows all agree, the conjunction has as
+    many models as the oracle has valid rows, so it admits no assignment
+    outside the valid configurations' images."""
     clock = Stopwatch(30.0)
+    clean = 0
     for name, model in corpus_models():
-        rep = check_model(model)
-        table = ground_truth(model)
-        same = equivalent(truth_table_formula(table), translate(model).conjunction())
-        assert same == rep.clean, name
+        if check_model(model).mismatches:
+            continue
+        models, valid = model_counts(model)
+        assert models == valid, name
+        clean += 1
+    assert clean >= 50
     elapsed = clock.check("criterion 8")
     report("8 cross-strategy", elapsed)
 
@@ -326,7 +335,10 @@ def test_criterion_10_external_conf(corpus_dir, tmp_path):
     for name in compatible:
         path = corpus_dir / name
         model = parse_model(path.read_text(), name)
-        for row in ground_truth(model).rows:
-            external, _ = external_conf_oracle(conf, str(path), row.cfg, str(tmp_path), model)
-            assert row.valid == external, (name, row.cfg)
+        space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+        valid, _ = builtin_oracle(model, space)
+        for row in range(space.ones.bit_length()):
+            cfg = space.config(row)
+            external, _ = external_conf_oracle(conf, str(path), cfg, str(tmp_path), model)
+            assert bool(valid >> row & 1) == external, (name, cfg)
     report("10 external-conf", 0.0)

@@ -53,6 +53,12 @@ class TestTranslateCommand:
         err = capsys.readouterr().err
         assert ":3:" in err
 
+    @pytest.mark.parametrize("flag", ["--model", "--dimacs"])
+    def test_unwritable_output_exits_2(self, flag, golden_choice_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        assert main(["translate", str(golden_choice_file), flag, str(target)]) == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+
     def test_outputs_deterministic(self, golden_choice_file, tmp_path):
         outs = []
         for i in range(2):
@@ -132,6 +138,12 @@ class TestCorpusCommand:
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert main(["corpus", str(tmp_path / "nope")]) == 2
+
+    def test_unwritable_report_exits_2(self, golden_choice_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        code = main(["corpus", str(golden_choice_file.parent), "--report", str(target)])
+        assert code == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
 
     def test_failing_corpus_exits_1(self, tmp_path, capsys):
         (tmp_path / "broken.kconfig").write_text("menu nope\n")

@@ -1,0 +1,59 @@
+"""No dead definitions in the package.
+
+Every function, class, method, property and module-level constant of
+``src/kconfex`` is either exported (listed in its module's ``__all__``) or
+referenced somewhere in the package other than at its own definition.  A
+reference is any name or attribute that spells it, f-string fields
+included; dunder names are called by the language and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import kconfex
+
+PACKAGE = Path(kconfex.__file__).resolve().parent
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _definitions(body, module_level):
+    """(name, node) of the functions, classes and methods in ``body``, and of
+    its constants when ``body`` is a module's."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, module_level=False)
+        elif module_level and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target
+
+
+def test_every_definition_is_used_or_exported():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    references = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(node)
+    dead = []
+    for module, tree in trees.items():
+        exported = _exported(tree)
+        for name, node in _definitions(tree.body, module_level=True):
+            if (name.startswith("__") and name.endswith("__")) or name in exported:
+                continue
+            if all(ref is node for ref in references.get(name, ())):
+                dead.append(f"{module}:{node.lineno} {name}")
+    assert not dead, dead

@@ -11,25 +11,30 @@ from kconfex.difftest import (
     CorpusOptions,
     _enumerate,
     _masks,
+    builtin_oracle,
     check_model,
-    embed,
     enumerate_configs,
     generate_model_text,
-    ground_truth,
     run_corpus,
-    truth_table_formula,
 )
 from kconfex.encode import translate
 from kconfex.errors import TooManyOptions
 from kconfex.kconfig import parse_model, validate_model
-from kconfex.prop import ConstraintSet, equivalent
+from kconfex.prop import ConstraintSet
 from kconfex.tri import Tri
 
-from conftest import corpus_models
+from conftest import corpus_models, model_counts
 
 
 def _model(text):
     return parse_model(text, "t")
+
+
+def _oracle_rows(model):
+    """The enumerated configurations, each with the builtin oracle's verdict."""
+    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    valid, _ = builtin_oracle(model, space)
+    return [(space.config(k), bool(valid >> k & 1)) for k in range(space.ones.bit_length())]
 
 
 class TestEnumerate:
@@ -64,24 +69,19 @@ class TestEnumerate:
 
 class TestGroundTruth:
     def test_noprompt_choice_column(self, noprompt_choice_model):
-        table = ground_truth(noprompt_choice_model)
+        rows = _oracle_rows(noprompt_choice_model)
         valid = {
-            frozenset(k for k, v in row.cfg.items() if v is Tri.Y)
-            for row in table.rows
-            if row.valid
+            frozenset(k for k, v in cfg.items() if v is Tri.Y) for cfg, ok in rows if ok
         }
         assert valid == {frozenset({"A", "NOPROMPT"}), frozenset({"B", "NOPROMPT"})}
-        assert sum(row.valid for row in table.rows) == 2
+        assert sum(ok for _, ok in rows) == 2
 
     def test_empty_model(self):
-        table = ground_truth(_model(""))
-        assert len(table.rows) == 1
-        assert table.rows[0].valid
+        assert _oracle_rows(_model("")) == [({}, True)]
 
     def test_select_table(self):
         model = _model('config O\n\tbool "o"\n\tselect P\nconfig P\n\tbool "p"\n')
-        table = ground_truth(model)
-        assert sum(row.valid for row in table.rows) == 3
+        assert sum(ok for _, ok in _oracle_rows(model)) == 3
 
 
 class TestCheckModel:
@@ -117,7 +117,7 @@ class TestCheckModel:
         )
         report = check_model(model)
         assert report.passed
-        assert not report.clean
+        assert report.mismatches
         assert all(m.classification == "KNOWN-LIMITATION" for m in report.mismatches)
         assert all(m.oracle_verdict and not m.formula_verdict for m in report.mismatches)
 
@@ -134,45 +134,81 @@ class TestCheckModel:
 
 
 class TestTruthTableFormula:
+    """Where the rows agree, equal model counts stand for equivalence with
+    the truth-table formula, the disjunction of the valid rows' images."""
+
     def test_golden_disjunction(self, noprompt_choice_model):
-        table = ground_truth(noprompt_choice_model)
-        formula = truth_table_formula(table)
-        conj = translate(noprompt_choice_model).conjunction()
-        assert equivalent(formula, conj)
+        assert not check_model(noprompt_choice_model).mismatches
+        assert model_counts(noprompt_choice_model) == (2, 2)
 
     def test_all_invalid_is_false(self):
-        from kconfex.prop import FALSE
-
         model = _model('config N\n\tint\nconfig G\n\tbool "g"\n\tdepends on N=5\n')
-        table = ground_truth(model)
         # the invisible valued option can never hold its enumerated value
-        assert all(not row.valid for row in table.rows)
-        assert truth_table_formula(table) is FALSE
+        assert not any(ok for _, ok in _oracle_rows(model))
+        assert not check_model(model).mismatches
+        assert model_counts(model) == (0, 0)
 
     def test_cross_strategy_consistency(self):
-        for name, model in corpus_models():
-            report = check_model(model)
-            table = ground_truth(model)
-            same = equivalent(truth_table_formula(table), translate(model).conjunction())
-            assert same == report.clean, name
+        """Generated seeds 0-99; criterion 8 covers the corpus."""
+        clean = 0
+        for seed in range(100):
+            model = parse_model(generate_model_text(seed), f"generated[seed={seed}]")
+            if check_model(model).mismatches:
+                continue
+            models, valid = model_counts(model)
+            assert models == valid, seed
+            clean += 1
+        assert clean >= 90
+
+
+def _rule_kind(provenance):
+    return provenance.split(":", 1)[1].split("(", 1)[0]
+
+
+@pytest.mark.parametrize("kind", ["tristate-excl", "bool-no-module", "one-hot", "value-excl"])
+def test_count_catches_dropped_shape_rule(kind):
+    """A shape rule only excludes assignments that are no configuration's
+    image, so no row shows it missing; the model count does."""
+
+    def caught(model):
+        full = translate(model)
+        kept = [c for c in full if _rule_kind(c.provenance) != kind]
+        if len(kept) == len(full):
+            return False
+        doctored = ConstraintSet(constraints=kept, variable_order=full.variable_order)
+        if check_model(model, constraints=doctored).failures:
+            return False
+        models, valid = model_counts(model, doctored)
+        return models != valid
+
+    assert any(caught(model) for _, model in corpus_models()), kind
 
 
 class TestEmbed:
+    """The boolean image of one configuration, read from ``_masks``."""
+
+    @staticmethod
+    def _image(model, cfg):
+        space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+        masks, _ = _masks(model, space)
+        (k,) = [k for k in range(space.ones.bit_length()) if space.config(k) == cfg]
+        return {v: bool(rows >> k & 1) for v, rows in masks.items()}
+
     def test_tristate_pair_image(self):
         model = _model('config T\n\ttristate "t"\n')
-        assert embed(model, {"T": Tri.M}) == {"T": False, "T_MODULE": True}
-        assert embed(model, {"T": Tri.Y}) == {"T": True, "T_MODULE": False}
+        assert self._image(model, {"T": Tri.M}) == {"T": False, "T_MODULE": True}
+        assert self._image(model, {"T": Tri.Y}) == {"T": True, "T_MODULE": False}
 
     def test_value_one_hot(self):
         model = _model('config N\n\tint "n"\n\tdefault 0\n\tdefault 5\n')
-        image = embed(model, {"N": "5"})
-        assert image == {"N_EQ_0": False, "N_EQ_5": True}
+        assert self._image(model, {"N": "5"}) == {"N_EQ_0": False, "N_EQ_5": True}
 
 
 class TestMasks:
     def test_masks_match_embed(self):
-        """Bit k of each variable's mask is embed(model, configs[k])[variable],
-        on every corpus model and generated seeds 0-99."""
+        """Bit k of each variable's mask is the variable's value in the image
+        of configuration k: ``O`` iff O=y, ``O_MODULE`` iff O=m, ``N_EQ_v``
+        iff N=v; on every corpus model and generated seeds 0-99."""
         models = corpus_models() + [
             (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
             for seed in range(100)
@@ -184,9 +220,16 @@ class TestMasks:
             configs = space.configs()
             assert ones == (1 << len(configs)) - 1, name
             for k, cfg in enumerate(configs):
-                image = embed(model, cfg)
-                assert image.keys() == masks.keys(), name
-                assert {v: bool(masks[v] >> k & 1) for v in image} == image, (name, cfg)
+                image = {}
+                for item in model.items:
+                    value = cfg.get(item.name)
+                    if item.is_boolish:
+                        image[item.name] = value is Tri.Y
+                        image[item.name + "_MODULE"] = value is Tri.M
+                    else:
+                        for known in space.dom.domain(item.name):
+                            image[f"{item.name}_EQ_{known}"] = value == known
+                assert {v: bool(rows >> k & 1) for v, rows in masks.items()} == image, (name, cfg)
             valued += sum("_EQ_" in v for v in masks)
         assert valued > 0
 

@@ -4,49 +4,9 @@ import pytest
 
 from kconfex.errors import EvalError
 from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Sym, parse_model
-from kconfex.tri import (
-    RowValues,
-    Tri,
-    eval_expr,
-    single_row,
-    tri_and,
-    tri_not,
-    tri_or,
-)
+from kconfex.tri import RowValues, Tri, eval_expr, single_row
 
 ALL = (Tri.N, Tri.M, Tri.Y)
-
-
-class TestAlgebra:
-    def test_and_is_min(self):
-        for a, b in itertools.product(ALL, ALL):
-            assert tri_and(a, b) == Tri(min(a.value, b.value))
-
-    def test_or_is_max(self):
-        for a, b in itertools.product(ALL, ALL):
-            assert tri_or(a, b) == Tri(max(a.value, b.value))
-
-    def test_not_is_complement(self):
-        for a in ALL:
-            assert tri_not(a) == Tri(2 - a.value)
-
-    def test_not_n_is_y(self):
-        assert tri_not(Tri.N) is Tri.Y
-
-    def test_or_identity(self):
-        assert tri_or(Tri.N, Tri.N) is Tri.N
-
-    def test_and_y_m(self):
-        assert tri_and(Tri.Y, Tri.M) is Tri.M
-
-    def test_de_morgan(self):
-        for a, b in itertools.product(ALL, ALL):
-            assert tri_not(tri_and(a, b)) == tri_or(tri_not(a), tri_not(b))
-            assert tri_not(tri_or(a, b)) == tri_and(tri_not(a), tri_not(b))
-
-    def test_involution(self):
-        for a in ALL:
-            assert tri_not(tri_not(a)) == a
 
 
 def _model(text):
@@ -54,6 +14,46 @@ def _model(text):
 
 
 TRI_PAIR = _model('config X\n\ttristate "x"\nconfig Q\n\ttristate "q"\n')
+X, Q = Sym("X"), Sym("Q")
+
+
+def _value(expr, x, q=Tri.N):
+    return eval_expr(expr, {"X": x, "Q": q}, TRI_PAIR)
+
+
+class TestAlgebra:
+    """Conjunction, disjunction and negation as the expression evaluator
+    computes them, the code the repair runs."""
+
+    def test_and_is_min(self):
+        for a, b in itertools.product(ALL, ALL):
+            assert _value(And(X, Q), a, b) == Tri(min(a.value, b.value))
+
+    def test_or_is_max(self):
+        for a, b in itertools.product(ALL, ALL):
+            assert _value(Or(X, Q), a, b) == Tri(max(a.value, b.value))
+
+    def test_not_is_complement(self):
+        for a in ALL:
+            assert _value(Not(X), a) == Tri(2 - a.value)
+
+    def test_not_n_is_y(self):
+        assert _value(Not(X), Tri.N) is Tri.Y
+
+    def test_or_identity(self):
+        assert _value(Or(X, Q), Tri.N, Tri.N) is Tri.N
+
+    def test_and_y_m(self):
+        assert _value(And(X, Q), Tri.Y, Tri.M) is Tri.M
+
+    def test_de_morgan(self):
+        for a, b in itertools.product(ALL, ALL):
+            assert _value(Not(And(X, Q)), a, b) == _value(Or(Not(X), Not(Q)), a, b)
+            assert _value(Not(Or(X, Q)), a, b) == _value(And(Not(X), Not(Q)), a, b)
+
+    def test_involution(self):
+        for a in ALL:
+            assert _value(Not(Not(X)), a) == a
 
 
 class TestEvalExpr:
@@ -64,7 +64,7 @@ class TestEvalExpr:
     def test_and_with_own_negation_at_m(self):
         # brute force over all values of X, checked against min/complement
         for v in ALL:
-            expected = tri_and(v, tri_not(v))
+            expected = Tri(min(v.value, 2 - v.value))
             got = eval_expr(And(Sym("X"), Not(Sym("X"))), {"X": v, "Q": Tri.N}, TRI_PAIR)
             assert got == expected
         assert (
@@ -150,7 +150,7 @@ class TestVisibility:
         item = model.item("I")
         for p, q in itertools.product(ALL, ALL):
             cfg = {"P": p, "Q": q, "I": Tri.N}
-            assert _visibility(item, cfg, model) == tri_and(p, q)
+            assert _visibility(item, cfg, model) == Tri(min(p.value, q.value))
 
     def test_choice_dependencies_gate_members(self):
         model = _model(
