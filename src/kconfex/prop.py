@@ -8,7 +8,7 @@ one-constraint-per-line ``.model`` format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, MissingVariable, TooManyVariables
 
@@ -213,13 +213,24 @@ def iff(a: PropFormula, b: PropFormula) -> PropFormula:
 
 
 def formula_vars(f: PropFormula) -> list[str]:
-    """Variable names in first-occurrence order."""
+    """Variable names in first-occurrence order of a pre-order walk.
+
+    A subtree object met a second time is skipped: every variable in it was
+    already seen, so the order is that of the full tree walk, at a cost linear
+    in the number of distinct node objects.
+    """
     seen: dict[str, None] = {}
+    walked: set[int] = set()
 
     def walk(node: PropFormula) -> None:
         if isinstance(node, Var):
             seen.setdefault(node.name)
-        elif isinstance(node, NotF):
+            return
+        key = id(node)
+        if key in walked:
+            return
+        walked.add(key)
+        if isinstance(node, NotF):
             walk(node.operand)
         elif isinstance(node, (AndF, OrF)):
             for op in node.operands:
@@ -371,10 +382,10 @@ def formula_text(f: PropFormula) -> str:
         if isinstance(node, NotF):
             return "!" + render(node.operand, 5)
         if isinstance(node, AndF):
-            text = " & ".join(render(op, 4) for op in node.operands)
+            text = " & ".join([render(op, 4) for op in node.operands])
             return f"({text})" if parent > 4 else text
         if isinstance(node, OrF):
-            text = " | ".join(render(op, 3) for op in node.operands)
+            text = " | ".join([render(op, 3) for op in node.operands])
             return f"({text})" if parent > 3 else text
         if isinstance(node, Implies):
             text = f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}"
@@ -387,8 +398,7 @@ def formula_text(f: PropFormula) -> str:
     return render(f, 0)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     formula: PropFormula
     provenance: str  # "<item-or-choice>:<rule>"
 
@@ -432,12 +442,17 @@ class CnfFormula:
 
 
 def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFormula:
-    """Convert to CNF with one auxiliary variable per compound subformula.
+    """Convert to CNF with one auxiliary variable per structurally distinct
+    And, Or, Implies or Iff node; a negation reuses its operand's literal,
+    negated, and gets none.
 
     The conversion preserves per-assignment verdicts: extending any total
     assignment of the original variables by the (unique) induced auxiliary
     values satisfies the clauses iff the formula holds.  Auxiliary variables
     are named ``__aux<k>`` and listed after the originals in ``var_map``.
+    Duplicate literals are dropped from a clause, first occurrence kept, and
+    tautological clauses are left out.  The cost is linear in the number of
+    distinct nodes and the total length of the clauses.
     """
     order = list(var_order) if var_order is not None else formula_vars(f)
     var_map: dict[str, int] = {}
@@ -466,10 +481,11 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
     def add(clause: list[int]) -> None:
         # Tautological clauses carry no information and would violate the
         # no-complementary-literals invariant.
-        clause = list(dict.fromkeys(clause))
-        if any(neg[lit] in clause for lit in clause):
-            return
-        clauses.append(clause)
+        distinct = dict.fromkeys(clause)
+        for lit in distinct:
+            if neg[lit] in distinct:
+                return
+        clauses.append(clause if len(distinct) == len(clause) else list(distinct))
 
     def fresh(node: PropFormula) -> int:
         counter[0] += 1
@@ -480,32 +496,34 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
 
     def literal(node: PropFormula) -> int:
         # Returns a literal equisatisfiable with the node, defining auxiliary
-        # variables (with both polarities) for compound nodes.
+        # variables (with both polarities) for compound nodes.  A fresh ``g``
+        # occurs in no operand literal, so a clause of ``g`` and one operand
+        # literal has no repeat and no complementary pair: it skips ``add``.
         if isinstance(node, Var):
             return var_map[node.name]
         if isinstance(node, NotF):
             return neg[literal(node.operand)]
-        if node in cache:
-            return cache[node]
+        g = cache.get(node)
+        if g is not None:
+            return g
         if isinstance(node, AndF):
             lits = [literal(op) for op in node.operands]
             g = fresh(node)
-            for lit in lits:
-                add([neg[g], lit])
+            ng = neg[g]
+            clauses.extend([ng, lit] for lit in lits)
             add([g] + [neg[lit] for lit in lits])
         elif isinstance(node, OrF):
             lits = [literal(op) for op in node.operands]
             g = fresh(node)
-            for lit in lits:
-                add([neg[lit], g])
+            clauses.extend([neg[lit], g] for lit in lits)
             add([neg[g]] + lits)
         elif isinstance(node, Implies):
             a = literal(node.antecedent)
             b = literal(node.consequent)
             g = fresh(node)
             add([neg[g], neg[a], b])
-            add([g, a])
-            add([g, neg[b]])
+            clauses.append([g, a])
+            clauses.append([g, neg[b]])
         elif isinstance(node, Iff):
             a = literal(node.left)
             b = literal(node.right)
@@ -525,6 +543,9 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         clauses.append([])
     else:
         clauses.append([literal(f)])
+    # ``literal`` refers to itself, so without this the cycle would keep the
+    # node cache alive until the next cyclic garbage collection.
+    del literal
 
     return CnfFormula(
         num_vars=counter[0],
@@ -539,18 +560,23 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
 
     Byte-deterministic; LF endings, single spaces.
     """
-    out: list[str] = []
-    for name, idx in cnf.var_map.items():
-        out.append(f"c {idx} {name}")
+    out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
     out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for clause in cnf.clauses:
-        out.append(" ".join(str(lit) for lit in clause + [0]))
+        out.append(" ".join(map(str, clause)) + " 0" if clause else "0")
     sink.write(("\n".join(out) + "\n").encode("utf-8"))
 
 
 def parse_dimacs(source: IO[bytes]) -> CnfFormula:
-    """Inverse of :func:`write_dimacs` up to clause order."""
+    """Inverse of :func:`write_dimacs` up to clause order.
+
+    A ``c <index> <name>`` line names a variable.  Raises
+    :class:`FormatError` with the line number on a malformed or repeated
+    header, a negative count, an index named twice or out of the declared
+    range, a name given two indices, and a malformed clause.
+    """
     var_map: dict[str, int] = {}
+    name_lines: dict[int, int] = {}  # index -> line that named it
     clauses: list[list[int]] = []
     num_vars: int | None = None
     declared_clauses = 0
@@ -560,18 +586,28 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
             continue
         if line.startswith("c"):
             parts = line.split(maxsplit=2)
-            if len(parts) == 3 and parts[1].isdigit():
-                var_map[parts[2]] = int(parts[1])
+            if len(parts) == 3 and parts[1].isdecimal():
+                idx, name = int(parts[1]), parts[2]
+                if idx in name_lines:
+                    raise FormatError(f"variable {idx} named twice", lineno)
+                if name in var_map:
+                    raise FormatError(f"name {name!r} given two indices", lineno)
+                var_map[name] = idx
+                name_lines[idx] = lineno
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormatError("malformed DIMACS header", lineno)
+            if num_vars is not None:
+                raise FormatError("second DIMACS header", lineno)
             try:
                 num_vars = int(parts[2])
                 declared_clauses = int(parts[3])
             except ValueError:
                 raise FormatError("malformed DIMACS header", lineno) from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise FormatError("negative count in DIMACS header", lineno)
             continue
         if num_vars is None:
             raise FormatError("clause before DIMACS header", lineno)
@@ -589,6 +625,9 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
         clauses.append(body)
     if num_vars is None:
         raise FormatError("missing DIMACS header", 1)
+    for idx, lineno in name_lines.items():
+        if not 1 <= idx <= num_vars:
+            raise FormatError(f"named variable {idx} is outside 1..{num_vars}", lineno)
     if len(clauses) != declared_clauses:
         raise FormatError(
             f"declared {declared_clauses} clauses, found {len(clauses)}", 1

@@ -370,3 +370,44 @@ def test_corpus_output_bytes_match_recorded_digests():
             "model": hashlib.sha256(cs.model_text().encode("utf-8")).hexdigest(),
             "dimacs": hashlib.sha256(sink.getvalue()).hexdigest(),
         }, name
+
+
+def large_chain_text(options):
+    """A chain of tristates, each depending on the one before, with selects
+    and conditional defaults: past the enumeration bound, with one constraint
+    per rule and so a root clause of thousands of literals."""
+    lines = ["config MODULES", '\tbool "modules"', "\toption modules", ""]
+    for i in range(1, options):
+        lines += [f"config T{i}", f'\ttristate "t{i}"']
+        if i > 1:
+            lines.append(f"\tdepends on T{i - 1}")
+        if i % 3 == 0 and i + 2 < options:
+            lines.append(f"\tselect T{i + 2}")
+        if i % 5 == 0:
+            lines.append(f"\tdefault m if T{i - 2}")
+        if i % 7 == 0:
+            lines.append("\tdefault y")
+        lines.append("")
+    return "\n".join(lines)
+
+
+# sha256 of the .model text and DIMACS of large_chain_text(600), recorded
+# before Tseitin conversion and DIMACS output were made linear-time.
+LARGE_CHAIN_DIGESTS = {
+    "model": "40774409a3a36ee0acb9e24945da5ab0952f8b313084d6f705db0478ceeb615e",
+    "dimacs": "533062282dc1602121f8b80141148ae54a48aec0bb4e24595609d6200c42ec2b",
+}
+
+
+def test_large_model_output_bytes_match_recorded_digests():
+    model = parse_model(large_chain_text(600), "large_chain")
+    assert len(model.items) == 600
+    cs = translate(model)
+    cnf = tseitin_cnf(cs.conjunction(), cs.variable_order)
+    assert max(len(clause) for clause in cnf.clauses) == len(cs) + 1
+    sink = io.BytesIO()
+    write_dimacs(cnf, sink)
+    assert {
+        "model": hashlib.sha256(cs.model_text().encode("utf-8")).hexdigest(),
+        "dimacs": hashlib.sha256(sink.getvalue()).hexdigest(),
+    } == LARGE_CHAIN_DIGESTS

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
+from kconfex.encode import translate
 from kconfex.errors import FormatError, MissingVariable, TooManyVariables
 from kconfex.prop import (
     FALSE,
     TRUE,
+    AndF,
+    Iff,
+    Implies,
+    NotF,
+    OrF,
+    Var,
     and_,
     assignment_masks,
     equivalent,
@@ -25,6 +32,8 @@ from kconfex.prop import (
     var,
     write_dimacs,
 )
+
+from conftest import corpus_models
 
 A, B, NP = var("A"), var("B"), var("NOPROMPT")
 GOLDEN = and_(NP, or_(and_(A, not_(B)), and_(not_(A), B)))
@@ -119,6 +128,54 @@ class TestMaskEvaluation:
                 assert bool(mask >> k & 1) == evaluate(f, assignment)
 
 
+def tree_vars(f):
+    """Variable names in first-occurrence order of a walk that visits every
+    tree position, shared subtrees included."""
+    seen = {}
+
+    def walk(node):
+        if isinstance(node, Var):
+            seen.setdefault(node.name)
+        elif isinstance(node, NotF):
+            walk(node.operand)
+        elif isinstance(node, (AndF, OrF)):
+            for op in node.operands:
+                walk(op)
+        elif isinstance(node, Implies):
+            walk(node.antecedent)
+            walk(node.consequent)
+        elif isinstance(node, Iff):
+            walk(node.left)
+            walk(node.right)
+
+    walk(f)
+    return list(seen)
+
+
+class TestFormulaVars:
+    def test_shared_subtree_keeps_tree_order(self):
+        shared = or_(var("C"), and_(var("D"), not_(A)))
+        f = and_(implies(B, shared), iff(shared, var("E")), or_(var("F"), not_(shared)), A)
+        assert f.operands[0].consequent is f.operands[1].left is f.operands[2].operands[1].operand
+        assert formula_vars(f) == tree_vars(f) == ["B", "C", "D", "A", "E", "F"]
+
+    def test_corpus_conjunctions_keep_tree_order(self):
+        for name, model in corpus_models():
+            f = translate(model).conjunction()
+            assert formula_vars(f) == tree_vars(f), name
+
+    def test_doubling_dag(self):
+        # Each level refers to the one below twice: about 2**17 tree
+        # positions, 33 distinct nodes.
+        f = var("BASE")
+        for k in range(16):
+            f = implies(f, iff(f, var(f"V{k}")))
+        assert formula_vars(f) == tree_vars(f) == ["BASE"] + [f"V{k}" for k in range(16)]
+        cnf = tseitin_cnf(f)
+        assert len(cnf.aux_definitions) == 32
+        assert cnf.num_vars == 17 + 32
+
+
 class TestSubstitute:
     def test_folds_constants(self):
         f = substitute(GOLDEN, {"NOPROMPT": True})
@@ -178,6 +235,34 @@ class TestTseitin:
         for _ in range(40):
             self._assert_assignment_preserving(gen(3))
 
+    def test_long_conjunction(self):
+        f = and_(*(var(f"V{i}") for i in range(3000)))
+        cnf = tseitin_cnf(f)
+        assert len(cnf.aux_definitions) == 1
+        assert cnf.num_vars == 3001
+        assert len(cnf.clauses) == 3002
+        assert cnf.clauses[:3000] == [[-3001, i] for i in range(1, 3001)]
+        assert cnf.clauses[3000] == [3001] + [-i for i in range(1, 3001)]
+        assert cnf.clauses[3001] == [3001]
+
+    def test_tautological_long_disjunction_has_no_clause(self):
+        f = or_(*(var(f"V{i}") for i in range(3000)), not_(var("V0")))
+        cnf = tseitin_cnf(f)
+        g = cnf.num_vars
+        # one binary clause per operand, the root unit, and no defining clause
+        assert cnf.clauses == [[-i, g] for i in range(1, 3001)] + [[1, g], [g]]
+
+    def test_duplicate_literals_keep_first_occurrence(self):
+        names = [f"V{i}" for i in range(2000)]
+        operands = [var(n) for n in names + names[::-1]] + [not_(var("W"))]
+        cnf = tseitin_cnf(or_(*operands))
+        g = cnf.num_vars
+        w = cnf.var_map["W"]
+        assert [-g] + list(range(1, 2001)) + [-w] in cnf.clauses
+        assert all(len(set(clause)) == len(clause) for clause in cnf.clauses)
+        cnf = tseitin_cnf(or_(A, B, A, not_(NP), B))
+        assert cnf.clauses[5] == [-4, 1, 2, -3]
+
     def test_no_complementary_literals(self):
         f = and_(or_(A, not_(A), B), iff(A, not_(A)))
         cnf = tseitin_cnf(f)
@@ -233,6 +318,37 @@ class TestDimacs:
     def test_clause_before_header(self):
         with pytest.raises(FormatError):
             parse_dimacs(io.BytesIO(b"1 0\n"))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b"p cnf -1 0\n", 1),
+            (b"p cnf 1 -1\n", 1),
+            (b"p cnf 3 1\np cnf 3 2\n1 0\n2 0\n", 2),
+            (b"c 9 X\np cnf 3 1\n1 0\n", 1),
+            (b"c 0 X\np cnf 3 1\n1 0\n", 1),
+            (b"c 1 A\nc 1 B\np cnf 3 1\n1 0\n", 2),
+            (b"c 1 A\nc 2 A\np cnf 3 1\n1 0\n", 2),
+        ],
+        ids=[
+            "negative-vars",
+            "negative-clauses",
+            "second-header",
+            "name-index-above-count",
+            "name-index-zero",
+            "index-named-twice",
+            "name-given-two-indices",
+        ],
+    )
+    def test_malformed_input_names_the_line(self, text, line):
+        with pytest.raises(FormatError) as info:
+            parse_dimacs(io.BytesIO(text))
+        assert info.value.line == line
+
+    def test_comments_without_index_are_ignored(self):
+        text = "c made by hand\nc \u00b2 squared\nc 1 A\np cnf 1 1\n1 0\n"
+        back = parse_dimacs(io.BytesIO(text.encode("utf-8")))
+        assert back.var_map == {"A": 1}
 
 
 class TestFormulaText:
