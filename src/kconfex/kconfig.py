@@ -371,48 +371,57 @@ def _parse_value(ts: _TokenStream) -> Expr:
     raise ts.error(f"expected a symbol, number, or quoted string, got {text!r}")
 
 
+# Expression grammar, loosest binding first: "||", "&&", "!", comparisons
+# (which bind tighter than "!"), then atoms.  Module functions rather than
+# nested closures: mutually recursive closures form reference cycles that
+# only the cyclic garbage collector frees.
+
+
 def _parse_expr(ts: _TokenStream) -> Expr:
-    # Precedence: comparisons bind tighter than "!", then "&&", then "||".
-    def parse_or() -> Expr:
-        e = parse_and()
-        while ts.accept_op("||"):
-            e = Or(e, parse_and())
+    e = _parse_and(ts)
+    while ts.accept_op("||"):
+        e = Or(e, _parse_and(ts))
+    return e
+
+
+def _parse_and(ts: _TokenStream) -> Expr:
+    e = _parse_not(ts)
+    while ts.accept_op("&&"):
+        e = And(e, _parse_not(ts))
+    return e
+
+
+def _parse_not(ts: _TokenStream) -> Expr:
+    if ts.accept_op("!"):
+        return Not(_parse_not(ts))
+    return _parse_cmp(ts)
+
+
+_COMPARISON_OPS = {token: cls for cls, token in _CMP_TOKEN.items()}
+
+
+def _parse_cmp(ts: _TokenStream) -> Expr:
+    left = _parse_atom(ts)
+    tok = ts.peek()
+    if tok and tok[0] == "op" and tok[1] in _COMPARISON_OPS:
+        ts.next()
+        right = _parse_atom(ts)
+        cls = _COMPARISON_OPS[tok[1]]
+        if cls is not Eq and cls is not Neq:
+            _check_ordered_operands(ts, left, right)
+        if not isinstance(left, (Sym, Literal)) or not isinstance(right, (Sym, Literal)):
+            raise ts.error("comparison operands must be symbols or literals")
+        return cls(left, right)
+    return left
+
+
+def _parse_atom(ts: _TokenStream) -> Expr:
+    if ts.accept_op("("):
+        e = _parse_expr(ts)
+        if not ts.accept_op(")"):
+            raise ts.error("expected ')'")
         return e
-
-    def parse_and() -> Expr:
-        e = parse_not()
-        while ts.accept_op("&&"):
-            e = And(e, parse_not())
-        return e
-
-    def parse_not() -> Expr:
-        if ts.accept_op("!"):
-            return Not(parse_not())
-        return parse_cmp()
-
-    def parse_cmp() -> Expr:
-        left = parse_atom()
-        tok = ts.peek()
-        if tok and tok[0] == "op" and tok[1] in ("=", "!=", "<", "<=", ">", ">="):
-            ts.next()
-            right = parse_atom()
-            cls = {"=": Eq, "!=": Neq, "<": Lt, "<=": Leq, ">": Gt, ">=": Geq}[tok[1]]
-            if cls is not Eq and cls is not Neq:
-                _check_ordered_operands(ts, left, right)
-            if not isinstance(left, (Sym, Literal)) or not isinstance(right, (Sym, Literal)):
-                raise ts.error("comparison operands must be symbols or literals")
-            return cls(left, right)
-        return left
-
-    def parse_atom() -> Expr:
-        if ts.accept_op("("):
-            e = parse_or()
-            if not ts.accept_op(")"):
-                raise ts.error("expected ')'")
-            return e
-        return _parse_value(ts)
-
-    return parse_or()
+    return _parse_value(ts)
 
 
 def parse_number(text: str, opt_type: OptionType | None = None) -> int | None:
@@ -974,25 +983,32 @@ def value_dependency_cycles(model: KconfigModel) -> list[list[str]]:
     """Cycles in the value-dependency graph, one representative per cycle."""
     edges = value_dependency_edges(model)
     color: dict[str, int] = {}
-    stack: list[str] = []
     cycles: list[list[str]] = []
-
-    def visit(node: str) -> None:
-        color[node] = 1
-        stack.append(node)
-        for nxt in sorted(edges.get(node, ())):
-            state = color.get(nxt, 0)
-            if state == 1:
-                cycles.append(stack[stack.index(nxt) :] + [nxt])
-            elif state == 0:
-                visit(nxt)
-        stack.pop()
-        color[node] = 2
-
     for name in edges:
         if color.get(name, 0) == 0:
-            visit(name)
+            _visit_values(name, edges, color, [], cycles)
     return cycles
+
+
+def _visit_values(
+    node: str,
+    edges: dict[str, set[str]],
+    color: dict[str, int],
+    stack: list[str],
+    cycles: list[list[str]],
+) -> None:
+    """Depth-first visit of :func:`value_dependency_cycles`: color 1 marks the
+    nodes on ``stack``, 2 the finished ones."""
+    color[node] = 1
+    stack.append(node)
+    for nxt in sorted(edges.get(node, ())):
+        state = color.get(nxt, 0)
+        if state == 1:
+            cycles.append(stack[stack.index(nxt) :] + [nxt])
+        elif state == 0:
+            _visit_values(nxt, edges, color, stack, cycles)
+    stack.pop()
+    color[node] = 2
 
 
 # --------------------------------------------------------------------------

@@ -66,63 +66,31 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-def _hash_once(cls):
-    """Keep a compound node's structural hash in its ``_hash`` slot after
-    first use.  The generated hash rehashes the whole subtree on every call,
-    and Tseitin conversion looks nodes up by value; equality stays
-    structural."""
-    structural = cls.__hash__
-
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = structural(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-def _hash_slot():
-    return field(default=None, init=False, repr=False, compare=False)
-
-
-@_hash_once
 @dataclass(frozen=True, slots=True)
 class NotF(PropFormula):
     operand: PropFormula
-    _hash: int | None = _hash_slot()
 
 
-@_hash_once
 @dataclass(frozen=True, slots=True)
 class AndF(PropFormula):
     operands: tuple[PropFormula, ...]
-    _hash: int | None = _hash_slot()
 
 
-@_hash_once
 @dataclass(frozen=True, slots=True)
 class OrF(PropFormula):
     operands: tuple[PropFormula, ...]
-    _hash: int | None = _hash_slot()
 
 
-@_hash_once
 @dataclass(frozen=True, slots=True)
 class Implies(PropFormula):
     antecedent: PropFormula
     consequent: PropFormula
-    _hash: int | None = _hash_slot()
 
 
-@_hash_once
 @dataclass(frozen=True, slots=True)
 class Iff(PropFormula):
     left: PropFormula
     right: PropFormula
-    _hash: int | None = _hash_slot()
 
 
 # --------------------------------------------------------------------------
@@ -220,30 +188,29 @@ def formula_vars(f: PropFormula) -> list[str]:
     in the number of distinct node objects.
     """
     seen: dict[str, None] = {}
-    walked: set[int] = set()
-
-    def walk(node: PropFormula) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name)
-            return
-        key = id(node)
-        if key in walked:
-            return
-        walked.add(key)
-        if isinstance(node, NotF):
-            walk(node.operand)
-        elif isinstance(node, (AndF, OrF)):
-            for op in node.operands:
-                walk(op)
-        elif isinstance(node, Implies):
-            walk(node.antecedent)
-            walk(node.consequent)
-        elif isinstance(node, Iff):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
+    _walk_vars(f, seen, set())
     return list(seen)
+
+
+def _walk_vars(node: PropFormula, seen: dict[str, None], walked: set[int]) -> None:
+    if isinstance(node, Var):
+        seen.setdefault(node.name)
+        return
+    key = id(node)
+    if key in walked:
+        return
+    walked.add(key)
+    if isinstance(node, NotF):
+        _walk_vars(node.operand, seen, walked)
+    elif isinstance(node, (AndF, OrF)):
+        for op in node.operands:
+            _walk_vars(op, seen, walked)
+    elif isinstance(node, Implies):
+        _walk_vars(node.antecedent, seen, walked)
+        _walk_vars(node.consequent, seen, walked)
+    elif isinstance(node, Iff):
+        _walk_vars(node.left, seen, walked)
+        _walk_vars(node.right, seen, walked)
 
 
 def evaluate(f: PropFormula, assignment: dict[str, bool]) -> bool:
@@ -373,29 +340,47 @@ def equivalent(f: PropFormula, g: PropFormula) -> bool:
 def formula_text(f: PropFormula) -> str:
     """Render with operators ``!``, ``&``, ``|``, ``=>``, ``<=>`` and the
     constants ``1``/``0``; parenthesized by precedence."""
-    # precedence levels: <=> 1, => 2, | 3, & 4, ! 5
-    def render(node: PropFormula, parent: int) -> str:
+    return _Renderer().render(f, 0)
+
+
+class _Renderer:
+    """Formula text that renders each compound node object once.
+
+    ``done`` maps ``id(node)`` to the node's text without outer parentheses
+    and its precedence level (<=> 1, => 2, | 3, & 4, ! 5); the use site adds
+    the parentheses its own level needs.  The caller keeps every rendered
+    node alive while the renderer is in use, so no id is reused.
+    """
+
+    __slots__ = ("done",)
+
+    def __init__(self) -> None:
+        self.done: dict[int, tuple[str, int]] = {}
+
+    def render(self, node: PropFormula, parent: int) -> str:
         if isinstance(node, Var):
             return node.name
         if isinstance(node, _Const):
             return "1" if node.value else "0"
-        if isinstance(node, NotF):
-            return "!" + render(node.operand, 5)
-        if isinstance(node, AndF):
-            text = " & ".join([render(op, 4) for op in node.operands])
-            return f"({text})" if parent > 4 else text
-        if isinstance(node, OrF):
-            text = " | ".join([render(op, 3) for op in node.operands])
-            return f"({text})" if parent > 3 else text
-        if isinstance(node, Implies):
-            text = f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}"
-            return f"({text})" if parent > 2 else text
-        if isinstance(node, Iff):
-            text = f"{render(node.left, 2)} <=> {render(node.right, 2)}"
-            return f"({text})" if parent > 1 else text
-        raise TypeError(f"not a formula node: {node!r}")
+        entry = self.done.get(id(node))
+        if entry is None:
+            entry = self.done[id(node)] = self._compound(node)
+        text, level = entry
+        return f"({text})" if parent > level else text
 
-    return render(f, 0)
+    def _compound(self, node: PropFormula) -> tuple[str, int]:
+        render = self.render
+        if isinstance(node, NotF):
+            return "!" + render(node.operand, 5), 5
+        if isinstance(node, AndF):
+            return " & ".join([render(op, 4) for op in node.operands]), 4
+        if isinstance(node, OrF):
+            return " | ".join([render(op, 3) for op in node.operands]), 3
+        if isinstance(node, Implies):
+            return f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}", 2
+        if isinstance(node, Iff):
+            return f"{render(node.left, 2)} <=> {render(node.right, 2)}", 1
+        raise TypeError(f"not a formula node: {node!r}")
 
 
 class Constraint(NamedTuple):
@@ -423,10 +408,13 @@ class ConstraintSet:
         return len(self.constraints)
 
     def model_text(self) -> str:
-        lines = [
-            f"{formula_text(c.formula)}  # {c.provenance}" for c in self.constraints
-        ]
-        return "".join(line + "\n" for line in lines)
+        """One ``formula  # provenance`` line per constraint.  Subformulas
+        shared between constraints are rendered once, so the cost is linear
+        in the distinct nodes and the length of the text."""
+        render = _Renderer().render
+        return "".join(
+            [f"{render(c.formula, 0)}  # {c.provenance}\n" for c in self.constraints]
+        )
 
 
 # --------------------------------------------------------------------------
@@ -436,15 +424,22 @@ class ConstraintSet:
 @dataclass
 class CnfFormula:
     num_vars: int
-    clauses: list[list[int]]
+    clauses: list[tuple[int, ...]]
     var_map: dict[str, int]  # name -> positive index; original variables first
     aux_definitions: dict[int, PropFormula] = field(default_factory=dict)
 
 
 def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFormula:
-    """Convert to CNF with one auxiliary variable per structurally distinct
-    And, Or, Implies or Iff node; a negation reuses its operand's literal,
-    negated, and gets none.
+    """Convert to CNF with one auxiliary variable per distinct gate: an And,
+    Or, Implies or Iff node, told apart by its operator and its operand
+    literals.  A negation reuses its operand's literal, negated, and gets
+    none.  For formulas built by the folding constructors, which never nest
+    a negation in a negation or put a constant under an operator, two nodes
+    share a gate exactly when they are structurally equal.
+
+    ``var_order`` numbers the original variables and must name every
+    variable of ``f`` (one it leaves out raises :class:`MissingVariable`);
+    without it they are numbered in first-occurrence order of ``f``.
 
     The conversion preserves per-assignment verdicts: extending any total
     assignment of the original variables by the (unique) induced auxiliary
@@ -452,9 +447,8 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
     are named ``__aux<k>`` and listed after the originals in ``var_map``.
     Duplicate literals are dropped from a clause, first occurrence kept, and
     tautological clauses are left out.  The cost is linear in the number of
-    distinct nodes and the total length of the clauses.
+    distinct node objects and the total length of the clauses.
     """
-    order = list(var_order) if var_order is not None else formula_vars(f)
     var_map: dict[str, int] = {}
     # The negation of every literal.  Each literal in the clauses is one of
     # these int objects, so clauses share them instead of holding a copy of
@@ -466,33 +460,26 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         neg[neg[idx]] = idx
         return idx
 
-    for name in order:
+    for name in formula_vars(f) if var_order is None else var_order:
         if name not in var_map:
             var_map[name] = index(len(var_map) + 1)
-    for name in formula_vars(f):
-        if name not in var_map:
-            var_map[name] = index(len(var_map) + 1)
+    originals = len(var_map)
 
-    clauses: list[list[int]] = []
+    clauses: list[tuple[int, ...]] = []
     aux_definitions: dict[int, PropFormula] = {}
-    counter = [len(var_map)]
-    cache: dict[PropFormula, int] = {}
+    by_id: dict[int, int] = {}  # id of a compound node -> its literal
+    # Per operator: operand literals -> auxiliary.  The keys hold only ints,
+    # so they hash in C and the collector stops tracking them.
+    gates: dict[type, dict[tuple[int, ...], int]] = {AndF: {}, OrF: {}, Implies: {}, Iff: {}}
 
-    def add(clause: list[int]) -> None:
+    def add(clause: tuple[int, ...]) -> None:
         # Tautological clauses carry no information and would violate the
         # no-complementary-literals invariant.
         distinct = dict.fromkeys(clause)
         for lit in distinct:
             if neg[lit] in distinct:
                 return
-        clauses.append(clause if len(distinct) == len(clause) else list(distinct))
-
-    def fresh(node: PropFormula) -> int:
-        counter[0] += 1
-        idx = index(counter[0])
-        var_map[f"__aux{len(aux_definitions)}"] = idx
-        aux_definitions[idx] = node
-        return idx
+        clauses.append(clause if len(distinct) == len(clause) else tuple(distinct))
 
     def literal(node: PropFormula) -> int:
         # Returns a literal equisatisfiable with the node, defining auxiliary
@@ -500,55 +487,64 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         # occurs in no operand literal, so a clause of ``g`` and one operand
         # literal has no repeat and no complementary pair: it skips ``add``.
         if isinstance(node, Var):
-            return var_map[node.name]
+            try:
+                return var_map[node.name]
+            except KeyError:
+                raise MissingVariable(node.name) from None
         if isinstance(node, NotF):
             return neg[literal(node.operand)]
-        g = cache.get(node)
+        g = by_id.get(id(node))
         if g is not None:
             return g
-        if isinstance(node, AndF):
-            lits = [literal(op) for op in node.operands]
-            g = fresh(node)
-            ng = neg[g]
-            clauses.extend([ng, lit] for lit in lits)
-            add([g] + [neg[lit] for lit in lits])
-        elif isinstance(node, OrF):
-            lits = [literal(op) for op in node.operands]
-            g = fresh(node)
-            clauses.extend([neg[lit], g] for lit in lits)
-            add([neg[g]] + lits)
-        elif isinstance(node, Implies):
-            a = literal(node.antecedent)
-            b = literal(node.consequent)
-            g = fresh(node)
-            add([neg[g], neg[a], b])
-            clauses.append([g, a])
-            clauses.append([g, neg[b]])
-        elif isinstance(node, Iff):
-            a = literal(node.left)
-            b = literal(node.right)
-            g = fresh(node)
-            add([neg[g], neg[a], b])
-            add([neg[g], a, neg[b]])
-            add([g, a, b])
-            add([g, neg[a], neg[b]])
-        else:
+        op = type(node)
+        table = gates.get(op)
+        if table is None:
             raise TypeError(f"not a formula node: {node!r}")
-        cache[node] = g
+        if op is AndF or op is OrF:
+            lits = tuple([literal(operand) for operand in node.operands])
+        elif op is Implies:
+            lits = (literal(node.antecedent), literal(node.consequent))
+        else:
+            lits = (literal(node.left), literal(node.right))
+        g = table.get(lits)
+        if g is None:
+            g = table[lits] = index(originals + len(aux_definitions) + 1)
+            aux_definitions[g] = node
+            ng = neg[g]
+            if op is AndF:
+                clauses.extend([(ng, lit) for lit in lits])
+                add((g, *[neg[lit] for lit in lits]))
+            elif op is OrF:
+                clauses.extend([(neg[lit], g) for lit in lits])
+                add((ng, *lits))
+            elif op is Implies:
+                a, b = lits
+                add((ng, neg[a], b))
+                clauses.append((g, a))
+                clauses.append((g, neg[b]))
+            else:
+                a, b = lits
+                add((ng, neg[a], b))
+                add((ng, a, neg[b]))
+                add((g, a, b))
+                add((g, neg[a], neg[b]))
+        by_id[id(node)] = g
         return g
 
-    if f is TRUE:
-        pass
-    elif f is FALSE:
-        clauses.append([])
-    else:
-        clauses.append([literal(f)])
-    # ``literal`` refers to itself, so without this the cycle would keep the
-    # node cache alive until the next cyclic garbage collection.
-    del literal
+    try:
+        if f is FALSE:
+            clauses.append(())
+        elif f is not TRUE:
+            clauses.append((literal(f),))
+    finally:
+        # ``literal`` refers to itself; breaking the cycle frees the node
+        # tables now rather than at the next cyclic garbage collection.
+        del literal
 
+    for k, g in enumerate(aux_definitions):
+        var_map[f"__aux{k}"] = g
     return CnfFormula(
-        num_vars=counter[0],
+        num_vars=originals + len(aux_definitions),
         clauses=clauses,
         var_map=var_map,
         aux_definitions=aux_definitions,
@@ -568,7 +564,7 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
 
 
 def parse_dimacs(source: IO[bytes]) -> CnfFormula:
-    """Inverse of :func:`write_dimacs` up to clause order.
+    """Inverse of :func:`write_dimacs`; clauses come back as tuples, in order.
 
     A ``c <index> <name>`` line names a variable.  Raises
     :class:`FormatError` with the line number on a malformed or repeated
@@ -577,7 +573,7 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
     """
     var_map: dict[str, int] = {}
     name_lines: dict[int, int] = {}  # index -> line that named it
-    clauses: list[list[int]] = []
+    clauses: list[tuple[int, ...]] = []
     num_vars: int | None = None
     declared_clauses = 0
     for lineno, raw in enumerate(source.read().decode("utf-8").splitlines(), start=1):
@@ -622,7 +618,7 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
             raise FormatError("literal 0 inside clause", lineno)
         if any(abs(lit) > num_vars for lit in body):
             raise FormatError("literal exceeds declared variable count", lineno)
-        clauses.append(body)
+        clauses.append(tuple(body))
     if num_vars is None:
         raise FormatError("missing DIMACS header", 1)
     for idx, lineno in name_lines.items():

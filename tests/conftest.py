@@ -5,7 +5,18 @@ import pytest
 from kconfex.difftest import DEFAULT_MAX_OPTIONS, _enumerate, builtin_oracle
 from kconfex.encode import translate
 from kconfex.kconfig import parse_model
-from kconfex.prop import assignment_masks, evaluate_mask
+from kconfex.prop import (
+    FALSE,
+    TRUE,
+    AndF,
+    Iff,
+    Implies,
+    NotF,
+    OrF,
+    Var,
+    assignment_masks,
+    evaluate_mask,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -62,3 +73,34 @@ def model_counts(model, constraints=None):
     models = evaluate_mask(constraints.conjunction(), masks, ones)
     valid, _ = builtin_oracle(model, _enumerate(model, DEFAULT_MAX_OPTIONS))
     return models.bit_count(), valid.bit_count()
+
+
+def tree_text(f, parent=0):
+    """Reference ``.model`` rendering: a plain recursion over every tree
+    position, shared subtrees rendered again at each use."""
+
+    def wrap(text, level):
+        return f"({text})" if parent > level else text
+
+    if isinstance(f, Var):
+        return f.name
+    if f is TRUE:
+        return "1"
+    if f is FALSE:
+        return "0"
+    if isinstance(f, NotF):
+        return "!" + tree_text(f.operand, 5)
+    if isinstance(f, AndF):
+        return wrap(" & ".join(tree_text(op, 4) for op in f.operands), 4)
+    if isinstance(f, OrF):
+        return wrap(" | ".join(tree_text(op, 3) for op in f.operands), 3)
+    if isinstance(f, Implies):
+        return wrap(f"{tree_text(f.antecedent, 3)} => {tree_text(f.consequent, 2)}", 2)
+    if isinstance(f, Iff):
+        return wrap(f"{tree_text(f.left, 2)} <=> {tree_text(f.right, 2)}", 1)
+    raise TypeError(f)
+
+
+def tree_model_text(constraints):
+    """Reference for ``ConstraintSet.model_text``, built on :func:`tree_text`."""
+    return "".join(f"{tree_text(c.formula)}  # {c.provenance}\n" for c in constraints)

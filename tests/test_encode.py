@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import itertools
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from kconfex.difftest import generate_model_text
 from kconfex.encode import (
     NumericDomain,
     collect_numeric_values,
@@ -28,11 +30,13 @@ from kconfex.kconfig import (
     Or,
     Sym,
     parse_model,
+    validate_model,
 )
 from kconfex.prop import (
     FALSE,
     equivalent,
     evaluate,
+    formula_vars,
     implies,
     not_,
     or_,
@@ -43,7 +47,7 @@ from kconfex.prop import (
 )
 from kconfex.tri import Tri, eval_expr
 
-from conftest import corpus_models
+from conftest import corpus_models, tree_model_text
 
 
 def _model(text):
@@ -411,3 +415,37 @@ def test_large_model_output_bytes_match_recorded_digests():
         "model": hashlib.sha256(cs.model_text().encode("utf-8")).hexdigest(),
         "dimacs": hashlib.sha256(sink.getvalue()).hexdigest(),
     } == LARGE_CHAIN_DIGESTS
+
+
+def test_large_model_text_matches_tree_renderer():
+    cs = translate(parse_model(large_chain_text(600), "large_chain"))
+    assert cs.model_text() == tree_model_text(cs)
+
+
+def test_extract_path_leaves_no_reference_cycles():
+    """Parse, validate, translate, .model text, Tseitin and DIMACS create no
+    garbage that only the cyclic collector could free."""
+    text = large_chain_text(600)
+    gc.collect()
+    gc.disable()
+    try:
+        model = parse_model(text, "large_chain")
+        validate_model(model)
+        cs = translate(model)
+        cs.model_text()
+        write_dimacs(tseitin_cnf(cs.conjunction(), cs.variable_order), io.BytesIO())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_variable_order_covers_the_conjunction():
+    """``tseitin_cnf`` requires the order to name every variable of the
+    formula; translate's order does."""
+    models = corpus_models() + [
+        (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+        for seed in range(100)
+    ]
+    for name, model in models:
+        cs = translate(model)
+        assert set(formula_vars(cs.conjunction())) <= set(cs.variable_order), name

@@ -10,6 +10,7 @@ from kconfex.prop import (
     FALSE,
     TRUE,
     AndF,
+    ConstraintSet,
     Iff,
     Implies,
     NotF,
@@ -33,7 +34,7 @@ from kconfex.prop import (
     write_dimacs,
 )
 
-from conftest import corpus_models
+from conftest import corpus_models, tree_model_text, tree_text
 
 A, B, NP = var("A"), var("B"), var("NOPROMPT")
 GOLDEN = and_(NP, or_(and_(A, not_(B)), and_(not_(A), B)))
@@ -194,13 +195,13 @@ class TestTseitin:
     def test_single_variable(self):
         cnf = tseitin_cnf(A)
         assert cnf.num_vars == 1
-        assert cnf.clauses == [[1]]
+        assert cnf.clauses == [(1,)]
         assert _satisfied(cnf, {1: True})
         assert not _satisfied(cnf, {1: False})
 
     def test_constant_false(self):
         cnf = tseitin_cnf(or_())
-        assert cnf.clauses == [[]]
+        assert cnf.clauses == [()]
         assert not _satisfied(cnf, {})
 
     def test_constant_true(self):
@@ -241,16 +242,16 @@ class TestTseitin:
         assert len(cnf.aux_definitions) == 1
         assert cnf.num_vars == 3001
         assert len(cnf.clauses) == 3002
-        assert cnf.clauses[:3000] == [[-3001, i] for i in range(1, 3001)]
-        assert cnf.clauses[3000] == [3001] + [-i for i in range(1, 3001)]
-        assert cnf.clauses[3001] == [3001]
+        assert cnf.clauses[:3000] == [(-3001, i) for i in range(1, 3001)]
+        assert cnf.clauses[3000] == (3001, *[-i for i in range(1, 3001)])
+        assert cnf.clauses[3001] == (3001,)
 
     def test_tautological_long_disjunction_has_no_clause(self):
         f = or_(*(var(f"V{i}") for i in range(3000)), not_(var("V0")))
         cnf = tseitin_cnf(f)
         g = cnf.num_vars
         # one binary clause per operand, the root unit, and no defining clause
-        assert cnf.clauses == [[-i, g] for i in range(1, 3001)] + [[1, g], [g]]
+        assert cnf.clauses == [(-i, g) for i in range(1, 3001)] + [(1, g), (g,)]
 
     def test_duplicate_literals_keep_first_occurrence(self):
         names = [f"V{i}" for i in range(2000)]
@@ -258,10 +259,10 @@ class TestTseitin:
         cnf = tseitin_cnf(or_(*operands))
         g = cnf.num_vars
         w = cnf.var_map["W"]
-        assert [-g] + list(range(1, 2001)) + [-w] in cnf.clauses
+        assert (-g, *range(1, 2001), -w) in cnf.clauses
         assert all(len(set(clause)) == len(clause) for clause in cnf.clauses)
         cnf = tseitin_cnf(or_(A, B, A, not_(NP), B))
-        assert cnf.clauses[5] == [-4, 1, 2, -3]
+        assert cnf.clauses[5] == (-4, 1, 2, -3)
 
     def test_no_complementary_literals(self):
         f = and_(or_(A, not_(A), B), iff(A, not_(A)))
@@ -269,6 +270,29 @@ class TestTseitin:
         for clause in cnf.clauses:
             assert not any(-lit in clause for lit in clause)
             assert all(abs(lit) <= cnf.num_vars for lit in clause if lit != 0)
+
+    def test_equal_distinct_objects_convert_as_one_shared_object(self):
+        def build(shared):
+            left, right = shared(), shared()
+            return and_(
+                implies(left, NP),
+                iff(not_(right), B),
+                or_(and_(left, NP), and_(right, NP)),
+            )
+
+        disjunction = or_(A, not_(B))
+        f = build(lambda: or_(A, not_(B)))
+        assert f.operands[0].antecedent is not f.operands[1].left.operand
+        distinct = tseitin_cnf(f)
+        shared = tseitin_cnf(build(lambda: disjunction))
+        assert distinct.clauses == shared.clauses
+        assert distinct.var_map == shared.var_map
+        assert distinct.num_vars == shared.num_vars
+
+    def test_order_missing_a_variable_raises(self):
+        with pytest.raises(MissingVariable) as info:
+            tseitin_cnf(GOLDEN, ["A", "NOPROMPT"])
+        assert info.value.name == "B"
 
 
 class TestDimacs:
@@ -295,7 +319,7 @@ class TestDimacs:
         write_dimacs(cnf, sink)
         back = parse_dimacs(io.BytesIO(sink.getvalue()))
         assert back.num_vars == cnf.num_vars
-        assert sorted(map(tuple, back.clauses)) == sorted(map(tuple, cnf.clauses))
+        assert back.clauses == cnf.clauses
         assert back.var_map == cnf.var_map
 
     def test_write_is_byte_deterministic(self):
@@ -365,3 +389,32 @@ class TestFormulaText:
     def test_parenthesization(self):
         assert formula_text(and_(or_(A, B), NP)) == "(A | B) & NOPROMPT"
         assert formula_text(not_(and_(A, B))) == "!(A & B)"
+
+    def test_shared_node_parenthesized_per_use(self):
+        # One ``or_`` object under ``&``, under ``!``, as an antecedent and
+        # as a root: each use site needs different parentheses.
+        shared = or_(A, B)
+        roots = [
+            and_(shared, NP),
+            not_(shared),
+            implies(shared, NP),
+            shared,
+            iff(implies(shared, not_(shared)), and_(NP, shared)),
+        ]
+        cs = ConstraintSet()
+        for k, root in enumerate(roots):
+            cs.add(root, f"root{k}")
+        assert [formula_text(root) for root in roots] == [
+            "(A | B) & NOPROMPT",
+            "!(A | B)",
+            "A | B => NOPROMPT",
+            "A | B",
+            "A | B => !(A | B) <=> NOPROMPT & (A | B)",
+        ]
+        assert [formula_text(root) for root in roots] == [tree_text(root) for root in roots]
+        assert cs.model_text() == tree_model_text(cs)
+
+    def test_corpus_model_text_matches_tree_renderer(self):
+        for name, model in corpus_models():
+            cs = translate(model)
+            assert cs.model_text() == tree_model_text(cs), name
