@@ -47,20 +47,18 @@ from .prop import (
     FALSE,
     PropFormula,
     TRUE,
+    Var,
     and_,
     iff,
     implies,
     not_,
     or_,
-    var,
 )
 
 __all__ = [
     "TriEncoding",
     "NumericDomain",
-    "yvar",
-    "mvar",
-    "value_var",
+    "Translation",
     "collect_numeric_values",
     "encode_expr",
     "encode_numeric_constraint",
@@ -71,28 +69,16 @@ __all__ = [
 ]
 
 
-def yvar(name: str) -> PropFormula:
-    return var(name)
-
-
-def mvar(name: str) -> PropFormula:
-    return var(name + "_MODULE")
-
-
-def value_var(name: str, value: str) -> PropFormula:
-    return var(f"{name}_EQ_{value}")
-
-
-@dataclass(frozen=True)
 class TriEncoding:
-    """Pair of formulas: the expression evaluates to y / to m."""
+    """Pair of formulas: the expression evaluates to y / to m.  ``nonzero``,
+    "y or m", is built with the pair: nearly every encoding is read that way."""
 
-    f_y: PropFormula
-    f_m: PropFormula
+    __slots__ = ("f_y", "f_m", "nonzero")
 
-    @property
-    def nonzero(self) -> PropFormula:
-        return or_(self.f_y, self.f_m)
+    def __init__(self, f_y: PropFormula, f_m: PropFormula):
+        self.f_y = f_y
+        self.f_m = f_m
+        self.nonzero = or_(f_y, f_m)
 
 
 ENC_Y = TriEncoding(TRUE, FALSE)
@@ -101,17 +87,29 @@ ENC_N = TriEncoding(FALSE, FALSE)
 
 
 def enc_not(a: TriEncoding) -> TriEncoding:
-    return TriEncoding(not_(or_(a.f_y, a.f_m)), a.f_m)
+    return TriEncoding(not_(a.nonzero), a.f_m)
 
 
 def enc_and(a: TriEncoding, b: TriEncoding) -> TriEncoding:
-    return TriEncoding(
-        and_(a.f_y, b.f_y),
-        and_(or_(a.f_y, a.f_m), or_(b.f_y, b.f_m), not_(and_(a.f_y, b.f_y))),
-    )
+    # With a y or n operand the general pair folds to these shapes; they are
+    # built directly, with the same structure.
+    if a is ENC_N or b is ENC_N:
+        return ENC_N
+    if a is ENC_Y:
+        a, b = b, a
+    if b is ENC_Y:
+        return a if a is ENC_Y else TriEncoding(a.f_y, and_(a.nonzero, not_(a.f_y)))
+    f_y = and_(a.f_y, b.f_y)
+    return TriEncoding(f_y, and_(a.nonzero, b.nonzero, not_(f_y)))
 
 
 def enc_or(a: TriEncoding, b: TriEncoding) -> TriEncoding:
+    if a is ENC_Y or b is ENC_Y:
+        return ENC_Y
+    if a is ENC_N:
+        a, b = b, a
+    if b is ENC_N:
+        return a if a is ENC_N else TriEncoding(a.f_y, and_(a.f_m, not_(a.f_y)))
     return TriEncoding(
         or_(a.f_y, b.f_y),
         and_(or_(a.f_m, b.f_m), not_(a.f_y), not_(b.f_y)),
@@ -222,6 +220,77 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
 
 
 # --------------------------------------------------------------------------
+# Per-translation context
+
+
+class Translation:
+    """The formulas one translation builds once and shares between its
+    constraints: one ``Var`` per variable name, each option's symbol
+    encoding (and with it the option's nonzero formula), one
+    :class:`_ItemContext` per option, and the effective-bool formula of
+    tristate values.  ``translate`` creates one per call and drops it when it
+    returns; nothing it holds refers back to it.
+    """
+
+    __slots__ = ("model", "dom", "vars", "symbols", "items", "modules_off")
+
+    def __init__(self, model: KconfigModel, dom: NumericDomain):
+        self.model = model
+        self.dom = dom
+        self.vars: dict[str, PropFormula] = {}
+        self.symbols: dict[str, TriEncoding] = {}
+        self.items: dict[str, _ItemContext] = {}
+        # Where a tristate value cannot be m: while the modules switch is off
+        # (nowhere without one).
+        self.modules_off = FALSE
+        if model.modules_option is not None:
+            self.modules_off = not_(self.var(model.modules_option))
+
+    def var(self, name: str) -> PropFormula:
+        v = self.vars.get(name)
+        if v is None:
+            v = self.vars[name] = Var(name)
+        return v
+
+    def value_var(self, name: str, value: str) -> PropFormula:
+        return self.var(f"{name}_EQ_{value}")
+
+    def symbol(self, item: ConfigItem) -> TriEncoding:
+        """The (y, m) pair of an option read in a boolean position."""
+        enc = self.symbols.get(item.name)
+        if enc is None:
+            name = item.name
+            if item.type is OptionType.BOOL:
+                enc = TriEncoding(self.var(name), FALSE)
+            elif item.type is OptionType.TRISTATE:
+                enc = TriEncoding(self.var(name), self.var(name + "_MODULE"))
+            else:
+                # A non-boolean option is y when it holds any nonempty value.
+                parts = [self.value_var(name, v) for v in self.dom.domain(name) if v != ""]
+                enc = TriEncoding(or_(*parts), FALSE)
+            self.symbols[name] = enc
+        return enc
+
+    def nonzero(self, item: ConfigItem) -> PropFormula:
+        """The option is y or m; a bool option's m variable is never read."""
+        if item.is_boolish:
+            return self.symbol(item).nonzero
+        # A valued selector: only in a model that validation rejects.
+        return or_(self.var(item.name), self.var(item.name + "_MODULE"))
+
+    def bool_effective(self, bool_typed: bool) -> PropFormula:
+        """Where a value cannot be m: everywhere for bool options and bool
+        choices, else while the modules switch is off."""
+        return TRUE if bool_typed else self.modules_off
+
+    def item_context(self, item: ConfigItem) -> _ItemContext:
+        ctx = self.items.get(item.name)
+        if ctx is None:
+            ctx = self.items[item.name] = _ItemContext(item, self)
+        return ctx
+
+
+# --------------------------------------------------------------------------
 # Expression encoding
 
 
@@ -237,22 +306,15 @@ def _operand_kind(e: Expr, model: KconfigModel) -> tuple[str, str]:
     raise UnsupportedComparison(f"comparison operand {e!r} is not a symbol or literal")
 
 
-def _nonzero(item: ConfigItem) -> PropFormula:
-    """The option is y or m; a bool option's m variable is never read."""
-    if item.type is OptionType.BOOL:
-        return yvar(item.name)
-    return or_(yvar(item.name), mvar(item.name))
-
-
-def _tri_equals_label(name: str, label: str, model: KconfigModel) -> PropFormula:
+def _tri_equals_label(name: str, label: str, tr: Translation) -> PropFormula:
     if label == "y":
-        return yvar(name)
+        return tr.var(name)
     if label == "m":
-        if model.item(name).type is OptionType.BOOL:
+        if tr.model.item(name).type is OptionType.BOOL:
             return FALSE
-        return mvar(name)
+        return tr.var(name + "_MODULE")
     if label == "n":
-        return not_(_nonzero(model.item(name)))
+        return not_(tr.nonzero(tr.model.item(name)))
     return FALSE
 
 
@@ -261,7 +323,8 @@ def _texts_equal(a: str, b: str) -> bool:
     return a == b or (number is not None and number == parse_number(b))
 
 
-def _encode_equality(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFormula:
+def _encode_equality(e: Expr, tr: Translation) -> PropFormula:
+    model, dom = tr.model, tr.dom
     (lk, lv), (rk, rv) = _operand_kind(e.left, model), _operand_kind(e.right, model)
     if lk == "const" and rk != "const":
         (lk, lv), (rk, rv) = (rk, rv), (lk, lv)
@@ -271,47 +334,47 @@ def _encode_equality(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFo
 
     if lk == "tri":
         if rk == "const":
-            return _tri_equals_label(lv, rv, model)
+            return _tri_equals_label(lv, rv, tr)
         if rk == "tri":
-            terms = [_tri_equals_label(lv, label, model) for label in TRI_NAMES]
-            other = [_tri_equals_label(rv, label, model) for label in TRI_NAMES]
+            terms = [_tri_equals_label(lv, label, tr) for label in TRI_NAMES]
+            other = [_tri_equals_label(rv, label, tr) for label in TRI_NAMES]
             return or_(*(and_(a, b) for a, b in zip(terms, other)))
         # tri vs valued: equal only when the valued side holds a y/m/n text
         parts = []
         for v in dom.domain(rv):
             if v in TRI_NAMES:
-                parts.append(and_(_tri_equals_label(lv, v, model), value_var(rv, v)))
+                parts.append(and_(_tri_equals_label(lv, v, tr), tr.value_var(rv, v)))
         return or_(*parts)
 
     # lk == "valued"
     if rk == "const":
-        parts = [value_var(lv, v) for v in dom.domain(lv) if _texts_equal(v, rv)]
+        parts = [tr.value_var(lv, v) for v in dom.domain(lv) if _texts_equal(v, rv)]
         return or_(*parts)
     if rk == "tri":
         parts = []
         for v in dom.domain(lv):
             if v in TRI_NAMES:
-                parts.append(and_(value_var(lv, v), _tri_equals_label(rv, v, model)))
+                parts.append(and_(tr.value_var(lv, v), _tri_equals_label(rv, v, tr)))
         return or_(*parts)
     parts = []
     for a in dom.domain(lv):
         for b in dom.domain(rv):
             if _texts_equal(a, b):
-                parts.append(and_(value_var(lv, a), value_var(rv, b)))
+                parts.append(and_(tr.value_var(lv, a), tr.value_var(rv, b)))
     if not dom.domain(lv) and not dom.domain(rv):
         return TRUE  # both permanently unset: "" equals ""
     return or_(*parts)
 
 
 def encode_numeric_constraint(
-    op: type, option: str, literal: int, dom: NumericDomain
+    op: type, option: str, literal: int, tr: Translation
 ) -> PropFormula:
     """Disjunction of the option's value variables satisfying ``<op> literal``.
 
     Raises :class:`UnsupportedComparison` when the option has no harvested
     values at all.
     """
-    domain = dom.domain(option)
+    domain = tr.dom.domain(option)
     if not domain:
         raise UnsupportedComparison(
             f"comparison over {option} with an empty harvested domain"
@@ -325,14 +388,15 @@ def encode_numeric_constraint(
         Geq: lambda v: v >= literal,
     }
     check = checks[op]
-    parts = [value_var(option, text) for text in domain if check(parse_number(text))]
+    parts = [tr.value_var(option, text) for text in domain if check(parse_number(text))]
     return or_(*parts)
 
 
 _FLIP = {Lt: Gt, Leq: Geq, Gt: Lt, Geq: Leq}
 
 
-def _encode_ordered(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFormula:
+def _encode_ordered(e: Expr, tr: Translation) -> PropFormula:
+    model = tr.model
     op = type(e)
     (lk, lv), (rk, rv) = _operand_kind(e.left, model), _operand_kind(e.right, model)
     if lk == "const" and rk != "const":
@@ -351,47 +415,39 @@ def _encode_ordered(e: Expr, model: KconfigModel, dom: NumericDomain) -> PropFor
     literal = parse_number(rv)
     if literal is None:
         raise UnsupportedComparison(f"ordered comparison of {lv} against non-numeric {rv!r}")
-    return encode_numeric_constraint(op, lv, literal, dom)
+    return encode_numeric_constraint(op, lv, literal, tr)
 
 
-def encode_expr(e: Expr, model: KconfigModel, dom: NumericDomain) -> TriEncoding:
+def encode_expr(e: Expr, tr: Translation) -> TriEncoding:
     """Encode an expression as its (y, m) formula pair.
 
     Comparisons are two-valued, so their m-formula is always false.
     """
     if isinstance(e, Sym):
-        if model.has_option(e.name):
-            item = model.item(e.name)
-            if item.type is OptionType.BOOL:
-                return TriEncoding(yvar(e.name), FALSE)
-            if item.type is OptionType.TRISTATE:
-                return TriEncoding(yvar(e.name), mvar(e.name))
-            # Non-boolean option in a boolean position: y when it holds any
-            # nonempty value.
-            parts = [value_var(e.name, v) for v in dom.domain(e.name) if v != ""]
-            return TriEncoding(or_(*parts), FALSE)
+        if tr.model.has_option(e.name):
+            return tr.symbol(tr.model.item(e.name))
         if e.name in TRI_NAMES:
             return enc_const(e.name)
         return ENC_N  # undeclared symbols are n in a boolean position
     if isinstance(e, Literal):
         return enc_const(e.text)
     if isinstance(e, Not):
-        return enc_not(encode_expr(e.operand, model, dom))
+        return enc_not(encode_expr(e.operand, tr))
     if isinstance(e, And):
-        return enc_and(encode_expr(e.left, model, dom), encode_expr(e.right, model, dom))
+        return enc_and(encode_expr(e.left, tr), encode_expr(e.right, tr))
     if isinstance(e, Or):
-        return enc_or(encode_expr(e.left, model, dom), encode_expr(e.right, model, dom))
+        return enc_or(encode_expr(e.left, tr), encode_expr(e.right, tr))
     if isinstance(e, Eq):
-        return TriEncoding(_encode_equality(e, model, dom), FALSE)
+        return TriEncoding(_encode_equality(e, tr), FALSE)
     if isinstance(e, Neq):
-        return TriEncoding(not_(_encode_equality(e, model, dom)), FALSE)
+        return TriEncoding(not_(_encode_equality(e, tr)), FALSE)
     if isinstance(e, (Lt, Leq, Gt, Geq)):
-        return TriEncoding(_encode_ordered(e, model, dom), FALSE)
+        return TriEncoding(_encode_ordered(e, tr), FALSE)
     raise UnsupportedComparison(f"cannot encode node {e!r}")
 
 
-def _encode_opt(e: Expr | None, model: KconfigModel, dom: NumericDomain) -> TriEncoding:
-    return ENC_Y if e is None else encode_expr(e, model, dom)
+def _encode_opt(e: Expr | None, tr: Translation) -> TriEncoding:
+    return ENC_Y if e is None else encode_expr(e, tr)
 
 
 # --------------------------------------------------------------------------
@@ -399,55 +455,46 @@ def _encode_opt(e: Expr | None, model: KconfigModel, dom: NumericDomain) -> TriE
 
 
 def _prompt_visibility(
-    prompts: tuple[Prompt, ...], dep: TriEncoding, model: KconfigModel, dom: NumericDomain
+    prompts: tuple[Prompt, ...], dep: TriEncoding, tr: Translation
 ) -> TriEncoding:
     """The strongest prompt condition and-ed with the dependencies; n without
     a prompt."""
     vis = ENC_N
     for prompt in prompts:
-        vis = enc_or(vis, enc_and(_encode_opt(prompt.condition, model, dom), dep))
+        vis = enc_or(vis, enc_and(_encode_opt(prompt.condition, tr), dep))
     return vis
 
 
-def _bool_effective(bool_typed: bool, model: KconfigModel) -> PropFormula:
-    """Where a value cannot be m: everywhere for bool options and bool
-    choices, else while the modules switch is off (nowhere without one)."""
-    if bool_typed:
-        return TRUE
-    if model.modules_option is not None:
-        return not_(yvar(model.modules_option))
-    return FALSE
-
-
 class _ItemContext:
-    """Derived formulas for one option under one model."""
+    """Derived formulas for one option under one model.  It holds no
+    reference to the :class:`Translation` that built it."""
 
-    def __init__(self, item: ConfigItem, model: KconfigModel, dom: NumericDomain):
+    __slots__ = ("item", "dep", "vis", "visible", "invisible", "bool_effective")
+
+    def __init__(self, item: ConfigItem, tr: Translation):
+        model = tr.model
         self.item = item
-        self.model = model
-        self.dom = dom
-        self.dep = _encode_opt(model.effective_depends(item), model, dom)
-        self.vis = _prompt_visibility(item.prompts, self.dep, model, dom)
+        self.dep = _encode_opt(model.effective_depends(item), tr)
+        self.vis = _prompt_visibility(item.prompts, self.dep, tr)
         self.visible = self.vis.nonzero
         self.invisible = not_(self.visible)
         choice = model.choice_of(item)
-        self.bool_effective = _bool_effective(
-            item.type is OptionType.BOOL or (choice is not None and choice.type is OptionType.BOOL),
-            model,
+        self.bool_effective = tr.bool_effective(
+            item.type is OptionType.BOOL or (choice is not None and choice.type is OptionType.BOOL)
         )
 
-    def select_floor(self) -> tuple[PropFormula, PropFormula]:
+    def select_floor(self, tr: Translation) -> tuple[PropFormula, PropFormula]:
         """(floor is y, floor is at least m) over all selects targeting the item."""
         floor_y = []
         floor_m = []
-        for selector, sel in self.model.selects_targeting(self.item.name):
-            cond = _encode_opt(sel.condition, self.model, self.dom)
-            floor_y.append(and_(yvar(selector.name), cond.f_y))
-            floor_m.append(and_(_nonzero(selector), cond.nonzero))
+        for selector, sel in tr.model.selects_targeting(self.item.name):
+            cond = _encode_opt(sel.condition, tr)
+            floor_y.append(and_(tr.var(selector.name), cond.f_y))
+            floor_m.append(and_(tr.nonzero(selector), cond.nonzero))
         return or_(*floor_y), or_(*floor_m)
 
     def first_match(
-        self, entries, prior: list[PropFormula]
+        self, tr: Translation, entries, prior: list[PropFormula]
     ) -> tuple[list[tuple[TriEncoding, PropFormula]], PropFormula]:
         """kconfig's first-applicable-entry rule over defaults or ranges.
 
@@ -460,20 +507,25 @@ class _ItemContext:
         chain = []
         prior = list(prior)
         for entry in entries:
-            applies = enc_and(_encode_opt(entry.condition, self.model, self.dom), self.dep)
+            applies = enc_and(_encode_opt(entry.condition, tr), self.dep)
             chain.append((applies, and_(*prior, applies.nonzero)))
             prior.append(not_(applies.nonzero))
         return chain, and_(*prior)
 
 
 def _forced_value(
-    ctx: _ItemContext, value: TriEncoding, rev_y: PropFormula, rev_ge_m: PropFormula
+    tr: Translation,
+    ctx: _ItemContext,
+    value: TriEncoding,
+    rev_y: PropFormula,
+    rev_ge_m: PropFormula,
 ) -> PropFormula:
     """Equality constraint: the option equals max(value, select floor),
     with m rounded up to y when the option is effectively boolean."""
-    oy, om = yvar(ctx.item.name), mvar(ctx.item.name)
+    name = ctx.item.name
+    oy, om = tr.var(name), tr.var(name + "_MODULE")
     high = or_(value.f_y, rev_y)
-    at_least_m = or_(value.f_y, value.f_m, rev_ge_m)
+    at_least_m = or_(value.nonzero, rev_ge_m)
     forced_y = or_(high, and_(ctx.bool_effective, at_least_m))
     forced_m = and_(not_(ctx.bool_effective), not_(high), at_least_m)
     return and_(iff(oy, forced_y), iff(om, forced_m))
@@ -483,14 +535,12 @@ def _forced_value(
 # Per-option constraints
 
 
-def encode_option(
-    item: ConfigItem, model: KconfigModel, dom: NumericDomain
-) -> list[Constraint]:
+def encode_option(item: ConfigItem, tr: Translation) -> list[Constraint]:
     """Constraints for one option: variable shape, modules gating, dependency
     bounds, visibility cap, and the forced value of invisible options."""
     if item.is_boolish:
-        return _encode_boolish_option(item, model, dom)
-    return _encode_valued_option(item, model, dom)
+        return _encode_boolish_option(item, tr)
+    return _encode_valued_option(item, tr)
 
 
 def _add(out: list[Constraint], formula: PropFormula, provenance: str) -> None:
@@ -498,19 +548,18 @@ def _add(out: list[Constraint], formula: PropFormula, provenance: str) -> None:
         out.append(Constraint(formula, provenance))
 
 
-def _encode_boolish_option(
-    item: ConfigItem, model: KconfigModel, dom: NumericDomain
-) -> list[Constraint]:
+def _encode_boolish_option(item: ConfigItem, tr: Translation) -> list[Constraint]:
+    model = tr.model
     out: list[Constraint] = []
-    ctx = _ItemContext(item, model, dom)
-    oy, om = yvar(item.name), mvar(item.name)
+    ctx = tr.item_context(item)
+    oy, om = tr.var(item.name), tr.var(item.name + "_MODULE")
 
     if item.type is OptionType.BOOL:
         _add(out, not_(om), f"{item.name}:bool-no-module")
     else:
         _add(out, not_(and_(oy, om)), f"{item.name}:tristate-excl")
         if model.modules_option is not None and model.modules_option != item.name:
-            _add(out, implies(om, yvar(model.modules_option)), f"{item.name}:modules-gate")
+            _add(out, implies(om, tr.var(model.modules_option)), f"{item.name}:modules-gate")
         elif model.modules_option == item.name:
             _add(out, implies(om, oy), f"{item.name}:modules-gate")
 
@@ -522,7 +571,7 @@ def _encode_boolish_option(
         upper_y = or_(d.f_y, and_(ctx.bool_effective, d.f_m))
         _add(out, implies(oy, upper_y), f"{item.name}:depends")
         if item.type is OptionType.TRISTATE:
-            _add(out, implies(om, or_(d.f_y, d.f_m)), f"{item.name}:depends-m")
+            _add(out, implies(om, d.nonzero), f"{item.name}:depends-m")
 
     # A prompt that only reaches m caps a true tristate at m.
     if item.prompts and item.type is OptionType.TRISTATE:
@@ -532,46 +581,44 @@ def _encode_boolish_option(
             f"{item.name}:visibility-cap",
         )
 
-    out.extend(_invisible_value_chain(ctx))
+    out.extend(_invisible_value_chain(ctx, tr))
     return out
 
 
-def _invisible_value_chain(ctx: _ItemContext) -> list[Constraint]:
+def _invisible_value_chain(ctx: _ItemContext, tr: Translation) -> list[Constraint]:
     """While invisible, the option holds exactly the first applicable default
     (value and-ed with its condition and the dependencies), raised to the
     select floor, else n raised to the floor."""
-    item, model, dom = ctx.item, ctx.model, ctx.dom
+    item = ctx.item
     out: list[Constraint] = []
-    rev_y, rev_ge_m = ctx.select_floor()
+    rev_y, rev_ge_m = ctx.select_floor(tr)
 
-    chain, none_applies = ctx.first_match(item.defaults, [ctx.invisible])
+    chain, none_applies = ctx.first_match(tr, item.defaults, [ctx.invisible])
     for i, (default, (applies, guard)) in enumerate(zip(item.defaults, chain)):
-        value = enc_and(encode_expr(default.value, model, dom), applies)
+        value = enc_and(encode_expr(default.value, tr), applies)
         _add(
             out,
-            implies(guard, _forced_value(ctx, value, rev_y, rev_ge_m)),
+            implies(guard, _forced_value(tr, ctx, value, rev_y, rev_ge_m)),
             f"{item.name}:default[{i}]",
         )
     _add(
         out,
-        implies(none_applies, _forced_value(ctx, ENC_N, rev_y, rev_ge_m)),
+        implies(none_applies, _forced_value(tr, ctx, ENC_N, rev_y, rev_ge_m)),
         f"{item.name}:default-else",
     )
     return out
 
 
-def _encode_valued_option(
-    item: ConfigItem, model: KconfigModel, dom: NumericDomain
-) -> list[Constraint]:
+def _encode_valued_option(item: ConfigItem, tr: Translation) -> list[Constraint]:
     out: list[Constraint] = []
-    domain = dom.domain(item.name)
+    domain = tr.dom.domain(item.name)
     if not domain:
         return out  # never constrained, never enumerated
-    ctx = _ItemContext(item, model, dom)
-    value_vars = {v: value_var(item.name, v) for v in domain}
+    ctx = tr.item_context(item)
+    value_vars = {v: tr.value_var(item.name, v) for v in domain}
 
     if item.is_numeric:
-        chain, none_active = ctx.first_match(item.ranges, [])
+        chain, none_active = ctx.first_match(tr, item.ranges, [])
         ranges = [
             (parse_number(r.low, item.type), parse_number(r.high, item.type), active)
             for r, (_, active) in zip(item.ranges, chain)
@@ -588,7 +635,7 @@ def _encode_valued_option(
     # Invisible options hold the first applicable default, clamped into the
     # active range for numerics; with no applicable default they are unset,
     # which no enumerated value matches.
-    chain, unset = ctx.first_match(item.defaults, [ctx.invisible])
+    chain, unset = ctx.first_match(tr, item.defaults, [ctx.invisible])
     for i, (default, (_, guard)) in enumerate(zip(item.defaults, chain)):
         assert isinstance(default.value, Literal)
         if item.is_numeric:
@@ -623,13 +670,12 @@ def _encode_valued_option(
 # Reverse dependencies
 
 
-def encode_reverse_dependencies(
-    model: KconfigModel, dom: NumericDomain
-) -> list[Constraint]:
+def encode_reverse_dependencies(tr: Translation) -> list[Constraint]:
     """A select makes its target at least as enabled as the selector under
     the select condition.  Targets that are currently visible members of a
     choice ignore selects (the choice machinery owns their value), so those
     implications are guarded by the member's invisibility."""
+    model = tr.model
     out: list[Constraint] = []
     for item in model.items:
         for k, sel in enumerate(item.selects):
@@ -640,18 +686,18 @@ def encode_reverse_dependencies(
                 raise SelectOnNonBoolean(
                     f"{item.name} selects {sel.target}, which is {target.type.value}"
                 )
-            cond = _encode_opt(sel.condition, model, dom)
+            cond = _encode_opt(sel.condition, tr)
             guard = TRUE
             if target.declared_in_choice is not None:
-                guard = _ItemContext(target, model, dom).invisible
+                guard = tr.item_context(target).invisible
             _add(
                 out,
-                implies(and_(guard, yvar(item.name), cond.f_y), yvar(target.name)),
+                implies(and_(guard, tr.var(item.name), cond.f_y), tr.var(target.name)),
                 f"{item.name}:select({sel.target})[{k}]/y",
             )
             _add(
                 out,
-                implies(and_(guard, _nonzero(item), cond.nonzero), _nonzero(target)),
+                implies(and_(guard, tr.nonzero(item), cond.nonzero), tr.nonzero(target)),
                 f"{item.name}:select({sel.target})[{k}]/m",
             )
     return out
@@ -661,9 +707,7 @@ def encode_reverse_dependencies(
 # Choices
 
 
-def encode_choice(
-    choice: ChoiceBlock, model: KconfigModel, dom: NumericDomain
-) -> list[Constraint]:
+def encode_choice(choice: ChoiceBlock, tr: Translation) -> list[Constraint]:
     """Selection discipline among the visible members of a choice.
 
     While the choice is active and effectively boolean, exactly one visible
@@ -673,19 +717,18 @@ def encode_choice(
     """
     if not choice.members:
         raise EmptyChoice(f"choice#{choice.id} has no members")
+    model = tr.model
     out: list[Constraint] = []
     tag = f"choice#{choice.id}"
 
-    ch_vis = _prompt_visibility(choice.prompts, _encode_opt(choice.depends, model, dom), model, dom)
+    ch_vis = _prompt_visibility(choice.prompts, _encode_opt(choice.depends, tr), tr)
     active = ch_vis.nonzero
-    bool_effective = _bool_effective(choice.type is OptionType.BOOL, model)
+    bool_effective = tr.bool_effective(choice.type is OptionType.BOOL)
 
     members = [model.item(name) for name in choice.members]
-    member_visible = {
-        it.name: _ItemContext(it, model, dom).visible for it in members
-    }
+    member_visible = {it.name: tr.item_context(it).visible for it in members}
     visible_y = {
-        it.name: and_(member_visible[it.name], yvar(it.name)) for it in members
+        it.name: and_(member_visible[it.name], tr.var(it.name)) for it in members
     }
     some_y = or_(*visible_y.values())
     any_visible = or_(*member_visible.values())
@@ -707,13 +750,13 @@ def encode_choice(
         if it.type is OptionType.TRISTATE:
             _add(
                 out,
-                implies(and_(mode_y, member_visible[it.name]), not_(mvar(it.name))),
+                implies(and_(mode_y, member_visible[it.name]), not_(tr.var(it.name + "_MODULE"))),
                 f"{tag}:no-module-value({it.name})",
             )
     for it in members:
         _add(
             out,
-            implies(and_(not_(active), member_visible[it.name]), not_(_nonzero(it))),
+            implies(and_(not_(active), member_visible[it.name]), not_(tr.nonzero(it))),
             f"{tag}:inactive({it.name})",
         )
     if choice.type is OptionType.TRISTATE:
@@ -744,19 +787,20 @@ def variable_order(model: KconfigModel, dom: NumericDomain) -> list[str]:
 
 def translate(model: KconfigModel) -> ConstraintSet:
     """Full constraint set: per-option, per-choice, reverse-dependency, and
-    value-variable constraints, in declaration order; deterministic."""
-    dom = collect_numeric_values(model)
-    cs = ConstraintSet(variable_order=variable_order(model, dom))
+    value-variable constraints, in declaration order; deterministic.  One
+    :class:`Translation` shares the derived formulas for the call."""
+    tr = Translation(model, collect_numeric_values(model))
+    cs = ConstraintSet(variable_order=variable_order(model, tr.dom))
     for item in model.items:
-        cs.constraints.extend(encode_option(item, model, dom))
+        cs.constraints.extend(encode_option(item, tr))
     for choice in model.choices:
-        cs.constraints.extend(encode_choice(choice, model, dom))
-    cs.constraints.extend(encode_reverse_dependencies(model, dom))
+        cs.constraints.extend(encode_choice(choice, tr))
+    cs.constraints.extend(encode_reverse_dependencies(tr))
     for item in model.items:
-        domain = dom.domain(item.name)
+        domain = tr.dom.domain(item.name)
         if item.is_boolish or not domain:
             continue
-        value_vars = [value_var(item.name, v) for v in domain]
+        value_vars = [tr.value_var(item.name, v) for v in domain]
         cs.constraints.append(
             Constraint(or_(*value_vars), f"{item.name}:one-hot")
         )

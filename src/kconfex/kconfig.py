@@ -828,12 +828,23 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                                 )
                             )
 
-    derived_names = set()
-    for it in model.items:
-        derived_names.add(it.name + "_MODULE")
+    # The translation names a bool/tristate option's m variable O_MODULE, a
+    # valued option's value variables N_EQ_<value> and Tseitin auxiliaries
+    # __aux<k>; an option name of that shape would share their variable.
+    derived_names = {it.name + "_MODULE" for it in model.items}
+    valued_names = {it.name for it in model.items if not it.is_boolish}
+
+    def is_value_variable_name(name: str) -> bool:
+        at = name.find("_EQ_")
+        while at != -1:
+            if name[:at] in valued_names:
+                return True
+            at = name.find("_EQ_", at + 1)
+        return False
 
     for it in model.items:
-        if it.name in derived_names:
+        derived = it.name in derived_names or it.name.startswith("__aux")
+        if derived or ("_EQ_" in it.name and is_value_variable_name(it.name)):
             out.append(
                 Diagnostic("error", f"option name {it.name} collides with a derived variable", it.name)
             )

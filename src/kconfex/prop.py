@@ -372,10 +372,13 @@ class _Renderer:
         render = self.render
         if isinstance(node, NotF):
             return "!" + render(node.operand, 5), 5
+        # A variable operand is written in place rather than by a call.
         if isinstance(node, AndF):
-            return " & ".join([render(op, 4) for op in node.operands]), 4
+            ops = [op.name if type(op) is Var else render(op, 4) for op in node.operands]
+            return " & ".join(ops), 4
         if isinstance(node, OrF):
-            return " | ".join([render(op, 3) for op in node.operands]), 3
+            ops = [op.name if type(op) is Var else render(op, 3) for op in node.operands]
+            return " | ".join(ops), 3
         if isinstance(node, Implies):
             return f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}", 2
         if isinstance(node, Iff):
@@ -501,7 +504,10 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         if table is None:
             raise TypeError(f"not a formula node: {node!r}")
         if op is AndF or op is OrF:
-            lits = tuple([literal(operand) for operand in node.operands])
+            # A variable operand is looked up in place rather than by a call;
+            # a missing one falls through to ``literal``, which raises.
+            get = var_map.get
+            lits = tuple([(type(o) is Var and get(o.name)) or literal(o) for o in node.operands])
         elif op is Implies:
             lits = (literal(node.antecedent), literal(node.consequent))
         else:
@@ -542,7 +548,10 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         del literal
 
     for k, g in enumerate(aux_definitions):
-        var_map[f"__aux{k}"] = g
+        name = f"__aux{k}"
+        if name in var_map:
+            raise ValueError(f"variable {name!r} has the name of an auxiliary variable")
+        var_map[name] = g
     return CnfFormula(
         num_vars=originals + len(aux_definitions),
         clauses=clauses,
@@ -559,7 +568,7 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
     out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
     out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for clause in cnf.clauses:
-        out.append(" ".join(map(str, clause)) + " 0" if clause else "0")
+        out.append("%d " * len(clause) % tuple(clause) + "0")
     sink.write(("\n".join(out) + "\n").encode("utf-8"))
 
 

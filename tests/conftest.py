@@ -39,6 +39,18 @@ endchoice
 """
 
 
+# Models whose option names are those of variables the translation derives:
+# an m variable, a Tseitin auxiliary, a valued option's value variables.
+DERIVED_NAME_COLLISIONS = {
+    "module": ('config A\n\tbool "a"\nconfig A_MODULE\n\tbool "b"\n', "A_MODULE"),
+    "aux": ('config __aux0\n\tbool "a"\nconfig B\n\tbool "b"\n\tdepends on __aux0\n', "__aux0"),
+    "value": (
+        'config A\n\tint "a"\n\tdefault 1\n\trange 1 2\nconfig A_EQ_1\n\tbool "flag"\n',
+        "A_EQ_1",
+    ),
+}
+
+
 @pytest.fixture
 def noprompt_choice_model():
     return parse_model(NOPROMPT_CHOICE_SOURCE, "golden_choice")
@@ -104,3 +116,23 @@ def tree_text(f, parent=0):
 def tree_model_text(constraints):
     """Reference for ``ConstraintSet.model_text``, built on :func:`tree_text`."""
     return "".join(f"{tree_text(c.formula)}  # {c.provenance}\n" for c in constraints)
+
+
+def node_objects(*roots):
+    """Every node object reachable from ``roots``, by ``id``."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, NotF):
+            stack.append(node.operand)
+        elif isinstance(node, (AndF, OrF)):
+            stack.extend(node.operands)
+        elif isinstance(node, Implies):
+            stack += [node.antecedent, node.consequent]
+        elif isinstance(node, Iff):
+            stack += [node.left, node.right]
+    return seen

@@ -24,6 +24,7 @@ from kconfex.difftest import (
 )
 from kconfex.encode import (
     NumericDomain,
+    Translation,
     collect_numeric_values,
     encode_expr,
     encode_numeric_constraint,
@@ -154,7 +155,7 @@ def test_criterion_3_pair_encoding_correspondence():
     checked = 0
     for _ in range(1000):
         expr = gen(3)
-        enc = encode_expr(expr, model, dom)
+        enc = encode_expr(expr, Translation(model, dom))
         ge, y = values.tri(expr, ones)
         assert evaluate_mask(enc.f_y, masks, ones) == y, expr
         assert evaluate_mask(enc.f_m, masks, ones) == ge & ~y, expr
@@ -177,7 +178,7 @@ def test_criterion_4_encoding_rule_spot_checks():
     assert equivalent(dep, expected)
 
     dom = NumericDomain(values={"n": ["0", "5", "100"]})
-    leq = encode_numeric_constraint(Leq, "n", 5, dom)
+    leq = encode_numeric_constraint(Leq, "n", 5, Translation(dep_model, dom))
     assert equivalent(leq, or_(var("n_EQ_0"), var("n_EQ_5")))
 
     inv_model = parse_model(

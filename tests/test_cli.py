@@ -6,7 +6,7 @@ import pytest
 from kconfex.cli import main
 from kconfex.prop import parse_dimacs
 
-from conftest import NOPROMPT_CHOICE_SOURCE
+from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE
 
 
 @pytest.fixture
@@ -127,6 +127,17 @@ def test_range_bound_outside_option_type_exits_2(command, tmp_path, capsys):
         path.write_text('config N\n\tint "n"\n' + ranges)
         assert main([command, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "translate"])
+@pytest.mark.parametrize("case", list(DERIVED_NAME_COLLISIONS))
+def test_name_of_a_derived_variable_exits_2(command, case, tmp_path, capsys):
+    text, name = DERIVED_NAME_COLLISIONS[case]
+    path = tmp_path / "derived.kconfig"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error [{name}]: option name {name} collides with a derived variable" in err
 
 
 class TestCorpusCommand:

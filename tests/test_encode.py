@@ -10,8 +10,15 @@ import pytest
 
 from kconfex.difftest import generate_model_text
 from kconfex.encode import (
+    ENC_M,
+    ENC_N,
+    ENC_Y,
     NumericDomain,
+    Translation,
     collect_numeric_values,
+    enc_and,
+    enc_not,
+    enc_or,
     encode_expr,
     encode_numeric_constraint,
     encode_reverse_dependencies,
@@ -34,8 +41,12 @@ from kconfex.kconfig import (
 )
 from kconfex.prop import (
     FALSE,
+    TRUE,
+    Var,
+    and_,
     equivalent,
     evaluate,
+    formula_text,
     formula_vars,
     implies,
     not_,
@@ -47,7 +58,7 @@ from kconfex.prop import (
 )
 from kconfex.tri import Tri, eval_expr
 
-from conftest import corpus_models, tree_model_text
+from conftest import corpus_models, node_objects, tree_model_text
 
 
 def _model(text):
@@ -69,7 +80,7 @@ def _embed3(cfg):
 
 
 def _assert_pair_matches_eval(expr, model=THREE_TRISTATES, dom=EMPTY_DOM):
-    enc = encode_expr(expr, model, dom)
+    enc = encode_expr(expr, Translation(model, dom))
     names = [it.name for it in model.items]
     for combo in itertools.product((Tri.N, Tri.M, Tri.Y), repeat=len(names)):
         cfg = dict(zip(names, combo))
@@ -83,14 +94,14 @@ class TestEncodeExpr:
     def test_dependency_disjunction_shape(self):
         # B='n' || C='y' has the y-part !(B | B_MODULE) | C
         e = Or(Eq(Sym("B"), Literal("n")), Eq(Sym("C"), Literal("y")))
-        enc = encode_expr(e, THREE_TRISTATES, EMPTY_DOM)
+        enc = encode_expr(e, Translation(THREE_TRISTATES, EMPTY_DOM))
         expected = or_(not_(or_(var("B"), var("B_MODULE"))), var("C"))
         assert equivalent(enc.f_y, expected)
         assert enc.f_m is FALSE
 
     def test_bool_symbol_has_false_m(self):
         model = _model('config X\n\tbool "x"\n')
-        enc = encode_expr(Sym("X"), model, collect_numeric_values(model))
+        enc = encode_expr(Sym("X"), Translation(model, collect_numeric_values(model)))
         assert enc.f_y == var("X")
         assert enc.f_m is FALSE
 
@@ -166,17 +177,17 @@ class TestNumericDomain:
 
 
 class TestNumericConstraint:
-    DOM = NumericDomain(values={"n": ["0", "5", "100"]})
+    TR = Translation(THREE_TRISTATES, NumericDomain(values={"n": ["0", "5", "100"]}))
 
     def test_leq_over_known_values(self):
-        f = encode_numeric_constraint(Leq, "n", 5, self.DOM)
+        f = encode_numeric_constraint(Leq, "n", 5, self.TR)
         assert equivalent(f, or_(var("n_EQ_0"), var("n_EQ_5")))
 
     def test_unsatisfiable_comparison(self):
-        assert encode_numeric_constraint(Lt, "n", 0, self.DOM) is FALSE
+        assert encode_numeric_constraint(Lt, "n", 0, self.TR) is FALSE
 
     def test_neq_one_hot(self):
-        f = encode_numeric_constraint(Neq, "n", 5, self.DOM)
+        f = encode_numeric_constraint(Neq, "n", 5, self.TR)
         names = ["n_EQ_0", "n_EQ_5", "n_EQ_100"]
         for hot in names:
             assignment = {n: n == hot for n in names}
@@ -184,7 +195,7 @@ class TestNumericConstraint:
 
     def test_empty_domain_rejected(self):
         with pytest.raises(UnsupportedComparison):
-            encode_numeric_constraint(Geq, "x", 1, NumericDomain())
+            encode_numeric_constraint(Geq, "x", 1, Translation(THREE_TRISTATES, NumericDomain()))
 
 
 class TestEncodeOption:
@@ -252,14 +263,14 @@ class TestReverseDependencies:
             'config O\n\tbool "o"\n\tselect P if FOO\nconfig P\n\tbool "p"\n'
         )
         constraints = encode_reverse_dependencies(
-            model, collect_numeric_values(model)
+            Translation(model, collect_numeric_values(model))
         )
         assert constraints == []  # undeclared FOO is constant n
 
     def test_select_on_valued_target_raises(self):
         model = _model('config O\n\tbool "o"\n\tselect N\nconfig N\n\tint "n"\n')
         with pytest.raises(SelectOnNonBoolean):
-            encode_reverse_dependencies(model, collect_numeric_values(model))
+            encode_reverse_dependencies(Translation(model, collect_numeric_values(model)))
 
 
 class TestEncodeChoice:
@@ -270,7 +281,7 @@ class TestEncodeChoice:
 
         empty = ChoiceBlock(id=0, type=OptionType.BOOL, members=())
         with pytest.raises(EmptyChoice):
-            encode_choice(empty, THREE_TRISTATES, EMPTY_DOM)
+            encode_choice(empty, Translation(THREE_TRISTATES, EMPTY_DOM))
 
     def test_singleton_choice_forces_member(self):
         model = _model('choice\n\tbool "pick"\nconfig X\n\tbool "x"\nendchoice\n')
@@ -437,6 +448,93 @@ def test_extract_path_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_one_var_object_per_name_within_a_translation():
+    models = corpus_models() + [("large_chain", parse_model(large_chain_text(600), "large_chain"))]
+    for name, model in models:
+        by_name = {}
+        for node in node_objects(*(c.formula for c in translate(model))).values():
+            if isinstance(node, Var):
+                assert by_name.setdefault(node.name, node) is node, (name, node.name)
+
+
+def _outputs(cs):
+    sink = io.BytesIO()
+    write_dimacs(tseitin_cnf(cs.conjunction(), cs.variable_order), sink)
+    return cs.model_text(), sink.getvalue()
+
+
+def test_no_state_survives_a_translation():
+    """Translating A, then B, then A again gives the same bytes, and the two
+    translations of A share no node object."""
+    models = [model for _, model in corpus_models()]
+    for a, b in zip(models, models[1:] + models[:1]):
+        first = translate(a)
+        translate(b)
+        second = translate(a)
+        assert _outputs(first) == _outputs(second), a.name
+        first_nodes = node_objects(*(c.formula for c in first))
+        shared = [
+            node
+            for key, node in node_objects(*(c.formula for c in second)).items()
+            if key in first_nodes and node is not TRUE and node is not FALSE
+        ]
+        assert not shared, (a.name, shared[:3])
+
+
+def test_large_model_conjunction_node_objects_bounded():
+    """Derived formulas are built once per translation and shared.  The
+    conjunction of the 600-option chain reached 25,512 node objects (15,423
+    structurally distinct) when every use built its own copy; sharing brought
+    it to 17,164."""
+    cs = translate(parse_model(large_chain_text(600), "large_chain"))
+    assert len(node_objects(cs.conjunction())) <= 17_164
+
+
+def _generic_and(a, b):
+    return and_(a.f_y, b.f_y), and_(or_(a.f_y, a.f_m), or_(b.f_y, b.f_m), not_(and_(a.f_y, b.f_y)))
+
+
+def _generic_or(a, b):
+    return or_(a.f_y, b.f_y), and_(or_(a.f_m, b.f_m), not_(a.f_y), not_(b.f_y))
+
+
+def _generic_not(a):
+    return not_(or_(a.f_y, a.f_m)), a.f_m
+
+
+def _assert_same_structure(enc, pair, context):
+    f_y, f_m = pair
+    assert formula_text(enc.f_y) == formula_text(f_y), context
+    assert formula_text(enc.f_m) == formula_text(f_m), context
+    assert formula_text(enc.nonzero) == formula_text(or_(f_y, f_m)), context
+
+
+def test_encoding_shortcuts_build_the_generic_structure():
+    """``enc_and``/``enc_or``/``enc_not`` build exactly the formulas of the
+    tristate translation table, not merely equivalent ones: the .model text
+    follows their structure."""
+    model = _model(
+        'config A\n\ttristate "a"\nconfig B\n\tbool "b"\n'
+        'config N\n\tint "n"\n\tdefault 1\n\trange 0 5\n'
+    )
+    tr = Translation(model, collect_numeric_values(model))
+    encodings = {
+        "y": ENC_Y,
+        "n": ENC_N,
+        "m": ENC_M,
+        "tristate": encode_expr(Sym("A"), tr),
+        "bool": encode_expr(Sym("B"), tr),
+        "comparison": encode_expr(Leq(Sym("N"), Literal("1")), tr),
+        "and": encode_expr(And(Sym("A"), Sym("B")), tr),
+        "or": encode_expr(Or(Sym("A"), Sym("B")), tr),
+    }
+    for (x, a), (y, b) in itertools.product(encodings.items(), repeat=2):
+        _assert_same_structure(enc_and(a, b), _generic_and(a, b), f"{x} & {y}")
+        _assert_same_structure(enc_or(a, b), _generic_or(a, b), f"{x} | {y}")
+    for x, a in encodings.items():
+        _assert_same_structure(enc_not(a), _generic_not(a), f"!{x}")
 
 
 def test_variable_order_covers_the_conjunction():

@@ -3,6 +3,7 @@ import pytest
 from kconfex.errors import DuplicateOption, ParseError
 from kconfex.kconfig import (
     And,
+    Diagnostic,
     Eq,
     Literal,
     Not,
@@ -14,7 +15,7 @@ from kconfex.kconfig import (
     validate_model,
 )
 
-from conftest import NOPROMPT_CHOICE_SOURCE, corpus_models
+from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE, corpus_models
 
 
 class TestParseModel:
@@ -168,6 +169,26 @@ class TestValidateModel:
         )
         errors = [d for d in validate_model(model) if d.severity == "error"]
         assert errors and "recursive" in errors[0].message
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            *DERIVED_NAME_COLLISIONS.values(),
+            ('config H\n\thex "h"\nconfig H_EQ_0x1\n\tbool "flag"\n', "H_EQ_0x1"),
+            ('config S_EQ\n\tstring "s"\nconfig S_EQ_EQ_a\n\tbool "flag"\n', "S_EQ_EQ_a"),
+        ],
+        ids=[*DERIVED_NAME_COLLISIONS, "hex-value", "string-value"],
+    )
+    def test_name_of_a_derived_variable_is_error(self, text, name):
+        errors = [d for d in validate_model(parse_model(text, "t")) if d.severity == "error"]
+        assert errors == [
+            Diagnostic("error", f"option name {name} collides with a derived variable", name)
+        ]
+
+    def test_value_variable_shape_after_a_boolean_option_is_clean(self):
+        # A bool option has no value variables, so B_EQ_1 names nothing derived.
+        model = parse_model('config B\n\tbool "b"\nconfig B_EQ_1\n\tbool "c"\n', "t")
+        assert validate_model(model) == []
 
     def test_corpus_validates_cleanly(self):
         for name, model in corpus_models():

@@ -289,6 +289,10 @@ class TestTseitin:
         assert distinct.var_map == shared.var_map
         assert distinct.num_vars == shared.num_vars
 
+    def test_variable_with_an_auxiliary_name_raises(self):
+        with pytest.raises(ValueError, match="__aux0"):
+            tseitin_cnf(and_(var("__aux0"), or_(A, B)))
+
     def test_order_missing_a_variable_raises(self):
         with pytest.raises(MissingVariable) as info:
             tseitin_cnf(GOLDEN, ["A", "NOPROMPT"])
@@ -305,6 +309,13 @@ class TestDimacs:
         text = sink.getvalue().decode()
         assert "p cnf 2 1" in text
         assert "1 -2 0" in text.splitlines()
+
+    def test_empty_and_list_clauses(self):
+        from kconfex.prop import CnfFormula
+
+        sink = io.BytesIO()
+        write_dimacs(CnfFormula(num_vars=2, clauses=[(), [2, -1], (1,)], var_map={}), sink)
+        assert sink.getvalue().decode().splitlines() == ["p cnf 2 3", "0", "2 -1 0", "1 0"]
 
     def test_header_only(self):
         from kconfex.prop import CnfFormula
