@@ -36,7 +36,7 @@ EXIT_BOUND = 3
 def _load_model(path: str) -> KconfigModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KconfexError(f"cannot read {path}: {exc}") from exc
     model = parse_model(text, Path(path).name)
     diagnostics = validate_model(model)

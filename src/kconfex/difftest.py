@@ -336,6 +336,17 @@ class CorpusReport:
         return "".join(line + "\n" for line in lines)
 
 
+def _error_report(name: str, error: str) -> TestReport:
+    return TestReport(
+        name=name,
+        option_count=0,
+        config_count=0,
+        mismatches=[],
+        millis=0.0,
+        error=error,
+    )
+
+
 def _check_source(args: tuple[str, str, int]) -> TestReport:
     name, text, max_options = args
     try:
@@ -346,24 +357,24 @@ def _check_source(args: tuple[str, str, int]) -> TestReport:
             raise KconfexError("; ".join(str(d) for d in errors))
         return check_model(model, max_options=max_options, name=name)
     except KconfexError as exc:
-        return TestReport(
-            name=name,
-            option_count=0,
-            config_count=0,
-            mismatches=[],
-            millis=0.0,
-            error=str(exc),
-        )
+        return _error_report(name, str(exc))
 
 
 def run_corpus(directory: str | Path, options: CorpusOptions | None = None) -> CorpusReport:
     """Check every ``.kconfig`` file in a directory, plus optional generated
-    models; per-file errors are recorded, never fatal."""
+    models; per-file errors, including a file that cannot be read, are
+    recorded, never fatal."""
     options = options or CorpusOptions()
     directory = Path(directory)
     jobs: list[tuple[str, str, int]] = []
+    unreadable: list[TestReport] = []
     for path in sorted(directory.glob("*.kconfig")):
-        jobs.append((path.name, path.read_text(encoding="utf-8"), options.max_options))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            unreadable.append(_error_report(path.name, f"cannot read {path.name}: {exc}"))
+            continue
+        jobs.append((path.name, text, options.max_options))
     for i in range(options.generated):
         text = generate_model_text(options.seed + i)
         jobs.append((f"generated[seed={options.seed + i}]", text, options.max_options))
@@ -373,6 +384,7 @@ def run_corpus(directory: str | Path, options: CorpusOptions | None = None) -> C
             reports = list(pool.map(_check_source, jobs))
     else:
         reports = [_check_source(job) for job in jobs]
+    reports += unreadable
     reports.sort(key=lambda r: r.name)
     return CorpusReport(reports, seed=options.seed)
 

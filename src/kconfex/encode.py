@@ -35,6 +35,7 @@ from .kconfig import (
     OptionType,
     Or,
     Prompt,
+    Select,
     Sym,
     TRI_NAMES,
     expr_nodes,
@@ -48,6 +49,7 @@ from .prop import (
     PropFormula,
     TRUE,
     Var,
+    _gc_paused,
     and_,
     iff,
     implies,
@@ -227,12 +229,13 @@ class Translation:
     """The formulas one translation builds once and shares between its
     constraints: one ``Var`` per variable name, each option's symbol
     encoding (and with it the option's nonzero formula), one
-    :class:`_ItemContext` per option, and the effective-bool formula of
-    tristate values.  ``translate`` creates one per call and drops it when it
-    returns; nothing it holds refers back to it.
+    :class:`_ItemContext` per option, each select's condition, and the
+    effective-bool formula of tristate values.  ``translate`` creates one
+    per call and drops it when it returns; nothing it holds refers back to
+    it.
     """
 
-    __slots__ = ("model", "dom", "vars", "symbols", "items", "modules_off")
+    __slots__ = ("model", "dom", "vars", "symbols", "items", "conditions", "modules_off")
 
     def __init__(self, model: KconfigModel, dom: NumericDomain):
         self.model = model
@@ -240,6 +243,8 @@ class Translation:
         self.vars: dict[str, PropFormula] = {}
         self.symbols: dict[str, TriEncoding] = {}
         self.items: dict[str, _ItemContext] = {}
+        # By the id of the condition expression; the model keeps it alive.
+        self.conditions: dict[int, TriEncoding] = {}
         # Where a tristate value cannot be m: while the modules switch is off
         # (nowhere without one).
         self.modules_off = FALSE
@@ -282,6 +287,16 @@ class Translation:
         """Where a value cannot be m: everywhere for bool options and bool
         choices, else while the modules switch is off."""
         return TRUE if bool_typed else self.modules_off
+
+    def select_condition(self, sel: Select) -> TriEncoding:
+        """A select's condition, read by the select's own constraints and by
+        its target's select floor."""
+        if sel.condition is None:
+            return ENC_Y
+        enc = self.conditions.get(id(sel.condition))
+        if enc is None:
+            enc = self.conditions[id(sel.condition)] = encode_expr(sel.condition, self)
+        return enc
 
     def item_context(self, item: ConfigItem) -> _ItemContext:
         ctx = self.items.get(item.name)
@@ -488,7 +503,7 @@ class _ItemContext:
         floor_y = []
         floor_m = []
         for selector, sel in tr.model.selects_targeting(self.item.name):
-            cond = _encode_opt(sel.condition, tr)
+            cond = tr.select_condition(sel)
             floor_y.append(and_(tr.var(selector.name), cond.f_y))
             floor_m.append(and_(tr.nonzero(selector), cond.nonzero))
         return or_(*floor_y), or_(*floor_m)
@@ -686,7 +701,7 @@ def encode_reverse_dependencies(tr: Translation) -> list[Constraint]:
                 raise SelectOnNonBoolean(
                     f"{item.name} selects {sel.target}, which is {target.type.value}"
                 )
-            cond = _encode_opt(sel.condition, tr)
+            cond = tr.select_condition(sel)
             guard = TRUE
             if target.declared_in_choice is not None:
                 guard = tr.item_context(target).invisible
@@ -785,6 +800,7 @@ def variable_order(model: KconfigModel, dom: NumericDomain) -> list[str]:
     return order
 
 
+@_gc_paused
 def translate(model: KconfigModel) -> ConstraintSet:
     """Full constraint set: per-option, per-choice, reverse-dependency, and
     value-variable constraints, in declaration order; deterministic.  One

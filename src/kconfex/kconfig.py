@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TypeVar
 
 from .errors import DuplicateOption, ParseError
+from .prop import _gc_paused
 
 T = TypeVar("T")
 
@@ -768,6 +769,7 @@ class _Parser:
             self.pos += 1
 
 
+@_gc_paused
 def parse_model(source_text: str, source_name: str = "<input>") -> KconfigModel:
     """Parse kconfig subset text into a :class:`KconfigModel`.
 

@@ -7,6 +7,8 @@ one-constraint-per-line ``.model`` format.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -42,6 +44,38 @@ __all__ = [
     "write_dimacs",
     "parse_dimacs",
 ]
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    The extract path's builders (``parse_model``, ``translate``,
+    ``ConstraintSet.model_text``, ``tseitin_cnf``) allocate many container
+    objects and keep most of them, so each young collection promotes them
+    and the older collections rescan every live node again.  Their
+    structures are acyclic (``test_extract_path_leaves_no_reference_cycles``),
+    so reference counting alone frees their garbage, and what they allocate
+    costs one young collection after the collector resumes.
+
+    The pause is process-wide: no thread's cyclic garbage is collected
+    while it lasts.  No other thread of the package runs meanwhile:
+    ``run_corpus``'s workers are processes, each with its own collector.
+    If the collector is already disabled on entry (by the caller, or by an
+    enclosing paused call), it is left alone; otherwise it is enabled again
+    on return and on an exception.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class PropFormula:
@@ -410,6 +444,7 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.constraints)
 
+    @_gc_paused
     def model_text(self) -> str:
         """One ``formula  # provenance`` line per constraint.  Subformulas
         shared between constraints are rendered once, so the cost is linear
@@ -432,6 +467,7 @@ class CnfFormula:
     aux_definitions: dict[int, PropFormula] = field(default_factory=dict)
 
 
+@_gc_paused
 def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFormula:
     """Convert to CNF with one auxiliary variable per distinct gate: an And,
     Or, Implies or Iff node, told apart by its operator and its operand

@@ -140,6 +140,16 @@ def test_name_of_a_derived_variable_exits_2(command, case, tmp_path, capsys):
     assert f"error [{name}]: option name {name} collides with a derived variable" in err
 
 
+@pytest.mark.parametrize("command", ["check", "translate", "stats"])
+def test_non_utf8_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "bad.kconfig"
+    path.write_bytes(b'config A\n\tbool "caf\xe9"\n')
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 class TestCorpusCommand:
     def test_repo_corpus(self, corpus_dir, tmp_path, capsys):
         report_path = tmp_path / "report.txt"
@@ -159,6 +169,22 @@ class TestCorpusCommand:
     def test_failing_corpus_exits_1(self, tmp_path, capsys):
         (tmp_path / "broken.kconfig").write_text("menu nope\n")
         assert main(["corpus", str(tmp_path)]) == 1
+
+    def test_unreadable_file_is_an_error_row(self, tmp_path, capsys):
+        (tmp_path / "bad.kconfig").write_bytes(b'config A\n\tbool "caf\xe9"\n')
+        (tmp_path / "dir.kconfig").mkdir()
+        (tmp_path / "good.kconfig").write_text('config A\n\tbool "a"\n')
+        assert main(["corpus", str(tmp_path)]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows[:3]] == [
+            "file=bad.kconfig",
+            "file=dir.kconfig",
+            "file=good.kconfig",
+        ]
+        assert "status=ERROR error=\"cannot read bad.kconfig: " in rows[0]
+        assert "status=ERROR error=\"cannot read dir.kconfig: " in rows[1]
+        assert rows[2].endswith("status=PASS")
+        assert rows[3].startswith("corpus files=3 failing=2 errors=2 ")
 
 
 class TestStatsCommand:

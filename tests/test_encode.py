@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import kconfex.encode
+import kconfex.kconfig
+import kconfex.prop
 from kconfex.difftest import generate_model_text
 from kconfex.encode import (
     ENC_M,
@@ -24,7 +27,7 @@ from kconfex.encode import (
     encode_reverse_dependencies,
     translate,
 )
-from kconfex.errors import SelectOnNonBoolean, UnsupportedComparison
+from kconfex.errors import MissingVariable, ParseError, SelectOnNonBoolean, UnsupportedComparison
 from kconfex.kconfig import (
     And,
     Eq,
@@ -58,7 +61,7 @@ from kconfex.prop import (
 )
 from kconfex.tri import Tri, eval_expr
 
-from conftest import corpus_models, node_objects, tree_model_text
+from conftest import CORPUS_DIR, corpus_models, node_objects, tree_model_text
 
 
 def _model(text):
@@ -272,6 +275,26 @@ class TestReverseDependencies:
         with pytest.raises(SelectOnNonBoolean):
             encode_reverse_dependencies(Translation(model, collect_numeric_values(model)))
 
+    def test_condition_encoded_once_per_translation(self):
+        """The select's own constraints and its invisible target's default
+        chain read one encoding of the condition."""
+        model = _model(
+            'config A\n\tbool "a"\nconfig B\n\tbool "b"\n'
+            'config S\n\tbool "s"\n\tselect T if A && B\nconfig T\n\tbool\n'
+        )
+        by = {c.provenance: c.formula for c in translate(model)}
+        cond = encode_expr(And(Sym("A"), Sym("B")), Translation(model, collect_numeric_values(model)))
+        for part in (cond.f_y, cond.nonzero):
+            in_select = [
+                n
+                for key in ("S:select(T)[0]/y", "S:select(T)[0]/m")
+                for n in node_objects(by[key]).values()
+                if n == part
+            ]
+            in_chain = [n for n in node_objects(by["T:default-else"]).values() if n == part]
+            assert in_select and in_chain, part
+            assert all(n is in_chain[0] for n in in_select), part
+
 
 class TestEncodeChoice:
     def test_empty_choice_rejected(self):
@@ -435,19 +458,67 @@ def test_large_model_text_matches_tree_renderer():
 
 def test_extract_path_leaves_no_reference_cycles():
     """Parse, validate, translate, .model text, Tseitin and DIMACS create no
-    garbage that only the cyclic collector could free."""
-    text = large_chain_text(600)
+    garbage that only the cyclic collector could free.  The builders pause
+    the collector on that promise."""
+    texts = [("large_chain", large_chain_text(600))]
+    texts += [(path.name, path.read_text(encoding="utf-8")) for path in sorted(CORPUS_DIR.glob("*.kconfig"))]
+    texts += [(f"generated[{seed}]", generate_model_text(seed)) for seed in range(100)]
     gc.collect()
     gc.disable()
     try:
-        model = parse_model(text, "large_chain")
-        validate_model(model)
-        cs = translate(model)
-        cs.model_text()
-        write_dimacs(tseitin_cnf(cs.conjunction(), cs.variable_order), io.BytesIO())
-        assert gc.collect() == 0
+        for name, text in texts:
+            model = parse_model(text, name)
+            validate_model(model)
+            cs = translate(model)
+            cs.model_text()
+            write_dimacs(tseitin_cnf(cs.conjunction(), cs.variable_order), io.BytesIO())
+            del model, cs
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def _observe_collector(monkeypatch, owner, attr):
+    """Patch ``owner.attr`` to record ``gc.isenabled()`` on each call."""
+    seen = []
+    inner = getattr(owner, attr)
+
+    def observed(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, observed)
+    return seen
+
+
+def test_extract_builders_pause_the_collector(monkeypatch):
+    parse_seen = _observe_collector(monkeypatch, kconfex.kconfig._Parser, "parse")
+    translate_seen = _observe_collector(monkeypatch, kconfex.encode, "collect_numeric_values")
+    render_seen = _observe_collector(monkeypatch, kconfex.prop._Renderer, "render")
+    order_seen = []
+
+    def order(names):
+        for name in names:
+            order_seen.append(gc.isenabled())
+            yield name
+
+    assert gc.isenabled()
+    cs = translate(parse_model(large_chain_text(20), "chain"))
+    cs.model_text()
+    tseitin_cnf(cs.conjunction(), order(cs.variable_order))
+    assert gc.isenabled()
+    for seen in (parse_seen, translate_seen, render_seen, order_seen):
+        assert seen and not any(seen)
+
+
+def test_failing_builders_leave_the_collector_enabled():
+    assert gc.isenabled()
+    with pytest.raises(ParseError):
+        parse_model('config A\n\tbool "a"\n\tdepends on &&\n')
+    assert gc.isenabled()
+    with pytest.raises(MissingVariable):
+        tseitin_cnf(and_(var("A"), var("B")), ["A"])
+    assert gc.isenabled()
 
 
 def test_one_var_object_per_name_within_a_translation():

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import random
@@ -7,6 +8,7 @@ import pytest
 from kconfex.encode import translate
 from kconfex.errors import FormatError, MissingVariable, TooManyVariables
 from kconfex.prop import (
+    _gc_paused,
     FALSE,
     TRUE,
     AndF,
@@ -429,3 +431,51 @@ class TestFormulaText:
         for name, model in corpus_models():
             cs = translate(model)
             assert cs.model_text() == tree_model_text(cs), name
+
+
+class TestGcPaused:
+    @staticmethod
+    @_gc_paused
+    def _probe(seen, fail=False):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("inside")
+        return "done"
+
+    def test_paused_inside_and_resumed_after_return(self):
+        seen = []
+        assert gc.isenabled()
+        assert self._probe(seen) == "done"
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_resumed_after_an_exception(self):
+        seen = []
+        with pytest.raises(RuntimeError, match="inside"):
+            self._probe(seen, fail=True)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_left_disabled_when_the_caller_disabled_it(self):
+        seen = []
+        gc.disable()
+        try:
+            self._probe(seen)
+            with pytest.raises(RuntimeError):
+                self._probe(seen, fail=True)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False, False]
+
+    def test_nested_calls_resume_once(self):
+        seen = []
+
+        @_gc_paused
+        def outer():
+            self._probe(seen)
+            seen.append(gc.isenabled())
+
+        outer()
+        assert seen == [False, False]
+        assert gc.isenabled()
