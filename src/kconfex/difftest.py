@@ -134,13 +134,13 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
     stride = rows
     for name, axis in zip(names, axes):
         period, stride = stride, stride // len(axis)
-        column = columns[name] = {}
-        for j, value in enumerate(axis):
-            mask, width = ((1 << stride) - 1) << (j * stride), period
-            while width < rows:  # copy the periods so far over the next ones
-                mask |= mask << width
-                width *= 2
-            column[value] = mask & ones
+        # Value 0's rows: one run per period, copied over the next periods by
+        # doubling; value j's are the same rows shifted by j runs.
+        first, width = (1 << stride) - 1, period
+        while width < rows:
+            first |= first << width
+            width *= 2
+        columns[name] = {value: (first << (j * stride)) & ones for j, value in enumerate(axis)}
     return _Space(names, axes, notes, dom, columns, ones)
 
 

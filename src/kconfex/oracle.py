@@ -14,7 +14,10 @@ not, the choice's mode, which first-applicable entry applies), and each write
 records the rows whose value it changed.  Passes repeat until no row changes;
 a row already at its fixpoint only repeats a pass that changes nothing, so
 every row gets the result, the select-override flag and the ``MAX_PASSES``
-limit of its own repair.  A configuration's verdict is whether its final
+limit of its own repair.  After the first pass, a pass re-runs only the steps
+that read an option written since their last run: the others would write
+nothing (see :class:`_Repair`), so each pass changes the same rows as one
+that re-runs every step.  A configuration's verdict is whether its final
 values differ from its initial ones.  :func:`repair` is the one-row case.
 
 This module deliberately shares nothing with the encoder beyond the
@@ -41,6 +44,7 @@ from .kconfig import (
     Sym,
     number_text,
     parse_number,
+    value_dependency_edges,
 )
 from .tri import Columns, Configuration, ConfigValue, RowValues, Tri, TriRows, single_row
 
@@ -87,16 +91,19 @@ class _Option(NamedTuple):
     # Cannot hold m in any configuration: bool options, and tristate members
     # of a bool choice (they behave like boolean options).
     always_bool: bool
+    reads: frozenset[str]  # the declared options the option's step evaluates
 
 
 class _Choice(NamedTuple):
     block: ChoiceBlock
     members: tuple[_Option, ...]
+    reads: frozenset[str]  # the members' reads, and the members themselves
 
 
 def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
     """The steps of one repair pass: options outside choices in declaration
     order, and each choice at the position of its first member."""
+    edges = value_dependency_edges(model)
 
     def option(item: ConfigItem) -> _Option:
         choice = model.choice_of(item)
@@ -117,6 +124,7 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
                 and choice is not None
                 and choice.type is OptionType.BOOL
             ),
+            reads=frozenset(edges[item.name]),
         )
 
     steps: list[_Option | _Choice] = []
@@ -128,7 +136,8 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
             done_choices.add(item.declared_in_choice)
             block = model.choices[item.declared_in_choice]
             members = tuple(option(model.item(name)) for name in block.members)
-            steps.append(_Choice(block, members))
+            reads = frozenset(block.members).union(*(opt.reads for opt in members))
+            steps.append(_Choice(block, members, reads))
     return tuple(steps)
 
 
@@ -139,7 +148,24 @@ def _add(assignment: dict[ConfigValue, int], value: ConfigValue, rows: int) -> N
 class _Repair:
     """Repair passes over all rows at once.  ``changed`` collects the rows
     the current pass changed, ``override`` the rows where a select floor
-    exceeded an option's visibility or dependencies in any pass."""
+    exceeded an option's visibility or dependencies in any pass.
+
+    The first pass runs every step; a later pass runs a step only when an
+    option in its read set was written at or after the step's last run.
+    Step runs are numbered, each write stamps its option with the number of
+    the running step, and ``ran`` holds each step's last number.  Each
+    option is written by its own step alone, and an option step is a
+    function of what it reads and of its own current value that is
+    idempotent in that value: a shown bool or tristate is clamped between
+    the select floor and its visibility, hidden rows do not read their own
+    value, int and hex options keep an in-range value, and a string option
+    keeps a set shown value.  So a skipped step would have written nothing,
+    and would only have added override bits and ``EvalError`` rows that its
+    last run already recorded: every pass changes the same rows as a pass
+    that runs every step, and the loop stops at the same pass.  ``>=``
+    re-runs a step that reads its own option after writing it.  A choice
+    step is not idempotent (its members' values decide the selection), so it
+    reads its members, and runs again after it wrote one."""
 
     def __init__(self, model: KconfigModel, values: RowValues):
         self.model = model
@@ -148,6 +174,9 @@ class _Repair:
         self.steps = model.derived(_plan)
         self.changed = 0
         self.override = 0
+        self.run = 0  # the number of the running step; runs count from 1
+        self.ran = [0] * len(self.steps)  # 0: not run yet
+        self.stamp = dict.fromkeys((item.name for item in model.items), 0)
 
     # ---- writes: a row changes when the value written differs from its
     # value, or when its configuration did not hold the option
@@ -161,6 +190,7 @@ class _Repair:
             v.y[name] = (v.y[name] & ~write) | (y & write)
             v.present[name] |= write
             self.changed |= write
+            self.stamp[name] = self.run
 
     def set_values(self, name: str, assignment: dict[ConfigValue, int]) -> None:
         part = self.values.values[name]
@@ -178,6 +208,7 @@ class _Repair:
             self.values.values[name] = {value: rows for value, rows in part.items() if rows}
             self.values.present[name] |= writes
             self.changed |= writes
+            self.stamp[name] = self.run
 
     # ---- reads
 
@@ -370,7 +401,13 @@ class _Repair:
 
     def one_pass(self) -> int:
         self.changed = 0
-        for step in self.steps:
+        stamp, ran = self.stamp, self.ran
+        for i, step in enumerate(self.steps):
+            last = ran[i]
+            if last and not any(stamp[name] >= last for name in step.reads):
+                continue
+            self.run += 1
+            ran[i] = self.run
             if type(step) is _Choice:
                 self.run_choice(step)
                 continue
@@ -559,7 +596,7 @@ def external_conf_oracle(
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             after = parse_dotconfig(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProcessError(f"cannot read back {config_path}: {exc}") from exc
     warned = _UNMET_DEPENDENCIES in result.stdout or _UNMET_DEPENDENCIES in result.stderr
     return before == after, warned

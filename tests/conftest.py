@@ -39,6 +39,14 @@ endchoice
 """
 
 
+# MODULES plus nine chained tristates, the 10-option enumeration bound:
+# 2 * 3**9 = 39,366 configurations.
+BOUND_MODEL_SOURCE = 'config MODULES\n\tbool "modules"\n\toption modules\n' + "".join(
+    f'config T{i}\n\ttristate "t{i}"\n' + (f"\tdepends on T{i - 1}\n" if i > 1 else "")
+    for i in range(1, 10)
+)
+
+
 # Models whose option names are those of variables the translation derives:
 # an m variable, a Tseitin auxiliary, a valued option's value variables.
 DERIVED_NAME_COLLISIONS = {

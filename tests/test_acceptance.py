@@ -57,7 +57,7 @@ from kconfex.prop import (
 )
 from kconfex.tri import RowValues, Tri, eval_expr
 
-from conftest import NOPROMPT_CHOICE_SOURCE, corpus_models, model_counts
+from conftest import BOUND_MODEL_SOURCE, NOPROMPT_CHOICE_SOURCE, corpus_models, model_counts
 
 ALL_TRI = (Tri.N, Tri.M, Tri.Y)
 
@@ -295,12 +295,6 @@ def test_criterion_9_oracle_idempotence():
             assert not again.changed, (name, cfg)
     elapsed = clock.check("criterion 9")
     report("9 oracle-idempotence", elapsed)
-
-
-BOUND_MODEL_SOURCE = 'config MODULES\n\tbool "modules"\n\toption modules\n' + "".join(
-    f'config T{i}\n\ttristate "t{i}"\n' + (f"\tdepends on T{i - 1}\n" if i > 1 else "")
-    for i in range(1, 10)
-)
 
 
 def test_criterion_11_bound_model_within_budget():

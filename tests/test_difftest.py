@@ -23,7 +23,7 @@ from kconfex.kconfig import parse_model, validate_model
 from kconfex.prop import ConstraintSet
 from kconfex.tri import Tri
 
-from conftest import corpus_models, model_counts
+from conftest import BOUND_MODEL_SOURCE, corpus_models, model_counts
 
 
 def _model(text):
@@ -232,6 +232,27 @@ class TestMasks:
                 assert {v: bool(rows >> k & 1) for v, rows in masks.items()} == image, (name, cfg)
             valued += sum("_EQ_" in v for v in masks)
         assert valued > 0
+
+    def test_columns_match_configs(self):
+        """Bit k of ``columns[name][value]`` is set exactly when configuration
+        k of ``configs()`` holds ``value``; on every corpus model, generated
+        seeds 0-99 and the bound model."""
+        models = corpus_models() + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        models.append(("bound", parse_model(BOUND_MODEL_SOURCE, "bound")))
+        for name, model in models:
+            space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            configs = space.configs()
+            expected = {
+                option: {
+                    value: int("".join("01"[cfg[option] == value] for cfg in reversed(configs)), 2)
+                    for value in axis
+                }
+                for option, axis in zip(space.names, space.axes)
+            }
+            assert space.columns == expected, name
 
     def test_skipped_and_never_true_variables(self):
         model = _model(

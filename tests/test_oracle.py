@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import kconfex
+from kconfex import oracle
 from kconfex.cli import _make_oracle, main
 from kconfex.difftest import (
     DEFAULT_MAX_OPTIONS,
@@ -28,9 +29,13 @@ from kconfex.kconfig import (
     Not,
     OptionType,
     Sym,
+    expr_symbols,
     parse_model,
 )
 from kconfex.oracle import (
+    _Choice,
+    _Option,
+    _plan,
     external_conf_oracle,
     parse_dotconfig,
     repair,
@@ -39,7 +44,7 @@ from kconfex.oracle import (
 )
 from kconfex.tri import Tri
 
-from conftest import CORPUS_DIR, corpus_models
+from conftest import BOUND_MODEL_SOURCE, CORPUS_DIR, corpus_models
 
 REPAIR_DIGEST = Path(__file__).resolve().parent / "repair_digest.json"
 
@@ -251,6 +256,99 @@ class TestRepairSpace:
             _whole_space(model)
 
 
+class TestSkippedSteps:
+    """After the first pass, a pass runs only the steps that read an option
+    written since their last run."""
+
+    @staticmethod
+    def _boolish_runs(monkeypatch, model):
+        """Per pass of the whole-space repair, the options whose bool or
+        tristate step ran."""
+        passes = []
+        one_pass, recompute_boolish = oracle._Repair.one_pass, oracle._Repair.recompute_boolish
+
+        def counted_pass(state):
+            passes.append([])
+            return one_pass(state)
+
+        def counted_step(state, opt, *args):
+            passes[-1].append(opt.name)
+            return recompute_boolish(state, opt, *args)
+
+        monkeypatch.setattr(oracle._Repair, "one_pass", counted_pass)
+        monkeypatch.setattr(oracle._Repair, "recompute_boolish", counted_step)
+        _whole_space(model)
+        return passes
+
+    def test_bound_chain_runs_each_step_once(self, monkeypatch):
+        # Each option reads only options declared before it, so the second
+        # pass, which changes nothing, runs no step.
+        passes = self._boolish_runs(monkeypatch, _model(BOUND_MODEL_SOURCE))
+        assert passes == [["MODULES"] + [f"T{i}" for i in range(1, 10)], []]
+
+    def test_only_readers_of_a_later_write_run_again(self, monkeypatch):
+        # C reads its selector B, B reads its selector A.  The first pass
+        # raises B under A after C ran, so the second runs C alone.
+        path = CORPUS_DIR / "select_chain.kconfig"
+        model = parse_model(path.read_text(encoding="utf-8"), path.name)
+        assert self._boolish_runs(monkeypatch, model) == [["C", "B", "A"], ["C"], []]
+
+
+def _evaluated_options(model, step) -> set[str]:
+    """The declared options a repair step evaluates, collected from every
+    field of the plan that the step reads."""
+    exprs, names = [], []
+    if isinstance(step, _Choice):
+        block, options = step.block, step.members
+        exprs += [block.depends, *(p.condition for p in block.prompts)]
+        exprs += [e for d in block.defaults for e in d]
+        names += block.members  # the mode and the selection read the members
+        if block.type is OptionType.TRISTATE:
+            names.append(model.modules_option)
+    else:
+        options = (step,)
+    for opt in options:
+        item = opt.item
+        exprs += [opt.depends, *(p.condition for p in item.prompts)]
+        exprs += [e for d in item.defaults for e in d]
+        exprs += [r.condition for r in item.ranges]
+        for selector, condition in opt.selectors:
+            names.append(selector)
+            exprs.append(condition)
+        if item.type is OptionType.TRISTATE:
+            names.append(model.modules_option)
+    names += [name for e in exprs for name in expr_symbols(e)]
+    return {name for name in names if name is not None and model.has_option(name)}
+
+
+def test_read_sets_cover_what_each_step_evaluates():
+    """A step is skipped while nothing in its read set changed, so the read
+    set must hold every declared option the step evaluates; on every corpus
+    model and generated seeds 0-99.  A new field of the plan is a new read:
+    add it to ``_evaluated_options`` and to the read sets."""
+    assert _Option._fields == (
+        "item",
+        "name",
+        "boolish",
+        "depends",
+        "selectors",
+        "literal_defaults",
+        "always_bool",
+        "reads",
+    )
+    assert _Choice._fields == ("block", "members", "reads")
+    models = corpus_models() + [
+        (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+        for seed in range(100)
+    ]
+    choices = 0
+    for name, model in models:
+        for step in _plan(model):
+            assert _evaluated_options(model, step) <= step.reads, (name, step)
+            choices += isinstance(step, _Choice)
+    assert choices > 0
+
+
 class TestDotConfig:
     def test_write_bool_lines(self):
         sink = io.StringIO()
@@ -409,6 +507,15 @@ class TestExecOracleStub:
     def test_missing_read_back_raises(self, tmp_path):
         with pytest.raises(ProcessError, match="cannot read back"):
             _check_with_stub_conf(tmp_path, "choice_bool_basic.kconfig", "os.remove(config)\n")
+
+    def test_non_utf8_read_back_raises(self, tmp_path, capsys):
+        tail = 'with open(config, "ab") as fh:\n    fh.write(b"# caf\\351\\n")\n'
+        with pytest.raises(ProcessError, match="cannot read back"):
+            _check_with_stub_conf(tmp_path, "choice_bool_basic.kconfig", tail)
+        conf = _stub_conf(tmp_path, tail)
+        path = CORPUS_DIR / "choice_bool_basic.kconfig"
+        assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read back")
 
 
 class TestExecTimeout:
