@@ -165,7 +165,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+def _count(least: int):
+    """An argparse type: an int of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; a malformed or out-of-range count is a usage error,
+    which argparse reports with exit 2."""
     parser = argparse.ArgumentParser(
         prog="kconfex",
         description="Translate kconfig-subset models to propositional formulas "
@@ -181,15 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="differentially test one file")
     p.add_argument("file")
-    p.add_argument("--max-options", type=int, default=DEFAULT_MAX_OPTIONS)
+    p.add_argument("--max-options", type=_count(0), default=DEFAULT_MAX_OPTIONS)
     p.add_argument("--oracle", default="builtin", help="'builtin' or 'exec:<conf path>'")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("corpus", help="differentially test a directory of .kconfig files")
     p.add_argument("dir")
-    p.add_argument("--max-options", type=int, default=DEFAULT_MAX_OPTIONS)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--generated", type=int, default=0, help="additionally check N seeded generated models")
+    p.add_argument("--max-options", type=_count(0), default=DEFAULT_MAX_OPTIONS)
+    p.add_argument("--jobs", type=_count(1), default=1)
+    p.add_argument(
+        "--generated", type=_count(0), default=0, help="additionally check N seeded generated models"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the report here")
     p.set_defaults(func=cmd_corpus)

@@ -20,8 +20,6 @@ import math
 import random
 import time
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,7 +27,7 @@ from .encode import NumericDomain, collect_numeric_values, translate
 from .errors import KconfexError, TooManyOptions
 from .kconfig import ConfigItem, KconfigModel, OptionType, parse_model, validate_model
 from .oracle import repair_space
-from .prop import ConstraintSet, evaluate_mask
+from .prop import ConstraintSet, Record, evaluate_mask
 from .tri import Columns, Configuration, ConfigValue, Tri
 
 __all__ = [
@@ -215,15 +213,26 @@ class Mismatch(NamedTuple):
         return text
 
 
-@dataclass
-class TestReport:
-    name: str
-    option_count: int
-    config_count: int
-    mismatches: list[Mismatch]
-    millis: float
-    notes: list[str] = field(default_factory=list)
-    error: str | None = None
+class TestReport(Record):
+    _fields = ("name", "option_count", "config_count", "mismatches", "millis", "notes", "error")
+
+    def __init__(
+        self,
+        name: str,
+        option_count: int,
+        config_count: int,
+        mismatches: list[Mismatch],
+        millis: float,
+        notes: list[str] | None = None,
+        error: str | None = None,
+    ) -> None:
+        self.name = name
+        self.option_count = option_count
+        self.config_count = config_count
+        self.mismatches = mismatches
+        self.millis = millis
+        self.notes = [] if notes is None else notes
+        self.error = error
 
     @property
     def failures(self) -> list[Mismatch]:
@@ -294,18 +303,24 @@ def check_model(
 # Corpus runs
 
 
-@dataclass
-class CorpusOptions:
-    max_options: int = DEFAULT_MAX_OPTIONS
-    jobs: int = 1
-    generated: int = 0
-    seed: int = 0
+class CorpusOptions(Record):
+    _fields = ("max_options", "jobs", "generated", "seed")
+
+    def __init__(
+        self, max_options: int = DEFAULT_MAX_OPTIONS, jobs: int = 1, generated: int = 0, seed: int = 0
+    ) -> None:
+        self.max_options = max_options
+        self.jobs = jobs
+        self.generated = generated
+        self.seed = seed
 
 
-@dataclass
-class CorpusReport:
-    reports: list[TestReport]
-    seed: int = 0
+class CorpusReport(Record):
+    _fields = ("reports", "seed")
+
+    def __init__(self, reports: list[TestReport], seed: int = 0) -> None:
+        self.reports = reports
+        self.seed = seed
 
     @property
     def passed(self) -> bool:
@@ -380,6 +395,9 @@ def run_corpus(directory: str | Path, options: CorpusOptions | None = None) -> C
         jobs.append((f"generated[seed={options.seed + i}]", text, options.max_options))
 
     if options.jobs > 1 and len(jobs) > 1:
+        # Imported here: only a pool needs it, and it would slow every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
             reports = list(pool.map(_check_source, jobs))
     else:

@@ -15,8 +15,6 @@ the differential harness classifies those disagreements separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import EmptyChoice, SelectOnNonBoolean, UnsupportedComparison
 from .kconfig import (
     And,
@@ -47,6 +45,7 @@ from .prop import (
     ConstraintSet,
     FALSE,
     PropFormula,
+    Record,
     TRUE,
     Var,
     _gc_paused,
@@ -132,11 +131,13 @@ def enc_const(label: str) -> TriEncoding:
 # Known-value domains for numeric and string options
 
 
-@dataclass
-class NumericDomain:
+class NumericDomain(Record):
     """Per-option known values: the texts, canonicalized and ordered."""
 
-    values: dict[str, list[str]] = field(default_factory=dict)
+    _fields = ("values",)
+
+    def __init__(self, values: dict[str, list[str]] | None = None) -> None:
+        self.values = {} if values is None else values
 
     def domain(self, name: str) -> list[str]:
         return self.values.get(name, [])

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TypeVar
 
 from .errors import DuplicateOption, ParseError
-from .prop import _gc_paused
+from .prop import Value, _gc_paused, _set
 
 T = TypeVar("T")
 
@@ -67,43 +66,51 @@ class OptionType(enum.Enum):
 # Expression AST
 
 
-class Expr:
+class Expr(Value):
     """Base class for condition/value expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Sym(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Literal(Expr):
-    text: str
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text: str) -> None:
+        _set(self, "text", text)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Expr):
-    operand: Expr
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Expr) -> None:
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class And(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Expr):
-    left: Expr
-    right: Expr
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class _Cmp(Expr):
-    left: Expr
-    right: Expr
+class Or(_Binary):
+    __slots__ = ()
+
+
+class _Cmp(_Binary):
+    __slots__ = ()
 
 
 class Eq(_Cmp):
@@ -142,7 +149,7 @@ def expr_nodes(e: Expr):
         yield node
         if isinstance(node, Not):
             stack.append(node.operand)
-        elif isinstance(node, (And, Or, _Cmp)):
+        elif isinstance(node, _Binary):
             stack.append(node.right)
             stack.append(node.left)
 
@@ -205,18 +212,44 @@ class Range(NamedTuple):
     condition: Expr | None = None
 
 
-@dataclass(frozen=True)
-class ConfigItem:
-    name: str
-    type: OptionType
-    prompts: tuple[Prompt, ...] = ()
-    defaults: tuple[Default, ...] = ()
-    depends: Expr | None = None
-    selects: tuple[Select, ...] = ()
-    ranges: tuple[Range, ...] = ()
-    declared_in_choice: int | None = None
-    is_modules_switch: bool = False
-    line: int = field(default=0, compare=False)
+class ConfigItem(Value):
+    __slots__ = _fields = (
+        "name",
+        "type",
+        "prompts",
+        "defaults",
+        "depends",
+        "selects",
+        "ranges",
+        "declared_in_choice",
+        "is_modules_switch",
+        "line",
+    )
+    _uncompared = ("line",)
+
+    def __init__(
+        self,
+        name: str,
+        type: OptionType,
+        prompts: tuple[Prompt, ...] = (),
+        defaults: tuple[Default, ...] = (),
+        depends: Expr | None = None,
+        selects: tuple[Select, ...] = (),
+        ranges: tuple[Range, ...] = (),
+        declared_in_choice: int | None = None,
+        is_modules_switch: bool = False,
+        line: int = 0,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "prompts", prompts)
+        _set(self, "defaults", defaults)
+        _set(self, "depends", depends)
+        _set(self, "selects", selects)
+        _set(self, "ranges", ranges)
+        _set(self, "declared_in_choice", declared_in_choice)
+        _set(self, "is_modules_switch", is_modules_switch)
+        _set(self, "line", line)
 
     @property
     def is_boolish(self) -> bool:
@@ -227,32 +260,52 @@ class ConfigItem:
         return self.type in (OptionType.INT, OptionType.HEX)
 
 
-@dataclass(frozen=True)
-class ChoiceBlock:
-    id: int
-    type: OptionType
-    prompts: tuple[Prompt, ...] = ()
-    depends: Expr | None = None
-    defaults: tuple[Default, ...] = ()
-    members: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
+class ChoiceBlock(Value):
+    __slots__ = _fields = ("id", "type", "prompts", "depends", "defaults", "members", "line")
+    _uncompared = ("line",)
+
+    def __init__(
+        self,
+        id: int,
+        type: OptionType,
+        prompts: tuple[Prompt, ...] = (),
+        depends: Expr | None = None,
+        defaults: tuple[Default, ...] = (),
+        members: tuple[str, ...] = (),
+        line: int = 0,
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "type", type)
+        _set(self, "prompts", prompts)
+        _set(self, "depends", depends)
+        _set(self, "defaults", defaults)
+        _set(self, "members", members)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class KconfigModel:
-    items: tuple[ConfigItem, ...]
-    choices: tuple[ChoiceBlock, ...]
-    modules_option: str | None
-    source_name: str = field(default="<input>", compare=False)
+class KconfigModel(Value):
+    _fields = ("items", "choices", "modules_option", "source_name")
+    __slots__ = _fields + ("_by_name", "_selectors", "_derived")
+    _uncompared = ("source_name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {it.name: it for it in self.items})
+    def __init__(
+        self,
+        items: tuple[ConfigItem, ...],
+        choices: tuple[ChoiceBlock, ...],
+        modules_option: str | None,
+        source_name: str = "<input>",
+    ) -> None:
+        _set(self, "items", items)
+        _set(self, "choices", choices)
+        _set(self, "modules_option", modules_option)
+        _set(self, "source_name", source_name)
+        _set(self, "_by_name", {it.name: it for it in items})
         selectors: dict[str, list[tuple[ConfigItem, Select]]] = {}
-        for it in self.items:
+        for it in items:
             for sel in it.selects:
                 selectors.setdefault(sel.target, []).append((it, sel))
-        object.__setattr__(self, "_selectors", selectors)
-        object.__setattr__(self, "_derived", {})
+        _set(self, "_selectors", selectors)
+        _set(self, "_derived", {})
 
     def item(self, name: str) -> ConfigItem:
         return self._by_name[name]

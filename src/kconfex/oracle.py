@@ -429,6 +429,7 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
     ``MAX_PASSES`` passes.
     """
     values = RowValues(model, columns, ones)
+    initial = values.snapshot()
     state = _Repair(model, values)
     for _ in range(MAX_PASSES):
         if not state.one_pass():
@@ -442,7 +443,7 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
         raise next(errors, NonConvergence(model.source_name, MAX_PASSES))
     return SpaceRepair(
         repaired=values,
-        changed=values.rows_differing(RowValues(model, columns, ones)),
+        changed=values.rows_differing(initial),
         select_override_fired=state.override,
     )
 

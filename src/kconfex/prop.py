@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, MissingVariable, TooManyVariables
@@ -78,53 +78,118 @@ def _gc_paused(fn):
     return paused
 
 
-class PropFormula:
+_set = object.__setattr__
+
+
+class Record:
+    """A record whose equality and ``repr`` come from its fields.
+
+    ``_fields`` names the fields in the order of ``__init__``'s parameters,
+    and ``_uncompared`` the ones that equality leaves out.  A record equals
+    only a record of exactly its class whose compared fields are equal; its
+    ``repr`` is ``Class(field=value, ...)`` over all fields.  A mutable
+    record is unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        if compared:
+            cls._key = attrgetter(*compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """An immutable record: hashable, and assigning or deleting an attribute
+    raises :class:`AttributeError`.  ``__init__`` sets the fields with
+    ``_set``; copies and unpickled instances are rebuilt through it."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class PropFormula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(PropFormula):
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("variable names must be nonempty")
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class _Const(PropFormula):
-    value: bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set(self, "value", value)
 
 
 TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-@dataclass(frozen=True, slots=True)
 class NotF(PropFormula):
-    operand: PropFormula
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: PropFormula) -> None:
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
 class AndF(PropFormula):
-    operands: tuple[PropFormula, ...]
+    __slots__ = _fields = ("operands",)
+
+    def __init__(self, operands: tuple[PropFormula, ...]) -> None:
+        _set(self, "operands", operands)
 
 
-@dataclass(frozen=True, slots=True)
 class OrF(PropFormula):
-    operands: tuple[PropFormula, ...]
+    __slots__ = _fields = ("operands",)
+
+    def __init__(self, operands: tuple[PropFormula, ...]) -> None:
+        _set(self, "operands", operands)
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(PropFormula):
-    antecedent: PropFormula
-    consequent: PropFormula
+    __slots__ = _fields = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: PropFormula, consequent: PropFormula) -> None:
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
 
 
-@dataclass(frozen=True, slots=True)
 class Iff(PropFormula):
-    left: PropFormula
-    right: PropFormula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: PropFormula, right: PropFormula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 # --------------------------------------------------------------------------
@@ -425,12 +490,16 @@ class Constraint(NamedTuple):
     provenance: str  # "<item-or-choice>:<rule>"
 
 
-@dataclass
-class ConstraintSet:
+class ConstraintSet(Record):
     """Ordered constraints whose semantics is their conjunction."""
 
-    constraints: list[Constraint] = field(default_factory=list)
-    variable_order: list[str] = field(default_factory=list)
+    _fields = ("constraints", "variable_order")
+
+    def __init__(
+        self, constraints: list[Constraint] | None = None, variable_order: list[str] | None = None
+    ) -> None:
+        self.constraints = [] if constraints is None else constraints
+        self.variable_order = [] if variable_order is None else variable_order
 
     def add(self, formula: PropFormula, provenance: str) -> None:
         self.constraints.append(Constraint(formula, provenance))
@@ -459,12 +528,20 @@ class ConstraintSet:
 # CNF
 
 
-@dataclass
-class CnfFormula:
-    num_vars: int
-    clauses: list[tuple[int, ...]]
-    var_map: dict[str, int]  # name -> positive index; original variables first
-    aux_definitions: dict[int, PropFormula] = field(default_factory=dict)
+class CnfFormula(Record):
+    _fields = ("num_vars", "clauses", "var_map", "aux_definitions")
+
+    def __init__(
+        self,
+        num_vars: int,
+        clauses: list[tuple[int, ...]],
+        var_map: dict[str, int],  # name -> positive index; original variables first
+        aux_definitions: dict[int, PropFormula] | None = None,
+    ) -> None:
+        self.num_vars = num_vars
+        self.clauses = clauses
+        self.var_map = var_map
+        self.aux_definitions = {} if aux_definitions is None else aux_definitions
 
 
 @_gc_paused

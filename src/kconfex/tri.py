@@ -181,6 +181,17 @@ class RowValues:
                 cfg[name] = next(v for v, rows in self.values[name].items() if rows & bit)
         return cfg
 
+    def snapshot(self) -> RowValues:
+        """A copy of the values now, without the errors.  The option dicts
+        are copied, but not the ``{value: rows}`` parts they hold: a writer
+        must replace an option's part rather than mutate it, as the repair
+        does, for the copy to keep the old values."""
+        copy = RowValues.__new__(RowValues)
+        copy.model, copy.ones, copy.errors = self.model, self.ones, []
+        copy.ge, copy.y = dict(self.ge), dict(self.y)
+        copy.values, copy.present = dict(self.values), dict(self.present)
+        return copy
+
     def rows_differing(self, other: RowValues) -> int:
         """The rows on which some option's value, or whether the row holds
         it, differs from ``other``."""

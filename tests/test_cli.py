@@ -150,6 +150,27 @@ def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check", "{file}", "--max-options", "-1"], "argument --max-options: must be at least 0, got -1"),
+        (["corpus", "{dir}", "--max-options", "-2"], "argument --max-options: must be at least 0, got -2"),
+        (["corpus", "{dir}", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+        (["corpus", "{dir}", "--jobs", "-3"], "argument --jobs: must be at least 1, got -3"),
+        (["corpus", "{dir}", "--generated", "-5"], "argument --generated: must be at least 0, got -5"),
+        (["corpus", "{dir}", "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
+    ],
+)
+def test_bad_count_exits_2(args, message, golden_choice_file, capsys):
+    paths = {"file": golden_choice_file, "dir": golden_choice_file.parent}
+    with pytest.raises(SystemExit) as raised:
+        main([arg.format(**paths) for arg in args])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 class TestCorpusCommand:
     def test_repo_corpus(self, corpus_dir, tmp_path, capsys):
         report_path = tmp_path / "report.txt"
