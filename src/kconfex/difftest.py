@@ -87,7 +87,7 @@ Oracle = Callable[[KconfigModel, _Space], tuple[int, int]]
 def builtin_oracle(model: KconfigModel, space: _Space) -> tuple[int, int]:
     """The reference configurator, repairing every row at once."""
     outcome = repair_space(model, space.columns, space.ones)
-    return space.ones & ~outcome.changed, outcome.select_override_fired
+    return space.ones ^ outcome.changed, outcome.select_override_fired
 
 
 def row_oracle(verdict: Callable[[KconfigModel, Configuration], tuple[bool, bool]]) -> Oracle:

@@ -183,11 +183,13 @@ class _Repair:
 
     def set_tri(self, name: str, value: TriRows, lanes: int) -> None:
         v = self.values
-        ge, y = value
-        write = lanes & ((ge ^ v.ge[name]) | (y ^ v.y[name]) | ~v.present[name])
+        old_ge, old_y = v.ge[name], v.y[name]
+        dge, dy = value[0] ^ old_ge, value[1] ^ old_y
+        write = lanes & (dge | dy | (self.ones ^ v.present[name]))
         if write:
-            v.ge[name] = (v.ge[name] & ~write) | (ge & write)
-            v.y[name] = (v.y[name] & ~write) | (y & write)
+            # Flip the written rows whose value differs.
+            v.ge[name] = old_ge ^ (dge & write)
+            v.y[name] = old_y ^ (dy & write)
             v.present[name] |= write
             self.changed |= write
             self.stamp[name] = self.run
@@ -197,12 +199,13 @@ class _Repair:
         moves = []
         writes = 0
         for value, rows in assignment.items():
-            write = rows & ~part.get(value, 0)  # unset reads as None
+            write = rows & (self.ones ^ part.get(value, 0))  # unset reads as None
             if write:
                 moves.append((value, write))
                 writes |= write
         if writes:
-            part = {value: rows & ~writes for value, rows in part.items()}
+            unwritten = self.ones ^ writes
+            part = {value: rows & unwritten for value, rows in part.items()}
             for value, write in moves:
                 _add(part, value, write)
             self.values.values[name] = {value: rows for value, rows in part.items() if rows}
@@ -217,7 +220,7 @@ class _Repair:
         declared modules switch none, with one every row where the switch is
         not y."""
         switch = self.model.modules_option
-        return 0 if switch is None else self.ones & ~self.values.y.get(switch, 0)
+        return 0 if switch is None else self.ones ^ self.values.y.get(switch, 0)
 
     def effective_bool(self, opt: _Option) -> int:
         """Rows where the option cannot hold m: always-bool options, and
@@ -239,7 +242,7 @@ class _Repair:
             rows = lanes & applies[0]
             if rows:
                 found.append((entry, rows, applies))
-                lanes &= ~rows
+                lanes ^= rows
         return found, lanes
 
     def dependency_and_visibility(self, opt: _Option) -> tuple[TriRows, TriRows]:
@@ -256,13 +259,14 @@ class _Repair:
             cge, cy = v.tri(condition, lanes & v.present[selector])
             fge |= v.ge[selector] & cge
             fy |= v.y[selector] & cy
-        shown = vis[0]
-        hidden = lanes & ~shown
-        # The floor exceeds the visibility on shown rows, the dependencies on
-        # hidden ones.
-        self.override |= (lanes & shown & fy & ~vis[1]) | (
-            hidden & ((fge & ~dep[0]) | (fy & ~dep[1]))
-        )
+        ones, shown = self.ones, vis[0]
+        hidden = lanes & (ones ^ shown)
+        if fge:
+            # The floor exceeds the visibility on shown rows, the dependencies
+            # on hidden ones.
+            self.override |= (lanes & fy & (shown ^ vis[1])) | (
+                hidden & ((fge & (ones ^ dep[0])) | (fy & (ones ^ dep[1])))
+            )
         # Shown rows keep their value clamped between the floor and the
         # visibility.
         ge = (v.ge[opt.name] & vis[0]) | fge
@@ -276,8 +280,8 @@ class _Repair:
                 vge, vy = v.tri(default.value, rows)
                 dge |= rows & vge & age
                 dy |= rows & vy & ay
-            ge = (ge & shown) | (dge & ~shown)
-            y = (y & shown) | (dy & ~shown)
+            ge = (ge & shown) | (dge & hidden)
+            y = (y & shown) | (dy & hidden)
         y |= ge & self.effective_bool(opt)
         self.set_tri(opt.name, (ge, y), lanes)
 
@@ -285,7 +289,7 @@ class _Repair:
         item, ones = opt.item, self.ones
         current = self.values.values[item.name]
         if item.type is OptionType.STRING:
-            rows = ones & (~vis[0] | current.get(None, 0))
+            rows = (ones ^ vis[0]) | current.get(None, 0)
             if rows:
                 found, rest = self.first_applicable(opt.literal_defaults, dep, rows)
                 assignment = {None: rest}
@@ -310,7 +314,7 @@ class _Repair:
             for bounds, lrows in limits:
                 if bounds is None or bounds[0] <= number <= bounds[1]:
                     kept |= rows & lrows
-        todo = ones & ~kept
+        todo = ones ^ kept
         if not todo:
             return
         found, rest = self.first_applicable(opt.literal_defaults, dep, todo)
@@ -344,20 +348,21 @@ class _Repair:
             any_y |= shown & v.y[opt.name]
         mode_on = ch_vis[0]
         mode_y = (any_y & ch_vis[1]) | (mode_on & eff_bool)
-        mode_m = mode_on & ~mode_y
+        mode_m = mode_on ^ mode_y
+        mode_off = ones ^ mode_on
 
         picks = self.chosen_members(step, member_vis, mode_y)
         for opt, (shown, _), pick in zip(step.members, member_vis, picks):
             # n mode clears the visible members, y mode selects the chosen
             # one alone, m mode lowers a visible y to m.
-            lanes = shown & (~mode_on | mode_y | (mode_m & v.y[opt.name]))
+            lanes = shown & (mode_off | mode_y | (mode_m & v.y[opt.name]))
             self.set_tri(opt.name, (mode_m | pick, pick), lanes)
 
         for opt in step.members:
             # The selection above may have changed what a member's
             # dependencies and prompts read.
             dep, vis = self.dependency_and_visibility(opt)
-            hidden = ones & ~vis[0]
+            hidden = ones ^ vis[0]
             if hidden:
                 self.recompute_boolish(opt, dep, vis, hidden)
 
@@ -379,7 +384,7 @@ class _Repair:
         picks = [0] * len(members)
         for i, opt in enumerate(members):
             picks[i] = lanes & candidates[i] & v.y[opt.name]
-            lanes &= ~picks[i]
+            lanes ^= picks[i]
         if not lanes:
             return picks
         index = {opt.name: i for i, opt in enumerate(members)}
@@ -392,11 +397,11 @@ class _Repair:
                 cge, _ = v.tri(default.condition, naming)
                 rows = naming & cge
                 picks[i] |= rows
-                lanes &= ~rows
+                lanes ^= rows
         for i in range(len(members)):
             rows = lanes & candidates[i]
             picks[i] |= rows
-            lanes &= ~rows
+            lanes ^= rows
         return picks
 
     def one_pass(self) -> int:

@@ -11,6 +11,11 @@ it is at least m and the rows where it is y, so min, max and complement
 become ``&``, ``|`` and a swap.  An int, hex or string option is a partition
 ``{value: rows}``, and a comparison is decided once per distinct pair of
 operand texts.  :func:`eval_expr` is the one-row case.
+
+Every mask lies inside ``ones``, the mask of all rows, so a complement is
+``ones ^ x``, or ``a ^ b`` where ``b`` lies inside ``a``, never a bitwise not:
+that is the negative integer ``-(x + 1)``, which ``&`` first converts to two's
+complement, several times slower on masks of thousands of rows.
 """
 
 from __future__ import annotations
@@ -139,6 +144,10 @@ class RowValues:
     at all; a row without it reads n, or unset.  Evaluation records each
     :class:`EvalError` in ``errors`` with the rows it applies to, in the order
     met, and goes on with n on those rows.
+
+    ``ones`` is ``2**n - 1`` for n rows; a column mask with a bit outside it
+    raises :class:`ValueError`, as the complements rely on every mask lying
+    inside ``ones``.
     """
 
     __slots__ = ("model", "ones", "ge", "y", "values", "present", "errors")
@@ -151,10 +160,15 @@ class RowValues:
         self.values: dict[str, dict[ConfigValue, int]] = {}
         self.present: dict[str, int] = {}
         self.errors: list[tuple[int, EvalError]] = []
+        if ones < 0 or ones & (ones + 1):
+            raise ValueError("the row set is not 2**n - 1, one bit per row")
+        width = ones.bit_length()
         for item in model.items:
             column = columns.get(item.name, {})
             present = 0
-            for rows in column.values():
+            for value, rows in column.items():
+                if rows < 0 or rows.bit_length() > width:
+                    raise ValueError(f"{item.name} holds {value!r} outside the {width} rows")
                 present |= rows
             self.present[item.name] = present
             if item.is_boolish:
@@ -164,7 +178,7 @@ class RowValues:
                 self.ge[item.name], self.y[item.name] = _split(column.items())
             else:
                 part = dict(column)
-                part[None] = part.get(None, 0) | (ones & ~present)
+                part[None] = part.get(None, 0) | (ones ^ present)
                 self.values[item.name] = {value: rows for value, rows in part.items() if rows}
 
     def config(self, k: int) -> Configuration:
@@ -205,7 +219,7 @@ class RowValues:
             same = 0
             for value, rows in part.items():
                 same |= rows & theirs.get(value, 0)
-            diff |= self.ones & ~same
+            diff |= self.ones ^ same
         return diff
 
     # ---- evaluation
@@ -270,7 +284,7 @@ class RowValues:
         name = e.name
         if name in self.ge:
             ge, y, present = self.ge[name], self.y[name], self.present[name]
-            return {"y": y, "m": ge & ~y, "n": present & ~ge, "": self.ones & ~present}
+            return {"y": y, "m": ge ^ y, "n": present ^ ge, "": self.ones ^ present}
         if name in self.values:
             texts: dict[str, int] = {}
             for value, rows in self.values[name].items():

@@ -255,6 +255,42 @@ class TestRepairSpace:
         with pytest.raises(EvalError, match="'tb'"):
             _whole_space(model)
 
+    def test_masks_lie_inside_the_row_set(self):
+        """After the repair, each bool or tristate option has y inside ge
+        inside present inside ``ones``, each int, hex or string option's
+        parts are disjoint and cover ``ones``, and the changed and override
+        masks lie inside ``ones``: the complements ``ones ^ x`` and ``a ^ b``
+        of the repair and the comparison operands rely on it."""
+
+        def inside(a, b):
+            return a >= 0 and a | b == b
+
+        models = corpus_models() + [("bound", _model(BOUND_MODEL_SOURCE))] + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        for name, model in models:
+            space, whole = _whole_space(model)
+            values, ones = whole.repaired, space.ones
+            assert values.ones == ones, name
+            for item in model.items:
+                option = (name, item.name)
+                present = values.present[item.name]
+                assert inside(present, ones), option
+                if item.is_boolish:
+                    ge, y = values.ge[item.name], values.y[item.name]
+                    assert inside(y, ge) and inside(ge, present), option
+                    continue
+                parts = values.values[item.name].values()
+                assert all(inside(rows, ones) for rows in parts), option
+                assert sum(rows.bit_count() for rows in parts) == ones.bit_count(), option
+                covered = 0
+                for rows in parts:
+                    covered |= rows
+                assert covered == ones, option
+            assert inside(whole.changed, ones), name
+            assert inside(whole.select_override_fired, ones), name
+
 
 class TestSkippedSteps:
     """After the first pass, a pass runs only the steps that read an option

@@ -162,3 +162,31 @@ class TestVisibility:
         assert _visibility(model.item("A"), cfg, model) is Tri.N
         cfg["G"] = Tri.Y
         assert _visibility(model.item("A"), cfg, model) is Tri.Y
+
+
+class TestRowSet:
+    """``RowValues`` takes ``ones = 2**n - 1`` and column masks inside it;
+    its complements ``ones ^ x`` are exact only there."""
+
+    def test_masks_inside_the_rows_accepted(self):
+        values = RowValues(TRI_PAIR, {"X": {Tri.Y: 0b10, Tri.M: 0b01}}, 0b11)
+        assert (values.ge["X"], values.y["X"], values.present["Q"]) == (0b11, 0b10, 0)
+        assert RowValues(TRI_PAIR, {}, 0).present == {"X": 0, "Q": 0}
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="X holds"):
+            RowValues(TRI_PAIR, {"X": {Tri.Y: -1}}, 0b11)
+
+    def test_mask_beyond_the_rows_rejected(self):
+        with pytest.raises(ValueError, match="X holds"):
+            RowValues(TRI_PAIR, {"X": {Tri.N: 0b01, Tri.Y: 0b110}}, 0b11)
+
+    def test_valued_mask_beyond_the_rows_rejected(self):
+        model = _model('config N\n\tint "n"\n\tdefault 5\n')
+        with pytest.raises(ValueError, match="N holds '5'"):
+            RowValues(model, {"N": {"5": 0b100}}, 0b11)
+
+    @pytest.mark.parametrize("ones", [-1, 0b101, 0b10])
+    def test_row_set_of_other_form_rejected(self, ones):
+        with pytest.raises(ValueError, match="row set"):
+            RowValues(TRI_PAIR, {}, ones)
