@@ -227,6 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     except KconfexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except RecursionError:
+        # The parser, the evaluators and the encoder recurse over an
+        # expression and over the dependencies an option accumulates.
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

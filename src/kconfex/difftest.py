@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from .encode import NumericDomain, collect_numeric_values, translate
+from .encode import collect_numeric_values, translate
 from .errors import KconfexError, TooManyOptions
 from .kconfig import ConfigItem, KconfigModel, OptionType, parse_model, validate_model
 from .oracle import repair_space
@@ -37,7 +37,6 @@ __all__ = [
     "CorpusReport",
     "builtin_oracle",
     "row_oracle",
-    "enumerate_configs",
     "check_model",
     "run_corpus",
     "CorpusOptions",
@@ -64,7 +63,7 @@ class _Space(NamedTuple):
     names: list[str]
     axes: list[list]
     notes: list[str]
-    dom: NumericDomain
+    dom: dict[str, list[str]]
     columns: Columns
     ones: int
 
@@ -106,6 +105,13 @@ def row_oracle(verdict: Callable[[KconfigModel, Configuration], tuple[bool, bool
 
 
 def _enumerate(model: KconfigModel, max_options: int) -> _Space:
+    """The configurations of a small model, in deterministic order.
+
+    Options enumerate in declaration order, the last declared option varying
+    fastest; bool options range over n,y, tristate over n,m,y, and valued
+    options over their harvested values.  Valued options without any known
+    value are skipped (the check report carries a note for them).
+    """
     if len(model.items) > max_options:
         raise TooManyOptions(len(model.items), max_options)
     dom = collect_numeric_values(model)
@@ -120,7 +126,7 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
             names.append(item.name)
             axes.append([Tri.N, Tri.M, Tri.Y])
         else:
-            domain = dom.domain(item.name)
+            domain = dom[item.name]
             if domain:
                 names.append(item.name)
                 axes.append(list(domain))
@@ -142,19 +148,6 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
     return _Space(names, axes, notes, dom, columns, ones)
 
 
-def enumerate_configs(
-    model: KconfigModel, max_options: int = DEFAULT_MAX_OPTIONS
-) -> list[Configuration]:
-    """All configurations of a small model, in deterministic order.
-
-    Options enumerate in declaration order, the last declared option varying
-    fastest; bool options range over n,y, tristate over n,m,y, and valued
-    options over their harvested values.  Valued options without any known
-    value are skipped (the check report carries a note for them).
-    """
-    return _enumerate(model, max_options).configs()
-
-
 def _image(item: ConfigItem, value: ConfigValue, domain: list[str]) -> Iterator[tuple[str, bool]]:
     """The translated variables of one option, each with its truth value
     while the option holds ``value`` (None: unset)."""
@@ -169,11 +162,11 @@ def _image(item: ConfigItem, value: ConfigValue, domain: list[str]) -> Iterator[
 def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
     """The boolean images of all enumerated configurations at once: bit k of
     ``masks[v]`` is the value of translated variable ``v`` in the image of
-    configuration k, in ``enumerate_configs`` order; ``ones`` has one bit per
+    configuration k, in enumeration order; ``ones`` has one bit per
     configuration."""
     masks: dict[str, int] = {}
     for item in model.items:
-        domain = space.dom.domain(item.name)
+        domain = space.dom.get(item.name, [])
         for name, _ in _image(item, None, domain):
             masks[name] = 0
         # An option skipped in enumeration has no column: unset in every row.
@@ -373,6 +366,8 @@ def _check_source(args: tuple[str, str, int]) -> TestReport:
         return check_model(model, max_options=max_options, name=name)
     except KconfexError as exc:
         return _error_report(name, str(exc))
+    except RecursionError:
+        return _error_report(name, "input nested too deeply")
 
 
 def run_corpus(directory: str | Path, options: CorpusOptions | None = None) -> CorpusReport:

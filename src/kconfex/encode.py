@@ -45,7 +45,6 @@ from .prop import (
     ConstraintSet,
     FALSE,
     PropFormula,
-    Record,
     TRUE,
     Var,
     _gc_paused,
@@ -57,13 +56,10 @@ from .prop import (
 )
 
 __all__ = [
-    "TriEncoding",
-    "NumericDomain",
     "Translation",
     "collect_numeric_values",
     "encode_expr",
     "encode_numeric_constraint",
-    "encode_option",
     "encode_reverse_dependencies",
     "encode_choice",
     "translate",
@@ -131,18 +127,6 @@ def enc_const(label: str) -> TriEncoding:
 # Known-value domains for numeric and string options
 
 
-class NumericDomain(Record):
-    """Per-option known values: the texts, canonicalized and ordered."""
-
-    _fields = ("values",)
-
-    def __init__(self, values: dict[str, list[str]] | None = None) -> None:
-        self.values = {} if values is None else values
-
-    def domain(self, name: str) -> list[str]:
-        return self.values.get(name, [])
-
-
 def _all_exprs(model: KconfigModel):
     for it in model.items:
         if it.depends is not None:
@@ -170,8 +154,10 @@ def _all_exprs(model: KconfigModel):
                 yield d.condition
 
 
-def collect_numeric_values(model: KconfigModel) -> NumericDomain:
-    """Harvest the known values of every non-boolean option.
+def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
+    """Harvest the known values of every non-boolean option: the texts,
+    canonicalized and ordered, by option name.  Every int, hex and string
+    option has a key; bool and tristate options have none.
 
     int/hex options: default literals, range endpoints, and comparison
     literals (against a literal or an undeclared symbol), deduplicated by
@@ -179,7 +165,7 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
     option's base is read with the base its prefix names.  String options:
     default literals in source order.
     """
-    dom = NumericDomain()
+    dom: dict[str, list[str]] = {}
     numbers: dict[str, set[int]] = {}
 
     def harvest(name: str, text: str) -> None:
@@ -192,7 +178,7 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
     for it in model.items:
         if it.is_numeric:
             numbers[it.name] = set()
-            dom.values[it.name] = []
+            dom[it.name] = []
             for d in it.defaults:
                 if isinstance(d.value, Literal):
                     harvest(it.name, d.value.text)
@@ -204,7 +190,7 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
             for d in it.defaults:
                 if isinstance(d.value, Literal):
                     seen.setdefault(d.value.text)
-            dom.values[it.name] = list(seen)
+            dom[it.name] = list(seen)
     if numbers:
         for e in _all_exprs(model):
             for node in expr_nodes(e):
@@ -218,7 +204,7 @@ def collect_numeric_values(model: KconfigModel) -> NumericDomain:
                         elif isinstance(s, Sym) and s.name != name and not model.has_option(s.name):
                             harvest(name, s.name)
         for name, found in numbers.items():
-            dom.values[name] = [number_text(v, model.item(name).type) for v in sorted(found)]
+            dom[name] = [number_text(v, model.item(name).type) for v in sorted(found)]
     return dom
 
 
@@ -238,7 +224,7 @@ class Translation:
 
     __slots__ = ("model", "dom", "vars", "symbols", "items", "conditions", "modules_off")
 
-    def __init__(self, model: KconfigModel, dom: NumericDomain):
+    def __init__(self, model: KconfigModel, dom: dict[str, list[str]]):
         self.model = model
         self.dom = dom
         self.vars: dict[str, PropFormula] = {}
@@ -272,7 +258,7 @@ class Translation:
                 enc = TriEncoding(self.var(name), self.var(name + "_MODULE"))
             else:
                 # A non-boolean option is y when it holds any nonempty value.
-                parts = [self.value_var(name, v) for v in self.dom.domain(name) if v != ""]
+                parts = [self.value_var(name, v) for v in self.dom[name] if v != ""]
                 enc = TriEncoding(or_(*parts), FALSE)
             self.symbols[name] = enc
         return enc
@@ -357,27 +343,27 @@ def _encode_equality(e: Expr, tr: Translation) -> PropFormula:
             return or_(*(and_(a, b) for a, b in zip(terms, other)))
         # tri vs valued: equal only when the valued side holds a y/m/n text
         parts = []
-        for v in dom.domain(rv):
+        for v in dom[rv]:
             if v in TRI_NAMES:
                 parts.append(and_(_tri_equals_label(lv, v, tr), tr.value_var(rv, v)))
         return or_(*parts)
 
     # lk == "valued"
     if rk == "const":
-        parts = [tr.value_var(lv, v) for v in dom.domain(lv) if _texts_equal(v, rv)]
+        parts = [tr.value_var(lv, v) for v in dom[lv] if _texts_equal(v, rv)]
         return or_(*parts)
     if rk == "tri":
         parts = []
-        for v in dom.domain(lv):
+        for v in dom[lv]:
             if v in TRI_NAMES:
                 parts.append(and_(tr.value_var(lv, v), _tri_equals_label(rv, v, tr)))
         return or_(*parts)
     parts = []
-    for a in dom.domain(lv):
-        for b in dom.domain(rv):
+    for a in dom[lv]:
+        for b in dom[rv]:
             if _texts_equal(a, b):
                 parts.append(and_(tr.value_var(lv, a), tr.value_var(rv, b)))
-    if not dom.domain(lv) and not dom.domain(rv):
+    if not dom[lv] and not dom[rv]:
         return TRUE  # both permanently unset: "" equals ""
     return or_(*parts)
 
@@ -390,7 +376,7 @@ def encode_numeric_constraint(
     Raises :class:`UnsupportedComparison` when the option has no harvested
     values at all.
     """
-    domain = tr.dom.domain(option)
+    domain = tr.dom.get(option, [])
     if not domain:
         raise UnsupportedComparison(
             f"comparison over {option} with an empty harvested domain"
@@ -627,7 +613,7 @@ def _invisible_value_chain(ctx: _ItemContext, tr: Translation) -> list[Constrain
 
 def _encode_valued_option(item: ConfigItem, tr: Translation) -> list[Constraint]:
     out: list[Constraint] = []
-    domain = tr.dom.domain(item.name)
+    domain = tr.dom[item.name]
     if not domain:
         return out  # never constrained, never enumerated
     ctx = tr.item_context(item)
@@ -788,7 +774,7 @@ def encode_choice(choice: ChoiceBlock, tr: Translation) -> list[Constraint]:
 # Whole-model translation
 
 
-def variable_order(model: KconfigModel, dom: NumericDomain) -> list[str]:
+def variable_order(model: KconfigModel, dom: dict[str, list[str]]) -> list[str]:
     """Declaration-ordered variable universe of the translated model."""
     order: list[str] = []
     for it in model.items:
@@ -796,7 +782,7 @@ def variable_order(model: KconfigModel, dom: NumericDomain) -> list[str]:
             order.append(it.name)
             order.append(it.name + "_MODULE")
         else:
-            for v in dom.domain(it.name):
+            for v in dom[it.name]:
                 order.append(f"{it.name}_EQ_{v}")
     return order
 
@@ -814,7 +800,7 @@ def translate(model: KconfigModel) -> ConstraintSet:
         cs.constraints.extend(encode_choice(choice, tr))
     cs.constraints.extend(encode_reverse_dependencies(tr))
     for item in model.items:
-        domain = tr.dom.domain(item.name)
+        domain = tr.dom.get(item.name, [])
         if item.is_boolish or not domain:
             continue
         value_vars = [tr.value_var(item.name, v) for v in domain]

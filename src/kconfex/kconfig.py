@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Callable, NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .errors import DuplicateOption, ParseError
 from .prop import Value, _gc_paused, _set
-
-T = TypeVar("T")
 
 __all__ = [
     "OptionType",
@@ -46,7 +44,6 @@ __all__ = [
     "parse_number",
     "number_text",
     "pretty_model",
-    "expr_text",
     "expr_symbols",
     "TRI_NAMES",
 ]
@@ -285,7 +282,7 @@ class ChoiceBlock(Value):
 
 class KconfigModel(Value):
     _fields = ("items", "choices", "modules_option", "source_name")
-    __slots__ = _fields + ("_by_name", "_selectors", "_derived")
+    __slots__ = _fields + ("_by_name", "_selectors")
     _uncompared = ("source_name",)
 
     def __init__(
@@ -305,7 +302,6 @@ class KconfigModel(Value):
             for sel in it.selects:
                 selectors.setdefault(sel.target, []).append((it, sel))
         _set(self, "_selectors", selectors)
-        _set(self, "_derived", {})
 
     def item(self, name: str) -> ConfigItem:
         return self._by_name[name]
@@ -330,15 +326,6 @@ class KconfigModel(Value):
     def selects_targeting(self, name: str) -> list[tuple[ConfigItem, Select]]:
         """(selector, select) pairs naming ``name`` as target, in declaration order."""
         return self._selectors.get(name, [])
-
-    def derived(self, build: Callable[[KconfigModel], T]) -> T:
-        """``build(self)``, computed on first use and kept with the model; the
-        model is immutable, so nothing derived from it goes stale."""
-        try:
-            return self._derived[build]
-        except KeyError:
-            value = self._derived[build] = build(self)
-            return value
 
 
 # --------------------------------------------------------------------------

@@ -49,9 +49,6 @@ from .kconfig import (
 from .tri import Columns, Configuration, ConfigValue, RowValues, Tri, TriRows, single_row
 
 __all__ = [
-    "MAX_PASSES",
-    "RepairOutcome",
-    "SpaceRepair",
     "repair",
     "repair_space",
     "write_dotconfig",
@@ -80,7 +77,7 @@ class SpaceRepair(NamedTuple):
 
 class _Option(NamedTuple):
     """What the repair reads of one option's declaration, derived once per
-    model."""
+    repair."""
 
     item: ConfigItem
     name: str
@@ -171,7 +168,7 @@ class _Repair:
         self.model = model
         self.values = values
         self.ones = values.ones
-        self.steps = model.derived(_plan)
+        self.steps = _plan(model)
         self.changed = 0
         self.override = 0
         self.run = 0  # the number of the running step; runs count from 1
@@ -488,19 +485,16 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def write_dotconfig(cfg: Configuration, sink, model: KconfigModel | None = None) -> None:
+def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
     """Write the kernel-style ``.config`` form of a configuration.
 
-    Lines appear in model declaration order when a model is given, in map
-    order otherwise.  Unset non-boolean options produce no line.
+    Lines appear in model declaration order; options the model does not
+    declare and unset non-boolean options produce no line.  String values
+    are quoted, int and hex values written bare.
     """
-    if model is not None:
-        names = [it.name for it in model.items if it.name in cfg]
-    else:
-        names = list(cfg)
     lines = []
-    for name in names:
-        value = cfg[name]
+    for item in model.items:
+        name, value = item.name, cfg.get(item.name)
         if isinstance(value, Tri):
             if value is Tri.N:
                 lines.append(f"# CONFIG_{name} is not set")
@@ -508,14 +502,10 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel | None = None)
                 lines.append(f"CONFIG_{name}={value.label}")
         elif value is None:
             continue
+        elif item.type is OptionType.STRING:
+            lines.append(f'CONFIG_{name}="{_escape(value)}"')
         else:
-            quoted = model is not None and model.item(name).type is OptionType.STRING
-            if model is None:
-                quoted = parse_number(value) is None
-            if quoted:
-                lines.append(f'CONFIG_{name}="{_escape(value)}"')
-            else:
-                lines.append(f"CONFIG_{name}={value}")
+            lines.append(f"CONFIG_{name}={value}")
     sink.write("".join(line + "\n" for line in lines))
 
 
@@ -560,7 +550,7 @@ def external_conf_oracle(
     model_file: str,
     cfg: Configuration,
     workdir: str,
-    model: KconfigModel | None = None,
+    model: KconfigModel,
 ) -> tuple[bool, bool]:
     """Ask a real ``conf`` binary whether the configuration survives repair.
 

@@ -33,9 +33,7 @@ __all__ = [
     "formula_vars",
     "evaluate",
     "evaluate_mask",
-    "substitute",
     "equivalent",
-    "EQUIV_VAR_BOUND",
     "formula_text",
     "Constraint",
     "ConstraintSet",
@@ -199,10 +197,6 @@ class Iff(PropFormula):
 
 def var(name: str) -> PropFormula:
     return Var(name)
-
-
-def const(value: bool) -> PropFormula:
-    return TRUE if value else FALSE
 
 
 def not_(f: PropFormula) -> PropFormula:
@@ -393,27 +387,6 @@ def assignment_masks(names: Iterable[str]) -> tuple[dict[str, int], int]:
     return masks, ones
 
 
-def substitute(f: PropFormula, values: dict[str, bool]) -> PropFormula:
-    """Replace variables by constants and fold."""
-    if isinstance(f, Var):
-        if f.name in values:
-            return const(values[f.name])
-        return f
-    if isinstance(f, _Const):
-        return f
-    if isinstance(f, NotF):
-        return not_(substitute(f.operand, values))
-    if isinstance(f, AndF):
-        return and_(*(substitute(op, values) for op in f.operands))
-    if isinstance(f, OrF):
-        return or_(*(substitute(op, values) for op in f.operands))
-    if isinstance(f, Implies):
-        return implies(substitute(f.antecedent, values), substitute(f.consequent, values))
-    if isinstance(f, Iff):
-        return iff(substitute(f.left, values), substitute(f.right, values))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 EQUIV_VAR_BOUND = 24
 
 
@@ -501,9 +474,6 @@ class ConstraintSet(Record):
         self.constraints = [] if constraints is None else constraints
         self.variable_order = [] if variable_order is None else variable_order
 
-    def add(self, formula: PropFormula, provenance: str) -> None:
-        self.constraints.append(Constraint(formula, provenance))
-
     def conjunction(self) -> PropFormula:
         return and_(*(c.formula for c in self.constraints))
 
@@ -545,7 +515,7 @@ class CnfFormula(Record):
 
 
 @_gc_paused
-def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFormula:
+def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     """Convert to CNF with one auxiliary variable per distinct gate: an And,
     Or, Implies or Iff node, told apart by its operator and its operand
     literals.  A negation reuses its operand's literal, negated, and gets
@@ -555,7 +525,7 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
 
     ``var_order`` numbers the original variables and must name every
     variable of ``f`` (one it leaves out raises :class:`MissingVariable`);
-    without it they are numbered in first-occurrence order of ``f``.
+    ``formula_vars(f)`` numbers them in first-occurrence order.
 
     The conversion preserves per-assignment verdicts: extending any total
     assignment of the original variables by the (unique) induced auxiliary
@@ -576,7 +546,7 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str] | None = None) -> CnfFo
         neg[neg[idx]] = idx
         return idx
 
-    for name in formula_vars(f) if var_order is None else var_order:
+    for name in var_order:
         if name not in var_map:
             var_map[name] = index(len(var_map) + 1)
     originals = len(var_map)

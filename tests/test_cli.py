@@ -150,6 +150,26 @@ def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# Past Python's recursion limit in the parser or in the encoder: 1,000 nested
+# parentheses, a 1,000-term conjunction, and 1,000 ``depends on`` lines.
+_DEEP_PREFIX = 'config A\n\tbool "a"\nconfig B\n\tbool "b"\n'
+DEEP_MODELS = {
+    "parentheses": _DEEP_PREFIX + "\tdepends on " + "(" * 1000 + "A" + ")" * 1000 + "\n",
+    "conjunction": _DEEP_PREFIX + "\tdepends on " + " && ".join(["A"] * 1000) + "\n",
+    "depends_lines": _DEEP_PREFIX + "\tdepends on A\n" * 1000,
+}
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "stats"])
+@pytest.mark.parametrize("shape", list(DEEP_MODELS))
+def test_deep_input_exits_2(command, shape, tmp_path, capsys):
+    path = tmp_path / "deep.kconfig"
+    path.write_text(DEEP_MODELS[shape])
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: input nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -206,6 +226,18 @@ class TestCorpusCommand:
         assert "status=ERROR error=\"cannot read dir.kconfig: " in rows[1]
         assert rows[2].endswith("status=PASS")
         assert rows[3].startswith("corpus files=3 failing=2 errors=2 ")
+
+    def test_deep_file_is_an_error_row(self, tmp_path, capsys):
+        (tmp_path / "deep.kconfig").write_text(DEEP_MODELS["parentheses"])
+        (tmp_path / "good.kconfig").write_text('config A\n\tbool "a"\n')
+        assert main(["corpus", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[0].startswith("file=deep.kconfig ")
+        assert rows[0].endswith("status=ERROR error='input nested too deeply'")
+        assert rows[1].startswith("file=good.kconfig ") and rows[1].endswith("status=PASS")
+        assert rows[2].startswith("corpus files=2 failing=1 errors=1 ")
+        assert captured.err == ""
 
 
 class TestStatsCommand:

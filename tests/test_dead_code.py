@@ -4,7 +4,8 @@ Every function, class, method, property and module-level constant of
 ``src/kconfex`` is either exported (listed in its module's ``__all__``) or
 referenced somewhere in the package other than at its own definition.  A
 reference is any name or attribute that spells it, f-string fields
-included; dunder names are called by the language and are exempt.
+included; dunder names are called by the language and are exempt.  Every
+``__all__`` entry names something its module defines or imports.
 """
 
 import ast
@@ -57,3 +58,26 @@ def test_every_definition_is_used_or_exported():
             if all(ref is node for ref in references.get(name, ())):
                 dead.append(f"{module}:{node.lineno} {name}")
     assert not dead, dead
+
+
+def _bound(tree):
+    """The names a module binds at its top level: definitions, assignments
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_export_is_defined_or_imported():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stale += [f"{path.name} {name}" for name in sorted(_exported(tree) - _bound(tree))]
+    assert not stale, stale

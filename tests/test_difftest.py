@@ -13,7 +13,6 @@ from kconfex.difftest import (
     _masks,
     builtin_oracle,
     check_model,
-    enumerate_configs,
     generate_model_text,
     run_corpus,
 )
@@ -39,30 +38,31 @@ def _oracle_rows(model):
 
 class TestEnumerate:
     def test_noprompt_choice_count_and_rows(self, noprompt_choice_model):
-        configs = enumerate_configs(noprompt_choice_model)
+        configs = _enumerate(noprompt_choice_model, DEFAULT_MAX_OPTIONS).configs()
         assert len(configs) == 8
         assert configs[0] == {"A": Tri.N, "B": Tri.N, "NOPROMPT": Tri.N}
         assert configs[-1] == {"A": Tri.Y, "B": Tri.Y, "NOPROMPT": Tri.Y}
         assert len({tuple(sorted((k, v.value) for k, v in c.items())) for c in configs}) == 8
 
     def test_single_tristate(self):
-        assert len(enumerate_configs(_model('config T\n\ttristate "t"\n'))) == 3
+        model = _model('config T\n\ttristate "t"\n')
+        assert len(_enumerate(model, DEFAULT_MAX_OPTIONS).configs()) == 3
 
     def test_mixed_domain_product(self):
         model = _model(
             'config A\n\tbool "a"\nconfig B\n\tbool "b"\nconfig T\n\ttristate "t"\n'
             'config N\n\tint "n"\n\tdefault 0\n\tdefault 5\n\tdefault 100\n'
         )
-        assert len(enumerate_configs(model)) == 2 * 2 * 3 * 3
+        assert len(_enumerate(model, DEFAULT_MAX_OPTIONS).configs()) == 2 * 2 * 3 * 3
 
     def test_bound(self):
         text = "".join(f'config O{i}\n\tbool "o"\n' for i in range(11))
         with pytest.raises(TooManyOptions):
-            enumerate_configs(_model(text))
+            _enumerate(_model(text), DEFAULT_MAX_OPTIONS)
 
     def test_skipped_empty_domain(self):
         model = _model('config N\n\tint "n"\nconfig A\n\tbool "a"\n')
-        configs = enumerate_configs(model)
+        configs = _enumerate(model, DEFAULT_MAX_OPTIONS).configs()
         assert len(configs) == 2
         assert all("N" not in c for c in configs)
 
@@ -227,7 +227,7 @@ class TestMasks:
                         image[item.name] = value is Tri.Y
                         image[item.name + "_MODULE"] = value is Tri.M
                     else:
-                        for known in space.dom.domain(item.name):
+                        for known in space.dom[item.name]:
                             image[f"{item.name}_EQ_{known}"] = value == known
                 assert {v: bool(rows >> k & 1) for v, rows in masks.items()} == image, (name, cfg)
             valued += sum("_EQ_" in v for v in masks)

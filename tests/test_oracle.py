@@ -18,7 +18,6 @@ from kconfex.difftest import (
     DEFAULT_MAX_OPTIONS,
     _enumerate,
     check_model,
-    enumerate_configs,
     generate_model_text,
 )
 from kconfex.errors import EvalError, FormatError, NonConvergence, ProcessError
@@ -56,20 +55,22 @@ def _model(text):
 def _repair_digests() -> dict[str, str]:
     """Per model, the sha256 of (repaired, changed, select_override_fired)
     over every enumerated configuration of every corpus model and of
-    generated seeds 0-99."""
+    generated seeds 0-99, read from one whole-space repair per model (each
+    row equals the one-row repair: ``test_one_row_equals_whole_space``)."""
     models = corpus_models() + [
         (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
         for seed in range(100)
     ]
     digests = {}
     for name, model in models:
+        space, whole = _whole_space(model)
         sha = hashlib.sha256()
-        for cfg in enumerate_configs(model):
-            outcome = repair(model, cfg)
+        for k in range(space.ones.bit_length()):
             repaired = sorted(
-                (k, v.label if isinstance(v, Tri) else v) for k, v in outcome.repaired.items()
+                (n, v.label if isinstance(v, Tri) else v)
+                for n, v in whole.repaired.config(k).items()
             )
-            row = [repaired, outcome.changed, outcome.select_override_fired]
+            row = [repaired, bool(whole.changed >> k & 1), bool(whole.select_override_fired >> k & 1)]
             sha.update(json.dumps(row).encode("utf-8") + b"\n")
         digests[name] = sha.hexdigest()
     return digests
@@ -247,7 +248,7 @@ class TestRepairSpace:
             "config D\n\tbool\n\tdefault y if T < 5\n"
             "config C\n\tbool\n\tdefault y\n"
         )
-        first, second = enumerate_configs(model)[:2]
+        first, second = _enumerate(model, DEFAULT_MAX_OPTIONS).configs()[:2]
         with pytest.raises(EvalError, match="'tb'"):
             repair(model, first)
         with pytest.raises(EvalError, match="'sa'"):
@@ -386,20 +387,25 @@ def test_read_sets_cover_what_each_step_evaluates():
 
 
 class TestDotConfig:
+    MODEL = _model(
+        'config A\n\tbool "a"\nconfig B\n\tbool "b"\nconfig X\n\ttristate "x"\n'
+        'config N\n\tint "n"\n\tdefault 5\n'
+    )
+
     def test_write_bool_lines(self):
         sink = io.StringIO()
-        write_dotconfig({"A": Tri.Y, "B": Tri.N}, sink)
+        write_dotconfig({"A": Tri.Y, "B": Tri.N}, sink, self.MODEL)
         assert sink.getvalue() == "CONFIG_A=y\n# CONFIG_B is not set\n"
 
     def test_empty(self):
         sink = io.StringIO()
-        write_dotconfig({}, sink)
+        write_dotconfig({}, sink, self.MODEL)
         assert sink.getvalue() == ""
 
     def test_round_trip_mixed(self):
         cfg = {"X": Tri.M, "N": "5"}
         sink = io.StringIO()
-        write_dotconfig(cfg, sink)
+        write_dotconfig(cfg, sink, self.MODEL)
         assert sink.getvalue() == "CONFIG_X=m\nCONFIG_N=5\n"
         assert parse_dotconfig(io.StringIO(sink.getvalue())) == cfg
 
@@ -414,9 +420,22 @@ class TestDotConfig:
         back = parse_dotconfig(io.StringIO(sink.getvalue()))
         assert back == cfg
 
+    def test_quoting_follows_the_declared_type(self):
+        """A string option holding a numeric text is quoted, and an int or
+        hex value is written bare; both read back unchanged."""
+        model = _model(
+            'config S\n\tstring "s"\nconfig T\n\tstring "t"\n'
+            'config N\n\tint "n"\nconfig H\n\thex "h"\n'
+        )
+        cfg = {"S": "42", "T": "0x10", "N": "42", "H": "0x10"}
+        sink = io.StringIO()
+        write_dotconfig(cfg, sink, model)
+        assert sink.getvalue() == 'CONFIG_S="42"\nCONFIG_T="0x10"\nCONFIG_N=42\nCONFIG_H=0x10\n'
+        assert parse_dotconfig(io.StringIO(sink.getvalue())) == cfg
+
     def test_unset_options_omitted(self):
         sink = io.StringIO()
-        write_dotconfig({"N": None, "A": Tri.Y}, sink)
+        write_dotconfig({"N": None, "A": Tri.Y, "Z": Tri.Y}, sink, self.MODEL)
         assert sink.getvalue() == "CONFIG_A=y\n"
 
     def test_parse_error_carries_line(self):
@@ -430,18 +449,21 @@ def _write_fake_conf(path, script):
     path.chmod(path.stat().st_mode | stat.S_IEXEC)
 
 
+ONE_BOOL = _model('config A\n\tbool "a"\n')
+
+
 class TestExternalOracle:
     def test_missing_binary(self, tmp_path):
         with pytest.raises(ProcessError):
             external_conf_oracle(
-                str(tmp_path / "missing"), "model", {"A": Tri.Y}, str(tmp_path)
+                str(tmp_path / "missing"), "model", {"A": Tri.Y}, str(tmp_path), ONE_BOOL
             )
 
     def test_accepting_binary(self, tmp_path):
         conf = tmp_path / "conf"
         _write_fake_conf(conf, "#!/bin/sh\nexit 0\n")
         verdict = external_conf_oracle(
-            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
+            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path), ONE_BOOL
         )
         assert verdict == (True, False)
 
@@ -451,7 +473,7 @@ class TestExternalOracle:
             conf, '#!/bin/sh\necho "CONFIG_EXTRA=y" >> "$KCONFIG_CONFIG"\nexit 0\n'
         )
         verdict = external_conf_oracle(
-            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
+            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path), ONE_BOOL
         )
         assert verdict == (False, False)
 
@@ -462,7 +484,7 @@ class TestExternalOracle:
             "#!/bin/sh\necho 'WARNING: unmet direct dependencies detected for A' >&2\nexit 0\n",
         )
         verdict = external_conf_oracle(
-            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
+            str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path), ONE_BOOL
         )
         assert verdict == (True, True)
 
@@ -471,7 +493,7 @@ class TestExternalOracle:
         _write_fake_conf(conf, "#!/bin/sh\nexit 3\n")
         with pytest.raises(ProcessError):
             external_conf_oracle(
-                str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path)
+                str(conf), "model.kconfig", {"A": Tri.Y}, str(tmp_path), ONE_BOOL
             )
 
 
@@ -564,7 +586,7 @@ class TestExecTimeout:
 
     def test_oracle_raises_process_error(self, tmp_path):
         with pytest.raises(ProcessError, match="timed out after 60 seconds"):
-            external_conf_oracle("conf", "model.kconfig", {"A": Tri.Y}, str(tmp_path))
+            external_conf_oracle("conf", "model.kconfig", {"A": Tri.Y}, str(tmp_path), ONE_BOOL)
 
     def test_check_exits_with_input_error(self, capsys):
         path = CORPUS_DIR / "single_bool.kconfig"

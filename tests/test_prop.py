@@ -12,6 +12,7 @@ from kconfex.prop import (
     FALSE,
     TRUE,
     AndF,
+    Constraint,
     ConstraintSet,
     Iff,
     Implies,
@@ -30,7 +31,6 @@ from kconfex.prop import (
     not_,
     or_,
     parse_dimacs,
-    substitute,
     tseitin_cnf,
     var,
     write_dimacs,
@@ -174,19 +174,9 @@ class TestFormulaVars:
         for k in range(16):
             f = implies(f, iff(f, var(f"V{k}")))
         assert formula_vars(f) == tree_vars(f) == ["BASE"] + [f"V{k}" for k in range(16)]
-        cnf = tseitin_cnf(f)
+        cnf = tseitin_cnf(f, formula_vars(f))
         assert len(cnf.aux_definitions) == 32
         assert cnf.num_vars == 17 + 32
-
-
-class TestSubstitute:
-    def test_folds_constants(self):
-        f = substitute(GOLDEN, {"NOPROMPT": True})
-        assert equivalent(f, or_(and_(A, not_(B)), and_(not_(A), B)))
-        assert "NOPROMPT" not in formula_vars(f)
-
-    def test_false_branch(self):
-        assert substitute(GOLDEN, {"NOPROMPT": False}) is FALSE
 
 
 def _satisfied(cnf, values):
@@ -195,25 +185,25 @@ def _satisfied(cnf, values):
 
 class TestTseitin:
     def test_single_variable(self):
-        cnf = tseitin_cnf(A)
+        cnf = tseitin_cnf(A, formula_vars(A))
         assert cnf.num_vars == 1
         assert cnf.clauses == [(1,)]
         assert _satisfied(cnf, {1: True})
         assert not _satisfied(cnf, {1: False})
 
     def test_constant_false(self):
-        cnf = tseitin_cnf(or_())
+        cnf = tseitin_cnf(or_(), [])
         assert cnf.clauses == [()]
         assert not _satisfied(cnf, {})
 
     def test_constant_true(self):
-        cnf = tseitin_cnf(and_())
+        cnf = tseitin_cnf(and_(), [])
         assert cnf.clauses == []
         assert _satisfied(cnf, {})
 
     def _assert_assignment_preserving(self, f):
         names = formula_vars(f)
-        cnf = tseitin_cnf(f)
+        cnf = tseitin_cnf(f, formula_vars(f))
         for assignment in all_assignments(names):
             values = {cnf.var_map[n]: v for n, v in assignment.items()}
             for idx, definition in cnf.aux_definitions.items():
@@ -240,7 +230,7 @@ class TestTseitin:
 
     def test_long_conjunction(self):
         f = and_(*(var(f"V{i}") for i in range(3000)))
-        cnf = tseitin_cnf(f)
+        cnf = tseitin_cnf(f, formula_vars(f))
         assert len(cnf.aux_definitions) == 1
         assert cnf.num_vars == 3001
         assert len(cnf.clauses) == 3002
@@ -250,7 +240,7 @@ class TestTseitin:
 
     def test_tautological_long_disjunction_has_no_clause(self):
         f = or_(*(var(f"V{i}") for i in range(3000)), not_(var("V0")))
-        cnf = tseitin_cnf(f)
+        cnf = tseitin_cnf(f, formula_vars(f))
         g = cnf.num_vars
         # one binary clause per operand, the root unit, and no defining clause
         assert cnf.clauses == [(-i, g) for i in range(1, 3001)] + [(1, g), (g,)]
@@ -258,17 +248,17 @@ class TestTseitin:
     def test_duplicate_literals_keep_first_occurrence(self):
         names = [f"V{i}" for i in range(2000)]
         operands = [var(n) for n in names + names[::-1]] + [not_(var("W"))]
-        cnf = tseitin_cnf(or_(*operands))
+        cnf = tseitin_cnf(or_(*operands), names + ["W"])
         g = cnf.num_vars
         w = cnf.var_map["W"]
         assert (-g, *range(1, 2001), -w) in cnf.clauses
         assert all(len(set(clause)) == len(clause) for clause in cnf.clauses)
-        cnf = tseitin_cnf(or_(A, B, A, not_(NP), B))
+        cnf = tseitin_cnf(or_(A, B, A, not_(NP), B), ["A", "B", "NOPROMPT"])
         assert cnf.clauses[5] == (-4, 1, 2, -3)
 
     def test_no_complementary_literals(self):
         f = and_(or_(A, not_(A), B), iff(A, not_(A)))
-        cnf = tseitin_cnf(f)
+        cnf = tseitin_cnf(f, formula_vars(f))
         for clause in cnf.clauses:
             assert not any(-lit in clause for lit in clause)
             assert all(abs(lit) <= cnf.num_vars for lit in clause if lit != 0)
@@ -285,15 +275,15 @@ class TestTseitin:
         disjunction = or_(A, not_(B))
         f = build(lambda: or_(A, not_(B)))
         assert f.operands[0].antecedent is not f.operands[1].left.operand
-        distinct = tseitin_cnf(f)
-        shared = tseitin_cnf(build(lambda: disjunction))
+        distinct = tseitin_cnf(f, formula_vars(f))
+        shared = tseitin_cnf(build(lambda: disjunction), formula_vars(f))
         assert distinct.clauses == shared.clauses
         assert distinct.var_map == shared.var_map
         assert distinct.num_vars == shared.num_vars
 
     def test_variable_with_an_auxiliary_name_raises(self):
         with pytest.raises(ValueError, match="__aux0"):
-            tseitin_cnf(and_(var("__aux0"), or_(A, B)))
+            tseitin_cnf(and_(var("__aux0"), or_(A, B)), ["__aux0", "A", "B"])
 
     def test_order_missing_a_variable_raises(self):
         with pytest.raises(MissingVariable) as info:
@@ -327,7 +317,7 @@ class TestDimacs:
         assert sink.getvalue().decode().splitlines() == ["p cnf 3 0"]
 
     def test_round_trip(self):
-        cnf = tseitin_cnf(GOLDEN)
+        cnf = tseitin_cnf(GOLDEN, formula_vars(GOLDEN))
         sink = io.BytesIO()
         write_dimacs(cnf, sink)
         back = parse_dimacs(io.BytesIO(sink.getvalue()))
@@ -336,7 +326,7 @@ class TestDimacs:
         assert back.var_map == cnf.var_map
 
     def test_write_is_byte_deterministic(self):
-        cnf = tseitin_cnf(GOLDEN)
+        cnf = tseitin_cnf(GOLDEN, formula_vars(GOLDEN))
         a, b = io.BytesIO(), io.BytesIO()
         write_dimacs(cnf, a)
         write_dimacs(cnf, b)
@@ -414,9 +404,7 @@ class TestFormulaText:
             shared,
             iff(implies(shared, not_(shared)), and_(NP, shared)),
         ]
-        cs = ConstraintSet()
-        for k, root in enumerate(roots):
-            cs.add(root, f"root{k}")
+        cs = ConstraintSet([Constraint(root, f"root{k}") for k, root in enumerate(roots)])
         assert [formula_text(root) for root in roots] == [
             "(A | B) & NOPROMPT",
             "!(A | B)",
