@@ -19,16 +19,16 @@ import itertools
 import math
 import random
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
 from .encode import collect_numeric_values, translate
 from .errors import KconfexError, TooManyOptions
-from .kconfig import ConfigItem, KconfigModel, OptionType, parse_model, validate_model
+from .kconfig import KconfigModel, OptionType, parse_model, validate_model
 from .oracle import repair_space
 from .prop import ConstraintSet, Record, evaluate_mask
-from .tri import Columns, Configuration, ConfigValue, Tri
+from .tri import Columns, Configuration, Tri
 
 __all__ = [
     "DEFAULT_MAX_OPTIONS",
@@ -148,32 +148,21 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
     return _Space(names, axes, notes, dom, columns, ones)
 
 
-def _image(item: ConfigItem, value: ConfigValue, domain: list[str]) -> Iterator[tuple[str, bool]]:
-    """The translated variables of one option, each with its truth value
-    while the option holds ``value`` (None: unset)."""
-    if item.is_boolish:
-        yield item.name, value is Tri.Y
-        yield item.name + "_MODULE", value is Tri.M
-    else:
-        for known in domain:
-            yield f"{item.name}_EQ_{known}", value == known
-
-
 def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
-    """The boolean images of all enumerated configurations at once: bit k of
-    ``masks[v]`` is the value of translated variable ``v`` in the image of
-    configuration k, in enumeration order; ``ones`` has one bit per
-    configuration."""
+    """The boolean images of all enumerated configurations at once, read off
+    the enumeration's columns: bit k of ``masks[v]`` is the value of variable
+    ``v`` in configuration k (``O``: O is y, ``O_MODULE``: O is m, ``O_EQ_v``:
+    O holds v); ``ones`` has one bit per configuration."""
     masks: dict[str, int] = {}
     for item in model.items:
-        domain = space.dom.get(item.name, [])
-        for name, _ in _image(item, None, domain):
-            masks[name] = 0
-        # An option skipped in enumeration has no column: unset in every row.
-        for value, rows in space.columns.get(item.name, {}).items():
-            for name, bit in _image(item, value, domain):
-                if bit:
-                    masks[name] |= rows
+        if item.is_boolish:
+            column = space.columns[item.name]
+            masks[item.name] = column[Tri.Y]
+            masks[item.name + "_MODULE"] = column.get(Tri.M, 0)
+        else:
+            column = space.columns.get(item.name, {})
+            for value in space.dom[item.name]:
+                masks[f"{item.name}_EQ_{value}"] = column.get(value, 0)
     return masks, space.ones
 
 
@@ -344,15 +333,8 @@ class CorpusReport(Record):
         return "".join(line + "\n" for line in lines)
 
 
-def _error_report(name: str, error: str) -> TestReport:
-    return TestReport(
-        name=name,
-        option_count=0,
-        config_count=0,
-        mismatches=[],
-        millis=0.0,
-        error=error,
-    )
+def _error_report(name: str, error: str, option_count: int = 0) -> TestReport:
+    return TestReport(name, option_count, config_count=0, mismatches=[], millis=0.0, error=error)
 
 
 def _check_source(args: tuple[str, str, int]) -> TestReport:
@@ -364,6 +346,8 @@ def _check_source(args: tuple[str, str, int]) -> TestReport:
         if errors:
             raise KconfexError("; ".join(str(d) for d in errors))
         return check_model(model, max_options=max_options, name=name)
+    except TooManyOptions as exc:  # the model parsed: report its options
+        return _error_report(name, str(exc), exc.count)
     except KconfexError as exc:
         return _error_report(name, str(exc))
     except RecursionError:

@@ -210,7 +210,10 @@ class Range(NamedTuple):
 
 
 class ConfigItem(Value):
-    __slots__ = _fields = (
+    """One declared option.  ``is_boolish`` (bool or tristate) and
+    ``is_numeric`` (int or hex) are set from ``type``, outside ``_fields``."""
+
+    _fields = (
         "name",
         "type",
         "prompts",
@@ -222,6 +225,7 @@ class ConfigItem(Value):
         "is_modules_switch",
         "line",
     )
+    __slots__ = _fields + ("is_boolish", "is_numeric")
     _uncompared = ("line",)
 
     def __init__(
@@ -247,14 +251,8 @@ class ConfigItem(Value):
         _set(self, "declared_in_choice", declared_in_choice)
         _set(self, "is_modules_switch", is_modules_switch)
         _set(self, "line", line)
-
-    @property
-    def is_boolish(self) -> bool:
-        return self.type in (OptionType.BOOL, OptionType.TRISTATE)
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.type in (OptionType.INT, OptionType.HEX)
+        _set(self, "is_boolish", type in (OptionType.BOOL, OptionType.TRISTATE))
+        _set(self, "is_numeric", type in (OptionType.INT, OptionType.HEX))
 
 
 class ChoiceBlock(Value):

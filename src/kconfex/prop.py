@@ -331,39 +331,49 @@ def evaluate(f: PropFormula, assignment: dict[str, bool]) -> bool:
 def evaluate_mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
     """Evaluate over all assignments at once, one bit per assignment.
 
-    ``masks`` maps each variable to its truth pattern; ``ones`` is the
-    all-assignments mask.  Bit k of the result is the verdict under
-    assignment k.
+    ``masks`` maps each variable to its truth pattern (one missing raises
+    :class:`MissingVariable`); ``ones`` is the all-assignments mask.  Bit k
+    of the result is the verdict under assignment k.
     """
-    if isinstance(f, Var):
-        try:
-            return masks[f.name]
-        except KeyError:
-            raise MissingVariable(f.name) from None
-    if isinstance(f, _Const):
-        return ones if f.value else 0
-    if isinstance(f, NotF):
-        return ones ^ evaluate_mask(f.operand, masks, ones)
-    if isinstance(f, AndF):
+    try:
+        return _mask(f, masks, ones)
+    except KeyError as exc:
+        raise MissingVariable(exc.args[0]) from None
+
+
+def _mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
+    # The node classes have no subclasses, so ``type(f) is`` dispatches
+    # exactly; a variable operand is read inline, without a call per leaf.
+    kind = type(f)
+    if kind is NotF:
+        op = f.operand
+        return ones ^ (masks[op.name] if type(op) is Var else _mask(op, masks, ones))
+    if kind is AndF:
         acc = ones
         for op in f.operands:
-            acc &= evaluate_mask(op, masks, ones)
+            acc &= masks[op.name] if type(op) is Var else _mask(op, masks, ones)
             if acc == 0:
                 break
         return acc
-    if isinstance(f, OrF):
+    if kind is OrF:
         acc = 0
         for op in f.operands:
-            acc |= evaluate_mask(op, masks, ones)
+            acc |= masks[op.name] if type(op) is Var else _mask(op, masks, ones)
             if acc == ones:
                 break
         return acc
-    if isinstance(f, Implies):
-        return (ones ^ evaluate_mask(f.antecedent, masks, ones)) | evaluate_mask(
-            f.consequent, masks, ones
-        )
-    if isinstance(f, Iff):
-        return ones ^ evaluate_mask(f.left, masks, ones) ^ evaluate_mask(f.right, masks, ones)
+    if kind is Var:
+        return masks[f.name]
+    if kind is Implies:
+        a, c = f.antecedent, f.consequent
+        held = masks[a.name] if type(a) is Var else _mask(a, masks, ones)
+        return (ones ^ held) | (masks[c.name] if type(c) is Var else _mask(c, masks, ones))
+    if kind is Iff:
+        a, b = f.left, f.right
+        held = masks[a.name] if type(a) is Var else _mask(a, masks, ones)
+        return ones ^ held ^ (masks[b.name] if type(b) is Var else _mask(b, masks, ones))
+    if kind is _Const:
+        return ones if f.value else 0
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -263,6 +263,9 @@ class RowValues:
         dependency value; n when there is no prompt."""
         ge = y = 0
         for prompt in prompts:
+            if prompt.condition is None:  # y: the dependency value itself
+                ge, y = ge | depends[0], y | depends[1]
+                continue
             cge, cy = self.tri(prompt.condition, live)
             ge |= cge & depends[0]
             y |= cy & depends[1]

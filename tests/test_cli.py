@@ -240,6 +240,17 @@ class TestCorpusCommand:
         assert captured.err == ""
 
 
+    def test_too_many_options_row_counts_the_options(self, tmp_path, capsys):
+        (tmp_path / "one.kconfig").write_text('config A\n\tbool "a"\n')
+        assert main(["corpus", str(tmp_path), "--max-options", "0"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == (
+            "file=one.kconfig options=1 configs=0 failures=0 known_limits=0 millis=0.0 "
+            "status=ERROR error='model declares 1 options, enumeration bound is 0'"
+        )
+        assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
+
+
 class TestStatsCommand:
     def test_golden_counts_match_translate(self, golden_choice_file, capsys):
         from kconfex.encode import translate

@@ -104,31 +104,80 @@ class TestEquivalent:
 
 class TestMaskEvaluation:
     def test_matches_pointwise_evaluation(self):
+        """500 random formulas of depth 6, some of whose subformula objects
+        recur within one formula and across formulas."""
         rng = random.Random(7)
         names = ["A", "B", "C", "D"]
+        built = {depth: [] for depth in range(7)}  # reused at their own depth
 
         def gen(depth):
-            if depth == 0 or rng.random() < 0.3:
+            if built[depth] and rng.random() < 0.2:
+                return rng.choice(built[depth])
+            if depth == 0 or rng.random() < 0.2:
                 return var(rng.choice(names))
             op = rng.randrange(5)
             if op == 0:
-                return not_(gen(depth - 1))
-            if op == 1:
-                return and_(gen(depth - 1), gen(depth - 1))
-            if op == 2:
-                return or_(gen(depth - 1), gen(depth - 1))
-            if op == 3:
-                return implies(gen(depth - 1), gen(depth - 1))
-            return iff(gen(depth - 1), gen(depth - 1))
+                f = not_(gen(depth - 1))
+            elif op == 1:
+                f = and_(gen(depth - 1), gen(depth - 1))
+            elif op == 2:
+                f = or_(gen(depth - 1), gen(depth - 1))
+            elif op == 3:
+                f = implies(gen(depth - 1), gen(depth - 1))
+            else:
+                f = iff(gen(depth - 1), gen(depth - 1))
+            built[depth].append(f)
+            return f
 
         masks, ones = assignment_masks(names)
-        for _ in range(50):
-            f = gen(4)
+        shared = 0
+        for _ in range(500):
+            f = gen(6)
+            shared += len(node_ids(f)) > len(set(node_ids(f)))
             mask = evaluate_mask(f, masks, ones)
             # assignment k sets names[i] to bit i of k
             for k in range(1 << len(names)):
                 assignment = {n: bool(k >> i & 1) for i, n in enumerate(names)}
                 assert bool(mask >> k & 1) == evaluate(f, assignment)
+        assert shared > 50
+
+    def test_constants(self):
+        masks, ones = assignment_masks(["A", "B"])
+        assert evaluate_mask(TRUE, masks, ones) == ones == 0b1111
+        assert evaluate_mask(FALSE, masks, ones) == 0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda x: x,
+            lambda x: NotF(x),
+            lambda x: AndF((A, x)),
+            lambda x: OrF((x, B)),
+            lambda x: Implies(x, A),
+            lambda x: Implies(A, x),
+            lambda x: Iff(x, B),
+            lambda x: Iff(A, x),
+            lambda x: AndF((A, NotF(x))),
+            lambda x: OrF((B, Implies(A, x))),
+        ],
+    )
+    def test_missing_variable_is_named(self, shape):
+        """A variable without a mask, at the top, as any operand of any node
+        or deeper, raises ``MissingVariable`` naming it."""
+        masks, ones = assignment_masks(["A", "B"])
+        with pytest.raises(MissingVariable) as caught:
+            evaluate_mask(shape(Var("X")), masks, ones)
+        assert caught.value.name == "X"
+
+
+def node_ids(f):
+    """The ids of the node objects at every tree position of ``f``."""
+    ids = [id(f)]
+    for child in getattr(f, "operands", ()) or [
+        getattr(f, slot) for slot in ("operand", "antecedent", "consequent", "left", "right") if hasattr(f, slot)
+    ]:
+        ids += node_ids(child)
+    return ids
 
 
 def tree_vars(f):

@@ -2,9 +2,12 @@ import itertools
 
 import pytest
 
+from kconfex.difftest import DEFAULT_MAX_OPTIONS, _enumerate
 from kconfex.errors import EvalError
-from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Sym, parse_model
+from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Prompt, Sym, parse_model
 from kconfex.tri import RowValues, Tri, eval_expr, single_row
+
+from conftest import corpus_models
 
 ALL = (Tri.N, Tri.M, Tri.Y)
 
@@ -162,6 +165,49 @@ class TestVisibility:
         assert _visibility(model.item("A"), cfg, model) is Tri.N
         cfg["G"] = Tri.Y
         assert _visibility(model.item("A"), cfg, model) is Tri.Y
+
+
+class TestWholeSpaceVisibility:
+    """``visibility`` over every row at once."""
+
+    P_Q = _model('config P\n\ttristate "p"\nconfig Q\n\ttristate "q"\n')
+
+    def _rows(self):
+        space = _enumerate(self.P_Q, DEFAULT_MAX_OPTIONS)
+        return space, RowValues(self.P_Q, space.columns, space.ones)
+
+    def test_unconditional_prompt_is_the_dependency_value(self):
+        space, values = self._rows()
+        depends = values.tri(Q, space.ones)
+        assert depends != (space.ones, space.ones) and depends != (0, 0)
+        assert values.visibility((Prompt("i"),), depends, space.ones) == depends
+
+    @pytest.mark.parametrize("conditional_first", [True, False])
+    def test_unconditional_beside_conditional_is_the_maximum(self, conditional_first):
+        space, values = self._rows()
+        prompts = (Prompt("i", Sym("P")), Prompt("i"))
+        if not conditional_first:
+            prompts = prompts[::-1]
+        ge, y = values.visibility(prompts, values.tri(Q, space.ones), space.ones)
+        for k, cfg in enumerate(space.configs()):
+            p, q = cfg["P"].value, cfg["Q"].value
+            assert Tri((ge >> k & 1) + (y >> k & 1)) == Tri(max(min(p, q), q)), cfg
+
+    def test_corpus_rows_match_one_row(self):
+        """On every corpus model, each option's visibility on row k is its
+        one-row visibility in configuration k."""
+        checked = 0
+        for name, model in corpus_models():
+            space = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            values = RowValues(model, space.columns, space.ones)
+            for item in model.items:
+                depends = values.tri(model.effective_depends(item), space.ones)
+                ge, y = values.visibility(item.prompts, depends, space.ones)
+                for k, cfg in enumerate(space.configs()):
+                    expected = _visibility(item, cfg, model)
+                    assert Tri((ge >> k & 1) + (y >> k & 1)) is expected, (name, item.name, cfg)
+                    checked += 1
+        assert checked > 2000
 
 
 class TestRowSet:

@@ -305,6 +305,32 @@ def test_model_lookups_survive_copy_and_pickle():
         assert clone.selects_targeting("N") == []
 
 
+@pytest.mark.parametrize(
+    "option_type, boolish, numeric",
+    [
+        (OptionType.BOOL, True, False),
+        (OptionType.TRISTATE, True, False),
+        (OptionType.INT, False, True),
+        (OptionType.HEX, False, True),
+        (OptionType.STRING, False, False),
+    ],
+)
+def test_item_type_flags(option_type, boolish, numeric):
+    """``is_boolish`` and ``is_numeric`` are set from the type, survive copies
+    and pickling, cannot be assigned, and equality and hashing ignore them."""
+    item = ConfigItem("A", option_type, line=3)
+    for clone in (item, pickle.loads(pickle.dumps(item)), copy.copy(item), copy.deepcopy(item)):
+        assert (clone.is_boolish, clone.is_numeric) == (boolish, numeric)
+    for flag in ("is_boolish", "is_numeric"):
+        with pytest.raises(AttributeError):
+            setattr(item, flag, not getattr(item, flag))
+        assert flag not in ConfigItem._fields
+    flipped = ConfigItem("A", option_type, line=3)
+    object.__setattr__(flipped, "is_boolish", not boolish)
+    object.__setattr__(flipped, "is_numeric", not numeric)
+    assert flipped == item and hash(flipped) == hash(item)
+
+
 def test_import_loads_neither_dataclasses_nor_concurrent_futures():
     src = str(Path(kconfex.__file__).resolve().parent.parent)
     code = (
