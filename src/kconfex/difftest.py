@@ -343,8 +343,8 @@ def _check_source(args: tuple[str, str, int]) -> TestReport:
         model = parse_model(text, name)
         diagnostics = validate_model(model)
         errors = [d for d in diagnostics if d.severity == "error"]
-        if errors:
-            raise KconfexError("; ".join(str(d) for d in errors))
+        if errors:  # the model parsed: report its options
+            return _error_report(name, "; ".join(str(d) for d in errors), len(model.items))
         return check_model(model, max_options=max_options, name=name)
     except TooManyOptions as exc:  # the model parsed: report its options
         return _error_report(name, str(exc), exc.count)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import gc
+from itertools import chain
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -129,6 +130,11 @@ class Value(Record):
         return type(self), tuple([getattr(self, name) for name in self._fields])
 
 
+# The node classes below are final: none has a subclass
+# (``test_node_classes_are_final``), so code that walks formulas dispatches
+# on ``type(node) is Kind`` rather than on an ``isinstance`` chain.
+
+
 class PropFormula(Value):
     __slots__ = ()
 
@@ -204,7 +210,7 @@ def not_(f: PropFormula) -> PropFormula:
         return FALSE
     if f is FALSE:
         return TRUE
-    if isinstance(f, NotF):
+    if type(f) is NotF:
         return f.operand
     return NotF(f)
 
@@ -216,7 +222,7 @@ def and_(*fs: PropFormula) -> PropFormula:
             return FALSE
         if f is TRUE:
             continue
-        if isinstance(f, AndF):
+        if type(f) is AndF:
             flat.extend(f.operands)
         else:
             flat.append(f)
@@ -234,7 +240,7 @@ def or_(*fs: PropFormula) -> PropFormula:
             return TRUE
         if f is FALSE:
             continue
-        if isinstance(f, OrF):
+        if type(f) is OrF:
             flat.extend(f.operands)
         else:
             flat.append(f)
@@ -286,44 +292,46 @@ def formula_vars(f: PropFormula) -> list[str]:
 
 
 def _walk_vars(node: PropFormula, seen: dict[str, None], walked: set[int]) -> None:
-    if isinstance(node, Var):
+    kind = type(node)
+    if kind is Var:
         seen.setdefault(node.name)
         return
     key = id(node)
     if key in walked:
         return
     walked.add(key)
-    if isinstance(node, NotF):
+    if kind is NotF:
         _walk_vars(node.operand, seen, walked)
-    elif isinstance(node, (AndF, OrF)):
+    elif kind is AndF or kind is OrF:
         for op in node.operands:
             _walk_vars(op, seen, walked)
-    elif isinstance(node, Implies):
+    elif kind is Implies:
         _walk_vars(node.antecedent, seen, walked)
         _walk_vars(node.consequent, seen, walked)
-    elif isinstance(node, Iff):
+    elif kind is Iff:
         _walk_vars(node.left, seen, walked)
         _walk_vars(node.right, seen, walked)
 
 
 def evaluate(f: PropFormula, assignment: dict[str, bool]) -> bool:
     """Standard boolean semantics; the assignment must cover every variable."""
-    if isinstance(f, Var):
+    kind = type(f)
+    if kind is Var:
         try:
             return assignment[f.name]
         except KeyError:
             raise MissingVariable(f.name) from None
-    if isinstance(f, _Const):
+    if kind is _Const:
         return f.value
-    if isinstance(f, NotF):
+    if kind is NotF:
         return not evaluate(f.operand, assignment)
-    if isinstance(f, AndF):
+    if kind is AndF:
         return all(evaluate(op, assignment) for op in f.operands)
-    if isinstance(f, OrF):
+    if kind is OrF:
         return any(evaluate(op, assignment) for op in f.operands)
-    if isinstance(f, Implies):
+    if kind is Implies:
         return (not evaluate(f.antecedent, assignment)) or evaluate(f.consequent, assignment)
-    if isinstance(f, Iff):
+    if kind is Iff:
         return evaluate(f.left, assignment) == evaluate(f.right, assignment)
     raise TypeError(f"not a formula node: {f!r}")
 
@@ -342,8 +350,7 @@ def evaluate_mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
 
 
 def _mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
-    # The node classes have no subclasses, so ``type(f) is`` dispatches
-    # exactly; a variable operand is read inline, without a call per leaf.
+    # A variable operand is read inline, without a call per leaf.
     kind = type(f)
     if kind is NotF:
         op = f.operand
@@ -440,30 +447,34 @@ class _Renderer:
         self.done: dict[int, tuple[str, int]] = {}
 
     def render(self, node: PropFormula, parent: int) -> str:
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             return node.name
-        if isinstance(node, _Const):
+        if kind is _Const:
             return "1" if node.value else "0"
-        entry = self.done.get(id(node))
+        key = id(node)
+        entry = self.done.get(key)
         if entry is None:
-            entry = self.done[id(node)] = self._compound(node)
+            entry = self.done[key] = self._compound(node)
         text, level = entry
         return f"({text})" if parent > level else text
 
     def _compound(self, node: PropFormula) -> tuple[str, int]:
         render = self.render
-        if isinstance(node, NotF):
-            return "!" + render(node.operand, 5), 5
+        kind = type(node)
         # A variable operand is written in place rather than by a call.
-        if isinstance(node, AndF):
+        if kind is AndF:
             ops = [op.name if type(op) is Var else render(op, 4) for op in node.operands]
             return " & ".join(ops), 4
-        if isinstance(node, OrF):
+        if kind is OrF:
             ops = [op.name if type(op) is Var else render(op, 3) for op in node.operands]
             return " | ".join(ops), 3
-        if isinstance(node, Implies):
+        if kind is NotF:
+            op = node.operand
+            return "!" + (op.name if type(op) is Var else render(op, 5)), 5
+        if kind is Implies:
             return f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}", 2
-        if isinstance(node, Iff):
+        if kind is Iff:
             return f"{render(node.left, 2)} <=> {render(node.right, 2)}", 1
         raise TypeError(f"not a formula node: {node!r}")
 
@@ -551,15 +562,13 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     # the same number each.
     neg: dict[int, int] = {}
 
-    def index(idx: int) -> int:
-        neg[idx] = -idx
-        neg[neg[idx]] = idx
-        return idx
-
     for name in var_order:
         if name not in var_map:
-            var_map[name] = index(len(var_map) + 1)
+            idx = var_map[name] = len(var_map) + 1
+            neg[idx] = -idx
+            neg[neg[idx]] = idx
     originals = len(var_map)
+    get = var_map.get
 
     clauses: list[tuple[int, ...]] = []
     aux_definitions: dict[int, PropFormula] = {}
@@ -579,54 +588,59 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
 
     def literal(node: PropFormula) -> int:
         # Returns a literal equisatisfiable with the node, defining auxiliary
-        # variables (with both polarities) for compound nodes.  A fresh ``g``
-        # occurs in no operand literal, so a clause of ``g`` and one operand
-        # literal has no repeat and no complementary pair: it skips ``add``.
-        if isinstance(node, Var):
+        # variables (with both polarities) for compound nodes.  A variable
+        # operand is looked up in place rather than by a call; a missing one
+        # falls through to ``literal``, which raises.
+        op = type(node)
+        if op is Var:
             try:
                 return var_map[node.name]
             except KeyError:
                 raise MissingVariable(node.name) from None
-        if isinstance(node, NotF):
-            return neg[literal(node.operand)]
+        if op is NotF:
+            o = node.operand
+            return neg[(type(o) is Var and get(o.name)) or literal(o)]
         g = by_id.get(id(node))
         if g is not None:
             return g
-        op = type(node)
         table = gates.get(op)
         if table is None:
             raise TypeError(f"not a formula node: {node!r}")
         if op is AndF or op is OrF:
-            # A variable operand is looked up in place rather than by a call;
-            # a missing one falls through to ``literal``, which raises.
-            get = var_map.get
-            lits = tuple([(type(o) is Var and get(o.name)) or literal(o) for o in node.operands])
+            operands = node.operands
         elif op is Implies:
-            lits = (literal(node.antecedent), literal(node.consequent))
+            operands = (node.antecedent, node.consequent)
         else:
-            lits = (literal(node.left), literal(node.right))
+            operands = (node.left, node.right)
+        lits = tuple([(type(o) is Var and get(o.name)) or literal(o) for o in operands])
         g = table.get(lits)
         if g is None:
-            g = table[lits] = index(originals + len(aux_definitions) + 1)
+            g = table[lits] = originals + len(aux_definitions) + 1
+            ng = neg[g] = -g
+            neg[ng] = g
             aux_definitions[g] = node
-            ng = neg[g]
+            # A fresh ``g`` occurs in no operand literal, so a clause of ``g``
+            # and one operand literal never holds a repeat or a complementary
+            # pair.  A longer clause can only when two operand literals name
+            # the same variable; only then does it go through ``add``.
+            emit = clauses.append if len(set(map(abs, lits))) == len(lits) else add
             if op is AndF:
                 clauses.extend([(ng, lit) for lit in lits])
-                add((g, *[neg[lit] for lit in lits]))
+                emit((g, *[neg[lit] for lit in lits]))
             elif op is OrF:
                 clauses.extend([(neg[lit], g) for lit in lits])
-                add((ng, *lits))
+                emit((ng, *lits))
             elif op is Implies:
                 a, b = lits
-                add((ng, neg[a], b))
+                emit((ng, neg[a], b))
                 clauses.append((g, a))
                 clauses.append((g, neg[b]))
             else:
                 a, b = lits
-                add((ng, neg[a], b))
-                add((ng, a, neg[b]))
-                add((g, a, b))
-                add((g, neg[a], neg[b]))
+                emit((ng, neg[a], b))
+                emit((ng, a, neg[b]))
+                emit((g, a, b))
+                emit((g, neg[a], neg[b]))
         by_id[id(node)] = g
         return g
 
@@ -658,11 +672,15 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
 
     Byte-deterministic; LF endings, single spaces.
     """
-    out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
-    out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for clause in cnf.clauses:
-        out.append("%d " * len(clause) % tuple(clause) + "0")
-    sink.write(("\n".join(out) + "\n").encode("utf-8"))
+    clauses = cnf.clauses
+    header = [f"c {idx} {name}\n" for name, idx in cnf.var_map.items()]
+    header.append(f"p cnf {cnf.num_vars} {len(clauses)}\n")
+    # One format operation for all clauses: a line template per clause,
+    # filled from the concatenated literals.
+    templates = {n: "%d " * n + "0\n" for n in set(map(len, clauses))}
+    body = "".join(map(templates.__getitem__, map(len, clauses)))
+    body %= tuple(chain.from_iterable(clauses))
+    sink.write(("".join(header) + body).encode("utf-8"))
 
 
 def parse_dimacs(source: IO[bytes]) -> CnfFormula:

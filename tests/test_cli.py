@@ -250,6 +250,18 @@ class TestCorpusCommand:
         )
         assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
 
+    def test_invalid_model_row_counts_the_options(self, tmp_path, capsys):
+        (tmp_path / "a.kconfig").write_text(
+            'config A\n\tbool "a"\n\tselect N\n\nconfig N\n\tint "n"\n'
+        )
+        assert main(["corpus", str(tmp_path)]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == (
+            "file=a.kconfig options=2 configs=0 failures=0 known_limits=0 millis=0.0 "
+            "status=ERROR error='error [A]: select target N is not bool/tristate'"
+        )
+        assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
+
 
 class TestStatsCommand:
     def test_golden_counts_match_translate(self, golden_choice_file, capsys):

@@ -8,10 +8,12 @@ import pytest
 from kconfex.encode import translate
 from kconfex.errors import FormatError, MissingVariable, TooManyVariables
 from kconfex.prop import (
+    _Const,
     _gc_paused,
     FALSE,
     TRUE,
     AndF,
+    CnfFormula,
     Constraint,
     ConstraintSet,
     Iff,
@@ -45,6 +47,13 @@ GOLDEN_VALID_ROWS = [
     {"A": False, "B": True, "NOPROMPT": True},
     {"A": True, "B": False, "NOPROMPT": True},
 ]
+
+
+def test_node_classes_are_final():
+    # Formula walkers dispatch on ``type(node) is Kind``, which a subclass
+    # instance would slip past.
+    for cls in (Var, _Const, NotF, AndF, OrF, Implies, Iff):
+        assert cls.__subclasses__() == [], cls
 
 
 def all_assignments(names):
@@ -330,6 +339,48 @@ class TestTseitin:
         assert distinct.var_map == shared.var_map
         assert distinct.num_vars == shared.num_vars
 
+    # B is variable 1 and C variable 2; X is a compound node with its own
+    # auxiliary, 3.  The gate's auxiliary is the next index.  The clauses of
+    # a gate whose operand literals repeat a variable drop a repeated literal
+    # (first occurrence kept) and leave out a tautology.
+    C = var("C")
+    X = OrF((B, C))
+    X_CLAUSES = [(-1, 3), (-2, 3), (-3, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "gate, clauses",
+        [
+            (AndF((B, B)), [(-3, 1), (-3, 1), (3, -1)]),
+            (AndF((B, NotF(B))), [(-3, 1), (-3, -1)]),
+            (OrF((B, B)), [(-1, 3), (-1, 3), (-3, 1)]),
+            (OrF((B, NotF(B))), [(-1, 3), (1, 3)]),
+            (AndF((C, B, C)), [(-3, 2), (-3, 1), (-3, 2), (3, -2, -1)]),
+            (Implies(B, B), [(3, 1), (3, -1)]),
+            (Iff(B, NotF(B)), [(-3, -1), (-3, 1)]),
+            (AndF((X, NotF(X))), X_CLAUSES + [(-4, 3), (-4, -3)]),
+            (OrF((X, NotF(X))), X_CLAUSES + [(-3, 4), (3, 4)]),
+            (AndF((X, X)), X_CLAUSES + [(-4, 3), (-4, 3), (4, -3)]),
+        ],
+        ids=[
+            "and-B-B",
+            "and-B-notB",
+            "or-B-B",
+            "or-B-notB",
+            "and-C-B-C",
+            "implies-B-B",
+            "iff-B-notB",
+            "and-X-notX",
+            "or-X-notX",
+            "and-X-X",
+        ],
+    )
+    def test_gate_over_a_repeated_variable(self, gate, clauses):
+        cnf = tseitin_cnf(gate, ["B", "C"])
+        root = cnf.num_vars
+        assert cnf.clauses == clauses + [(root,)]
+        assert list(cnf.var_map) == ["B", "C"] + [f"__aux{k}" for k in range(root - 2)]
+        assert cnf.aux_definitions[root] is gate
+
     def test_variable_with_an_auxiliary_name_raises(self):
         with pytest.raises(ValueError, match="__aux0"):
             tseitin_cnf(and_(var("__aux0"), or_(A, B)), ["__aux0", "A", "B"])
@@ -340,7 +391,30 @@ class TestTseitin:
         assert info.value.name == "B"
 
 
+def _per_clause_dimacs(cnf):
+    """A plain DIMACS writer that formats each clause on its own: the
+    reference for ``write_dimacs``."""
+    out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
+    out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
+    for clause in cnf.clauses:
+        out.append("%d " * len(clause) % tuple(clause) + "0")
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
 class TestDimacs:
+    def test_matches_the_per_clause_writer(self):
+        cnfs = [tseitin_cnf(FALSE, []), tseitin_cnf(TRUE, ["A"])]
+        assert cnfs[0].clauses == [()] and cnfs[1].clauses == []
+        cnfs.append(CnfFormula(num_vars=3, clauses=[[3, -1], (2,), [], (-3, 1, 2)], var_map={"A": 1}))
+        for _, model in corpus_models():
+            constraints = translate(model)
+            cnfs.append(tseitin_cnf(constraints.conjunction(), constraints.variable_order))
+        assert len(cnfs) > 50
+        for cnf in cnfs:
+            sink = io.BytesIO()
+            write_dimacs(cnf, sink)
+            assert sink.getvalue() == _per_clause_dimacs(cnf)
+
     def test_single_clause_format(self):
         from kconfex.prop import CnfFormula
 
