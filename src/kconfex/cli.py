@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:
-        # The parser, the evaluators and the encoder recurse over an
+        # The evaluators, the encoder and the formula walkers recurse over an
         # expression and over the dependencies an option accumulates.
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -154,6 +154,9 @@ def _all_exprs(model: KconfigModel):
                 yield d.condition
 
 
+_COMPARISONS = frozenset((Eq, Neq, Lt, Leq, Gt, Geq))
+
+
 def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
     """Harvest the known values of every non-boolean option: the texts,
     canonicalized and ordered, by option name.  Every int, hex and string
@@ -194,14 +197,14 @@ def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
     if numbers:
         for e in _all_exprs(model):
             for node in expr_nodes(e):
-                if not isinstance(node, (Eq, Neq, Lt, Leq, Gt, Geq)):
+                if type(node) not in _COMPARISONS:
                     continue
                 sides = (node.left, node.right)
-                for name in {s.name for s in sides if isinstance(s, Sym) and s.name in numbers}:
+                for name in {s.name for s in sides if type(s) is Sym and s.name in numbers}:
                     for s in sides:
-                        if isinstance(s, Literal):
+                        if type(s) is Literal:
                             harvest(name, s.text)
-                        elif isinstance(s, Sym) and s.name != name and not model.has_option(s.name):
+                        elif type(s) is Sym and s.name != name and not model.has_option(s.name):
                             harvest(name, s.name)
         for name, found in numbers.items():
             dom[name] = [number_text(v, model.item(name).type) for v in sorted(found)]
@@ -425,26 +428,27 @@ def encode_expr(e: Expr, tr: Translation) -> TriEncoding:
 
     Comparisons are two-valued, so their m-formula is always false.
     """
-    if isinstance(e, Sym):
+    kind = type(e)
+    if kind is Sym:
         if tr.model.has_option(e.name):
             return tr.symbol(tr.model.item(e.name))
         if e.name in TRI_NAMES:
             return enc_const(e.name)
         return ENC_N  # undeclared symbols are n in a boolean position
-    if isinstance(e, Literal):
-        return enc_const(e.text)
-    if isinstance(e, Not):
-        return enc_not(encode_expr(e.operand, tr))
-    if isinstance(e, And):
+    if kind is And:
         return enc_and(encode_expr(e.left, tr), encode_expr(e.right, tr))
-    if isinstance(e, Or):
+    if kind is Not:
+        return enc_not(encode_expr(e.operand, tr))
+    if kind is Or:
         return enc_or(encode_expr(e.left, tr), encode_expr(e.right, tr))
-    if isinstance(e, Eq):
+    if kind is Eq:
         return TriEncoding(_encode_equality(e, tr), FALSE)
-    if isinstance(e, Neq):
+    if kind is Neq:
         return TriEncoding(not_(_encode_equality(e, tr)), FALSE)
-    if isinstance(e, (Lt, Leq, Gt, Geq)):
+    if kind in _FLIP:  # the ordered comparisons
         return TriEncoding(_encode_ordered(e, tr), FALSE)
+    if kind is Literal:
+        return enc_const(e.text)
     raise UnsupportedComparison(f"cannot encode node {e!r}")
 
 

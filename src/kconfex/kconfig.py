@@ -44,7 +44,6 @@ __all__ = [
     "parse_number",
     "number_text",
     "pretty_model",
-    "expr_symbols",
     "TRI_NAMES",
 ]
 
@@ -60,7 +59,8 @@ class OptionType(enum.Enum):
 
 
 # --------------------------------------------------------------------------
-# Expression AST
+# Expression AST: the node classes are final (``test_expr_classes_are_final``),
+# so expression walkers dispatch on ``type(node) is Kind``.
 
 
 class Expr(Value):
@@ -137,25 +137,26 @@ class Geq(_Cmp):
 ORDERED_COMPARISONS = (Lt, Leq, Gt, Geq)
 
 
-def expr_nodes(e: Expr):
+def expr_nodes(e: Expr) -> list[Expr]:
     """Every node of ``e`` in pre-order: each node before its operands, left
     operands before right ones."""
+    kind = type(e)
+    if kind is Sym or kind is Literal:
+        return [e]
+    nodes: list[Expr] = []
     stack = [e]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, Not):
+        nodes.append(node)
+        kind = type(node)
+        if kind is Sym or kind is Literal:
+            continue
+        if kind is Not:
             stack.append(node.operand)
-        elif isinstance(node, _Binary):
+        else:
             stack.append(node.right)
             stack.append(node.left)
-
-
-def expr_symbols(e: Expr | None) -> list[str]:
-    """All symbol names referenced by ``e``, left to right, with duplicates."""
-    if e is None:
-        return []
-    return [node.name for node in expr_nodes(e) if isinstance(node, Sym)]
+    return nodes
 
 
 _CMP_TOKEN = {Eq: "=", Neq: "!=", Lt: "<", Leq: "<=", Gt: ">", Geq: ">="}
@@ -341,21 +342,24 @@ _TOKEN_RE = re.compile(
 
 
 class _TokenStream:
+    __slots__ = ("line", "source", "tokens", "index")
+
     def __init__(self, text: str, line: int, source: str):
         self.line = line
         self.source = source
-        self.tokens: list[tuple[str, str, int]] = []
+        self.tokens = tokens = []
+        add = tokens.append
+        match = _TOKEN_RE.match
         pos = 0
         while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
+            m = match(text, pos)
+            if m is None:
                 rest = text[pos:].lstrip()
                 if not rest:
                     break
                 raise ParseError(f"unexpected character {rest[0]!r}", line, pos + 1, source)
             kind = m.lastgroup
-            assert kind is not None
-            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
+            add((kind, m[kind], m.start(kind) + 1))
             pos = m.end()
         self.index = 0
 
@@ -363,22 +367,15 @@ class _TokenStream:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
 
     def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
+        index = self.index
+        if index >= len(self.tokens):
             raise ParseError("unexpected end of line", self.line, 1, self.source)
-        self.index += 1
-        return tok
-
-    def accept_op(self, op: str) -> bool:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == op:
-            self.index += 1
-            return True
-        return False
+        self.index = index + 1
+        return self.tokens[index]
 
     def accept_ident(self, word: str) -> bool:
-        tok = self.peek()
-        if tok and tok[0] == "ident" and tok[1] == word:
+        # Only an identifier token has a keyword's text.
+        if self.index < len(self.tokens) and self.tokens[self.index][1] == word:
             self.index += 1
             return True
         return False
@@ -399,68 +396,114 @@ def _unquote(text: str) -> str:
     return _ESCAPE_RE.sub(r"\1", text[1:-1])
 
 
+_VALUE_NODES = {"ident": Sym, "num": Literal, "str": lambda text: Literal(_unquote(text))}
+
+
 def _parse_value(ts: _TokenStream) -> Expr:
+    """The value at ``ts.index``; an error reports the column after it."""
     kind, text, _ = ts.next()
-    if kind == "ident":
-        return Sym(text)
-    if kind == "num":
-        return Literal(text)
-    if kind == "str":
-        return Literal(_unquote(text))
-    raise ts.error(f"expected a symbol, number, or quoted string, got {text!r}")
+    node = _VALUE_NODES.get(kind)
+    if node is None:
+        raise ts.error(f"expected a symbol, number, or quoted string, got {text!r}")
+    return node(text)
 
 
 # Expression grammar, loosest binding first: "||", "&&", "!", comparisons
-# (which bind tighter than "!"), then atoms.  Module functions rather than
-# nested closures: mutually recursive closures form reference cycles that
-# only the cyclic garbage collector frees.
-
-
-def _parse_expr(ts: _TokenStream) -> Expr:
-    e = _parse_and(ts)
-    while ts.accept_op("||"):
-        e = Or(e, _parse_and(ts))
-    return e
-
-
-def _parse_and(ts: _TokenStream) -> Expr:
-    e = _parse_not(ts)
-    while ts.accept_op("&&"):
-        e = And(e, _parse_not(ts))
-    return e
-
-
-def _parse_not(ts: _TokenStream) -> Expr:
-    if ts.accept_op("!"):
-        return Not(_parse_not(ts))
-    return _parse_cmp(ts)
-
+# (which bind tighter than "!"), then atoms: "(" expression ")" or a value.
+# No operator token shares its text with a token of another kind (a string
+# token keeps its quotes), so the parser compares token text alone.
 
 _COMPARISON_OPS = {token: cls for cls, token in _CMP_TOKEN.items()}
 
 
-def _parse_cmp(ts: _TokenStream) -> Expr:
-    left = _parse_atom(ts)
-    tok = ts.peek()
-    if tok and tok[0] == "op" and tok[1] in _COMPARISON_OPS:
-        ts.next()
-        right = _parse_atom(ts)
-        cls = _COMPARISON_OPS[tok[1]]
-        if cls is not Eq and cls is not Neq:
-            _check_ordered_operands(ts, left, right)
-        if not isinstance(left, (Sym, Literal)) or not isinstance(right, (Sym, Literal)):
-            raise ts.error("comparison operands must be symbols or literals")
-        return cls(left, right)
-    return left
+def _parse_expr(ts: _TokenStream) -> Expr:
+    """Parse the expression at ``ts.index`` and leave the index past it.
+
+    One loop, no recursion: each round reads an atom after its ``!`` and
+    ``(`` prefixes, then reduces the frames it completes.  A frame is
+    ``(token, left operand)``: ``!``, ``(``, ``&&``, ``||`` or a comparison.
+    """
+    tokens = ts.tokens
+    end = len(tokens)
+    i = ts.index
+    stack = [("", None)]
+    push, pop = stack.append, stack.pop
+    while True:
+        while i < end:
+            text = tokens[i][1]
+            if text == "(":
+                push(("(", None))
+            elif text == "!" and stack[-1][0] not in _COMPARISON_OPS:  # "!" is no atom
+                push(("!", None))
+            else:
+                break
+            i += 1
+        if i == end:
+            raise ParseError("unexpected end of line", ts.line, 1, ts.source)
+        kind, text, _ = tokens[i]
+        node = _VALUE_NODES.get(kind)
+        if node is None:  # not a value: _parse_value raises its error
+            ts.index = i
+            _parse_value(ts)
+        e = node(text)
+        i += 1
+        while True:  # e is a complete atom
+            text = tokens[i][1] if i < end else None
+            op, left = stack[-1]
+            if op in _COMPARISON_OPS:
+                pop()
+                ts.index = i
+                e = _comparison(ts, _COMPARISON_OPS[op], left, e)
+                op, left = stack[-1]
+            elif text in _COMPARISON_OPS:
+                push((text, e))
+                i += 1
+                break
+            while op == "!":
+                pop()
+                e = Not(e)
+                op, left = stack[-1]
+            if op == "&&":
+                pop()
+                e = And(left, e)
+                op, left = stack[-1]
+            if text == "&&":
+                push(("&&", e))
+                i += 1
+                break
+            if op == "||":
+                pop()
+                e = Or(left, e)
+                op = stack[-1][0]
+            if text == "||":
+                push(("||", e))
+                i += 1
+                break
+            ts.index = i
+            if op != "(":
+                return e
+            if text != ")":
+                raise ts.error("expected ')'")
+            pop()
+            i += 1
 
 
-def _parse_atom(ts: _TokenStream) -> Expr:
-    if ts.accept_op("("):
-        e = _parse_expr(ts)
-        if not ts.accept_op(")"):
-            raise ts.error("expected ')'")
-        return e
-    return _parse_value(ts)
+def _comparison(ts: _TokenStream, cls: type, left: Expr, right: Expr) -> Expr:
+    """``cls(left, right)``, or the error raised at ``ts.index`` for operands that do not fit."""
+    if cls is not Eq and cls is not Neq:
+        # <, <=, >, >= require a symbol on one side and a numeric literal on the other.
+        sides = (left, right)
+        has_sym = any(type(s) is Sym and parse_number(s.name) is None for s in sides)
+        has_num = any(
+            (type(s) is Literal and parse_number(s.text) is not None)
+            or (type(s) is Sym and parse_number(s.name) is not None)
+            for s in sides
+        )
+        if not (has_sym and has_num):
+            raise ts.error("ordered comparison needs a symbol and a numeric literal")
+    if type(left) not in (Sym, Literal) or type(right) not in (Sym, Literal):
+        raise ts.error("comparison operands must be symbols or literals")
+    return cls(left, right)
 
 
 def parse_number(text: str, opt_type: OptionType | None = None) -> int | None:
@@ -484,19 +527,6 @@ def number_text(value: int, opt_type: OptionType) -> str:
     if opt_type is OptionType.HEX:
         return ("-0x%x" % -value) if value < 0 else ("0x%x" % value)
     return str(value)
-
-
-def _check_ordered_operands(ts: _TokenStream, left: Expr, right: Expr) -> None:
-    # <, <=, >, >= require a symbol on one side and a numeric literal on the other.
-    sides = (left, right)
-    has_sym = any(isinstance(s, Sym) and parse_number(s.name) is None for s in sides)
-    has_num = any(
-        (isinstance(s, Literal) and parse_number(s.text) is not None)
-        or (isinstance(s, Sym) and parse_number(s.name) is not None)
-        for s in sides
-    )
-    if not (has_sym and has_num):
-        raise ts.error("ordered comparison needs a symbol and a numeric literal")
 
 
 # --------------------------------------------------------------------------
@@ -840,33 +870,28 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     warned: set[str] = set()
 
+    by_name = model._by_name
+
     def check_expr(e: Expr | None, owner: str) -> None:
         if e is None:
             return
-        for name in expr_symbols(e):
-            if name in TRI_NAMES or parse_number(name) is not None:
-                continue
-            if not model.has_option(name) and name not in warned:
-                warned.add(name)
-                out.append(
-                    Diagnostic(
-                        "warning",
-                        f"symbol {name} is never declared and is treated as a constant",
-                        owner,
-                    )
-                )
+        ordered = []
         for node in expr_nodes(e):
-            if isinstance(node, ORDERED_COMPARISONS):
-                for side in (node.left, node.right):
-                    if isinstance(side, Sym) and model.has_option(side.name):
-                        if not model.item(side.name).is_numeric:
-                            out.append(
-                                Diagnostic(
-                                    "error",
-                                    f"ordered comparison over non-numeric option {side.name}",
-                                    owner,
-                                )
-                            )
+            kind = type(node)
+            if kind is Sym:
+                name = node.name
+                if name in by_name or name in warned or name in TRI_NAMES or parse_number(name) is not None:
+                    continue
+                warned.add(name)
+                message = f"symbol {name} is never declared and is treated as a constant"
+                out.append(Diagnostic("warning", message, owner))
+            elif kind in ORDERED_COMPARISONS:
+                ordered.append(node)
+        for node in ordered:  # after the expression's warnings
+            for side in (node.left, node.right):
+                if type(side) is Sym and side.name in by_name and not by_name[side.name].is_numeric:
+                    message = f"ordered comparison over non-numeric option {side.name}"
+                    out.append(Diagnostic("error", message, owner))
 
     # The translation names a bool/tristate option's m variable O_MODULE, a
     # valued option's value variables N_EQ_<value> and Tseitin auxiliaries
@@ -993,73 +1018,72 @@ def value_dependency_edges(model: KconfigModel) -> dict[str, set[str]]:
     """
     edges: dict[str, set[str]] = {it.name: set() for it in model.items}
 
-    def declared(e: Expr | None) -> set[str]:
-        return {n for n in expr_symbols(e) if model.has_option(n)}
+    def read(reads: set[str], e: Expr | None) -> None:
+        if e is not None:
+            for node in expr_nodes(e):
+                if type(node) is Sym and node.name in edges:
+                    reads.add(node.name)
+
+    choice_reads = []  # in the order of model.choices, as declared_in_choice indexes it
+    for ch in model.choices:
+        choice_reads.append(reads := set())
+        for e in (ch.depends, *[p.condition for p in ch.prompts], *[d.condition for d in ch.defaults]):
+            read(reads, e)
 
     for it in model.items:
         reads = edges[it.name]
-        reads |= declared(it.depends)
+        read(reads, it.depends)
         for p in it.prompts:
-            reads |= declared(p.condition)
+            read(reads, p.condition)
         for d in it.defaults:
-            reads |= declared(d.condition)
-            reads |= declared(d.value)
+            read(reads, d.condition)
+            read(reads, d.value)
         for r in it.ranges:
-            reads |= declared(r.condition)
+            read(reads, r.condition)
         for s in it.selects:
-            if model.has_option(s.target):
+            if s.target in edges:
                 edges[s.target].add(it.name)
-                edges[s.target] |= declared(s.condition)
+                read(edges[s.target], s.condition)
         choice = model.choice_of(it)
         if choice is not None:
-            reads |= declared(choice.depends)
-            for p in choice.prompts:
-                reads |= declared(p.condition)
-            for d in choice.defaults:
-                reads |= declared(d.condition)
+            reads |= choice_reads[it.declared_in_choice]
         if model.modules_option is not None and (
             it.type is OptionType.TRISTATE
             or (choice is not None and choice.type is OptionType.TRISTATE)
         ):
             reads.add(model.modules_option)
 
-    for it in model.items:
-        choice = model.choice_of(it)
-        if choice is not None:
-            edges[it.name] -= {m for m in choice.members if m != it.name}
+    for choice in model.choices:
+        for member in choice.members:
+            edges[member] -= {m for m in choice.members if m != member}
     return edges
 
 
 def value_dependency_cycles(model: KconfigModel) -> list[list[str]]:
-    """Cycles in the value-dependency graph, one representative per cycle."""
+    """Cycles in the value-dependency graph, one representative per cycle,
+    found by a depth-first search (successors sorted) on explicit stacks."""
     edges = value_dependency_edges(model)
-    color: dict[str, int] = {}
+    color: dict[str, int] = {}  # 1: on the search path, 2: finished
     cycles: list[list[str]] = []
-    for name in edges:
-        if color.get(name, 0) == 0:
-            _visit_values(name, edges, color, [], cycles)
+    for root in edges:
+        if root in color:
+            continue
+        color[root] = 1
+        path, successors = [root], [iter(sorted(edges[root]))]
+        while successors:
+            for nxt in successors[-1]:
+                state = color.get(nxt)
+                if state == 1:
+                    cycles.append(path[path.index(nxt) :] + [nxt])
+                elif state is None:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    successors.append(iter(sorted(edges[nxt])))
+                    break
+            else:
+                successors.pop()
+                color[path.pop()] = 2
     return cycles
-
-
-def _visit_values(
-    node: str,
-    edges: dict[str, set[str]],
-    color: dict[str, int],
-    stack: list[str],
-    cycles: list[list[str]],
-) -> None:
-    """Depth-first visit of :func:`value_dependency_cycles`: color 1 marks the
-    nodes on ``stack``, 2 the finished ones."""
-    color[node] = 1
-    stack.append(node)
-    for nxt in sorted(edges.get(node, ())):
-        state = color.get(nxt, 0)
-        if state == 1:
-            cycles.append(stack[stack.index(nxt) :] + [nxt])
-        elif state == 0:
-            _visit_values(nxt, edges, color, stack, cycles)
-    stack.pop()
-    color[node] = 2
 
 
 # --------------------------------------------------------------------------

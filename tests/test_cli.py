@@ -1,4 +1,5 @@
 
+import re
 import tempfile
 
 import pytest
@@ -150,11 +151,10 @@ def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# Past Python's recursion limit in the parser or in the encoder: 1,000 nested
-# parentheses, a 1,000-term conjunction, and 1,000 ``depends on`` lines.
+# Past Python's recursion limit in the encoder: a 1,000-term conjunction and
+# 1,000 ``depends on`` lines.
 _DEEP_PREFIX = 'config A\n\tbool "a"\nconfig B\n\tbool "b"\n'
 DEEP_MODELS = {
-    "parentheses": _DEEP_PREFIX + "\tdepends on " + "(" * 1000 + "A" + ")" * 1000 + "\n",
     "conjunction": _DEEP_PREFIX + "\tdepends on " + " && ".join(["A"] * 1000) + "\n",
     "depends_lines": _DEEP_PREFIX + "\tdepends on A\n" * 1000,
 }
@@ -168,6 +168,51 @@ def test_deep_input_exits_2(command, shape, tmp_path, capsys):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: input nested too deeply\n"
+
+
+def _run_on(text, command, directory, capsys):
+    """Exit code, output (timings dropped) and written files of one command
+    on ``text`` saved as ``directory/m.kconfig``."""
+    directory.mkdir()
+    path = directory / "m.kconfig"
+    path.write_text(text)
+    extra = []
+    if command == "translate":
+        extra = ["--model", str(directory / "out.model"), "--dimacs", str(directory / "out.dimacs")]
+    code = main([command, str(path), *extra])
+    out, err = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.name.startswith("out.")}
+    return code, re.sub(r"\([0-9.]+ ms\)", "(ms)", out), err, files
+
+
+# The parser takes nesting of any depth: parenthesized input gives the same
+# model, and so the same output, as the input without the parentheses.
+@pytest.mark.parametrize("command", ["check", "translate", "stats"])
+@pytest.mark.parametrize("depth", [1000, 5000])
+def test_nested_parentheses_match_flat_input(command, depth, tmp_path, capsys):
+    nested = _DEEP_PREFIX + "\tdepends on " + "(" * depth + "A" + ")" * depth + "\n"
+    flat = _DEEP_PREFIX + "\tdepends on A\n"
+    got = _run_on(nested, command, tmp_path / "nested", capsys)
+    assert got == _run_on(flat, command, tmp_path / "flat", capsys)
+    assert got[0] == 0 and got[2] == ""
+    if command == "translate":
+        assert set(got[3]) == {"out.model", "out.dimacs"}
+
+
+# Validation's dependency-cycle search used to recurse once per link.
+@pytest.mark.parametrize("command", ["translate", "stats"])
+def test_flat_dependency_chain_exits_0(command, tmp_path, capsys):
+    count = 1500
+    path = tmp_path / "chain.kconfig"
+    path.write_text(
+        "".join(
+            f'config O{i}\n\tbool "o{i}"\n' + (f"\tdepends on O{i + 1}\n" if i + 1 < count else "")
+            for i in range(count)
+        )
+    )
+    assert main([command, str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "constraints:" in out
 
 
 @pytest.mark.parametrize(
@@ -228,7 +273,7 @@ class TestCorpusCommand:
         assert rows[3].startswith("corpus files=3 failing=2 errors=2 ")
 
     def test_deep_file_is_an_error_row(self, tmp_path, capsys):
-        (tmp_path / "deep.kconfig").write_text(DEEP_MODELS["parentheses"])
+        (tmp_path / "deep.kconfig").write_text(DEEP_MODELS["conjunction"])
         (tmp_path / "good.kconfig").write_text('config A\n\tbool "a"\n')
         assert main(["corpus", str(tmp_path)]) == 1
         captured = capsys.readouterr()

@@ -1,21 +1,73 @@
+import random
+import re
+
 import pytest
 
+import kconfex.kconfig as kconfig
+from kconfex.difftest import generate_model_text
 from kconfex.errors import DuplicateOption, ParseError
 from kconfex.kconfig import (
     And,
     Diagnostic,
     Eq,
+    Geq,
+    Gt,
+    Leq,
     Literal,
+    Lt,
+    Neq,
     Not,
     OptionType,
     Or,
     Sym,
+    expr_nodes,
     parse_model,
     pretty_model,
     validate_model,
+    value_dependency_cycles,
+    value_dependency_edges,
 )
 
 from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE, corpus_models
+
+EXPR_CLASSES = (Sym, Literal, Not, And, Or, Eq, Neq, Lt, Leq, Gt, Geq)
+
+
+def test_expr_classes_are_final():
+    # Expression walkers dispatch on ``type(node) is Kind``, which a subclass
+    # instance would slip past.
+    for cls in EXPR_CLASSES:
+        assert cls.__subclasses__() == [], cls
+
+
+class TestExprNodes:
+    def test_leaves(self):
+        for leaf in (Sym("A"), Literal("3")):
+            assert expr_nodes(leaf) == [leaf]
+
+    def test_pre_order_left_before_right(self):
+        a, b, one, c = Sym("A"), Sym("B"), Literal("1"), Sym("C")
+        neg, cmp = Not(a), Lt(b, one)
+        conj = And(neg, cmp)
+        root = Or(conj, c)
+        nodes = expr_nodes(root)
+        assert [id(n) for n in nodes] == [id(n) for n in (root, conj, neg, a, cmp, b, one, c)]
+
+    def test_every_binary_kind(self):
+        for cls in (And, Or, Eq, Neq, Lt, Leq, Gt, Geq):
+            left, right = Sym("L"), Literal("r")
+            assert expr_nodes(cls(left, right)) == [cls(left, right), left, right]
+
+    def test_repeated_subtree_is_listed_each_time(self):
+        shared = Not(Sym("A"))
+        assert expr_nodes(And(shared, shared)) == [And(shared, shared), shared, Sym("A"), shared, Sym("A")]
+
+    def test_deep_tree_without_recursion(self):
+        e = Sym("A")
+        for _ in range(20_000):
+            e = Not(e)
+        nodes = expr_nodes(e)
+        assert len(nodes) == 20_001 and type(nodes[-1]) is Sym
 
 
 class TestParseModel:
@@ -196,7 +248,7 @@ class TestValidateModel:
             assert not errors, f"{name}: {errors}"
 
     def test_every_symbol_declared_or_warned(self):
-        from kconfex.kconfig import TRI_NAMES, expr_symbols
+        from kconfex.kconfig import TRI_NAMES, expr_nodes
 
         for name, model in corpus_models():
             warned = {
@@ -204,17 +256,20 @@ class TestValidateModel:
                 for d in validate_model(model)
                 if d.severity == "warning" and "never declared" in d.message
             }
-            symbols = set()
+            exprs = []
             for it in model.items:
-                symbols.update(expr_symbols(it.depends))
-                for p in it.prompts:
-                    symbols.update(expr_symbols(p.condition))
-                for d in it.defaults:
-                    symbols.update(expr_symbols(d.condition))
-                for s in it.selects:
-                    symbols.update(expr_symbols(s.condition))
-                for r in it.ranges:
-                    symbols.update(expr_symbols(r.condition))
+                exprs.append(it.depends)
+                exprs += [p.condition for p in it.prompts]
+                exprs += [d.condition for d in it.defaults]
+                exprs += [s.condition for s in it.selects]
+                exprs += [r.condition for r in it.ranges]
+            symbols = {
+                node.name
+                for e in exprs
+                if e is not None
+                for node in expr_nodes(e)
+                if type(node) is Sym
+            }
             for sym in symbols:
                 if sym in TRI_NAMES or sym.isdigit():
                     continue
@@ -234,3 +289,377 @@ class TestRoundTrip:
         printed = pretty_model(model)
         reparsed = parse_model(printed, model.source_name)
         assert reparsed == model, name
+
+
+# --------------------------------------------------------------------------
+# The recursive-descent expression parser that the iterative ``_parse_expr``
+# replaced, kept as the reference of a differential test: on every line both
+# must build the same model or raise the same ParseError (message, line and
+# column).
+
+
+def _ref_accept_op(ts, op):
+    tok = ts.peek()
+    if tok and tok[0] == "op" and tok[1] == op:
+        ts.index += 1
+        return True
+    return False
+
+
+def _ref_parse_value(ts):
+    kind, text, _ = ts.next()
+    if kind == "ident":
+        return Sym(text)
+    if kind == "num":
+        return Literal(text)
+    if kind == "str":
+        return Literal(kconfig._unquote(text))
+    raise ts.error(f"expected a symbol, number, or quoted string, got {text!r}")
+
+
+def _ref_parse_expr(ts):
+    e = _ref_parse_and(ts)
+    while _ref_accept_op(ts, "||"):
+        e = Or(e, _ref_parse_and(ts))
+    return e
+
+
+def _ref_parse_and(ts):
+    e = _ref_parse_not(ts)
+    while _ref_accept_op(ts, "&&"):
+        e = And(e, _ref_parse_not(ts))
+    return e
+
+
+def _ref_parse_not(ts):
+    if _ref_accept_op(ts, "!"):
+        return Not(_ref_parse_not(ts))
+    return _ref_parse_cmp(ts)
+
+
+_REF_COMPARISONS = {"=": Eq, "!=": Neq, "<": Lt, "<=": Leq, ">": Gt, ">=": Geq}
+
+
+def _ref_parse_cmp(ts):
+    left = _ref_parse_atom(ts)
+    tok = ts.peek()
+    if tok and tok[0] == "op" and tok[1] in _REF_COMPARISONS:
+        ts.next()
+        right = _ref_parse_atom(ts)
+        cls = _REF_COMPARISONS[tok[1]]
+        if cls is not Eq and cls is not Neq:
+            _ref_check_ordered_operands(ts, left, right)
+        if not isinstance(left, (Sym, Literal)) or not isinstance(right, (Sym, Literal)):
+            raise ts.error("comparison operands must be symbols or literals")
+        return cls(left, right)
+    return left
+
+
+def _ref_parse_atom(ts):
+    if _ref_accept_op(ts, "("):
+        e = _ref_parse_expr(ts)
+        if not _ref_accept_op(ts, ")"):
+            raise ts.error("expected ')'")
+        return e
+    return _ref_parse_value(ts)
+
+
+def _ref_check_ordered_operands(ts, left, right):
+    sides = (left, right)
+    number = kconfig.parse_number
+    has_sym = any(isinstance(s, Sym) and number(s.name) is None for s in sides)
+    has_num = any(
+        (isinstance(s, Literal) and number(s.text) is not None)
+        or (isinstance(s, Sym) and number(s.name) is not None)
+        for s in sides
+    )
+    if not (has_sym and has_num):
+        raise ts.error("ordered comparison needs a symbol and a numeric literal")
+
+
+_ATOMS = ["A", "B", "N", "y", "m", "n", "3", "0x1f", "-2", "07", '"s t"', "'q'", '"a\\"b"', "UNDECLARED"]
+_COMPARISON_TOKENS = list(_REF_COMPARISONS)
+_TOKENS = _ATOMS + _COMPARISON_TOKENS + ["(", ")", "!", "&&", "||", "if", "@"]
+_LINES = ["\tdepends on {}", "\tselect B if {}", "\tdefault {}", "\tdefault y if {}", '\tprompt "p" if {}']
+
+
+def _expr_tokens(rng, depth):
+    """Tokens of a well-formed expression (ordered comparisons may still be
+    rejected for their operands)."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        if rng.random() < 0.3:
+            return [rng.choice(_ATOMS), rng.choice(_COMPARISON_TOKENS), rng.choice(_ATOMS)]
+        return [rng.choice(_ATOMS)]
+    if r < 0.42:
+        return ["!"] + _expr_tokens(rng, depth - 1)
+    if r < 0.55:
+        return ["("] + _expr_tokens(rng, depth - 1) + [")"]
+    if r < 0.62:  # a comparison whose operands may be compound
+        return _expr_tokens(rng, depth - 1) + [rng.choice(_COMPARISON_TOKENS)] + _expr_tokens(rng, depth - 1)
+    op = rng.choice(["&&", "||"])
+    return _expr_tokens(rng, depth - 1) + [op] + _expr_tokens(rng, depth - 1)
+
+
+def _mutated(rng, tokens):
+    tokens = list(tokens)
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        at = rng.randrange(len(tokens) + 1)
+        action = rng.random()
+        if action < 0.35 and tokens:
+            del tokens[min(at, len(tokens) - 1)]
+        elif action < 0.7:
+            tokens.insert(at, rng.choice(_TOKENS))
+        elif tokens:
+            tokens[min(at, len(tokens) - 1)] = rng.choice(_TOKENS)
+    return tokens
+
+
+def _expression_lines(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.25:  # token soup
+            tokens = [rng.choice(_TOKENS) for _ in range(rng.randrange(0, 9))]
+        else:
+            tokens = _mutated(rng, _expr_tokens(rng, rng.randrange(0, 5)))
+        text = "".join(tok + rng.choice(["", " ", "  "]) for tok in tokens)
+        yield rng.choice(_LINES).format(text)
+
+
+def _parse_outcome(line):
+    text = 'config N\n\tint "n"\nconfig A\n\ttristate "a"\n' + line + "\n"
+    try:
+        return repr(parse_model(text, "t"))
+    except ParseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestParserAgainstRecursiveDescent:
+    def _both(self, monkeypatch, lines):
+        new = [_parse_outcome(line) for line in lines]
+        with monkeypatch.context() as patch:
+            patch.setattr(kconfig, "_parse_expr", _ref_parse_expr)
+            patch.setattr(kconfig, "_parse_value", _ref_parse_value)
+            old = [_parse_outcome(line) for line in lines]
+        return new, old
+
+    def test_seeded_lines(self, monkeypatch):
+        lines = list(_expression_lines(0, 6000))
+        new, old = self._both(monkeypatch, lines)
+        for line, got, want in zip(lines, new, old):
+            assert got == want, line
+        messages = {re.sub(r"^ParseError: t:\d+:\d+: ", "", o).split(",")[0] for o in new}
+        for message in (
+            "unexpected end of line",
+            "expected a symbol",
+            "expected ')'",
+            "ordered comparison needs a symbol and a numeric literal",
+            "comparison operands must be symbols or literals",
+            "trailing tokens",
+            "unexpected character '@'",
+        ):
+            assert message in messages, message
+        assert sum(o.startswith("KconfigModel(") for o in new) > len(lines) // 4
+
+    @pytest.mark.parametrize(
+        "condition, message, column",
+        [
+            ("(A && B) = C", "comparison operands must be symbols or literals", 1),
+            ("A = (B || C) && A", "comparison operands must be symbols or literals", 25),
+            ("A && ) B", "expected a symbol, number, or quoted string, got ')'", 19),
+            ("A && )", "expected a symbol, number, or quoted string, got ')'", 1),
+            ("A = !B", "expected a symbol, number, or quoted string, got '!'", 17),
+            ("(A B", "expected ')'", 15),
+            ("A <= B", "ordered comparison needs a symbol and a numeric literal", 1),
+            ("!(A ||", "unexpected end of line", 1),
+        ],
+    )
+    def test_error_positions(self, monkeypatch, condition, message, column):
+        # Columns count from the stripped line, "depends on " included; the
+        # non-value error points at the token after the offending one.
+        line = "\tdepends on " + condition
+        new, old = self._both(monkeypatch, [line])
+        assert new == old == [f"ParseError: t:5:{column}: {message}"]
+
+    def test_nesting_past_the_recursion_limit(self):
+        depth = 5000
+        model = parse_model(
+            'config A\n\tbool "a"\nconfig B\n\tbool "b"\n'
+            f"\tdepends on {'(' * depth}A && {'(' * depth}B{')' * depth}{')' * depth}\n"
+            f"\tdefault y if {'!' * depth}A\n",
+            "t",
+        )
+        item = model.items[1]
+        assert item.depends == And(Sym("A"), Sym("B"))
+        kinds = [type(n) for n in expr_nodes(item.defaults[0].condition)]
+        assert kinds == [Not] * depth + [Sym]
+
+
+# --------------------------------------------------------------------------
+# The value-dependency graph before validation walked each expression once,
+# kept as the reference: symbol lists per expression, a set per expression,
+# and each choice's conditions read once per member.
+
+
+def _ref_symbols(e):
+    if e is None or isinstance(e, Literal):
+        return []
+    if isinstance(e, Sym):
+        return [e.name]
+    if isinstance(e, Not):
+        return _ref_symbols(e.operand)
+    return _ref_symbols(e.left) + _ref_symbols(e.right)
+
+
+def _ref_value_dependency_edges(model):
+    edges = {it.name: set() for it in model.items}
+
+    def declared(e):
+        return {n for n in _ref_symbols(e) if model.has_option(n)}
+
+    for it in model.items:
+        reads = edges[it.name]
+        reads |= declared(it.depends)
+        for p in it.prompts:
+            reads |= declared(p.condition)
+        for d in it.defaults:
+            reads |= declared(d.condition)
+            reads |= declared(d.value)
+        for r in it.ranges:
+            reads |= declared(r.condition)
+        for s in it.selects:
+            if model.has_option(s.target):
+                edges[s.target].add(it.name)
+                edges[s.target] |= declared(s.condition)
+        choice = model.choice_of(it)
+        if choice is not None:
+            reads |= declared(choice.depends)
+            for p in choice.prompts:
+                reads |= declared(p.condition)
+            for d in choice.defaults:
+                reads |= declared(d.condition)
+        if model.modules_option is not None and (
+            it.type is OptionType.TRISTATE
+            or (choice is not None and choice.type is OptionType.TRISTATE)
+        ):
+            reads.add(model.modules_option)
+
+    for it in model.items:
+        choice = model.choice_of(it)
+        if choice is not None:
+            edges[it.name] -= {m for m in choice.members if m != it.name}
+    return edges
+
+
+def _ref_value_dependency_cycles(edges):
+    """The recursive depth-first search that validation used before."""
+    color, cycles = {}, []
+
+    def visit(node, stack):
+        color[node] = 1
+        stack.append(node)
+        for nxt in sorted(edges.get(node, ())):
+            state = color.get(nxt, 0)
+            if state == 1:
+                cycles.append(stack[stack.index(nxt) :] + [nxt])
+            elif state == 0:
+                visit(nxt, stack)
+        stack.pop()
+        color[node] = 2
+
+    for name in edges:
+        if color.get(name, 0) == 0:
+            visit(name, [])
+    return cycles
+
+
+CHOICE_WITH_CONDITIONS = """\
+config MODULES
+\tbool "modules"
+\toption modules
+config D
+\tbool "d"
+config P
+\ttristate "p"
+config Q
+\tbool "q"
+config S
+\tbool "s"
+\tselect C2 if Q && P
+choice
+\ttristate "pick" if P
+\tprompt "again" if Q && D
+\tdepends on D || S
+\tdefault C2 if P
+\tdefault C3 if !Q
+config C1
+\ttristate "c1"
+\tdepends on C2 || P
+config C2
+\ttristate "c2"
+\tdefault C1
+config C3
+\ttristate "c3"
+\tdepends on Q
+\tdefault y if C1 = y
+endchoice
+"""
+
+
+def _planted_cycle_model(seed):
+    """Bool options that depend on and select options on either side of them."""
+    rng = random.Random(seed)
+    count = rng.randrange(2, 12)
+    lines = []
+    for i in range(count):
+        lines += [f"config O{i}", f'\tbool "o{i}"']
+        for _ in range(rng.randrange(0, 3)):
+            lines.append(f"\tdepends on O{rng.randrange(count)}")
+        if rng.random() < 0.3:
+            lines.append(f"\tselect O{rng.randrange(count)} if O{rng.randrange(count)}")
+    return parse_model("\n".join(lines) + "\n", f"cycles-{seed}")
+
+
+class TestValueDependencies:
+    def _models(self):
+        yield from (model for _, model in corpus_models())
+        for seed in range(300):
+            yield parse_model(generate_model_text(seed), f"gen-{seed}")
+        yield parse_model(CHOICE_WITH_CONDITIONS, "choice")
+
+    def test_edges_match_the_reference(self):
+        for model in self._models():
+            assert value_dependency_edges(model) == _ref_value_dependency_edges(model), model.source_name
+
+    def test_choice_conditions_reach_every_member(self):
+        edges = value_dependency_edges(parse_model(CHOICE_WITH_CONDITIONS, "choice"))
+        assert edges["C1"] == {"C2", "P", "Q", "D", "S", "MODULES"} - {"C2"}
+        assert edges["C2"] == {"S", "P", "Q", "D", "MODULES"}
+        assert edges["C3"] == {"P", "Q", "D", "S", "MODULES"}
+
+    def test_planted_cycles_match_the_recursive_search(self):
+        found = 0
+        for seed in range(300):
+            model = _planted_cycle_model(seed)
+            cycles = value_dependency_cycles(model)
+            assert cycles == _ref_value_dependency_cycles(value_dependency_edges(model)), seed
+            found += bool(cycles)
+            recursive = [d for d in validate_model(model) if "recursive value dependency" in d.message]
+            assert [d.message.split(": ", 1)[1] for d in recursive] == [" -> ".join(c) for c in cycles]
+        assert found > 100
+
+    def test_long_forward_chain_validates(self):
+        count = 5000
+        text = "".join(
+            f'config O{i}\n\tbool "o{i}"\n' + (f"\tdepends on O{i + 1}\n" if i + 1 < count else "")
+            for i in range(count)
+        )
+        model = parse_model(text, "chain")
+        assert validate_model(model) == []
+        assert value_dependency_cycles(model) == []
+
+    def test_long_cycle_is_reported_once(self):
+        count = 3000
+        text = "".join(f'config O{i}\n\tbool "o{i}"\n\tdepends on O{(i + 1) % count}\n' for i in range(count))
+        (cycle,) = value_dependency_cycles(parse_model(text, "ring"))
+        assert cycle == [f"O{i}" for i in range(count)] + ["O0"]

@@ -28,7 +28,7 @@ from kconfex.kconfig import (
     Not,
     OptionType,
     Sym,
-    expr_symbols,
+    expr_nodes,
     parse_model,
 )
 from kconfex.oracle import (
@@ -354,7 +354,7 @@ def _evaluated_options(model, step) -> set[str]:
             exprs.append(condition)
         if item.type is OptionType.TRISTATE:
             names.append(model.modules_option)
-    names += [name for e in exprs for name in expr_symbols(e)]
+    names += [n.name for e in exprs if e is not None for n in expr_nodes(e) if type(n) is Sym]
     return {name for name in names if name is not None and model.has_option(name)}
 
 
@@ -501,7 +501,7 @@ class TestExternalOracle:
 # .config named by KCONFIG_CONFIG in place, with the builtin repair, and warns
 # as conf does when a select overrode an option's dependencies.
 _STUB_CONF = """\
-#!{python} -IS
+#!{python} -IBS
 import os
 import sys
 
