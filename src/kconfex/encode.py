@@ -4,7 +4,11 @@ Every bool/tristate option O is represented by two mutually exclusive
 variables named ``O`` (value y) and ``O_MODULE`` (value m); both false means
 value n.  Expressions over options are encoded as pairs of formulas via the
 tristate translation table.  Numeric and string options are represented by
-one boolean variable per known value (``NAME_EQ_<value>``).
+one boolean variable per known value (``NAME_EQ_<value>``); in a boolean
+position their text reads as a constant's does (n, m, ``""`` is n, any other
+text y).  A comparison reads each operand as a list of (text, number,
+formula) readings, the texts it can take and where it takes them, and holds
+under the OR of the reading pairs that satisfy it.
 
 The emitted constraint set holds exactly for the variable images of valid
 configurations: configurations the reference configurator would leave
@@ -15,9 +19,13 @@ the differential harness classifies those disagreements separately.
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
+
 from .errors import EmptyChoice, SelectOnNonBoolean, UnsupportedComparison
 from .kconfig import (
     And,
+    COMPARISONS,
     ChoiceBlock,
     ConfigItem,
     Eq,
@@ -59,7 +67,6 @@ __all__ = [
     "Translation",
     "collect_numeric_values",
     "encode_expr",
-    "encode_numeric_constraint",
     "encode_reverse_dependencies",
     "encode_choice",
     "translate",
@@ -128,33 +135,16 @@ def enc_const(label: str) -> TriEncoding:
 
 
 def _all_exprs(model: KconfigModel):
-    for it in model.items:
-        if it.depends is not None:
-            yield it.depends
-        for p in it.prompts:
-            if p.condition is not None:
-                yield p.condition
-        for d in it.defaults:
-            if d.condition is not None:
-                yield d.condition
-        for s in it.selects:
-            if s.condition is not None:
-                yield s.condition
-        for r in it.ranges:
-            if r.condition is not None:
-                yield r.condition
-    for ch in model.choices:
-        if ch.depends is not None:
-            yield ch.depends
-        for p in ch.prompts:
-            if p.condition is not None:
-                yield p.condition
-        for d in ch.defaults:
-            if d.condition is not None:
-                yield d.condition
-
-
-_COMPARISONS = frozenset((Eq, Neq, Lt, Leq, Gt, Geq))
+    """Every dependency and condition expression of the model."""
+    for decl in chain(model.items, model.choices):
+        entries = decl.prompts + decl.defaults
+        if type(decl) is ConfigItem:
+            entries += decl.selects + decl.ranges
+        if decl.depends is not None:
+            yield decl.depends
+        for entry in entries:
+            if entry.condition is not None:
+                yield entry.condition
 
 
 def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
@@ -197,7 +187,7 @@ def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
     if numbers:
         for e in _all_exprs(model):
             for node in expr_nodes(e):
-                if type(node) not in _COMPARISONS:
+                if type(node) not in COMPARISONS:
                     continue
                 sides = (node.left, node.right)
                 for name in {s.name for s in sides if type(s) is Sym and s.name in numbers}:
@@ -214,24 +204,29 @@ def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
 # --------------------------------------------------------------------------
 # Per-translation context
 
+# A comparison operand's reading: a text it can take, that text's number
+# (None when it is not one) and the formula under which it holds the text.
+_Reading = tuple[str, int | None, PropFormula]
+
 
 class Translation:
     """The formulas one translation builds once and shares between its
     constraints: one ``Var`` per variable name, each option's symbol
-    encoding (and with it the option's nonzero formula), one
-    :class:`_ItemContext` per option, each select's condition, and the
-    effective-bool formula of tristate values.  ``translate`` creates one
-    per call and drops it when it returns; nothing it holds refers back to
-    it.
+    encoding (and with it the option's nonzero formula) and comparison
+    readings, one :class:`_ItemContext` per option, each select's
+    condition, and the effective-bool formula of tristate values.
+    ``translate`` creates one per call and drops it when it returns; nothing
+    it holds refers back to it.
     """
 
-    __slots__ = ("model", "dom", "vars", "symbols", "items", "conditions", "modules_off")
+    __slots__ = ("model", "dom", "vars", "symbols", "_readings", "items", "conditions", "modules_off")
 
     def __init__(self, model: KconfigModel, dom: dict[str, list[str]]):
         self.model = model
         self.dom = dom
         self.vars: dict[str, PropFormula] = {}
         self.symbols: dict[str, TriEncoding] = {}
+        self._readings: dict[str, list[_Reading]] = {}
         self.items: dict[str, _ItemContext] = {}
         # By the id of the condition expression; the model keeps it alive.
         self.conditions: dict[int, TriEncoding] = {}
@@ -251,7 +246,9 @@ class Translation:
         return self.var(f"{name}_EQ_{value}")
 
     def symbol(self, item: ConfigItem) -> TriEncoding:
-        """The (y, m) pair of an option read in a boolean position."""
+        """The (y, m) pair of an option read in a boolean position.  A valued
+        option reads its text as a constant would: ``n`` and ``m`` keep
+        their meaning, ``""`` is n and any other text is y."""
         enc = self.symbols.get(item.name)
         if enc is None:
             name = item.name
@@ -260,11 +257,28 @@ class Translation:
             elif item.type is OptionType.TRISTATE:
                 enc = TriEncoding(self.var(name), self.var(name + "_MODULE"))
             else:
-                # A non-boolean option is y when it holds any nonempty value.
-                parts = [self.value_var(name, v) for v in self.dom[name] if v != ""]
-                enc = TriEncoding(or_(*parts), FALSE)
+                readings = self.readings(item)
+                enc = TriEncoding(
+                    or_(*[f for text, _, f in readings if enc_const(text) is ENC_Y]),
+                    or_(*[f for text, _, f in readings if text == "m"]),
+                )
             self.symbols[name] = enc
         return enc
+
+    def readings(self, item: ConfigItem) -> list[_Reading]:
+        """Every text the option can take as a comparison operand, with its
+        number and the formula under which the option holds it: n, m and y
+        for a bool or tristate option, each known value for the others."""
+        found = self._readings.get(item.name)
+        if found is None:
+            if item.is_boolish:
+                enc = self.symbol(item)
+                found = [("n", None, not_(enc.nonzero)), ("m", None, enc.f_m), ("y", None, enc.f_y)]
+            else:
+                name = item.name
+                found = [(v, parse_number(v), self.value_var(name, v)) for v in self.dom[name]]
+            self._readings[item.name] = found
+        return found
 
     def nonzero(self, item: ConfigItem) -> PropFormula:
         """The option is y or m; a bool option's m variable is never read."""
@@ -299,128 +313,77 @@ class Translation:
 # Expression encoding
 
 
-def _operand_kind(e: Expr, model: KconfigModel) -> tuple[str, str]:
-    """Classify a comparison operand: ("tri"|"valued"|"const", name-or-text)."""
-    if isinstance(e, Literal):
-        return "const", e.text
-    if isinstance(e, Sym):
-        if model.has_option(e.name):
-            item = model.item(e.name)
-            return ("tri", e.name) if item.is_boolish else ("valued", e.name)
-        return "const", e.name
-    raise UnsupportedComparison(f"comparison operand {e!r} is not a symbol or literal")
+_ORDERED = {Lt: operator.lt, Leq: operator.le, Gt: operator.gt, Geq: operator.ge}
 
 
-def _tri_equals_label(name: str, label: str, tr: Translation) -> PropFormula:
-    if label == "y":
-        return tr.var(name)
-    if label == "m":
-        if tr.model.item(name).type is OptionType.BOOL:
-            return FALSE
-        return tr.var(name + "_MODULE")
-    if label == "n":
-        return not_(tr.nonzero(tr.model.item(name)))
-    return FALSE
+def _operand(e: Expr, tr: Translation) -> tuple[ConfigItem | None, list[_Reading]]:
+    """A comparison operand's option (None for a constant) and its readings.
+    A literal or an undeclared symbol is the one text it spells, always."""
+    kind = type(e)
+    if kind is Sym:
+        if tr.model.has_option(e.name):
+            item = tr.model.item(e.name)
+            return item, tr.readings(item)
+        text = e.name
+    elif kind is Literal:
+        text = e.text
+    else:
+        raise UnsupportedComparison(f"comparison operand {e!r} is not a symbol or literal")
+    return None, [(text, parse_number(text), TRUE)]
 
 
-def _texts_equal(a: str, b: str) -> bool:
-    number = parse_number(a)
-    return a == b or (number is not None and number == parse_number(b))
-
-
-def _encode_equality(e: Expr, tr: Translation) -> PropFormula:
-    model, dom = tr.model, tr.dom
-    (lk, lv), (rk, rv) = _operand_kind(e.left, model), _operand_kind(e.right, model)
-    if lk == "const" and rk != "const":
-        (lk, lv), (rk, rv) = (rk, rv), (lk, lv)
-
-    if lk == "const":  # both constant
-        return TRUE if _texts_equal(lv, rv) else FALSE
-
-    if lk == "tri":
-        if rk == "const":
-            return _tri_equals_label(lv, rv, tr)
-        if rk == "tri":
-            terms = [_tri_equals_label(lv, label, tr) for label in TRI_NAMES]
-            other = [_tri_equals_label(rv, label, tr) for label in TRI_NAMES]
-            return or_(*(and_(a, b) for a, b in zip(terms, other)))
-        # tri vs valued: equal only when the valued side holds a y/m/n text
-        parts = []
-        for v in dom[rv]:
-            if v in TRI_NAMES:
-                parts.append(and_(_tri_equals_label(lv, v, tr), tr.value_var(rv, v)))
-        return or_(*parts)
-
-    # lk == "valued"
-    if rk == "const":
-        parts = [tr.value_var(lv, v) for v in dom[lv] if _texts_equal(v, rv)]
-        return or_(*parts)
-    if rk == "tri":
-        parts = []
-        for v in dom[lv]:
-            if v in TRI_NAMES:
-                parts.append(and_(tr.value_var(lv, v), _tri_equals_label(rv, v, tr)))
-        return or_(*parts)
-    parts = []
-    for a in dom[lv]:
-        for b in dom[rv]:
-            if _texts_equal(a, b):
-                parts.append(and_(tr.value_var(lv, a), tr.value_var(rv, b)))
-    if not dom[lv] and not dom[rv]:
-        return TRUE  # both permanently unset: "" equals ""
-    return or_(*parts)
-
-
-def encode_numeric_constraint(
-    op: type, option: str, literal: int, tr: Translation
-) -> PropFormula:
-    """Disjunction of the option's value variables satisfying ``<op> literal``.
-
-    Raises :class:`UnsupportedComparison` when the option has no harvested
-    values at all.
-    """
-    domain = tr.dom.get(option, [])
-    if not domain:
-        raise UnsupportedComparison(
-            f"comparison over {option} with an empty harvested domain"
-        )
-    checks = {
-        Eq: lambda v: v == literal,
-        Neq: lambda v: v != literal,
-        Lt: lambda v: v < literal,
-        Leq: lambda v: v <= literal,
-        Gt: lambda v: v > literal,
-        Geq: lambda v: v >= literal,
-    }
-    check = checks[op]
-    parts = [tr.value_var(option, text) for text in domain if check(parse_number(text))]
-    return or_(*parts)
-
-
-_FLIP = {Lt: Gt, Leq: Geq, Gt: Lt, Geq: Leq}
-
-
-def _encode_ordered(e: Expr, tr: Translation) -> PropFormula:
-    model = tr.model
-    op = type(e)
-    (lk, lv), (rk, rv) = _operand_kind(e.left, model), _operand_kind(e.right, model)
-    if lk == "const" and rk != "const":
-        (lk, lv), (rk, rv) = (rk, rv), (lk, lv)
-        op = _FLIP[op]
-    if lk == "const":
-        left, right = parse_number(lv), parse_number(rv)
-        if left is None or right is None:
+def _check_ordered(
+    left: ConfigItem | None, lefts: list[_Reading], right: ConfigItem | None, rights: list[_Reading]
+) -> None:
+    """Reject an ordered comparison unless both sides are numbers, or one is
+    an int or hex option with known values and the other a number constant."""
+    if left is None and right is None:
+        if lefts[0][1] is None or rights[0][1] is None:
             raise UnsupportedComparison(
-                f"ordered comparison over non-numeric constants {lv!r}, {rv!r}"
+                f"ordered comparison over non-numeric constants {lefts[0][0]!r}, {rights[0][0]!r}"
             )
-        result = {Lt: left < right, Leq: left <= right, Gt: left > right, Geq: left >= right}[op]
-        return TRUE if result else FALSE
-    if lk != "valued" or not model.item(lv).is_numeric:
-        raise UnsupportedComparison(f"ordered comparison over non-numeric option {lv}")
-    literal = parse_number(rv)
-    if literal is None:
-        raise UnsupportedComparison(f"ordered comparison of {lv} against non-numeric {rv!r}")
-    return encode_numeric_constraint(op, lv, literal, tr)
+        return
+    if left is None:
+        left, lefts, right, rights = right, rights, left, lefts
+    if not left.is_numeric:
+        raise UnsupportedComparison(f"ordered comparison over non-numeric option {left.name}")
+    other = rights[0][0] if right is None else right.name
+    if right is not None or parse_number(other) is None:
+        raise UnsupportedComparison(
+            f"ordered comparison of {left.name} against non-numeric {other!r}"
+        )
+    if not lefts:
+        raise UnsupportedComparison(f"comparison over {left.name} with an empty harvested domain")
+
+
+def _encode_comparison(e: Expr, tr: Translation) -> PropFormula:
+    """Where comparison ``e`` holds: the OR, over every pair of operand
+    readings that satisfies it, of both readings' formulas.  Texts are equal
+    when they are the same text or the same number; ordered comparisons read
+    both sides as numbers."""
+    kind = type(e)
+    left, lefts = _operand(e.left, tr)
+    right, rights = _operand(e.right, tr)
+    compare = _ORDERED.get(kind)
+    if compare is not None:
+        _check_ordered(left, lefts, right, rights)
+    elif not lefts and not rights:
+        return TRUE if kind is Eq else FALSE  # both permanently unset: "" equals ""
+    if left is not None and left.is_boolish:
+        # Disjuncts in the right operand's order: `T = S` lists S's values
+        # in domain order, which the pinned `.model` digests record.
+        pairs = ((a, b) for b in rights for a in lefts)
+    else:
+        pairs = ((a, b) for a in lefts for b in rights)
+    parts = []
+    for (ltext, lnumber, lf), (rtext, rnumber, rf) in pairs:
+        if compare is None:
+            holds = ltext == rtext or (lnumber is not None and lnumber == rnumber)
+        else:
+            holds = compare(lnumber, rnumber)
+        if holds:
+            parts.append(rf if lf is TRUE else lf if rf is TRUE else and_(lf, rf))
+    return not_(or_(*parts)) if kind is Neq else or_(*parts)
 
 
 def encode_expr(e: Expr, tr: Translation) -> TriEncoding:
@@ -441,12 +404,8 @@ def encode_expr(e: Expr, tr: Translation) -> TriEncoding:
         return enc_not(encode_expr(e.operand, tr))
     if kind is Or:
         return enc_or(encode_expr(e.left, tr), encode_expr(e.right, tr))
-    if kind is Eq:
-        return TriEncoding(_encode_equality(e, tr), FALSE)
-    if kind is Neq:
-        return TriEncoding(not_(_encode_equality(e, tr)), FALSE)
-    if kind in _FLIP:  # the ordered comparisons
-        return TriEncoding(_encode_ordered(e, tr), FALSE)
+    if kind in COMPARISONS:
+        return TriEncoding(_encode_comparison(e, tr), FALSE)
     if kind is Literal:
         return enc_const(e.text)
     raise UnsupportedComparison(f"cannot encode node {e!r}")

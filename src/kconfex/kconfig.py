@@ -135,6 +135,7 @@ class Geq(_Cmp):
 
 
 ORDERED_COMPARISONS = (Lt, Leq, Gt, Geq)
+COMPARISONS = frozenset((Eq, Neq, *ORDERED_COMPARISONS))
 
 
 def expr_nodes(e: Expr) -> list[Expr]:
@@ -164,25 +165,32 @@ _CMP_TOKEN = {Eq: "=", Neq: "!=", Lt: "<", Leq: "<=", Gt: ">", Geq: ">="}
 
 def expr_text(e: Expr) -> str:
     """Render an expression in kconfig concrete syntax."""
-
-    def render(node: Expr, parent_prec: int) -> str:
-        if isinstance(node, Sym):
-            return node.name
-        if isinstance(node, Literal):
-            return "'" + node.text.replace("'", "\\'") + "'"
-        if isinstance(node, _Cmp):
-            return f"{render(node.left, 3)}{_CMP_TOKEN[type(node)]}{render(node.right, 3)}"
-        if isinstance(node, Not):
-            return "!" + render(node.operand, 3)
-        if isinstance(node, And):
-            text = f"{render(node.left, 2)} && {render(node.right, 2)}"
-            return f"({text})" if parent_prec > 2 else text
-        if isinstance(node, Or):
-            text = f"{render(node.left, 1)} || {render(node.right, 1)}"
-            return f"({text})" if parent_prec > 1 else text
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return render(e, 0)
+    out: list[str] = []
+    # (node, precedence of the operator around it), or (text to emit, None).
+    stack: list[tuple] = [(e, 0)]
+    while stack:
+        node, parent_prec = stack.pop()
+        kind = type(node)
+        if parent_prec is None:
+            out.append(node)
+        elif kind is Sym:
+            out.append(node.name)
+        elif kind is Literal:
+            out.append("'" + node.text.replace("'", "\\'") + "'")
+        elif kind is Not:
+            out.append("!")
+            stack.append((node.operand, 3))
+        elif kind is And or kind is Or:
+            prec, token = (2, " && ") if kind is And else (1, " || ")
+            if parent_prec > prec:
+                out.append("(")
+                stack.append((")", None))
+            stack += [(node.right, prec), (token, None), (node.left, prec)]
+        elif kind in _CMP_TOKEN:
+            stack += [(node.right, 3), (_CMP_TOKEN[kind], None), (node.left, 3)]
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------

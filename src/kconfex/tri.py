@@ -25,6 +25,7 @@ import operator
 
 from .errors import EvalError
 from .kconfig import (
+    COMPARISONS,
     TRI_NAMES,
     And,
     Eq,
@@ -102,7 +103,6 @@ def _boolish_value(text: str) -> Tri:
 
 
 _ORDERED = {Lt: operator.lt, Leq: operator.le, Gt: operator.gt, Geq: operator.ge}
-_COMPARISONS = frozenset({Eq, Neq, *_ORDERED})
 
 
 def _compare(kind: type, left: str, right: str) -> bool:
@@ -252,7 +252,7 @@ class RowValues:
             if kind is And:
                 return lge & rge, ly & ry
             return lge | rge, ly | ry
-        if kind in _COMPARISONS:
+        if kind in COMPARISONS:
             rows = self._holds(e, live)
             return rows, rows
         self.errors.append((live, EvalError(f"cannot evaluate node {e!r}")))

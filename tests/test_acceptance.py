@@ -25,12 +25,10 @@ from kconfex.encode import (
     Translation,
     collect_numeric_values,
     encode_expr,
-    encode_numeric_constraint,
     translate,
 )
 from kconfex.kconfig import (
     Eq,
-    Leq,
     Literal,
     Neq,
     Not as ENot,
@@ -41,6 +39,7 @@ from kconfex.kconfig import (
 )
 from kconfex.oracle import repair
 from kconfex.prop import (
+    FALSE,
     ConstraintSet,
     assignment_masks,
     equivalent,
@@ -172,9 +171,10 @@ def test_criterion_4_encoding_rule_spot_checks():
     expected = implies(var("A"), or_(not_(or_(var("B"), var("B_MODULE"))), var("C")))
     assert equivalent(dep, expected)
 
-    dom = {"n": ["0", "5", "100"]}
-    leq = encode_numeric_constraint(Leq, "n", 5, Translation(dep_model, dom))
-    assert equivalent(leq, or_(var("n_EQ_0"), var("n_EQ_5")))
+    num_model = parse_model('config N\n\tint "n"\nconfig G\n\tbool "g"\n\tdepends on N <= 5\n', "num")
+    leq = encode_expr(num_model.item("G").depends, Translation(num_model, {"N": ["0", "5", "100"]}))
+    assert leq.f_m is FALSE
+    assert equivalent(leq.f_y, or_(var("N_EQ_0"), var("N_EQ_5")))
 
     inv_model = parse_model(
         'config P\n\tbool "p"\nconfig C\n\tbool "c"\n'

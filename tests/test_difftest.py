@@ -1,5 +1,6 @@
 
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -17,7 +18,7 @@ from kconfex.difftest import (
     run_corpus,
 )
 from kconfex.encode import translate
-from kconfex.errors import TooManyOptions
+from kconfex.errors import ParseError, TooManyOptions, UnsupportedComparison
 from kconfex.kconfig import parse_model, validate_model
 from kconfex.prop import ConstraintSet
 from kconfex.tri import Tri
@@ -131,6 +132,68 @@ class TestCheckModel:
         assert not report.passed
         for m in report.failures:
             assert m.oracle_verdict != m.formula_verdict
+
+
+    @pytest.mark.parametrize("value, reader", [("n", "bool"), ("m", "tristate")])
+    def test_valued_option_holding_n_or_m_in_a_boolean_position(self, value, reader):
+        # The configurator reads the text n as n and m as m, not as y.
+        model = _model(f'config S\n\tstring\n\tdefault "{value}"\nconfig B\n\t{reader} "b"\n\tdepends on S\n')
+        report = check_model(model)
+        assert report.passed, [m.describe() for m in report.failures]
+
+
+# Every option is prompted and has no dependencies, so none is ever unset.
+_MATRIX_OPTIONS = (
+    'config B\n\tbool "b"\n'
+    'config T\n\ttristate "t"\n'
+    'config I\n\tint "i"\n\tdefault 3\n\trange 0 10\n'
+    'config H\n\thex "h"\n\tdefault 0x10\n'
+    'config S\n\tstring "s"\n\tdefault "y"\n\tdefault "n" if B\n\tdefault "m" if T\n'
+    '\tdefault "zeta" if T=m\n\tdefault ""\n'
+)
+_MATRIX_OPERANDS = (
+    "B", "T", "I", "H", "S",
+    "y", "m", "n", "'y'", "'m'", "'zeta'", "''", "3", "0x10", "16", "UNDECLARED",
+)
+_MATRIX_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def _operand_matrix():
+    """(name, text) of a model per ordered operand pair and operator, read
+    as a prompt condition and beside T in a dependency, and of a model per
+    operand alone in a boolean position."""
+    for a, b in itertools.product(_MATRIX_OPERANDS, repeat=2):
+        for op in _MATRIX_OPERATORS:
+            cmp = f"{a}{op}{b}"
+            readers = f'config X\n\ttristate "x" if {cmp}\nconfig Y\n\ttristate "y"\n\tdepends on T || {cmp}\n'
+            yield cmp, _MATRIX_OPTIONS + readers
+    for a in _MATRIX_OPERANDS:
+        yield a, _MATRIX_OPTIONS + f'config X\n\ttristate "x"\n\tdepends on {a}\n'
+
+
+def test_every_operand_kind_agrees_with_the_oracle():
+    """Each kind of comparison operand (bool, tristate, int, hex and string
+    options, tristate names, quoted texts, numbers, an undeclared symbol)
+    under each operator reads the same in the formula as in the oracle."""
+    checked = untranslated = 0
+    failing = []
+    for name, text in _operand_matrix():
+        try:
+            model = parse_model(text, name)
+        except ParseError:
+            continue
+        if any(d.severity == "error" for d in validate_model(model)):
+            continue
+        try:
+            report = check_model(model)
+        except UnsupportedComparison:
+            untranslated += 1  # an ordered comparison of a non-number, such as y<3
+            continue
+        checked += 1
+        if not report.passed:
+            failing.append((name, report.error, len(report.failures)))
+    assert failing == []
+    assert (checked, untranslated) == (576, 96)
 
 
 class TestTruthTableFormula:

@@ -22,7 +22,6 @@ from kconfex.encode import (
     enc_not,
     enc_or,
     encode_expr,
-    encode_numeric_constraint,
     encode_reverse_dependencies,
     translate,
 )
@@ -30,10 +29,8 @@ from kconfex.errors import MissingVariable, ParseError, SelectOnNonBoolean, Unsu
 from kconfex.kconfig import (
     And,
     Eq,
-    Geq,
     Leq,
     Literal,
-    Lt,
     Neq,
     Not,
     Or,
@@ -178,25 +175,40 @@ class TestNumericDomain:
 
 
 class TestNumericConstraint:
-    TR = Translation(THREE_TRISTATES, {"n": ["0", "5", "100"]})
+    """Comparisons over an int option, parsed and encoded through
+    ``encode_expr`` with the known values 0, 5 and 100."""
+
+    DOM = {"N": ["0", "5", "100"]}
+
+    @staticmethod
+    def _parsed(comparison):
+        model = _model(f'config N\n\tint "n"\nconfig G\n\tbool "g"\n\tdepends on {comparison}\n')
+        return model, model.item("G").depends
+
+    def _encode(self, comparison):
+        model, e = self._parsed(comparison)
+        enc = encode_expr(e, Translation(model, self.DOM))
+        assert enc.f_m is FALSE
+        return enc.f_y
 
     def test_leq_over_known_values(self):
-        f = encode_numeric_constraint(Leq, "n", 5, self.TR)
-        assert equivalent(f, or_(var("n_EQ_0"), var("n_EQ_5")))
+        f = self._encode("N <= 5")
+        assert equivalent(f, or_(var("N_EQ_0"), var("N_EQ_5")))
 
     def test_unsatisfiable_comparison(self):
-        assert encode_numeric_constraint(Lt, "n", 0, self.TR) is FALSE
+        assert self._encode("N < 0") is FALSE
 
     def test_neq_one_hot(self):
-        f = encode_numeric_constraint(Neq, "n", 5, self.TR)
-        names = ["n_EQ_0", "n_EQ_5", "n_EQ_100"]
+        f = self._encode("N != 5")
+        names = ["N_EQ_0", "N_EQ_5", "N_EQ_100"]
         for hot in names:
             assignment = {n: n == hot for n in names}
-            assert evaluate(f, assignment) == (hot != "n_EQ_5")
+            assert evaluate(f, assignment) == (hot != "N_EQ_5")
 
     def test_empty_domain_rejected(self):
-        with pytest.raises(UnsupportedComparison):
-            encode_numeric_constraint(Geq, "x", 1, Translation(THREE_TRISTATES, {}))
+        model, e = self._parsed("N >= 1")
+        with pytest.raises(UnsupportedComparison, match="empty harvested domain"):
+            encode_expr(e, Translation(model, {"N": []}))
 
 
 class TestEncodeOption:

@@ -290,6 +290,22 @@ class TestRoundTrip:
         reparsed = parse_model(printed, model.source_name)
         assert reparsed == model, name
 
+    @pytest.mark.parametrize(
+        "expr", ["!" * 5000 + "A", " && ".join(["A"] * 3000)], ids=["negations", "conjunction"]
+    )
+    def test_deep_expression_round_trip(self, expr):
+        model = parse_model(f'config A\n\tbool "a"\nconfig B\n\tbool "b"\n\tdepends on {expr}\n', "deep")
+        printed = pretty_model(model)
+        assert f"\tdepends on {expr}\n" in printed
+        reparsed = parse_model(printed, "deep")
+        # Model equality recurses once per nesting level, so the expressions
+        # are compared by their pre-order nodes; each kind has a fixed arity.
+        def nodes(m):
+            return [(type(n), getattr(n, "name", None)) for n in expr_nodes(m.item("B").depends)]
+
+        assert nodes(reparsed) == nodes(model)
+        assert [it.name for it in reparsed.items] == ["A", "B"]
+
 
 # --------------------------------------------------------------------------
 # The recursive-descent expression parser that the iterative ``_parse_expr``
