@@ -46,6 +46,7 @@ from .kconfig import (
     TRI_NAMES,
     expr_nodes,
     number_text,
+    ordered_comparison_error,
     parse_number,
 )
 from .prop import (
@@ -332,30 +333,6 @@ def _operand(e: Expr, tr: Translation) -> tuple[ConfigItem | None, list[_Reading
     return None, [(text, parse_number(text), TRUE)]
 
 
-def _check_ordered(
-    left: ConfigItem | None, lefts: list[_Reading], right: ConfigItem | None, rights: list[_Reading]
-) -> None:
-    """Reject an ordered comparison unless both sides are numbers, or one is
-    an int or hex option with known values and the other a number constant."""
-    if left is None and right is None:
-        if lefts[0][1] is None or rights[0][1] is None:
-            raise UnsupportedComparison(
-                f"ordered comparison over non-numeric constants {lefts[0][0]!r}, {rights[0][0]!r}"
-            )
-        return
-    if left is None:
-        left, lefts, right, rights = right, rights, left, lefts
-    if not left.is_numeric:
-        raise UnsupportedComparison(f"ordered comparison over non-numeric option {left.name}")
-    other = rights[0][0] if right is None else right.name
-    if right is not None or parse_number(other) is None:
-        raise UnsupportedComparison(
-            f"ordered comparison of {left.name} against non-numeric {other!r}"
-        )
-    if not lefts:
-        raise UnsupportedComparison(f"comparison over {left.name} with an empty harvested domain")
-
-
 def _encode_comparison(e: Expr, tr: Translation) -> PropFormula:
     """Where comparison ``e`` holds: the OR, over every pair of operand
     readings that satisfies it, of both readings' formulas.  Texts are equal
@@ -366,7 +343,11 @@ def _encode_comparison(e: Expr, tr: Translation) -> PropFormula:
     right, rights = _operand(e.right, tr)
     compare = _ORDERED.get(kind)
     if compare is not None:
-        _check_ordered(left, lefts, right, rights)
+        message = ordered_comparison_error(e, tr.model)
+        if message is None and not (lefts and rights):
+            message = f"comparison over {(left or right).name} with an empty harvested domain"
+        if message is not None:
+            raise UnsupportedComparison(message)
     elif not lefts and not rights:
         return TRUE if kind is Eq else FALSE  # both permanently unset: "" equals ""
     if left is not None and left.is_boolish:
@@ -468,14 +449,25 @@ class _ItemContext:
         guard under which the entry wins: every ``prior`` formula holds, the
         entry applies and no earlier entry does.  The last formula holds where
         every ``prior`` formula holds and no entry applies.
+
+        Once a ``prior`` formula is FALSE, every later guard is FALSE: such
+        an entry's condition is still encoded, so translation raises the
+        same first error, but it gets ``(ENC_N, FALSE)`` and nothing more is
+        built for it.
         """
         chain = []
         prior = list(prior)
+        dead = any(p is FALSE for p in prior)
         for entry in entries:
-            applies = enc_and(_encode_opt(entry.condition, tr), self.dep)
+            condition = _encode_opt(entry.condition, tr)
+            if dead:
+                chain.append((ENC_N, FALSE))
+                continue
+            applies = enc_and(condition, self.dep)
             chain.append((applies, and_(*prior, applies.nonzero)))
             prior.append(not_(applies.nonzero))
-        return chain, and_(*prior)
+            dead = prior[-1] is FALSE
+        return chain, FALSE if dead else and_(*prior)
 
 
 def _forced_value(
@@ -553,24 +545,30 @@ def _encode_boolish_option(item: ConfigItem, tr: Translation) -> list[Constraint
 def _invisible_value_chain(ctx: _ItemContext, tr: Translation) -> list[Constraint]:
     """While invisible, the option holds exactly the first applicable default
     (value and-ed with its condition and the dependencies), raised to the
-    select floor, else n raised to the floor."""
-    item = ctx.item
-    out: list[Constraint] = []
-    rev_y, rev_ge_m = ctx.select_floor(tr)
+    select floor, else n raised to the floor.
 
+    A rule whose guard is FALSE (the option is never invisible, or an
+    earlier default always applies) would fold to TRUE and is not built.
+    The select conditions, each default's condition and each value are
+    encoded all the same, in that order, so translation raises the same
+    first error."""
+    item = ctx.item
+    for _, sel in tr.model.selects_targeting(item.name):
+        tr.select_condition(sel)
     chain, none_applies = ctx.first_match(tr, item.defaults, [ctx.invisible])
+    rules = []  # (guard, value, provenance)
     for i, (default, (applies, guard)) in enumerate(zip(item.defaults, chain)):
-        value = enc_and(encode_expr(default.value, tr), applies)
-        _add(
-            out,
-            implies(guard, _forced_value(tr, ctx, value, rev_y, rev_ge_m)),
-            f"{item.name}:default[{i}]",
-        )
-    _add(
-        out,
-        implies(none_applies, _forced_value(tr, ctx, ENC_N, rev_y, rev_ge_m)),
-        f"{item.name}:default-else",
-    )
+        value = encode_expr(default.value, tr)
+        if guard is not FALSE:
+            rules.append((guard, enc_and(value, applies), f"{item.name}:default[{i}]"))
+    if none_applies is not FALSE:
+        rules.append((none_applies, ENC_N, f"{item.name}:default-else"))
+
+    out: list[Constraint] = []
+    if rules:
+        rev_y, rev_ge_m = ctx.select_floor(tr)
+        for guard, value, provenance in rules:
+            _add(out, implies(guard, _forced_value(tr, ctx, value, rev_y, rev_ge_m)), provenance)
     return out
 
 

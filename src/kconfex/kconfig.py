@@ -869,6 +869,32 @@ class Diagnostic(NamedTuple):
         return f"{self.severity}{where}: {self.message}"
 
 
+def ordered_comparison_error(node: Expr, model: KconfigModel) -> str | None:
+    """Why the ordered comparison ``node`` cannot be encoded, or None.  It
+    must compare a number with a number, or an int or hex option with a
+    number.  Validation reports this message and the encoder raises it.
+    """
+    sides = [node.left, node.right]
+    for s in sides:
+        if type(s) is not Sym and type(s) is not Literal:
+            return f"comparison operand {s!r} is not a symbol or literal"
+    options = [model._by_name.get(s.name) if type(s) is Sym else None for s in sides]
+    texts = [s.name if type(s) is Sym else s.text for s in sides]
+    if options[0] is None and options[1] is None:
+        if parse_number(texts[0]) is None or parse_number(texts[1]) is None:
+            return f"ordered comparison over non-numeric constants {texts[0]!r}, {texts[1]!r}"
+        return None
+    if options[0] is None:  # the option first
+        options.reverse()
+        texts.reverse()
+    option, other = options
+    if not option.is_numeric:
+        return f"ordered comparison over non-numeric option {option.name}"
+    if other is not None or parse_number(texts[1]) is None:
+        return f"ordered comparison of {option.name} against non-numeric {texts[1]!r}"
+    return None
+
+
 def validate_model(model: KconfigModel) -> list[Diagnostic]:
     """Check type rules and report undeclared symbols.
 
@@ -896,10 +922,9 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
             elif kind in ORDERED_COMPARISONS:
                 ordered.append(node)
         for node in ordered:  # after the expression's warnings
-            for side in (node.left, node.right):
-                if type(side) is Sym and side.name in by_name and not by_name[side.name].is_numeric:
-                    message = f"ordered comparison over non-numeric option {side.name}"
-                    out.append(Diagnostic("error", message, owner))
+            message = ordered_comparison_error(node, model)
+            if message is not None:
+                out.append(Diagnostic("error", message, owner))
 
     # The translation names a bool/tristate option's m variable O_MODULE, a
     # valued option's value variables N_EQ_<value> and Tseitin auxiliaries

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from itertools import chain
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -519,13 +518,45 @@ class ConstraintSet(Record):
 # CNF
 
 
+class Clauses(Record):
+    """The clauses of a :class:`CnfFormula`, stored flat: ``literals`` holds
+    every clause's literals one clause after another, ``sizes`` each
+    clause's length, in order.  No object is kept per clause.  It reads as a
+    sequence of clauses: ``len`` counts them and iteration yields each as a
+    tuple of ints; it equals another :class:`Clauses` with the same clauses.
+    """
+
+    __slots__ = _fields = ("literals", "sizes")
+
+    def __init__(self, literals: list[int], sizes: list[int]) -> None:
+        self.literals = literals
+        self.sizes = sizes
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        literals = self.literals
+        start = 0
+        for size in self.sizes:
+            yield tuple(literals[start : start + size])
+            start += size
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class CnfFormula(Record):
+    """A CNF over variables ``1..num_vars``.  ``clauses`` is a
+    :class:`Clauses`; assigning it (or passing it to ``__init__``) any other
+    iterable of clauses stores their literals flat, in order."""
+
     _fields = ("num_vars", "clauses", "var_map", "aux_definitions")
 
     def __init__(
         self,
         num_vars: int,
-        clauses: list[tuple[int, ...]],
+        clauses: Clauses | Iterable[Iterable[int]],
         var_map: dict[str, int],  # name -> positive index; original variables first
         aux_definitions: dict[int, PropFormula] | None = None,
     ) -> None:
@@ -533,6 +564,22 @@ class CnfFormula(Record):
         self.clauses = clauses
         self.var_map = var_map
         self.aux_definitions = {} if aux_definitions is None else aux_definitions
+
+    @property
+    def clauses(self) -> Clauses:
+        return self._clauses
+
+    @clauses.setter
+    def clauses(self, clauses: Clauses | Iterable[Iterable[int]]) -> None:
+        if type(clauses) is not Clauses:
+            literals: list[int] = []
+            sizes: list[int] = []
+            for clause in clauses:
+                before = len(literals)
+                literals.extend(clause)
+                sizes.append(len(literals) - before)
+            clauses = Clauses(literals, sizes)
+        self._clauses = clauses
 
 
 @_gc_paused
@@ -553,13 +600,15 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     values satisfies the clauses iff the formula holds.  Auxiliary variables
     are named ``__aux<k>`` and listed after the originals in ``var_map``.
     Duplicate literals are dropped from a clause, first occurrence kept, and
-    tautological clauses are left out.  The cost is linear in the number of
-    distinct node objects and the total length of the clauses.
+    tautological clauses are left out.  The clauses go straight into the
+    flat lists of a :class:`Clauses`, with no object per clause.  The cost
+    is linear in the number of distinct node objects and the total length
+    of the clauses.
     """
     var_map: dict[str, int] = {}
     # The negation of every literal.  Each literal in the clauses is one of
-    # these int objects, so clauses share them instead of holding a copy of
-    # the same number each.
+    # these int objects, so the literal list shares them instead of holding
+    # a copy of the same number each time.
     neg: dict[int, int] = {}
 
     for name in var_order:
@@ -570,21 +619,24 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     originals = len(var_map)
     get = var_map.get
 
-    clauses: list[tuple[int, ...]] = []
+    literals: list[int] = []
+    sizes: list[int] = []
+    extend = literals.extend
     aux_definitions: dict[int, PropFormula] = {}
     by_id: dict[int, int] = {}  # id of a compound node -> its literal
     # Per operator: operand literals -> auxiliary.  The keys hold only ints,
     # so they hash in C and the collector stops tracking them.
     gates: dict[type, dict[tuple[int, ...], int]] = {AndF: {}, OrF: {}, Implies: {}, Iff: {}}
 
-    def add(clause: tuple[int, ...]) -> None:
+    def add(clause: list[int]) -> None:
         # Tautological clauses carry no information and would violate the
         # no-complementary-literals invariant.
         distinct = dict.fromkeys(clause)
         for lit in distinct:
             if neg[lit] in distinct:
                 return
-        clauses.append(clause if len(distinct) == len(clause) else tuple(distinct))
+        extend(distinct)
+        sizes.append(len(distinct))
 
     def literal(node: PropFormula) -> int:
         # Returns a literal equisatisfiable with the node, defining auxiliary
@@ -623,32 +675,54 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
             # and one operand literal never holds a repeat or a complementary
             # pair.  A longer clause can only when two operand literals name
             # the same variable; only then does it go through ``add``.
-            emit = clauses.append if len(set(map(abs, lits))) == len(lits) else add
-            if op is AndF:
-                clauses.extend([(ng, lit) for lit in lits])
-                emit((g, *[neg[lit] for lit in lits]))
-            elif op is OrF:
-                clauses.extend([(neg[lit], g) for lit in lits])
-                emit((ng, *lits))
+            plain = len(set(map(abs, lits))) == len(lits)
+            if op is AndF or op is OrF:
+                # One binary clause per operand, then the long clause.
+                n = len(lits)
+                if op is AndF:
+                    pairs = [ng] * (2 * n)
+                    pairs[1::2] = lits
+                    long = [g, *[neg[lit] for lit in lits]]
+                else:
+                    pairs = [g] * (2 * n)
+                    pairs[::2] = [neg[lit] for lit in lits]
+                    long = [ng, *lits]
+                extend(pairs)
+                sizes.extend([2] * n)
+                if plain:
+                    extend(long)
+                    sizes.append(n + 1)
+                else:
+                    add(long)
             elif op is Implies:
                 a, b = lits
-                emit((ng, neg[a], b))
-                clauses.append((g, a))
-                clauses.append((g, neg[b]))
+                if plain:
+                    extend((ng, neg[a], b, g, a, g, neg[b]))
+                    sizes.extend((3, 2, 2))
+                else:
+                    add([ng, neg[a], b])
+                    extend((g, a, g, neg[b]))
+                    sizes.extend((2, 2))
             else:
                 a, b = lits
-                emit((ng, neg[a], b))
-                emit((ng, a, neg[b]))
-                emit((g, a, b))
-                emit((g, neg[a], neg[b]))
+                na, nb = neg[a], neg[b]
+                if plain:
+                    extend((ng, na, b, ng, a, nb, g, a, b, g, na, nb))
+                    sizes.extend((3, 3, 3, 3))
+                else:
+                    add([ng, na, b])
+                    add([ng, a, nb])
+                    add([g, a, b])
+                    add([g, na, nb])
         by_id[id(node)] = g
         return g
 
     try:
         if f is FALSE:
-            clauses.append(())
+            sizes.append(0)
         elif f is not TRUE:
-            clauses.append((literal(f),))
+            literals.append(literal(f))
+            sizes.append(1)
     finally:
         # ``literal`` refers to itself; breaking the cycle frees the node
         # tables now rather than at the next cyclic garbage collection.
@@ -661,7 +735,7 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         var_map[name] = g
     return CnfFormula(
         num_vars=originals + len(aux_definitions),
-        clauses=clauses,
+        clauses=Clauses(literals, sizes),
         var_map=var_map,
         aux_definitions=aux_definitions,
     )
@@ -673,18 +747,18 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
     Byte-deterministic; LF endings, single spaces.
     """
     clauses = cnf.clauses
+    sizes = clauses.sizes
     header = [f"c {idx} {name}\n" for name, idx in cnf.var_map.items()]
-    header.append(f"p cnf {cnf.num_vars} {len(clauses)}\n")
+    header.append(f"p cnf {cnf.num_vars} {len(sizes)}\n")
     # One format operation for all clauses: a line template per clause,
-    # filled from the concatenated literals.
-    templates = {n: "%d " * n + "0\n" for n in set(map(len, clauses))}
-    body = "".join(map(templates.__getitem__, map(len, clauses)))
-    body %= tuple(chain.from_iterable(clauses))
+    # filled from the flat literal list.
+    templates = {n: "%d " * n + "0\n" for n in set(sizes)}
+    body = "".join(map(templates.__getitem__, sizes)) % tuple(clauses.literals)
     sink.write(("".join(header) + body).encode("utf-8"))
 
 
 def parse_dimacs(source: IO[bytes]) -> CnfFormula:
-    """Inverse of :func:`write_dimacs`; clauses come back as tuples, in order.
+    """Inverse of :func:`write_dimacs`; clauses come back in file order.
 
     A ``c <index> <name>`` line names a variable.  Raises
     :class:`FormatError` with the line number on a malformed or repeated
@@ -693,7 +767,8 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
     """
     var_map: dict[str, int] = {}
     name_lines: dict[int, int] = {}  # index -> line that named it
-    clauses: list[tuple[int, ...]] = []
+    literals: list[int] = []
+    sizes: list[int] = []
     num_vars: int | None = None
     declared_clauses = 0
     for lineno, raw in enumerate(source.read().decode("utf-8").splitlines(), start=1):
@@ -731,21 +806,19 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
             lits = [int(tok) for tok in line.split()]
         except ValueError:
             raise FormatError("malformed clause line", lineno) from None
-        if not lits or lits[-1] != 0:
+        if not lits or lits.pop() != 0:
             raise FormatError("clause line does not end with 0", lineno)
-        body = lits[:-1]
-        if any(lit == 0 for lit in body):
+        if any(lit == 0 for lit in lits):
             raise FormatError("literal 0 inside clause", lineno)
-        if any(abs(lit) > num_vars for lit in body):
+        if any(abs(lit) > num_vars for lit in lits):
             raise FormatError("literal exceeds declared variable count", lineno)
-        clauses.append(tuple(body))
+        literals.extend(lits)
+        sizes.append(len(lits))
     if num_vars is None:
         raise FormatError("missing DIMACS header", 1)
     for idx, lineno in name_lines.items():
         if not 1 <= idx <= num_vars:
             raise FormatError(f"named variable {idx} is outside 1..{num_vars}", lineno)
-    if len(clauses) != declared_clauses:
-        raise FormatError(
-            f"declared {declared_clauses} clauses, found {len(clauses)}", 1
-        )
-    return CnfFormula(num_vars=num_vars, clauses=clauses, var_map=var_map)
+    if len(sizes) != declared_clauses:
+        raise FormatError(f"declared {declared_clauses} clauses, found {len(sizes)}", 1)
+    return CnfFormula(num_vars=num_vars, clauses=Clauses(literals, sizes), var_map=var_map)

@@ -44,7 +44,7 @@ class TestTranslateCommand:
         assert model_out.read_text() == ""
         with open(dimacs_out, "rb") as fh:
             cnf = parse_dimacs(fh)
-        assert cnf.clauses == []
+        assert list(cnf.clauses) == []
 
     def test_syntax_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.kconfig"
@@ -128,6 +128,15 @@ def test_range_bound_outside_option_type_exits_2(command, tmp_path, capsys):
         path.write_text('config N\n\tint "n"\n' + ranges)
         assert main([command, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "translate"])
+def test_ordered_comparison_of_a_constant_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "ordered.kconfig"
+    path.write_text('config X\n\tbool "x" if y < 3\n')
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error [X]: ordered comparison over non-numeric constants 'y', '3'" in err
 
 
 @pytest.mark.parametrize("command", ["check", "translate"])

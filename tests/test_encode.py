@@ -28,12 +28,18 @@ from kconfex.encode import (
 from kconfex.errors import MissingVariable, ParseError, SelectOnNonBoolean, UnsupportedComparison
 from kconfex.kconfig import (
     And,
+    ConfigItem,
+    Default,
     Eq,
+    KconfigModel,
     Leq,
     Literal,
+    Lt,
     Neq,
     Not,
+    OptionType,
     Or,
+    Prompt,
     Sym,
     parse_model,
     validate_model,
@@ -258,6 +264,46 @@ class TestEncodeOption:
         base = {"MODULES": False, "MODULES_MODULE": False, "T": False}
         assert not evaluate(conj, {**base, "T_MODULE": True})
         assert evaluate(conj, {**base, "MODULES": True, "T_MODULE": True})
+
+
+# An always-visible option's invisible-value rules, and those after a
+# default that always applies, fold to TRUE and are not built; their
+# expressions are still encoded, so translate raises the same first error.
+_Y_LT_3 = "ordered comparison over non-numeric constants 'y', '3'"
+
+
+def _one_option_model(kind, prompted, defaults):
+    # Built through the API: the parser takes only a symbol or a literal as
+    # a default's value.
+    prompts = (Prompt("x", None),) if prompted else ()
+    item = ConfigItem("X", kind, prompts=prompts, defaults=defaults)
+    return KconfigModel(items=(item,), choices=(), modules_option=None)
+
+
+@pytest.mark.parametrize("where", ["value", "condition"])
+@pytest.mark.parametrize("shape", ["always-visible", "after-a-default-that-always-applies"])
+def test_unbuilt_default_rules_raise_the_same_error(shape, where):
+    y_lt_3 = Lt(Sym("y"), Literal("3"))
+    default = Default(y_lt_3) if where == "value" else Default(Sym("y"), y_lt_3)
+    if shape == "always-visible":
+        model = _one_option_model(OptionType.BOOL, True, (default,))
+    else:
+        model = _one_option_model(OptionType.TRISTATE, False, (Default(Literal("m")), default))
+    with pytest.raises(UnsupportedComparison) as info:
+        translate(model)
+    assert str(info.value) == _Y_LT_3
+
+
+def test_select_condition_error_comes_before_an_unbuilt_default_error():
+    # X's select floor is never read, but the select condition is encoded
+    # before X's default condition, as when the floor was built.
+    model = _model(
+        'config X\n\tbool "x"\n\tdefault y if FOO < 3\n'
+        'config Z\n\tbool "z"\n\tselect X if y < 3\n'
+    )
+    with pytest.raises(UnsupportedComparison) as info:
+        translate(model)
+    assert str(info.value) == _Y_LT_3
 
 
 class TestReverseDependencies:

@@ -5,13 +5,16 @@ import pytest
 
 import kconfex.kconfig as kconfig
 from kconfex.difftest import generate_model_text
-from kconfex.errors import DuplicateOption, ParseError
+from kconfex.encode import translate
+from kconfex.errors import DuplicateOption, ParseError, UnsupportedComparison
 from kconfex.kconfig import (
     And,
+    ConfigItem,
     Diagnostic,
     Eq,
     Geq,
     Gt,
+    KconfigModel,
     Leq,
     Literal,
     Lt,
@@ -19,6 +22,7 @@ from kconfex.kconfig import (
     Not,
     OptionType,
     Or,
+    Prompt,
     Sym,
     expr_nodes,
     parse_model,
@@ -236,6 +240,47 @@ class TestValidateModel:
         assert errors == [
             Diagnostic("error", f"option name {name} collides with a derived variable", name)
         ]
+
+    @pytest.mark.parametrize(
+        "operand, message",
+        [
+            ("y", "ordered comparison over non-numeric constants 'y', '3'"),
+            ("T", "ordered comparison over non-numeric option T"),
+            ("UNDECLARED", "ordered comparison over non-numeric constants 'UNDECLARED', '3'"),
+            ("S", "ordered comparison over non-numeric option S"),
+        ],
+        ids=["tristate-name", "tristate-option", "undeclared-symbol", "string-option"],
+    )
+    def test_ordered_comparison_of_a_non_number_is_error(self, operand, message):
+        text = f'config T\n\ttristate "t"\nconfig S\n\tstring "s"\nconfig X\n\tbool "x" if {operand} < 3\n'
+        errors = [d for d in validate_model(parse_model(text, "t")) if d.severity == "error"]
+        assert errors == [Diagnostic("error", message, "X")]
+
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            (Sym("N"), Literal("3"), None),
+            (Literal("0x10"), Sym("H"), None),
+            (Sym("2"), Literal("3"), None),
+            (Sym("N"), Sym("H"), "ordered comparison of N against non-numeric 'H'"),
+            (Literal("y"), Sym("N"), "ordered comparison of N against non-numeric 'y'"),
+            (Literal("3"), Literal("m"), "ordered comparison over non-numeric constants '3', 'm'"),
+            (Not(Sym("N")), Literal("3"), "comparison operand Not(operand=Sym(name='N')) is not a symbol or literal"),
+        ],
+        ids=["int-number", "number-hex", "numbers", "int-hex", "text-int", "number-text", "not-a-symbol"],
+    )
+    def test_ordered_comparison_rule_matches_the_encoder(self, left, right, message):
+        # Built through the API: the parser already rejects the last four.
+        model = parse_model('config N\n\tint "n"\n\tdefault 1\nconfig H\n\thex "h"\n\tdefault 0x1\n', "t")
+        item = ConfigItem("X", OptionType.BOOL, prompts=(Prompt("x", Lt(left, right)),))
+        model = KconfigModel(items=(*model.items, item), choices=(), modules_option=None)
+        errors = [d for d in validate_model(model) if d.severity == "error"]
+        assert errors == ([] if message is None else [Diagnostic("error", message, "X")])
+        if message is None:
+            translate(model)
+        else:
+            with pytest.raises(UnsupportedComparison, match=re.escape(message)):
+                translate(model)
 
     def test_value_variable_shape_after_a_boolean_option_is_clean(self):
         # A bool option has no value variables, so B_EQ_1 names nothing derived.

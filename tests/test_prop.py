@@ -245,18 +245,18 @@ class TestTseitin:
     def test_single_variable(self):
         cnf = tseitin_cnf(A, formula_vars(A))
         assert cnf.num_vars == 1
-        assert cnf.clauses == [(1,)]
+        assert list(cnf.clauses) == [(1,)]
         assert _satisfied(cnf, {1: True})
         assert not _satisfied(cnf, {1: False})
 
     def test_constant_false(self):
         cnf = tseitin_cnf(or_(), [])
-        assert cnf.clauses == [()]
+        assert list(cnf.clauses) == [()]
         assert not _satisfied(cnf, {})
 
     def test_constant_true(self):
         cnf = tseitin_cnf(and_(), [])
-        assert cnf.clauses == []
+        assert list(cnf.clauses) == []
         assert _satisfied(cnf, {})
 
     def _assert_assignment_preserving(self, f):
@@ -291,17 +291,18 @@ class TestTseitin:
         cnf = tseitin_cnf(f, formula_vars(f))
         assert len(cnf.aux_definitions) == 1
         assert cnf.num_vars == 3001
-        assert len(cnf.clauses) == 3002
-        assert cnf.clauses[:3000] == [(-3001, i) for i in range(1, 3001)]
-        assert cnf.clauses[3000] == (3001, *[-i for i in range(1, 3001)])
-        assert cnf.clauses[3001] == (3001,)
+        clauses = list(cnf.clauses)
+        assert len(cnf.clauses) == len(clauses) == 3002
+        assert clauses[:3000] == [(-3001, i) for i in range(1, 3001)]
+        assert clauses[3000] == (3001, *[-i for i in range(1, 3001)])
+        assert clauses[3001] == (3001,)
 
     def test_tautological_long_disjunction_has_no_clause(self):
         f = or_(*(var(f"V{i}") for i in range(3000)), not_(var("V0")))
         cnf = tseitin_cnf(f, formula_vars(f))
         g = cnf.num_vars
         # one binary clause per operand, the root unit, and no defining clause
-        assert cnf.clauses == [(-i, g) for i in range(1, 3001)] + [(1, g), (g,)]
+        assert list(cnf.clauses) == [(-i, g) for i in range(1, 3001)] + [(1, g), (g,)]
 
     def test_duplicate_literals_keep_first_occurrence(self):
         names = [f"V{i}" for i in range(2000)]
@@ -309,10 +310,10 @@ class TestTseitin:
         cnf = tseitin_cnf(or_(*operands), names + ["W"])
         g = cnf.num_vars
         w = cnf.var_map["W"]
-        assert (-g, *range(1, 2001), -w) in cnf.clauses
+        assert (-g, *range(1, 2001), -w) in list(cnf.clauses)
         assert all(len(set(clause)) == len(clause) for clause in cnf.clauses)
         cnf = tseitin_cnf(or_(A, B, A, not_(NP), B), ["A", "B", "NOPROMPT"])
-        assert cnf.clauses[5] == (-4, 1, 2, -3)
+        assert list(cnf.clauses)[5] == (-4, 1, 2, -3)
 
     def test_no_complementary_literals(self):
         f = and_(or_(A, not_(A), B), iff(A, not_(A)))
@@ -335,7 +336,7 @@ class TestTseitin:
         assert f.operands[0].antecedent is not f.operands[1].left.operand
         distinct = tseitin_cnf(f, formula_vars(f))
         shared = tseitin_cnf(build(lambda: disjunction), formula_vars(f))
-        assert distinct.clauses == shared.clauses
+        assert list(distinct.clauses) == list(shared.clauses)
         assert distinct.var_map == shared.var_map
         assert distinct.num_vars == shared.num_vars
 
@@ -377,9 +378,35 @@ class TestTseitin:
     def test_gate_over_a_repeated_variable(self, gate, clauses):
         cnf = tseitin_cnf(gate, ["B", "C"])
         root = cnf.num_vars
-        assert cnf.clauses == clauses + [(root,)]
+        assert list(cnf.clauses) == clauses + [(root,)]
         assert list(cnf.var_map) == ["B", "C"] + [f"__aux{k}" for k in range(root - 2)]
         assert cnf.aux_definitions[root] is gate
+
+    def test_clauses_hold_no_object_per_clause(self):
+        # 3,000 disjunction gates under one conjunction gate.  Variables A<i>
+        # and B<i> are 2i+1 and 2i+2; the disjunctions get 6001..9000 and
+        # the root 9001, the order in which their literals are first needed.
+        n = 3000
+        f = and_(*[or_(var(f"A{i}"), var(f"B{i}")) for i in range(n)])
+        order = [name for i in range(n) for name in (f"A{i}", f"B{i}")]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            cnf = tseitin_cnf(f, order)
+            after = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert after - before < 20
+        root = 2 * n + n + 1
+        expected = []
+        for i in range(n):
+            a, b, g = 2 * i + 1, 2 * i + 2, 2 * n + i + 1
+            expected += [(-a, g), (-b, g), (-g, a, b)]
+        expected += [(-root, 2 * n + i + 1) for i in range(n)]
+        expected += [(root, *[-(2 * n + i + 1) for i in range(n)]), (root,)]
+        assert list(cnf.clauses) == expected
+        assert len(cnf.clauses) == len(expected)
 
     def test_variable_with_an_auxiliary_name_raises(self):
         with pytest.raises(ValueError, match="__aux0"):
@@ -404,7 +431,7 @@ def _per_clause_dimacs(cnf):
 class TestDimacs:
     def test_matches_the_per_clause_writer(self):
         cnfs = [tseitin_cnf(FALSE, []), tseitin_cnf(TRUE, ["A"])]
-        assert cnfs[0].clauses == [()] and cnfs[1].clauses == []
+        assert list(cnfs[0].clauses) == [()] and list(cnfs[1].clauses) == []
         cnfs.append(CnfFormula(num_vars=3, clauses=[[3, -1], (2,), [], (-3, 1, 2)], var_map={"A": 1}))
         for _, model in corpus_models():
             constraints = translate(model)
@@ -445,8 +472,31 @@ class TestDimacs:
         write_dimacs(cnf, sink)
         back = parse_dimacs(io.BytesIO(sink.getvalue()))
         assert back.num_vars == cnf.num_vars
-        assert back.clauses == cnf.clauses
+        assert list(back.clauses) == list(cnf.clauses)
         assert back.var_map == cnf.var_map
+
+    def test_random_round_trip(self):
+        rng = random.Random(19)
+        for case in range(40):
+            num_vars = rng.randrange(1, 60)
+            clauses = [
+                tuple(rng.choice((1, -1)) * rng.randrange(1, num_vars + 1) for _ in range(rng.randrange(6)))
+                for _ in range(rng.randrange(30))
+            ]
+            if case == 0:
+                clauses = []
+            elif case == 1:
+                clauses.insert(rng.randrange(len(clauses) + 1), ())
+            elif case == 2:
+                clauses.append(tuple(rng.choice((1, -1)) * rng.randrange(1, num_vars + 1) for _ in range(3001)))
+            names = rng.sample(range(1, num_vars + 1), rng.randrange(num_vars + 1))
+            cnf = CnfFormula(num_vars, clauses, {f"V{idx}": idx for idx in names})
+            sink = io.BytesIO()
+            write_dimacs(cnf, sink)
+            back = parse_dimacs(io.BytesIO(sink.getvalue()))
+            assert back == cnf
+            assert list(back.clauses) == clauses
+            assert len(back.clauses) == len(clauses)
 
     def test_write_is_byte_deterministic(self):
         cnf = tseitin_cnf(GOLDEN, formula_vars(GOLDEN))
@@ -458,7 +508,7 @@ class TestDimacs:
     def test_empty_formula(self):
         back = parse_dimacs(io.BytesIO(b"p cnf 0 0\n"))
         assert back.num_vars == 0
-        assert back.clauses == []
+        assert list(back.clauses) == []
 
     def test_malformed_header(self):
         with pytest.raises(FormatError) as info:
