@@ -19,7 +19,6 @@ the differential harness classifies those disagreements separately.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain
 
 from .errors import EmptyChoice, SelectOnNonBoolean, UnsupportedComparison
@@ -30,16 +29,13 @@ from .kconfig import (
     ConfigItem,
     Eq,
     Expr,
-    Geq,
-    Gt,
     KconfigModel,
-    Leq,
     Literal,
-    Lt,
     Neq,
     Not,
     OptionType,
     Or,
+    ORDERED_COMPARISONS,
     Prompt,
     Select,
     Sym,
@@ -314,9 +310,6 @@ class Translation:
 # Expression encoding
 
 
-_ORDERED = {Lt: operator.lt, Leq: operator.le, Gt: operator.gt, Geq: operator.ge}
-
-
 def _operand(e: Expr, tr: Translation) -> tuple[ConfigItem | None, list[_Reading]]:
     """A comparison operand's option (None for a constant) and its readings.
     A literal or an undeclared symbol is the one text it spells, always."""
@@ -341,7 +334,7 @@ def _encode_comparison(e: Expr, tr: Translation) -> PropFormula:
     kind = type(e)
     left, lefts = _operand(e.left, tr)
     right, rights = _operand(e.right, tr)
-    compare = _ORDERED.get(kind)
+    compare = ORDERED_COMPARISONS.get(kind)
     if compare is not None:
         message = ordered_comparison_error(e, tr.model)
         if message is None and not (lefts and rights):

@@ -11,6 +11,7 @@ with a :class:`~kconfex.errors.ParseError`.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from typing import NamedTuple
 
@@ -134,7 +135,8 @@ class Geq(_Cmp):
     __slots__ = ()
 
 
-ORDERED_COMPARISONS = (Lt, Leq, Gt, Geq)
+# Each ordered comparison's test on two numbers, for both sides of the check.
+ORDERED_COMPARISONS = {Lt: operator.lt, Leq: operator.le, Gt: operator.gt, Geq: operator.ge}
 COMPARISONS = frozenset((Eq, Neq, *ORDERED_COMPARISONS))
 
 
@@ -289,7 +291,7 @@ class ChoiceBlock(Value):
 
 class KconfigModel(Value):
     _fields = ("items", "choices", "modules_option", "source_name")
-    __slots__ = _fields + ("_by_name", "_selectors")
+    __slots__ = _fields + ("_by_name", "_selectors", "_value_edges")
     _uncompared = ("source_name",)
 
     def __init__(
@@ -309,6 +311,7 @@ class KconfigModel(Value):
             for sel in it.selects:
                 selectors.setdefault(sel.target, []).append((it, sel))
         _set(self, "_selectors", selectors)
+        _set(self, "_value_edges", _value_dependency_edges(self))
 
     def item(self, name: str) -> ConfigItem:
         return self._by_name[name]
@@ -1040,15 +1043,20 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
     return out
 
 
-def value_dependency_edges(model: KconfigModel) -> dict[str, set[str]]:
+def value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
     """Which declared options each option's computed value reads.
 
     Covers dependencies, prompt and default conditions, default values,
     range conditions, selects (target reads selector and condition), the
     enclosing choice's conditions, and the modules switch for tristate
     options.  Coupling between members of the same choice is excluded: the
-    selection discipline resolves it.
+    selection discipline resolves it.  Computed once, when the model is
+    built; callers must not mutate the returned mapping.
     """
+    return model._value_edges
+
+
+def _value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
     edges: dict[str, set[str]] = {it.name: set() for it in model.items}
 
     def read(reads: set[str], e: Expr | None) -> None:
@@ -1089,7 +1097,7 @@ def value_dependency_edges(model: KconfigModel) -> dict[str, set[str]]:
     for choice in model.choices:
         for member in choice.members:
             edges[member] -= {m for m in choice.members if m != member}
-    return edges
+    return {name: frozenset(reads) for name, reads in edges.items()}
 
 
 def value_dependency_cycles(model: KconfigModel) -> list[list[str]]:

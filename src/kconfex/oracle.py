@@ -121,7 +121,7 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
                 and choice is not None
                 and choice.type is OptionType.BOOL
             ),
-            reads=frozenset(edges[item.name]),
+            reads=edges[item.name],
         )
 
     steps: list[_Option | _Choice] = []

@@ -21,21 +21,17 @@ complement, several times slower on masks of thousands of rows.
 from __future__ import annotations
 
 import enum
-import operator
 
 from .errors import EvalError
 from .kconfig import (
     COMPARISONS,
+    ORDERED_COMPARISONS,
     TRI_NAMES,
     And,
     Eq,
     Expr,
-    Geq,
-    Gt,
     KconfigModel,
-    Leq,
     Literal,
-    Lt,
     Neq,
     Not,
     Or,
@@ -102,9 +98,6 @@ def _boolish_value(text: str) -> Tri:
     return Tri.Y
 
 
-_ORDERED = {Lt: operator.lt, Leq: operator.le, Gt: operator.gt, Geq: operator.ge}
-
-
 def _compare(kind: type, left: str, right: str) -> bool:
     """One comparison of two operand texts.  Equality also holds between
     equal numbers; ordered comparisons read both sides as numbers and raise
@@ -113,7 +106,7 @@ def _compare(kind: type, left: str, right: str) -> bool:
         number = parse_number(left)
         equal = left == right or (number is not None and number == parse_number(right))
         return equal == (kind is Eq)
-    return _ORDERED[kind](_as_int(left), _as_int(right))
+    return ORDERED_COMPARISONS[kind](_as_int(left), _as_int(right))
 
 
 def _split(column) -> TriRows:

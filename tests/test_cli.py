@@ -121,6 +121,54 @@ class TestCheckCommand:
         assert main(["check", str(path), "--max-options", "12"]) == 0
 
 
+_REWRITING_CONF = '#!/bin/sh\necho CONFIG_A=y > "$KCONFIG_CONFIG"\n'  # any A=n row is repaired to A=y
+
+
+@pytest.mark.parametrize(
+    "text, oracle, code, out, err",
+    [
+        (
+            'config A\n\tbool "a"\n',
+            "exec:./conf",
+            1,
+            [
+                "[FAILURE] {A=n}: oracle=invalid formula=valid",
+                "one.kconfig: 2 configurations, 1 failures, 0 known limitations (MS ms)",
+            ],
+            "",
+        ),
+        (
+            'config A\n\tbool "a"\nconfig S\n\tstring "s"\n',
+            "builtin",
+            0,
+            [
+                "note: S: no known values, skipped in enumeration",
+                "one.kconfig: 2 configurations, 0 failures, 0 known limitations (MS ms)",
+            ],
+            "",
+        ),
+        (
+            'config A\n\tbool "a"\n',
+            "magic",
+            2,
+            [],
+            "error: unknown oracle 'magic' (use 'builtin' or 'exec:<path>')\n",
+        ),
+    ],
+    ids=["failure-row", "note", "unknown-oracle"],
+)
+def test_check_exit_code_and_output(text, oracle, code, out, err, tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "conf"
+    conf.write_text(_REWRITING_CONF)
+    conf.chmod(0o755)
+    (tmp_path / "one.kconfig").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "one.kconfig", "--oracle", oracle]) == code
+    captured = capsys.readouterr()
+    assert re.sub(r"\(\d+\.\d ms\)", "(MS ms)", captured.out).splitlines() == out
+    assert captured.err == err
+
+
 @pytest.mark.parametrize("command", ["check", "translate"])
 def test_range_bound_outside_option_type_exits_2(command, tmp_path, capsys):
     path = tmp_path / "range.kconfig"

@@ -1,10 +1,13 @@
+import contextlib
 import gc
 import hashlib
 import io
 import itertools
 import json
 import random
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -576,6 +579,124 @@ def test_failing_builders_leave_the_collector_enabled():
     with pytest.raises(MissingVariable):
         tseitin_cnf(and_(var("A"), var("B")), ["A"])
     assert gc.isenabled()
+
+
+@contextlib.contextmanager
+def _explicit_collections():
+    """Hold off automatic collections (threshold 0; the collector stays
+    enabled) and yield the generation of every collection that runs."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(0)
+    gc.callbacks.append(record)
+    try:
+        yield generations
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+
+
+def _generation_ids(generation):
+    return {id(obj) for obj in gc.get_objects(generation=generation)}
+
+
+def test_extract_builders_promote_what_they_keep_to_the_oldest_generation():
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    model = parse_model(large_chain_text(60), "chain")
+    with _explicit_collections() as generations:
+        cs = translate(model)
+        young_after_translate = gc.get_count()[0]
+        cnf = tseitin_cnf(cs.conjunction(), cs.variable_order)
+        young_after_tseitin = gc.get_count()[0]
+    oldest = _generation_ids(2)
+    nodes = [node for node in node_objects(*(c.formula for c in cs)).values() if gc.is_tracked(node)]
+    assert len(nodes) > 100
+    assert all(id(node) in oldest for node in nodes)
+    assert id(cnf.clauses.literals) in oldest and id(cnf.clauses.sizes) in oldest
+    assert young_after_translate < 50 and young_after_tseitin < 50
+    assert generations == [1, 1]  # one young collection on entry to each builder, no full one
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+_BUILDER_CALLS = {
+    "parse_model": lambda inputs: parse_model(inputs.text, "chain"),
+    "translate": lambda inputs: translate(inputs.model),
+    "model_text": lambda inputs: inputs.cs.model_text(),
+    "tseitin_cnf": lambda inputs: tseitin_cnf(inputs.formula, inputs.cs.variable_order),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDER_CALLS))
+def test_extract_builders_collect_a_cycle_the_caller_dropped(builder):
+    text = large_chain_text(20)
+    model = parse_model(text, "chain")
+    cs = translate(model)
+    inputs = SimpleNamespace(text=text, model=model, cs=cs, formula=cs.conjunction())
+    cycle = _Cycle()
+    ref = weakref.ref(cycle)
+    del cycle
+    assert ref() is not None
+    _BUILDER_CALLS[builder](inputs)
+    assert ref() is None
+
+
+def test_extract_builders_leave_an_application_freeze_alone():
+    text = large_chain_text(20)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        with _explicit_collections() as generations:
+            cs = translate(parse_model(text, "chain"))
+            cs.model_text()
+            tseitin_cnf(cs.conjunction(), cs.variable_order)
+        assert gc.get_freeze_count() == frozen
+        assert generations == []
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+def test_extract_builders_promote_nothing_with_the_collector_off():
+    model = parse_model(large_chain_text(20), "chain")
+    gc.disable()
+    try:
+        with _explicit_collections() as generations:
+            cs = translate(model)
+            cnf = tseitin_cnf(cs.conjunction(), cs.variable_order)
+        youngest = _generation_ids(0)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert generations == []
+    assert all(id(obj) in youngest for obj in (cs, cnf, cnf.clauses.literals, cnf.clauses.sizes))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse_model('config A\n\tbool "a"\n\tdepends on &&\n'), ParseError),
+        (lambda: tseitin_cnf(and_(var("A"), var("B")), ["A"]), MissingVariable),
+    ],
+    ids=["parse_model", "tseitin_cnf"],
+)
+def test_failing_builders_promote_nothing(call, error):
+    with _explicit_collections() as generations:
+        with pytest.raises(error) as raised:
+            call()
+        youngest = _generation_ids(0)
+    assert gc.isenabled()
+    assert generations == [1]  # the young collection on entry only
+    assert id(raised.value) in youngest
 
 
 def test_one_var_object_per_name_within_a_translation():

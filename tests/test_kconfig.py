@@ -4,7 +4,7 @@ import re
 import pytest
 
 import kconfex.kconfig as kconfig
-from kconfex.difftest import generate_model_text
+from kconfex.difftest import check_model, generate_model_text
 from kconfex.encode import translate
 from kconfex.errors import DuplicateOption, ParseError, UnsupportedComparison
 from kconfex.kconfig import (
@@ -319,6 +319,81 @@ class TestValidateModel:
                 if sym in TRI_NAMES or sym.isdigit():
                     continue
                 assert model.has_option(sym) or sym in warned, (name, sym)
+
+
+_PARSE_ERRORS = [
+    ("config A\n  && B\n", "unexpected token '&&'", 2, 1),
+    ('config "A"\n', "expected option name after 'config'", 1, 8),
+    ("config A B\n", "trailing tokens after option name", 1, 10),
+    ("choice\nchoice\n", "nested choice blocks are not supported", 2, 1),
+    ("choice x\n", "trailing tokens after 'choice'", 1, 8),
+    ("endchoice\n", "'endchoice' outside a choice block", 1, 1),
+    ('choice\n\tprompt "p"\n', "choice block not closed before end of file", 1, 1),
+    (
+        'config M\n\tbool "m"\n\toption modules\nconfig N\n\tbool "n"\n\toption modules\n',
+        "second 'option modules' switch N (already on M)",
+        4,
+        1,
+    ),
+    ('choice\n\tint "c"\n', "choice cannot have type int", 2, 1),
+    ('config A\n\tbool "a"\n\ttristate\n', "conflicting type tristate (already bool)", 3, 1),
+    ("config A\n\tbool\n\tprompt A\n", "expected quoted prompt text", 3, 8),
+    ('config A\n\tbool "a"\n\tdepends B\n', "expected 'on' after 'depends'", 3, 9),
+    ('choice\n\tbool "c"\n\tselect A\n', "'select' is not valid on a choice", 3, 1),
+    ('config A\n\tbool "a"\n\tselect "B"\n', "expected option name after 'select'", 3, 8),
+    ('choice\n\tbool "c"\n\trange 1 2\n', "'range' is not valid on a choice", 3, 1),
+    ('config N\n\tint "n"\n\trange A 5\n', "range bounds must be numeric literals", 3, 1),
+    ('config A\n\tbool "a"\n\toption foo\n', "only 'option modules' is supported", 3, 8),
+    ('choice\n\tbool "c"\n\toption modules\n', "'option modules' is not valid on a choice", 3, 1),
+    ('config A\n\tbool "a"\n\timply B\n', "unsupported construct 'imply'", 3, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", _PARSE_ERRORS, ids=[case[1] for case in _PARSE_ERRORS])
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_model(text, "t")
+    assert type(info.value) is ParseError
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+    assert str(info.value) == f"t:{line}:{column}: {message}"
+
+
+_DIAGNOSTICS = [
+    (
+        'config N\n\tint "n"\n\tdefault A\n',
+        [("error", "numeric option default must be a numeric literal", "N")],
+    ),
+    (
+        'config S\n\tstring "s"\n\tdefault T\n',
+        [("error", "string option default must be a quoted literal", "S")],
+    ),
+    ('config A\n\tbool "a"\n\tselect B\n', [("warning", "select target B is never declared", "A")]),
+    (
+        # The switch reads itself as every tristate reads the switch.
+        'config M\n\ttristate "m"\n\toption modules\n',
+        [
+            ("warning", "the modules switch is not a bool option; only the value y enables modules", "M"),
+            ("error", "recursive value dependency: M -> M", "M"),
+        ],
+    ),
+    (
+        'choice\n\tbool "c"\n\tdefault X\nconfig A\n\tbool "a"\nendchoice\n',
+        [("error", "choice default must name one of its members", "choice#0")],
+    ),
+    (
+        'choice\n\tbool "c"\nconfig A\n\tbool "a"\nconfig N\n\tint "n"\nendchoice\n',
+        [("error", "choice member N is not bool/tristate", "choice#0")],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    _DIAGNOSTICS,
+    ids=["numeric-default", "string-default", "undeclared-select", "tristate-modules", "choice-default", "choice-member"],
+)
+def test_validate_model_diagnostics(text, expected):
+    assert validate_model(parse_model(text, "t")) == [Diagnostic(*d) for d in expected]
 
 
 # Case ids carry the position in the list ("...-model6"), so corpus models
@@ -691,6 +766,20 @@ class TestValueDependencies:
     def test_edges_match_the_reference(self):
         for model in self._models():
             assert value_dependency_edges(model) == _ref_value_dependency_edges(model), model.source_name
+
+    def test_edges_are_computed_once_per_model(self, monkeypatch):
+        names = []
+        compute = kconfig._value_dependency_edges
+
+        def counted(model):
+            names.append(model.source_name)
+            return compute(model)
+
+        monkeypatch.setattr(kconfig, "_value_dependency_edges", counted)
+        model = parse_model(CHOICE_WITH_CONDITIONS, "choice")
+        validate_model(model)
+        check_model(model)
+        assert names == ["choice"]
 
     def test_choice_conditions_reach_every_member(self):
         edges = value_dependency_edges(parse_model(CHOICE_WITH_CONDITIONS, "choice"))

@@ -1,10 +1,13 @@
+import ast
 import gc
 import io
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import kconfex
 from kconfex.encode import translate
 from kconfex.errors import FormatError, MissingVariable, TooManyVariables
 from kconfex.prop import (
@@ -545,6 +548,33 @@ class TestDimacs:
             parse_dimacs(io.BytesIO(text))
         assert info.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (b"p cnf x 1\n", "malformed DIMACS header", 1),
+            (b"p cnf 2 1\n1 x 0\n", "malformed clause line", 2),
+            (b"p cnf 2 1\n1 2\n", "clause line does not end with 0", 2),
+            (b"p cnf 2 1\n1 0 2 0\n", "literal 0 inside clause", 2),
+            (b"p cnf 1 1\n1 2 0\n", "literal exceeds declared variable count", 2),
+            (b"c 1 A\n", "missing DIMACS header", 1),
+            (b"p cnf 1 2\n1 0\n", "declared 2 clauses, found 1", 1),
+        ],
+        ids=[
+            "count-not-an-int",
+            "clause-not-ints",
+            "clause-without-0",
+            "0-inside-clause",
+            "literal-above-count",
+            "no-header",
+            "clause-count",
+        ],
+    )
+    def test_malformed_input_message(self, text, message, line):
+        with pytest.raises(FormatError) as info:
+            parse_dimacs(io.BytesIO(text))
+        assert (info.value.message, info.value.line) == (message, line)
+        assert str(info.value) == f"line {line}: {message}"
+
     def test_comments_without_index_are_ignored(self):
         text = "c made by hand\nc \u00b2 squared\nc 1 A\np cnf 1 1\n1 0\n"
         back = parse_dimacs(io.BytesIO(text.encode("utf-8")))
@@ -640,3 +670,30 @@ class TestGcPaused:
         outer()
         assert seen == [False, False]
         assert gc.isenabled()
+
+
+def test_only_gc_paused_refers_to_the_collector():
+    """One owner holds the collector policy: the package names the ``gc``
+    module only inside ``prop._gc_paused``, after one ``import gc`` at the
+    top of ``prop``."""
+    package = Path(kconfex.__file__).resolve().parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "prop.py":
+            (owner,) = [node for node in tree.body if getattr(node, "name", None) == "_gc_paused"]
+            inside = [node for node in ast.walk(owner) if isinstance(node, ast.Name) and node.id == "gc"]
+            assert inside, "_gc_paused no longer uses the collector"
+            allowed = {id(node) for node in inside}
+            allowed |= {id(node) for node in tree.body if isinstance(node, ast.Import) and ast.unparse(node) == "import gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                refers = any(alias.name == "gc" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                refers = node.module == "gc"
+            else:
+                refers = isinstance(node, ast.Name) and node.id == "gc"
+            if refers and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, stray
