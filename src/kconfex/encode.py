@@ -278,11 +278,15 @@ class Translation:
         return found
 
     def nonzero(self, item: ConfigItem) -> PropFormula:
-        """The option is y or m; a bool option's m variable is never read."""
-        if item.is_boolish:
-            return self.symbol(item).nonzero
-        # A valued selector: only in a model that validation rejects.
-        return or_(self.var(item.name), self.var(item.name + "_MODULE"))
+        """The option is y or m, for a selector or a choice member; a bool
+        option's m variable is never read.  Validation rejects a valued
+        option in either place; here it raises :class:`SelectOnNonBoolean`."""
+        if not item.is_boolish:
+            raise SelectOnNonBoolean(
+                f"{item.name} is {item.type.value}; only a bool or tristate option "
+                "can select or be a choice member"
+            )
+        return self.symbol(item).nonzero
 
     def bool_effective(self, bool_typed: bool) -> PropFormula:
         """Where a value cannot be m: everywhere for bool options and bool
@@ -508,10 +512,8 @@ def _encode_boolish_option(item: ConfigItem, tr: Translation) -> list[Constraint
         _add(out, not_(om), f"{item.name}:bool-no-module")
     else:
         _add(out, not_(and_(oy, om)), f"{item.name}:tristate-excl")
-        if model.modules_option is not None and model.modules_option != item.name:
+        if model.modules_option is not None:
             _add(out, implies(om, tr.var(model.modules_option)), f"{item.name}:modules-gate")
-        elif model.modules_option == item.name:
-            _add(out, implies(om, oy), f"{item.name}:modules-gate")
 
     # Declared dependencies bound the value from above.  A select may push
     # past this bound in the reference configurator; the harness classifies

@@ -28,13 +28,6 @@ class MissingVariable(KconfexError):
         self.name = name
 
 
-class TooManyVariables(KconfexError):
-    def __init__(self, count: int, bound: int):
-        super().__init__(f"formula pair spans {count} variables, enumeration bound is {bound}")
-        self.count = count
-        self.bound = bound
-
-
 class FormatError(KconfexError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

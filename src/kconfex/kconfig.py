@@ -3,9 +3,9 @@
 The subset covers ``config`` entries, ``choice``/``endchoice`` blocks and the
 attributes ``bool``/``boolean``/``tristate``/``int``/``hex``/``string``,
 ``prompt``, ``default``, ``depends on``, ``select``, ``range`` and
-``option modules``.  ``help`` blocks are consumed and discarded.  Everything
-else (menus, if-blocks, source includes, optional choices, imply) is rejected
-with a :class:`~kconfex.errors.ParseError`.
+``option modules`` (on one bool option).  ``help`` blocks are consumed and
+discarded.  Everything else (menus, if-blocks, source includes, optional
+choices, imply) is rejected with a :class:`~kconfex.errors.ParseError`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "validate_model",
     "parse_number",
     "number_text",
-    "pretty_model",
     "TRI_NAMES",
 ]
 
@@ -162,39 +161,6 @@ def expr_nodes(e: Expr) -> list[Expr]:
     return nodes
 
 
-_CMP_TOKEN = {Eq: "=", Neq: "!=", Lt: "<", Leq: "<=", Gt: ">", Geq: ">="}
-
-
-def expr_text(e: Expr) -> str:
-    """Render an expression in kconfig concrete syntax."""
-    out: list[str] = []
-    # (node, precedence of the operator around it), or (text to emit, None).
-    stack: list[tuple] = [(e, 0)]
-    while stack:
-        node, parent_prec = stack.pop()
-        kind = type(node)
-        if parent_prec is None:
-            out.append(node)
-        elif kind is Sym:
-            out.append(node.name)
-        elif kind is Literal:
-            out.append("'" + node.text.replace("'", "\\'") + "'")
-        elif kind is Not:
-            out.append("!")
-            stack.append((node.operand, 3))
-        elif kind is And or kind is Or:
-            prec, token = (2, " && ") if kind is And else (1, " || ")
-            if parent_prec > prec:
-                out.append("(")
-                stack.append((")", None))
-            stack += [(node.right, prec), (token, None), (node.left, prec)]
-        elif kind in _CMP_TOKEN:
-            stack += [(node.right, 3), (_CMP_TOKEN[kind], None), (node.left, 3)]
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return "".join(out)
-
-
 # --------------------------------------------------------------------------
 # Declarations
 
@@ -233,7 +199,6 @@ class ConfigItem(Value):
         "selects",
         "ranges",
         "declared_in_choice",
-        "is_modules_switch",
         "line",
     )
     __slots__ = _fields + ("is_boolish", "is_numeric")
@@ -249,7 +214,6 @@ class ConfigItem(Value):
         selects: tuple[Select, ...] = (),
         ranges: tuple[Range, ...] = (),
         declared_in_choice: int | None = None,
-        is_modules_switch: bool = False,
         line: int = 0,
     ) -> None:
         _set(self, "name", name)
@@ -260,7 +224,6 @@ class ConfigItem(Value):
         _set(self, "selects", selects)
         _set(self, "ranges", ranges)
         _set(self, "declared_in_choice", declared_in_choice)
-        _set(self, "is_modules_switch", is_modules_switch)
         _set(self, "line", line)
         _set(self, "is_boolish", type in (OptionType.BOOL, OptionType.TRISTATE))
         _set(self, "is_numeric", type in (OptionType.INT, OptionType.HEX))
@@ -424,7 +387,7 @@ def _parse_value(ts: _TokenStream) -> Expr:
 # No operator token shares its text with a token of another kind (a string
 # token keeps its quotes), so the parser compares token text alone.
 
-_COMPARISON_OPS = {token: cls for cls, token in _CMP_TOKEN.items()}
+_COMPARISON_OPS = {"=": Eq, "!=": Neq, "<": Lt, "<=": Leq, ">": Gt, ">=": Geq}
 
 
 def _parse_expr(ts: _TokenStream) -> Expr:
@@ -566,7 +529,7 @@ class _ItemBuilder:
         self.depends: Expr | None = None
         self.selects: list[Select] = []
         self.ranges: list[Range] = []
-        self.is_modules_switch = False
+        self.modules_line: int | None = None  # the line of its 'option modules'
 
     def add_depends(self, e: Expr) -> None:
         self.depends = e if self.depends is None else And(self.depends, e)
@@ -574,6 +537,13 @@ class _ItemBuilder:
     def build(self, source: str) -> ConfigItem:
         if self.type is None:
             raise ParseError(f"option {self.name} has no type", self.line, 1, source)
+        if self.modules_line is not None and self.type is not OptionType.BOOL:
+            raise ParseError(
+                f"'option modules' needs a bool option; {self.name} is {self.type.value}",
+                self.modules_line,
+                1,
+                source,
+            )
         return ConfigItem(
             name=self.name,
             type=self.type,
@@ -583,7 +553,6 @@ class _ItemBuilder:
             selects=tuple(self.selects),
             ranges=tuple(self.ranges),
             declared_in_choice=self.choice_id,
-            is_modules_switch=self.is_modules_switch,
             line=self.line,
         )
 
@@ -711,7 +680,7 @@ class _Parser:
     def _finish_item(self, builder: _ItemBuilder, choice: _ChoiceBuilder | None) -> None:
         item = builder.build(self.source)
         self.items.append(item)
-        if item.is_modules_switch:
+        if builder.modules_line is not None:
             if self.modules_option is not None:
                 raise ParseError(
                     f"second 'option modules' switch {item.name} (already on {self.modules_option})",
@@ -809,7 +778,7 @@ class _Parser:
             self._expect_end(ts)
             if isinstance(target, _ChoiceBuilder):
                 raise ParseError("'option modules' is not valid on a choice", lineno, 1, self.source)
-            target.is_modules_switch = True
+            target.modules_line = lineno
             return
 
         if word == "help":
@@ -1004,17 +973,6 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
         for r in it.ranges:
             check_expr(r.condition, it.name)
 
-    if model.modules_option is not None:
-        switch = model.item(model.modules_option)
-        if switch.type is not OptionType.BOOL:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    "the modules switch is not a bool option; only the value y enables modules",
-                    switch.name,
-                )
-            )
-
     for ch in model.choices:
         check_expr(ch.depends, f"choice#{ch.id}")
         for p in ch.prompts:
@@ -1125,76 +1083,3 @@ def value_dependency_cycles(model: KconfigModel) -> list[list[str]]:
                 successors.pop()
                 color[path.pop()] = 2
     return cycles
-
-
-# --------------------------------------------------------------------------
-# Pretty printer (round-trip support)
-
-
-def _format_value(value: Expr) -> str:
-    if isinstance(value, Sym):
-        return value.name
-    if isinstance(value, Literal):
-        if parse_number(value.text) is not None:
-            return value.text
-        return '"' + value.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"not a value node: {value!r}")
-
-
-def _format_cond(cond: Expr | None) -> str:
-    return f" if {expr_text(cond)}" if cond is not None else ""
-
-
-def _emit_common(lines: list[str], decl: ConfigItem | ChoiceBlock, type_word: str | None) -> None:
-    prompts = list(decl.prompts)
-    if type_word is not None:
-        if prompts:
-            first = prompts.pop(0)
-            lines.append(f'\t{type_word} "{first.text}"{_format_cond(first.condition)}')
-        else:
-            lines.append(f"\t{type_word}")
-    for p in prompts:
-        lines.append(f'\tprompt "{p.text}"{_format_cond(p.condition)}')
-    if decl.depends is not None:
-        lines.append(f"\tdepends on {expr_text(decl.depends)}")
-    for d in decl.defaults:
-        lines.append(f"\tdefault {_format_value(d.value)}{_format_cond(d.condition)}")
-
-
-def pretty_model(model: KconfigModel) -> str:
-    """Render a model back to kconfig subset text.
-
-    Re-parsing the output yields a structurally identical model.
-    """
-    lines: list[str] = []
-    emitted: set[str] = set()
-    choice_at = {ch.members[0]: ch for ch in model.choices}
-
-    for it in model.items:
-        if it.name in emitted:
-            continue
-        ch = choice_at.get(it.name)
-        if ch is not None:
-            lines.append("choice")
-            _emit_common(lines, ch, ch.type.value)
-            for member_name in ch.members:
-                _emit_item(lines, model.item(member_name))
-                emitted.add(member_name)
-            lines.append("endchoice")
-            lines.append("")
-        else:
-            _emit_item(lines, it)
-            emitted.add(it.name)
-    return "\n".join(lines).rstrip("\n") + ("\n" if lines else "")
-
-
-def _emit_item(lines: list[str], it: ConfigItem) -> None:
-    lines.append(f"config {it.name}")
-    _emit_common(lines, it, it.type.value)
-    for s in it.selects:
-        lines.append(f"\tselect {s.target}{_format_cond(s.condition)}")
-    for r in it.ranges:
-        lines.append(f"\trange {r.low} {r.high}{_format_cond(r.condition)}")
-    if it.is_modules_switch:
-        lines.append("\toption modules")
-    lines.append("")

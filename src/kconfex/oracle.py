@@ -217,7 +217,7 @@ class _Repair:
         declared modules switch none, with one every row where the switch is
         not y."""
         switch = self.model.modules_option
-        return 0 if switch is None else self.ones ^ self.values.y.get(switch, 0)
+        return 0 if switch is None else self.ones ^ self.values.y[switch]
 
     def effective_bool(self, opt: _Option) -> int:
         """Rows where the option cannot hold m: always-bool options, and

@@ -1,8 +1,8 @@
 """Propositional formulas over named boolean variables.
 
-Provides evaluation, equivalence checking by exhaustive enumeration,
-Tseitin conversion to CNF, and the two textual outputs: DIMACS and the
-one-constraint-per-line ``.model`` format.
+Provides bit-parallel evaluation over many assignments, Tseitin conversion
+to CNF, and the two textual outputs: DIMACS and the one-constraint-per-line
+``.model`` format.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import gc
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import FormatError, MissingVariable, TooManyVariables
+from .errors import FormatError, MissingVariable
 
 __all__ = [
     "PropFormula",
@@ -30,11 +30,7 @@ __all__ = [
     "or_",
     "implies",
     "iff",
-    "formula_vars",
-    "evaluate",
     "evaluate_mask",
-    "equivalent",
-    "formula_text",
     "Constraint",
     "ConstraintSet",
     "CnfFormula",
@@ -301,63 +297,6 @@ def iff(a: PropFormula, b: PropFormula) -> PropFormula:
 # Evaluation
 
 
-def formula_vars(f: PropFormula) -> list[str]:
-    """Variable names in first-occurrence order of a pre-order walk.
-
-    A subtree object met a second time is skipped: every variable in it was
-    already seen, so the order is that of the full tree walk, at a cost linear
-    in the number of distinct node objects.
-    """
-    seen: dict[str, None] = {}
-    _walk_vars(f, seen, set())
-    return list(seen)
-
-
-def _walk_vars(node: PropFormula, seen: dict[str, None], walked: set[int]) -> None:
-    kind = type(node)
-    if kind is Var:
-        seen.setdefault(node.name)
-        return
-    key = id(node)
-    if key in walked:
-        return
-    walked.add(key)
-    if kind is NotF:
-        _walk_vars(node.operand, seen, walked)
-    elif kind is AndF or kind is OrF:
-        for op in node.operands:
-            _walk_vars(op, seen, walked)
-    elif kind is Implies:
-        _walk_vars(node.antecedent, seen, walked)
-        _walk_vars(node.consequent, seen, walked)
-    elif kind is Iff:
-        _walk_vars(node.left, seen, walked)
-        _walk_vars(node.right, seen, walked)
-
-
-def evaluate(f: PropFormula, assignment: dict[str, bool]) -> bool:
-    """Standard boolean semantics; the assignment must cover every variable."""
-    kind = type(f)
-    if kind is Var:
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise MissingVariable(f.name) from None
-    if kind is _Const:
-        return f.value
-    if kind is NotF:
-        return not evaluate(f.operand, assignment)
-    if kind is AndF:
-        return all(evaluate(op, assignment) for op in f.operands)
-    if kind is OrF:
-        return any(evaluate(op, assignment) for op in f.operands)
-    if kind is Implies:
-        return (not evaluate(f.antecedent, assignment)) or evaluate(f.consequent, assignment)
-    if kind is Iff:
-        return evaluate(f.left, assignment) == evaluate(f.right, assignment)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def evaluate_mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
     """Evaluate over all assignments at once, one bit per assignment.
 
@@ -406,52 +345,8 @@ def _mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def assignment_masks(names: Iterable[str]) -> tuple[dict[str, int], int]:
-    """Truth-pattern masks enumerating all assignments over ``names``.
-
-    Bit k of the mask for the i-th variable is ``(k >> i) & 1``.
-    """
-    names = list(names)
-    width = 1 << len(names)
-    ones = (1 << width) - 1
-    masks: dict[str, int] = {}
-    for i, name in enumerate(names):
-        period = 1 << (i + 1)
-        pattern = ((1 << (1 << i)) - 1) << (1 << i)  # one period: zeros, then ones
-        filled = period
-        while filled < width:
-            pattern |= pattern << filled
-            filled <<= 1
-        masks[name] = pattern & ones
-    return masks, ones
-
-
-EQUIV_VAR_BOUND = 24
-
-
-def equivalent(f: PropFormula, g: PropFormula) -> bool:
-    """True iff ``f`` and ``g`` agree on every total assignment over the
-    union of their variables.  Raises :class:`TooManyVariables` past the
-    enumeration bound of 24 variables."""
-    names: dict[str, None] = {}
-    for name in formula_vars(f):
-        names.setdefault(name)
-    for name in formula_vars(g):
-        names.setdefault(name)
-    if len(names) > EQUIV_VAR_BOUND:
-        raise TooManyVariables(len(names), EQUIV_VAR_BOUND)
-    masks, ones = assignment_masks(names)
-    return evaluate_mask(f, masks, ones) == evaluate_mask(g, masks, ones)
-
-
 # --------------------------------------------------------------------------
 # Textual constraint format
-
-
-def formula_text(f: PropFormula) -> str:
-    """Render with operators ``!``, ``&``, ``|``, ``=>``, ``<=>`` and the
-    constants ``1``/``0``; parenthesized by precedence."""
-    return _Renderer().render(f, 0)
 
 
 class _Renderer:
@@ -615,8 +510,7 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     share a gate exactly when they are structurally equal.
 
     ``var_order`` numbers the original variables and must name every
-    variable of ``f`` (one it leaves out raises :class:`MissingVariable`);
-    ``formula_vars(f)`` numbers them in first-occurrence order.
+    variable of ``f`` (one it leaves out raises :class:`MissingVariable`).
 
     The conversion preserves per-assignment verdicts: extending any total
     assignment of the original variables by the (unique) induced auxiliary

@@ -10,7 +10,7 @@ k standing for row k.  A bool or tristate option is two masks, the rows where
 it is at least m and the rows where it is y, so min, max and complement
 become ``&``, ``|`` and a swap.  An int, hex or string option is a partition
 ``{value: rows}``, and a comparison is decided once per distinct pair of
-operand texts.  :func:`eval_expr` is the one-row case.
+operand texts.
 
 Every mask lies inside ``ones``, the mask of all rows, so a complement is
 ``ones ^ x``, or ``a ^ b`` where ``b`` lies inside ``a``, never a bitwise not:
@@ -48,7 +48,6 @@ __all__ = [
     "TriRows",
     "RowValues",
     "single_row",
-    "eval_expr",
 ]
 
 
@@ -317,16 +316,3 @@ class RowValues:
 def single_row(cfg: Configuration) -> Columns:
     """The columns of the one row ``cfg``."""
     return {name: {value: 1} for name, value in cfg.items()}
-
-
-def eval_expr(e: Expr, cfg: Configuration, model: KconfigModel) -> Tri:
-    """Evaluate ``e`` to a Tri value under a concrete configuration.
-
-    Raises :class:`EvalError` when an ordered comparison meets a value that
-    does not parse as a number.
-    """
-    values = RowValues(model, single_row(cfg), 1)
-    ge, y = values.tri(e, 1)
-    if values.errors:
-        raise values.errors[0][1]
-    return Tri(ge + y)

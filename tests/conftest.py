@@ -1,10 +1,32 @@
+from __future__ import annotations
+
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 from kconfex.difftest import DEFAULT_MAX_OPTIONS, _enumerate, builtin_oracle
 from kconfex.encode import translate
-from kconfex.kconfig import parse_model
+from kconfex.errors import KconfexError, MissingVariable
+from kconfex.kconfig import (
+    And,
+    ChoiceBlock,
+    ConfigItem,
+    Eq,
+    Expr,
+    Geq,
+    Gt,
+    KconfigModel,
+    Leq,
+    Literal,
+    Lt,
+    Neq,
+    Not,
+    Or,
+    Sym,
+    parse_model,
+    parse_number,
+)
 from kconfex.prop import (
     FALSE,
     TRUE,
@@ -13,10 +35,13 @@ from kconfex.prop import (
     Implies,
     NotF,
     OrF,
+    PropFormula,
     Var,
-    assignment_masks,
+    _Const,
+    _Renderer,
     evaluate_mask,
 )
+from kconfex.tri import Configuration, RowValues, Tri, single_row
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -144,3 +169,227 @@ def node_objects(*roots):
         elif isinstance(node, Iff):
             stack += [node.left, node.right]
     return seen
+
+
+# --------------------------------------------------------------------------
+# Reference implementations that only the tests use: exhaustive formula
+# evaluation and equivalence, formula text, one-row expression evaluation,
+# and a printer of models back to kconfig text.
+
+
+class TooManyVariables(KconfexError):
+    def __init__(self, count: int, bound: int):
+        super().__init__(f"formula pair spans {count} variables, enumeration bound is {bound}")
+        self.count = count
+        self.bound = bound
+
+
+def formula_vars(f: PropFormula) -> list[str]:
+    """Variable names in first-occurrence order of a pre-order walk.
+
+    A subtree object met a second time is skipped: every variable in it was
+    already seen, so the order is that of the full tree walk, at a cost linear
+    in the number of distinct node objects.
+    """
+    seen: dict[str, None] = {}
+    _walk_vars(f, seen, set())
+    return list(seen)
+
+
+def _walk_vars(node: PropFormula, seen: dict[str, None], walked: set[int]) -> None:
+    kind = type(node)
+    if kind is Var:
+        seen.setdefault(node.name)
+        return
+    key = id(node)
+    if key in walked:
+        return
+    walked.add(key)
+    if kind is NotF:
+        _walk_vars(node.operand, seen, walked)
+    elif kind is AndF or kind is OrF:
+        for op in node.operands:
+            _walk_vars(op, seen, walked)
+    elif kind is Implies:
+        _walk_vars(node.antecedent, seen, walked)
+        _walk_vars(node.consequent, seen, walked)
+    elif kind is Iff:
+        _walk_vars(node.left, seen, walked)
+        _walk_vars(node.right, seen, walked)
+
+
+def evaluate(f: PropFormula, assignment: dict[str, bool]) -> bool:
+    """Standard boolean semantics; the assignment must cover every variable."""
+    kind = type(f)
+    if kind is Var:
+        try:
+            return assignment[f.name]
+        except KeyError:
+            raise MissingVariable(f.name) from None
+    if kind is _Const:
+        return f.value
+    if kind is NotF:
+        return not evaluate(f.operand, assignment)
+    if kind is AndF:
+        return all(evaluate(op, assignment) for op in f.operands)
+    if kind is OrF:
+        return any(evaluate(op, assignment) for op in f.operands)
+    if kind is Implies:
+        return (not evaluate(f.antecedent, assignment)) or evaluate(f.consequent, assignment)
+    if kind is Iff:
+        return evaluate(f.left, assignment) == evaluate(f.right, assignment)
+    raise TypeError(f"not a formula node: {f!r}")
+
+def assignment_masks(names: Iterable[str]) -> tuple[dict[str, int], int]:
+    """Truth-pattern masks enumerating all assignments over ``names``.
+
+    Bit k of the mask for the i-th variable is ``(k >> i) & 1``.
+    """
+    names = list(names)
+    width = 1 << len(names)
+    ones = (1 << width) - 1
+    masks: dict[str, int] = {}
+    for i, name in enumerate(names):
+        period = 1 << (i + 1)
+        pattern = ((1 << (1 << i)) - 1) << (1 << i)  # one period: zeros, then ones
+        filled = period
+        while filled < width:
+            pattern |= pattern << filled
+            filled <<= 1
+        masks[name] = pattern & ones
+    return masks, ones
+
+
+EQUIV_VAR_BOUND = 24
+
+
+def equivalent(f: PropFormula, g: PropFormula) -> bool:
+    """True iff ``f`` and ``g`` agree on every total assignment over the
+    union of their variables.  Raises :class:`TooManyVariables` past the
+    enumeration bound of 24 variables."""
+    names: dict[str, None] = {}
+    for name in formula_vars(f):
+        names.setdefault(name)
+    for name in formula_vars(g):
+        names.setdefault(name)
+    if len(names) > EQUIV_VAR_BOUND:
+        raise TooManyVariables(len(names), EQUIV_VAR_BOUND)
+    masks, ones = assignment_masks(names)
+    return evaluate_mask(f, masks, ones) == evaluate_mask(g, masks, ones)
+
+def formula_text(f: PropFormula) -> str:
+    """Render with operators ``!``, ``&``, ``|``, ``=>``, ``<=>`` and the
+    constants ``1``/``0``; parenthesized by precedence."""
+    return _Renderer().render(f, 0)
+
+def eval_expr(e: Expr, cfg: Configuration, model: KconfigModel) -> Tri:
+    """Evaluate ``e`` to a Tri value under a concrete configuration.
+
+    Raises :class:`EvalError` when an ordered comparison meets a value that
+    does not parse as a number.
+    """
+    values = RowValues(model, single_row(cfg), 1)
+    ge, y = values.tri(e, 1)
+    if values.errors:
+        raise values.errors[0][1]
+    return Tri(ge + y)
+
+_CMP_TOKEN = {Eq: "=", Neq: "!=", Lt: "<", Leq: "<=", Gt: ">", Geq: ">="}
+
+
+def expr_text(e: Expr) -> str:
+    """Render an expression in kconfig concrete syntax."""
+    out: list[str] = []
+    # (node, precedence of the operator around it), or (text to emit, None).
+    stack: list[tuple] = [(e, 0)]
+    while stack:
+        node, parent_prec = stack.pop()
+        kind = type(node)
+        if parent_prec is None:
+            out.append(node)
+        elif kind is Sym:
+            out.append(node.name)
+        elif kind is Literal:
+            out.append("'" + node.text.replace("'", "\\'") + "'")
+        elif kind is Not:
+            out.append("!")
+            stack.append((node.operand, 3))
+        elif kind is And or kind is Or:
+            prec, token = (2, " && ") if kind is And else (1, " || ")
+            if parent_prec > prec:
+                out.append("(")
+                stack.append((")", None))
+            stack += [(node.right, prec), (token, None), (node.left, prec)]
+        elif kind in _CMP_TOKEN:
+            stack += [(node.right, 3), (_CMP_TOKEN[kind], None), (node.left, 3)]
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return "".join(out)
+
+def _format_value(value: Expr) -> str:
+    if isinstance(value, Sym):
+        return value.name
+    if isinstance(value, Literal):
+        if parse_number(value.text) is not None:
+            return value.text
+        return '"' + value.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"not a value node: {value!r}")
+
+
+def _format_cond(cond: Expr | None) -> str:
+    return f" if {expr_text(cond)}" if cond is not None else ""
+
+
+def _emit_common(lines: list[str], decl: ConfigItem | ChoiceBlock, type_word: str | None) -> None:
+    prompts = list(decl.prompts)
+    if type_word is not None:
+        if prompts:
+            first = prompts.pop(0)
+            lines.append(f'\t{type_word} "{first.text}"{_format_cond(first.condition)}')
+        else:
+            lines.append(f"\t{type_word}")
+    for p in prompts:
+        lines.append(f'\tprompt "{p.text}"{_format_cond(p.condition)}')
+    if decl.depends is not None:
+        lines.append(f"\tdepends on {expr_text(decl.depends)}")
+    for d in decl.defaults:
+        lines.append(f"\tdefault {_format_value(d.value)}{_format_cond(d.condition)}")
+
+
+def pretty_model(model: KconfigModel) -> str:
+    """Render a model back to kconfig subset text.
+
+    Re-parsing the output yields a structurally identical model.
+    """
+    lines: list[str] = []
+    emitted: set[str] = set()
+    choice_at = {ch.members[0]: ch for ch in model.choices}
+
+    for it in model.items:
+        if it.name in emitted:
+            continue
+        ch = choice_at.get(it.name)
+        if ch is not None:
+            lines.append("choice")
+            _emit_common(lines, ch, ch.type.value)
+            for member_name in ch.members:
+                _emit_item(lines, model.item(member_name), model.modules_option)
+                emitted.add(member_name)
+            lines.append("endchoice")
+            lines.append("")
+        else:
+            _emit_item(lines, it, model.modules_option)
+            emitted.add(it.name)
+    return "\n".join(lines).rstrip("\n") + ("\n" if lines else "")
+
+
+def _emit_item(lines: list[str], it: ConfigItem, modules_option: str | None) -> None:
+    lines.append(f"config {it.name}")
+    _emit_common(lines, it, it.type.value)
+    for s in it.selects:
+        lines.append(f"\tselect {s.target}{_format_cond(s.condition)}")
+    for r in it.ranges:
+        lines.append(f"\trange {r.low} {r.high}{_format_cond(r.condition)}")
+    if it.name == modules_option:
+        lines.append("\toption modules")
+    lines.append("")

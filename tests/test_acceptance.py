@@ -41,8 +41,6 @@ from kconfex.oracle import repair
 from kconfex.prop import (
     FALSE,
     ConstraintSet,
-    assignment_masks,
-    equivalent,
     evaluate_mask,
     implies,
     not_,
@@ -51,9 +49,17 @@ from kconfex.prop import (
     tseitin_cnf,
     var,
 )
-from kconfex.tri import RowValues, Tri, eval_expr
+from kconfex.tri import RowValues, Tri
 
-from conftest import BOUND_MODEL_SOURCE, NOPROMPT_CHOICE_SOURCE, corpus_models, model_counts
+from conftest import (
+    BOUND_MODEL_SOURCE,
+    NOPROMPT_CHOICE_SOURCE,
+    assignment_masks,
+    corpus_models,
+    equivalent,
+    eval_expr,
+    model_counts,
+)
 
 ALL_TRI = (Tri.N, Tri.M, Tri.Y)
 

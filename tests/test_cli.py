@@ -198,6 +198,27 @@ def test_name_of_a_derived_variable_exits_2(command, case, tmp_path, capsys):
     assert f"error [{name}]: option name {name} collides with a derived variable" in err
 
 
+# A modules switch on anything but a bool option, beside a tristate option
+# that the switch gates.
+_NON_BOOL_SWITCHES = {
+    "tristate": 'config M\n\ttristate "m"\n\tdefault y\n\toption modules\n',
+    "int": 'config M\n\tint "m"\n\tdefault 1\n\toption modules\n',
+    "hex": 'config M\n\thex "m"\n\tdefault 0x1\n\toption modules\n',
+    "string": 'config M\n\tstring "m"\n\tdefault "x"\n\toption modules\n',
+}
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "stats"])
+@pytest.mark.parametrize("kind", list(_NON_BOOL_SWITCHES))
+def test_non_bool_modules_switch_exits_2(command, kind, tmp_path, capsys):
+    path = tmp_path / "m.kconfig"
+    path.write_text(_NON_BOOL_SWITCHES[kind] + 'config T\n\ttristate "t"\n')
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: m.kconfig:4:1: 'option modules' needs a bool option; M is {kind}\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["check", "translate", "stats"])
 def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     path = tmp_path / "bad.kconfig"
@@ -349,6 +370,16 @@ class TestCorpusCommand:
         assert rows[0] == (
             "file=one.kconfig options=1 configs=0 failures=0 known_limits=0 millis=0.0 "
             "status=ERROR error='model declares 1 options, enumeration bound is 0'"
+        )
+        assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
+
+    def test_non_bool_modules_switch_is_an_error_row(self, tmp_path, capsys):
+        (tmp_path / "m.kconfig").write_text(_NON_BOOL_SWITCHES["int"])
+        assert main(["corpus", str(tmp_path)]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == (
+            "file=m.kconfig options=0 configs=0 failures=0 known_limits=0 millis=0.0 "
+            "status=ERROR error=\"m.kconfig:4:1: 'option modules' needs a bool option; M is int\""
         )
         assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
 

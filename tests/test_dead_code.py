@@ -5,7 +5,10 @@ Every function, class, method, property and module-level constant of
 referenced somewhere in the package other than at its own definition.  A
 reference is any name or attribute that spells it, f-string fields
 included; dunder names are called by the language and are exempt.  Every
-``__all__`` entry names something its module defines or imports.
+exported function is referenced outside its own body by the package or by
+the benchmark harness (``bench/*.py``), unless the package itself
+re-exports it: a function that only tests call belongs with the tests.
+Every ``__all__`` entry names something its module defines or imports.
 """
 
 import ast
@@ -14,6 +17,7 @@ from pathlib import Path
 import kconfex
 
 PACKAGE = Path(kconfex.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _exported(tree):
@@ -40,15 +44,25 @@ def _definitions(body, module_level):
                     yield target.id, target
 
 
-def test_every_definition_is_used_or_exported():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+def _parse(directory):
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))}
+
+
+def _references(trees):
+    """Each name or attribute spelled in ``trees``, with the nodes that spell it."""
     references = {}
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 references.setdefault(node.attr, []).append(node)
+    return references
+
+
+def test_every_definition_is_used_or_exported():
+    trees = _parse(PACKAGE)
+    references = _references(trees.values())
     dead = []
     for module, tree in trees.items():
         exported = _exported(tree)
@@ -58,6 +72,21 @@ def test_every_definition_is_used_or_exported():
             if all(ref is node for ref in references.get(name, ())):
                 dead.append(f"{module}:{node.lineno} {name}")
     assert not dead, dead
+
+
+def test_every_exported_function_is_used_outside_the_tests():
+    trees = _parse(PACKAGE)
+    references = _references([*trees.values(), *_parse(BENCH).values()])
+    reexported = _exported(trees["__init__.py"])
+    unused = []
+    for module, tree in trees.items():
+        exported = _exported(tree) - reexported
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exported:
+                own = {id(inner) for inner in ast.walk(node)}
+                if all(id(ref) in own for ref in references.get(node.name, ())):
+                    unused.append(f"{module}:{node.lineno} {node.name}")
+    assert not unused, unused
 
 
 def _bound(tree):

@@ -52,10 +52,6 @@ from kconfex.prop import (
     TRUE,
     Var,
     and_,
-    equivalent,
-    evaluate,
-    formula_text,
-    formula_vars,
     implies,
     not_,
     or_,
@@ -63,9 +59,20 @@ from kconfex.prop import (
     var,
     write_dimacs,
 )
-from kconfex.tri import Tri, eval_expr
+from kconfex.tri import Tri
 
-from conftest import CORPUS_DIR, corpus_models, node_objects, tree_model_text
+from conftest import (
+    CORPUS_DIR,
+    assignment_masks,
+    corpus_models,
+    equivalent,
+    eval_expr,
+    evaluate,
+    formula_text,
+    formula_vars,
+    node_objects,
+    tree_model_text,
+)
 
 
 def _model(text):
@@ -335,6 +342,20 @@ class TestReverseDependencies:
         with pytest.raises(SelectOnNonBoolean):
             encode_reverse_dependencies(Translation(model, collect_numeric_values(model)))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'config N\n\tint "n"\n\tdefault 1\n\trange 1 2\n\tselect A\nconfig A\n\tbool "a"\n',
+            'choice\n\tbool "c"\nconfig A\n\tbool "a"\nconfig N\n\tint "n"\nendchoice\n',
+        ],
+        ids=["selector", "choice-member"],
+    )
+    def test_valued_option_read_as_nonzero_raises(self, text):
+        """A valued selector or choice member, which validation rejects,
+        stops the translation with an error that names it."""
+        with pytest.raises(SelectOnNonBoolean, match="^N is int; only a bool or tristate option"):
+            translate(_model(text))
+
     def test_condition_encoded_once_per_translation(self):
         """The select's own constraints and its invisible target's default
         chain read one encoding of the condition."""
@@ -424,7 +445,7 @@ class TestSatisfyingAssignmentInvariants:
 
     @staticmethod
     def _satisfying_mask(model):
-        from kconfex.prop import assignment_masks, evaluate_mask
+        from kconfex.prop import evaluate_mask
 
         cs = translate(model)
         order = cs.variable_order

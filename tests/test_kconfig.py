@@ -26,13 +26,12 @@ from kconfex.kconfig import (
     Sym,
     expr_nodes,
     parse_model,
-    pretty_model,
     validate_model,
     value_dependency_cycles,
     value_dependency_edges,
 )
 
-from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE, corpus_models
+from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE, corpus_models, pretty_model
 
 EXPR_CLASSES = (Sym, Literal, Not, And, Or, Eq, Neq, Lt, Leq, Gt, Geq)
 
@@ -345,6 +344,18 @@ _PARSE_ERRORS = [
     ('config N\n\tint "n"\n\trange A 5\n', "range bounds must be numeric literals", 3, 1),
     ('config A\n\tbool "a"\n\toption foo\n', "only 'option modules' is supported", 3, 8),
     ('choice\n\tbool "c"\n\toption modules\n', "'option modules' is not valid on a choice", 3, 1),
+    (
+        'config M\n\ttristate "m"\n\toption modules\n',
+        "'option modules' needs a bool option; M is tristate",
+        3,
+        1,
+    ),
+    (
+        'config M\n\toption modules\n\tint "m"\n\tdefault 1\nconfig T\n\ttristate "t"\n',
+        "'option modules' needs a bool option; M is int",
+        2,
+        1,
+    ),
     ('config A\n\tbool "a"\n\timply B\n', "unsupported construct 'imply'", 3, 1),
 ]
 
@@ -369,14 +380,6 @@ _DIAGNOSTICS = [
     ),
     ('config A\n\tbool "a"\n\tselect B\n', [("warning", "select target B is never declared", "A")]),
     (
-        # The switch reads itself as every tristate reads the switch.
-        'config M\n\ttristate "m"\n\toption modules\n',
-        [
-            ("warning", "the modules switch is not a bool option; only the value y enables modules", "M"),
-            ("error", "recursive value dependency: M -> M", "M"),
-        ],
-    ),
-    (
         'choice\n\tbool "c"\n\tdefault X\nconfig A\n\tbool "a"\nendchoice\n',
         [("error", "choice default must name one of its members", "choice#0")],
     ),
@@ -390,7 +393,7 @@ _DIAGNOSTICS = [
 @pytest.mark.parametrize(
     "text, expected",
     _DIAGNOSTICS,
-    ids=["numeric-default", "string-default", "undeclared-select", "tristate-modules", "choice-default", "choice-member"],
+    ids=["numeric-default", "string-default", "undeclared-select", "choice-default", "choice-member"],
 )
 def test_validate_model_diagnostics(text, expected):
     assert validate_model(parse_model(text, "t")) == [Diagnostic(*d) for d in expected]

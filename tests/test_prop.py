@@ -9,7 +9,7 @@ import pytest
 
 import kconfex
 from kconfex.encode import translate
-from kconfex.errors import FormatError, MissingVariable, TooManyVariables
+from kconfex.errors import FormatError, MissingVariable
 from kconfex.prop import (
     _Const,
     _gc_paused,
@@ -25,12 +25,7 @@ from kconfex.prop import (
     OrF,
     Var,
     and_,
-    assignment_masks,
-    equivalent,
-    evaluate,
     evaluate_mask,
-    formula_text,
-    formula_vars,
     iff,
     implies,
     not_,
@@ -41,7 +36,17 @@ from kconfex.prop import (
     write_dimacs,
 )
 
-from conftest import corpus_models, tree_model_text, tree_text
+from conftest import (
+    TooManyVariables,
+    assignment_masks,
+    corpus_models,
+    equivalent,
+    evaluate,
+    formula_text,
+    formula_vars,
+    tree_model_text,
+    tree_text,
+)
 
 A, B, NP = var("A"), var("B"), var("NOPROMPT")
 GOLDEN = and_(NP, or_(and_(A, not_(B)), and_(not_(A), B)))

@@ -5,9 +5,9 @@ import pytest
 from kconfex.difftest import DEFAULT_MAX_OPTIONS, _enumerate
 from kconfex.errors import EvalError
 from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Prompt, Sym, parse_model
-from kconfex.tri import RowValues, Tri, eval_expr, single_row
+from kconfex.tri import RowValues, Tri, single_row
 
-from conftest import corpus_models
+from conftest import corpus_models, eval_expr
 
 ALL = (Tri.N, Tri.M, Tri.Y)
 

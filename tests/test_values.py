@@ -118,7 +118,7 @@ CASES = {
         "defaults=(Default(value=Literal(text='m'), condition=None),), "
         "depends=Not(operand=Sym(name='B')), "
         "selects=(Select(target='C', condition=Sym(name='B')),), ranges=(), "
-        "declared_in_choice=None, is_modules_switch=False, line=3)",
+        "declared_in_choice=None, line=3)",
     ),
     "ChoiceBlock": (
         ChoiceBlock,
@@ -137,12 +137,12 @@ CASES = {
         "KconfigModel(items=(ConfigItem(name='N', type=<OptionType.INT: 'int'>, prompts=(), "
         "defaults=(), depends=None, selects=(), "
         "ranges=(Range(low='1', high='9', condition=None),), declared_in_choice=None, "
-        "is_modules_switch=False, line=1), ConfigItem(name='S', "
+        "line=1), ConfigItem(name='S', "
         "type=<OptionType.BOOL: 'bool'>, prompts=(), defaults=(), depends=None, "
         "selects=(Select(target='T', condition=None),), ranges=(), declared_in_choice=None, "
-        "is_modules_switch=False, line=2), ConfigItem(name='T', "
+        "line=2), ConfigItem(name='T', "
         "type=<OptionType.BOOL: 'bool'>, prompts=(), defaults=(), depends=None, selects=(), "
-        "ranges=(), declared_in_choice=None, is_modules_switch=False, line=3)), choices=(), "
+        "ranges=(), declared_in_choice=None, line=3)), choices=(), "
         "modules_option=None, source_name='m.kconfig')",
     ),
     "Var": (Var, dict(name="A"), dict(name="B"), None, "Var(name='A')"),
