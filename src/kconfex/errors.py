@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of numbered
+input lines that raises one of them."""
+
+from typing import Iterable, Iterator
 
 
 class KconfexError(Exception):
@@ -33,6 +36,29 @@ class FormatError(KconfexError):
         super().__init__(f"line {line}: {message}")
         self.message = message
         self.line = line
+
+
+def numbered_lines(source: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
+    """The lines of a text or binary stream, numbered from 1 and split where
+    ``str.splitlines`` splits.  Bytes are decoded as UTF-8, one line at a
+    time; bytes that are not UTF-8 raise :class:`FormatError` naming their
+    line."""
+    lineno = 0
+    for raw in source:
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # The lines before the bad byte, counted as the text splits them.
+                before = raw[: exc.start].decode("utf-8") + "x"
+                raise FormatError("not UTF-8 text", lineno + len(before.splitlines())) from None
+        for line in raw.splitlines():
+            lineno += 1
+            yield lineno, line
+
+
+class InvalidModulesSwitch(KconfexError):
+    """A model's modules switch is not one of its bool options."""
 
 
 class UnsupportedComparison(KconfexError):

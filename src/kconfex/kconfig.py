@@ -15,7 +15,7 @@ import operator
 import re
 from typing import NamedTuple
 
-from .errors import DuplicateOption, ParseError
+from .errors import DuplicateOption, InvalidModulesSwitch, ParseError
 from .prop import Value, _gc_paused, _set
 
 __all__ = [
@@ -252,6 +252,16 @@ class ChoiceBlock(Value):
         _set(self, "line", line)
 
 
+def _modules_switch_error(name: str, option_type: OptionType | None) -> str | None:
+    """Why option ``name``, of that type (None: undeclared), cannot be the
+    modules switch; None when it can."""
+    if option_type is None:
+        return f"modules switch {name} is not a declared option"
+    if option_type is not OptionType.BOOL:
+        return f"'option modules' needs a bool option; {name} is {option_type.value}"
+    return None
+
+
 class KconfigModel(Value):
     _fields = ("items", "choices", "modules_option", "source_name")
     __slots__ = _fields + ("_by_name", "_selectors", "_value_edges")
@@ -269,6 +279,11 @@ class KconfigModel(Value):
         _set(self, "modules_option", modules_option)
         _set(self, "source_name", source_name)
         _set(self, "_by_name", {it.name: it for it in items})
+        if modules_option is not None:
+            switch = self._by_name.get(modules_option)
+            message = _modules_switch_error(modules_option, None if switch is None else switch.type)
+            if message:
+                raise InvalidModulesSwitch(message)
         selectors: dict[str, list[tuple[ConfigItem, Select]]] = {}
         for it in items:
             for sel in it.selects:
@@ -537,13 +552,9 @@ class _ItemBuilder:
     def build(self, source: str) -> ConfigItem:
         if self.type is None:
             raise ParseError(f"option {self.name} has no type", self.line, 1, source)
-        if self.modules_line is not None and self.type is not OptionType.BOOL:
-            raise ParseError(
-                f"'option modules' needs a bool option; {self.name} is {self.type.value}",
-                self.modules_line,
-                1,
-                source,
-            )
+        message = self.modules_line and _modules_switch_error(self.name, self.type)
+        if message:
+            raise ParseError(message, self.modules_line, 1, source)
         return ConfigItem(
             name=self.name,
             type=self.type,

@@ -32,7 +32,7 @@ import os
 import subprocess
 from typing import NamedTuple
 
-from .errors import FormatError, NonConvergence, ProcessError
+from .errors import FormatError, NonConvergence, ProcessError, numbered_lines
 from .kconfig import (
     ChoiceBlock,
     ConfigItem,
@@ -510,12 +510,11 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
 
 
 def parse_dotconfig(source) -> Configuration:
-    """Parse ``.config`` text back into a configuration map."""
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse ``.config`` text or bytes back into a configuration map.
+    Raises :class:`FormatError` naming the line on bytes that are not
+    UTF-8 and on a line that is no setting."""
     cfg: Configuration = {}
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.strip()
         if not line:
             continue
@@ -590,9 +589,9 @@ def external_conf_oracle(
             f"{result.stderr.decode('utf-8', 'replace').strip()}"
         )
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(config_path, "rb") as fh:
             after = parse_dotconfig(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, FormatError) as exc:
         raise ProcessError(f"cannot read back {config_path}: {exc}") from exc
     warned = _UNMET_DEPENDENCIES in result.stdout or _UNMET_DEPENDENCIES in result.stderr
     return before == after, warned

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import functools
 import gc
+from collections.abc import Mapping
+from itertools import islice
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import FormatError, MissingVariable
+from .errors import FormatError, MissingVariable, numbered_lines
 
 __all__ = [
     "PropFormula",
@@ -349,50 +351,55 @@ def _mask(f: PropFormula, masks: dict[str, int], ones: int) -> int:
 # Textual constraint format
 
 
-class _Renderer:
-    """Formula text that renders each compound node object once.
+# The precedence level of each binary operator; ``!`` is 5, above them all,
+# so a negation never needs parentheses.
+_LEVELS = {Iff: 1, Implies: 2, OrF: 3, AndF: 4}
 
-    ``done`` maps ``id(node)`` to the node's text without outer parentheses
-    and its precedence level (<=> 1, => 2, | 3, & 4, ! 5); the use site adds
-    the parentheses its own level needs.  The caller keeps every rendered
-    node alive while the renderer is in use, so no id is reused.
+
+class _Renderer:
+    """Formula text that renders each And, Or, Implies and Iff node object
+    once.
+
+    ``done`` maps ``id(node)`` to the node's text without outer parentheses;
+    the use site adds the parentheses its own level needs, against the
+    node's level in ``_LEVELS``.  A negation is not kept: its text is ``!``
+    and its operand's text, built again at each use, which costs no more
+    than its share of the output.  The caller keeps every rendered node
+    alive while the renderer is in use, so no id is reused.
     """
 
     __slots__ = ("done",)
 
     def __init__(self) -> None:
-        self.done: dict[int, tuple[str, int]] = {}
+        self.done: dict[int, str] = {}
 
     def render(self, node: PropFormula, parent: int) -> str:
         kind = type(node)
         if kind is Var:
             return node.name
+        if kind is NotF:
+            op = node.operand
+            return "!" + (op.name if type(op) is Var else self.render(op, 5))
         if kind is _Const:
             return "1" if node.value else "0"
         key = id(node)
-        entry = self.done.get(key)
-        if entry is None:
-            entry = self.done[key] = self._compound(node)
-        text, level = entry
-        return f"({text})" if parent > level else text
+        text = self.done.get(key)
+        if text is None:
+            text = self.done[key] = self._compound(node)
+        return f"({text})" if parent > _LEVELS[kind] else text
 
-    def _compound(self, node: PropFormula) -> tuple[str, int]:
+    def _compound(self, node: PropFormula) -> str:
         render = self.render
         kind = type(node)
         # A variable operand is written in place rather than by a call.
         if kind is AndF:
-            ops = [op.name if type(op) is Var else render(op, 4) for op in node.operands]
-            return " & ".join(ops), 4
+            return " & ".join([op.name if type(op) is Var else render(op, 4) for op in node.operands])
         if kind is OrF:
-            ops = [op.name if type(op) is Var else render(op, 3) for op in node.operands]
-            return " | ".join(ops), 3
-        if kind is NotF:
-            op = node.operand
-            return "!" + (op.name if type(op) is Var else render(op, 5)), 5
+            return " | ".join([op.name if type(op) is Var else render(op, 3) for op in node.operands])
         if kind is Implies:
-            return f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}", 2
+            return f"{render(node.antecedent, 3)} => {render(node.consequent, 2)}"
         if kind is Iff:
-            return f"{render(node.left, 2)} <=> {render(node.right, 2)}", 1
+            return f"{render(node.left, 2)} <=> {render(node.right, 2)}"
         raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -464,10 +471,60 @@ class Clauses(Record):
         return repr(list(self))
 
 
+class VarMap(Mapping):
+    """The read-only name -> index map of a CNF from :func:`tseitin_cnf`:
+    the original variables' dict, then the auxiliaries ``__aux0``,
+    ``__aux1``, ... numbered on after them.  It holds no string per
+    auxiliary: iteration makes each name, and a lookup reads the number
+    back out of it.  It compares equal, as a ``Mapping``, to the dict with
+    the same entries."""
+
+    __slots__ = ("names", "auxiliaries")
+
+    def __init__(self, names: dict[str, int], auxiliaries: int) -> None:
+        self.names = names
+        self.auxiliaries = auxiliaries
+
+    def auxiliary(self, name: str) -> int | None:
+        """``k`` when ``name`` is ``__aux<k>`` for an auxiliary ``k``, else
+        None."""
+        if isinstance(name, str) and name.startswith("__aux"):
+            digits = name[5:]
+            if digits.isascii() and digits.isdigit() and len(digits) <= len(str(self.auxiliaries)):
+                k = int(digits)
+                if k < self.auxiliaries and digits == str(k):
+                    return k
+        return None
+
+    def __getitem__(self, name: str) -> int:
+        index = self.names.get(name)
+        if index is None:
+            k = self.auxiliary(name)
+            if k is None:
+                raise KeyError(name)
+            index = len(self.names) + k + 1
+        return index
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self.names
+        for k in range(self.auxiliaries):
+            yield f"__aux{k}"
+
+    def __len__(self) -> int:
+        return len(self.names) + self.auxiliaries
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class CnfFormula(Record):
     """A CNF over variables ``1..num_vars``.  ``clauses`` is a
     :class:`Clauses`; assigning it (or passing it to ``__init__``) any other
-    iterable of clauses stores their literals flat, in order."""
+    iterable of clauses stores their literals flat, in order.  ``var_map``
+    maps names to positive indices, original variables first.
+    ``aux_definitions`` holds the subformula that each auxiliary variable
+    stands for, in auxiliary order: the last ``len(aux_definitions)``
+    variables, ``__aux0`` first."""
 
     _fields = ("num_vars", "clauses", "var_map", "aux_definitions")
 
@@ -475,13 +532,13 @@ class CnfFormula(Record):
         self,
         num_vars: int,
         clauses: Clauses | Iterable[Iterable[int]],
-        var_map: dict[str, int],  # name -> positive index; original variables first
-        aux_definitions: dict[int, PropFormula] | None = None,
+        var_map: Mapping[str, int],
+        aux_definitions: tuple[PropFormula, ...] = (),
     ) -> None:
         self.num_vars = num_vars
         self.clauses = clauses
         self.var_map = var_map
-        self.aux_definitions = {} if aux_definitions is None else aux_definitions
+        self.aux_definitions = aux_definitions
 
     @property
     def clauses(self) -> Clauses:
@@ -515,31 +572,34 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     The conversion preserves per-assignment verdicts: extending any total
     assignment of the original variables by the (unique) induced auxiliary
     values satisfies the clauses iff the formula holds.  Auxiliary variables
-    are named ``__aux<k>`` and listed after the originals in ``var_map``.
-    Duplicate literals are dropped from a clause, first occurrence kept, and
-    tautological clauses are left out.  The clauses go straight into the
-    flat lists of a :class:`Clauses`, with no object per clause.  The cost
-    is linear in the number of distinct node objects and the total length
-    of the clauses.
+    are named ``__aux<k>`` and follow the originals in ``var_map``, a
+    :class:`VarMap` that stores only the originals' names;
+    ``aux_definitions`` is a tuple in auxiliary order.  Duplicate literals
+    are dropped from a clause, first occurrence kept, and tautological
+    clauses are left out.  The clauses go straight into the flat lists of a
+    :class:`Clauses`, with no object per clause.  The cost is linear in the
+    number of distinct node objects and the total length of the clauses.
     """
-    var_map: dict[str, int] = {}
-    # The negation of every literal.  Each literal in the clauses is one of
-    # these int objects, so the literal list shares them instead of holding
-    # a copy of the same number each time.
-    neg: dict[int, int] = {}
+    names: dict[str, int] = {}
+    # The int object of each variable (``positive``) and of its negation
+    # (``negative``), by variable.  Each literal in the clauses is one of
+    # these, so the literal list shares them instead of holding a copy of
+    # the same number each time.
+    positive: list[int] = [0]
+    negative: list[int] = [0]
 
     for name in var_order:
-        if name not in var_map:
-            idx = var_map[name] = len(var_map) + 1
-            neg[idx] = -idx
-            neg[neg[idx]] = idx
-    originals = len(var_map)
-    get = var_map.get
+        if name not in names:
+            idx = names[name] = len(names) + 1
+            positive.append(idx)
+            negative.append(-idx)
+    originals = len(names)
+    get = names.get
 
     literals: list[int] = []
     sizes: list[int] = []
     extend = literals.extend
-    aux_definitions: dict[int, PropFormula] = {}
+    aux_definitions: list[PropFormula] = []
     by_id: dict[int, int] = {}  # id of a compound node -> its literal
     # Per operator: operand literals -> auxiliary.  The keys hold only ints,
     # so they hash in C and the collector stops tracking them.
@@ -550,7 +610,7 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         # no-complementary-literals invariant.
         distinct = dict.fromkeys(clause)
         for lit in distinct:
-            if neg[lit] in distinct:
+            if -lit in distinct:
                 return
         extend(distinct)
         sizes.append(len(distinct))
@@ -563,12 +623,13 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         op = type(node)
         if op is Var:
             try:
-                return var_map[node.name]
+                return names[node.name]
             except KeyError:
                 raise MissingVariable(node.name) from None
         if op is NotF:
             o = node.operand
-            return neg[(type(o) is Var and get(o.name)) or literal(o)]
+            lit = (type(o) is Var and get(o.name)) or literal(o)
+            return negative[lit] if lit > 0 else positive[-lit]
         g = by_id.get(id(node))
         if g is not None:
             return g
@@ -585,9 +646,11 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         g = table.get(lits)
         if g is None:
             g = table[lits] = originals + len(aux_definitions) + 1
-            ng = neg[g] = -g
-            neg[ng] = g
-            aux_definitions[g] = node
+            ng = -g
+            positive.append(g)
+            negative.append(ng)
+            aux_definitions.append(node)
+            negated = [negative[lit] if lit > 0 else positive[-lit] for lit in lits]
             # A fresh ``g`` occurs in no operand literal, so a clause of ``g``
             # and one operand literal never holds a repeat or a complementary
             # pair.  A longer clause can only when two operand literals name
@@ -599,10 +662,10 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
                 if op is AndF:
                     pairs = [ng] * (2 * n)
                     pairs[1::2] = lits
-                    long = [g, *[neg[lit] for lit in lits]]
+                    long = [g, *negated]
                 else:
                     pairs = [g] * (2 * n)
-                    pairs[::2] = [neg[lit] for lit in lits]
+                    pairs[::2] = negated
                     long = [ng, *lits]
                 extend(pairs)
                 sizes.extend([2] * n)
@@ -613,16 +676,17 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
                     add(long)
             elif op is Implies:
                 a, b = lits
+                na, nb = negated
                 if plain:
-                    extend((ng, neg[a], b, g, a, g, neg[b]))
+                    extend((ng, na, b, g, a, g, nb))
                     sizes.extend((3, 2, 2))
                 else:
-                    add([ng, neg[a], b])
-                    extend((g, a, g, neg[b]))
+                    add([ng, na, b])
+                    extend((g, a, g, nb))
                     sizes.extend((2, 2))
             else:
                 a, b = lits
-                na, nb = neg[a], neg[b]
+                na, nb = negated
                 if plain:
                     extend((ng, na, b, ng, a, nb, g, a, b, g, na, nb))
                     sizes.extend((3, 3, 3, 3))
@@ -645,42 +709,75 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         # tables now rather than at the next cyclic garbage collection.
         del literal
 
-    for k, g in enumerate(aux_definitions):
-        name = f"__aux{k}"
-        if name in var_map:
-            raise ValueError(f"variable {name!r} has the name of an auxiliary variable")
-        var_map[name] = g
+    var_map = VarMap(names, len(aux_definitions))
+    clashes = [k for name in names if name.startswith("__aux") and (k := var_map.auxiliary(name)) is not None]
+    if clashes:
+        raise ValueError(f"variable '__aux{min(clashes)}' has the name of an auxiliary variable")
     return CnfFormula(
         num_vars=originals + len(aux_definitions),
         clauses=Clauses(literals, sizes),
         var_map=var_map,
-        aux_definitions=aux_definitions,
+        aux_definitions=tuple(aux_definitions),
     )
+
+
+# Lines per write in ``write_dimacs``.
+_CHUNK_LINES = 4096
+
+
+def _name_lines(var_map: Mapping[str, int]) -> Iterator[str]:
+    """The ``c <index> <name>`` lines of ``var_map``, ``_CHUNK_LINES`` at a
+    time, each chunk in one format operation.  The auxiliaries of a
+    :class:`VarMap` are formatted from their numbers, with no name made."""
+    names, auxiliaries = (var_map.names, var_map.auxiliaries) if type(var_map) is VarMap else (var_map, 0)
+    keys, indices = iter(names), iter(names.values())
+    while chunk := list(islice(keys, _CHUNK_LINES)):
+        fields = [None] * (2 * len(chunk))
+        fields[::2] = islice(indices, len(chunk))
+        fields[1::2] = chunk
+        yield "c %d %s\n" * len(chunk) % tuple(fields)
+    first = len(names) + 1
+    for start in range(0, auxiliaries, _CHUNK_LINES):
+        stop = min(start + _CHUNK_LINES, auxiliaries)
+        fields = [0] * (2 * (stop - start))
+        fields[::2] = range(first + start, first + stop)
+        fields[1::2] = range(start, stop)
+        yield "c %d __aux%d\n" * (stop - start) % tuple(fields)
 
 
 def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
     """Emit DIMACS: name comments, the ``p cnf`` header, one clause per line.
 
-    Byte-deterministic; LF endings, single spaces.
+    Byte-deterministic; LF endings, single spaces.  The name lines and then
+    the clause lines go to ``sink`` ``_CHUNK_LINES`` at a time, so no copy
+    of the whole output is held.
     """
-    clauses = cnf.clauses
-    sizes = clauses.sizes
-    header = [f"c {idx} {name}\n" for name, idx in cnf.var_map.items()]
-    header.append(f"p cnf {cnf.num_vars} {len(sizes)}\n")
-    # One format operation for all clauses: a line template per clause,
-    # filled from the flat literal list.
-    templates = {n: "%d " * n + "0\n" for n in set(sizes)}
-    body = "".join(map(templates.__getitem__, sizes)) % tuple(clauses.literals)
-    sink.write(("".join(header) + body).encode("utf-8"))
+    write = sink.write
+    for text in _name_lines(cnf.var_map):
+        write(text.encode("utf-8"))
+    literals, sizes = cnf.clauses.literals, cnf.clauses.sizes
+    write(f"p cnf {cnf.num_vars} {len(sizes)}\n".encode("utf-8"))
+    # One format operation per chunk: a line template per clause, filled
+    # from the chunk's stretch of the flat literal list.  A clause of n
+    # literals has a template of 3n + 2 characters, so the chunk's literal
+    # count comes from the template's length.
+    template = {n: "%d " * n + "0\n" for n in set(sizes)}.__getitem__
+    end = 0
+    for start in range(0, len(sizes), _CHUNK_LINES):
+        chunk = sizes[start : start + _CHUNK_LINES]
+        form = "".join(map(template, chunk))
+        begin, end = end, end + (len(form) - 2 * len(chunk)) // 3
+        write((form % tuple(literals[begin:end])).encode("utf-8"))
 
 
 def parse_dimacs(source: IO[bytes]) -> CnfFormula:
     """Inverse of :func:`write_dimacs`; clauses come back in file order.
 
-    A ``c <index> <name>`` line names a variable.  Raises
-    :class:`FormatError` with the line number on a malformed or repeated
-    header, a negative count, an index named twice or out of the declared
-    range, a name given two indices, and a malformed clause.
+    A ``c <index> <name>`` line names a variable.  The source is read line
+    by line.  Raises :class:`FormatError` with the line number on a line
+    that is not UTF-8, a malformed or repeated header, a negative count, an
+    index named twice or out of the declared range, a name given two
+    indices, and a malformed clause.
     """
     var_map: dict[str, int] = {}
     name_lines: dict[int, int] = {}  # index -> line that named it
@@ -688,7 +785,7 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
     sizes: list[int] = []
     num_vars: int | None = None
     declared_clauses = 0
-    for lineno, raw in enumerate(source.read().decode("utf-8").splitlines(), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.strip()
         if not line:
             continue

@@ -151,6 +151,36 @@ def tree_model_text(constraints):
     return "".join(f"{tree_text(c.formula)}  # {c.provenance}\n" for c in constraints)
 
 
+def large_chain_text(options):
+    """A chain of tristates, each depending on the one before, with selects
+    and conditional defaults: past the enumeration bound, with one constraint
+    per rule and so a root clause of thousands of literals."""
+    lines = ["config MODULES", '\tbool "modules"', "\toption modules", ""]
+    for i in range(1, options):
+        lines += [f"config T{i}", f'\ttristate "t{i}"']
+        if i > 1:
+            lines.append(f"\tdepends on T{i - 1}")
+        if i % 3 == 0 and i + 2 < options:
+            lines.append(f"\tselect T{i + 2}")
+        if i % 5 == 0:
+            lines.append(f"\tdefault m if T{i - 2}")
+        if i % 7 == 0:
+            lines.append("\tdefault y")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def one_shot_dimacs(cnf):
+    """A plain DIMACS writer that formats each name and clause on its own
+    and builds the whole output at once: the reference for
+    ``write_dimacs``."""
+    out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
+    out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
+    for clause in cnf.clauses:
+        out.append("%d " * len(clause) % tuple(clause) + "0")
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
 def node_objects(*roots):
     """Every node object reachable from ``roots``, by ``id``."""
     seen = {}

@@ -250,7 +250,8 @@ def test_criterion_7_tseitin_dimacs():
 
         cnf = tseitin_cnf(conjunction, order)
         values = {cnf.var_map[n]: masks[n] for n in order}
-        for idx, definition in cnf.aux_definitions.items():
+        first = cnf.num_vars - len(cnf.aux_definitions) + 1
+        for idx, definition in enumerate(cnf.aux_definitions, start=first):
             values[idx] = evaluate_mask(definition, masks, ones)
         through_cnf = ones
         for clause in cnf.clauses:

@@ -70,6 +70,7 @@ from conftest import (
     evaluate,
     formula_text,
     formula_vars,
+    large_chain_text,
     node_objects,
     tree_model_text,
 )
@@ -489,25 +490,6 @@ def test_corpus_output_bytes_match_recorded_digests():
             "model": hashlib.sha256(cs.model_text().encode("utf-8")).hexdigest(),
             "dimacs": hashlib.sha256(sink.getvalue()).hexdigest(),
         }, name
-
-
-def large_chain_text(options):
-    """A chain of tristates, each depending on the one before, with selects
-    and conditional defaults: past the enumeration bound, with one constraint
-    per rule and so a root clause of thousands of literals."""
-    lines = ["config MODULES", '\tbool "modules"', "\toption modules", ""]
-    for i in range(1, options):
-        lines += [f"config T{i}", f'\ttristate "t{i}"']
-        if i > 1:
-            lines.append(f"\tdepends on T{i - 1}")
-        if i % 3 == 0 and i + 2 < options:
-            lines.append(f"\tselect T{i + 2}")
-        if i % 5 == 0:
-            lines.append(f"\tdefault m if T{i - 2}")
-        if i % 7 == 0:
-            lines.append("\tdefault y")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # sha256 of the .model text and DIMACS of large_chain_text(600), recorded

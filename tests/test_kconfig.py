@@ -6,7 +6,13 @@ import pytest
 import kconfex.kconfig as kconfig
 from kconfex.difftest import check_model, generate_model_text
 from kconfex.encode import translate
-from kconfex.errors import DuplicateOption, ParseError, UnsupportedComparison
+from kconfex.errors import (
+    DuplicateOption,
+    InvalidModulesSwitch,
+    KconfexError,
+    ParseError,
+    UnsupportedComparison,
+)
 from kconfex.kconfig import (
     And,
     ConfigItem,
@@ -280,6 +286,30 @@ class TestValidateModel:
         else:
             with pytest.raises(UnsupportedComparison, match=re.escape(message)):
                 translate(model)
+
+    @pytest.mark.parametrize(
+        "switch, message",
+        [
+            ("M", "'option modules' needs a bool option; M is int"),
+            ("T", "'option modules' needs a bool option; T is tristate"),
+            ("NOPE", "modules switch NOPE is not a declared option"),
+        ],
+        ids=["int", "tristate", "undeclared"],
+    )
+    def test_api_model_with_a_bad_modules_switch_raises(self, switch, message):
+        # The parser rejects the first two at the 'option modules' line; a
+        # model built through the API gets the same rule when it is made.
+        model = parse_model('config M\n\tint "m"\n\tdefault 1\nconfig T\n\ttristate "t"\n', "t")
+        with pytest.raises(InvalidModulesSwitch) as info:
+            KconfigModel(model.items, model.choices, switch)
+        assert isinstance(info.value, KconfexError)
+        assert str(info.value) == message
+
+    def test_api_model_with_a_bool_modules_switch_checks(self):
+        model = parse_model('config B\n\tbool "b"\nconfig T\n\ttristate "t"\n', "t")
+        model = KconfigModel(model.items, model.choices, "B")
+        assert validate_model(model) == []
+        assert check_model(model).mismatches == []
 
     def test_value_variable_shape_after_a_boolean_option_is_clean(self):
         # A bool option has no value variables, so B_EQ_1 names nothing derived.

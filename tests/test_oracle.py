@@ -443,6 +443,24 @@ class TestDotConfig:
             parse_dotconfig(io.StringIO("CONFIG_A=y\nwhat is this\n"))
         assert info.value.line == 2
 
+    def test_bytes_parse_as_text_does(self):
+        text = 'CONFIG_A=y\r\n# CONFIG_B is not set\rCONFIG_S="caf\u00e9"\nCONFIG_N=3'
+        assert parse_dotconfig(io.BytesIO(text.encode("utf-8"))) == parse_dotconfig(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b'CONFIG_S="\xff"\n', 1),
+            (b'CONFIG_A=y\n\nCONFIG_S="caf\xe9"\n', 3),
+            (b"CONFIG_A=y\rCONFIG_B=\xc3", 2),
+        ],
+        ids=["first-line", "third-line", "after-a-cr"],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line(self, data, line):
+        with pytest.raises(FormatError) as info:
+            parse_dotconfig(io.BytesIO(data))
+        assert (info.value.message, info.value.line) == ("not UTF-8 text", line)
+
 
 def _write_fake_conf(path, script):
     path.write_text(script)
@@ -574,6 +592,12 @@ class TestExecOracleStub:
         path = CORPUS_DIR / "choice_bool_basic.kconfig"
         assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read back")
+
+    def test_non_utf8_read_back_names_the_line(self, tmp_path):
+        tail = 'with open(config, "ab") as fh:\n    fh.write(b"# caf\\351\\n")\n'
+        with pytest.raises(ProcessError, match=r"cannot read back .*: line \d+: not UTF-8 text") as info:
+            _check_with_stub_conf(tmp_path, "choice_bool_basic.kconfig", tail)
+        assert isinstance(info.value.__cause__, FormatError)
 
 
 class TestExecTimeout:

@@ -3,13 +3,16 @@ import gc
 import io
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import kconfex
 from kconfex.encode import translate
 from kconfex.errors import FormatError, MissingVariable
+from kconfex.kconfig import parse_model
 from kconfex.prop import (
     _Const,
     _gc_paused,
@@ -44,6 +47,8 @@ from conftest import (
     evaluate,
     formula_text,
     formula_vars,
+    large_chain_text,
+    one_shot_dimacs,
     tree_model_text,
     tree_text,
 )
@@ -272,7 +277,8 @@ class TestTseitin:
         cnf = tseitin_cnf(f, formula_vars(f))
         for assignment in all_assignments(names):
             values = {cnf.var_map[n]: v for n, v in assignment.items()}
-            for idx, definition in cnf.aux_definitions.items():
+            first = cnf.num_vars - len(cnf.aux_definitions) + 1
+            for idx, definition in enumerate(cnf.aux_definitions, start=first):
                 values[idx] = evaluate(definition, assignment)
             assert _satisfied(cnf, values) == evaluate(f, assignment), assignment
         assert sorted(cnf.var_map.values()) == list(range(1, cnf.num_vars + 1))
@@ -388,7 +394,7 @@ class TestTseitin:
         root = cnf.num_vars
         assert list(cnf.clauses) == clauses + [(root,)]
         assert list(cnf.var_map) == ["B", "C"] + [f"__aux{k}" for k in range(root - 2)]
-        assert cnf.aux_definitions[root] is gate
+        assert cnf.aux_definitions[-1] is gate  # the last auxiliary, variable ``root``
 
     def test_clauses_hold_no_object_per_clause(self):
         # 3,000 disjunction gates under one conjunction gate.  Variables A<i>
@@ -420,20 +426,29 @@ class TestTseitin:
         with pytest.raises(ValueError, match="__aux0"):
             tseitin_cnf(and_(var("__aux0"), or_(A, B)), ["__aux0", "A", "B"])
 
+    def test_var_map_holds_no_auxiliary_name(self):
+        f = and_(or_(A, B), iff(A, NP), implies(B, or_(A, B)))
+        cnf = tseitin_cnf(f, ["A", "B", "NOPROMPT", "UNUSED"])
+        originals = {"A": 1, "B": 2, "NOPROMPT": 3, "UNUSED": 4}
+        expected = {**originals, "__aux0": 5, "__aux1": 6, "__aux2": 7, "__aux3": 8}
+        assert cnf.var_map == expected and expected == cnf.var_map
+        assert list(cnf.var_map) == list(expected) and len(cnf.var_map) == 8
+        assert list(cnf.var_map.items()) == list(expected.items())
+        assert cnf.var_map.names == originals
+        assert repr(cnf.var_map) == repr(expected)
+        for name in ("__aux4", "__aux00", "__aux01", "__aux-1", "__aux", "__aux\u0661", "C", 5):
+            assert name not in cnf.var_map
+            assert cnf.var_map.get(name) is None
+            with pytest.raises(KeyError):
+                cnf.var_map[name]
+        with pytest.raises(TypeError):
+            cnf.var_map["X"] = 9
+        assert cnf.aux_definitions == (or_(A, B), iff(A, NP), implies(B, or_(A, B)), f)
+
     def test_order_missing_a_variable_raises(self):
         with pytest.raises(MissingVariable) as info:
             tseitin_cnf(GOLDEN, ["A", "NOPROMPT"])
         assert info.value.name == "B"
-
-
-def _per_clause_dimacs(cnf):
-    """A plain DIMACS writer that formats each clause on its own: the
-    reference for ``write_dimacs``."""
-    out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
-    out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for clause in cnf.clauses:
-        out.append("%d " * len(clause) % tuple(clause) + "0")
-    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 class TestDimacs:
@@ -448,7 +463,7 @@ class TestDimacs:
         for cnf in cnfs:
             sink = io.BytesIO()
             write_dimacs(cnf, sink)
-            assert sink.getvalue() == _per_clause_dimacs(cnf)
+            assert sink.getvalue() == one_shot_dimacs(cnf)
 
     def test_single_clause_format(self):
         from kconfex.prop import CnfFormula
@@ -580,10 +595,105 @@ class TestDimacs:
         assert (info.value.message, info.value.line) == (message, line)
         assert str(info.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b"p cnf 1 1\n1 0\nc 1 \xff\n", 3),
+            (b"c 1 \xc3\np cnf 1 1\n1 0\n", 1),
+            (b"p cnf 1 1\r1 0\rc 1 \xff\r", 3),
+        ],
+        ids=["name-line", "cut-sequence", "after-two-crs"],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line(self, text, line):
+        with pytest.raises(FormatError) as info:
+            parse_dimacs(io.BytesIO(text))
+        assert (info.value.message, info.value.line) == ("not UTF-8 text", line)
+
+    def test_reads_the_source_line_by_line(self):
+        class LinesOnly(io.BytesIO):
+            def read(self, *args):
+                raise AssertionError("read the whole source")
+
+        back = parse_dimacs(LinesOnly(b"c 1 A\r\np cnf 2 2\n1 -2 0\r\n\n2 0"))
+        assert (back.num_vars, list(back.clauses), back.var_map) == (2, [(1, -2), (2,)], {"A": 1})
+
+    def test_chunks_match_the_one_shot_writer(self):
+        # Names, auxiliaries and clauses each fill more than one chunk and
+        # end in a partly filled one, or in exactly full ones.
+        chunk = kconfex.prop._CHUNK_LINES
+        cnfs = []
+        for n in (chunk + 100, chunk // 2):
+            f = and_(*[or_(var(f"A{i}"), not_(var(f"B{i}"))) for i in range(n)])
+            cnfs.append(tseitin_cnf(f, [name for i in range(n) for name in (f"A{i}", f"B{i}")]))
+        rng = random.Random(5)
+        for count in (2 * chunk, 3 * chunk + 17):
+            clauses = [
+                [rng.choice((1, -1)) * rng.randrange(1, 50) for _ in range(rng.randrange(5))]
+                for _ in range(count)
+            ]
+            names = {f"V{k}": k % 50 + 1 for k in range(count)}
+            cnfs.append(CnfFormula(num_vars=50, clauses=clauses, var_map=names))
+        assert cnfs[0].var_map.auxiliaries > chunk and len(cnfs[0].clauses) > 4 * chunk
+        for cnf in cnfs:
+            writes = []
+            write_dimacs(cnf, SimpleNamespace(write=writes.append))
+            assert b"".join(writes) == one_shot_dimacs(cnf)
+            assert all(text.count(b"\n") <= chunk for text in writes)
+
     def test_comments_without_index_are_ignored(self):
         text = "c made by hand\nc \u00b2 squared\nc 1 A\np cnf 1 1\n1 0\n"
         back = parse_dimacs(io.BytesIO(text.encode("utf-8")))
         assert back.var_map == {"A": 1}
+
+
+class _ByteCounter:
+    """A sink that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, data):
+        self.count += len(data)
+
+
+class TestMemory:
+    """What the CNF keeps and what writing DIMACS holds, traced on
+    ``large_chain_text(600)``: 11,676 auxiliaries and 42,461 clauses."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return translate(parse_model(large_chain_text(600), "chain"))
+
+    @staticmethod
+    def _traced(fn):
+        """``fn()``, and the bytes it left allocated and its peak, both
+        above the start."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, current - start, peak - start
+
+    def test_cnf_retains_few_bytes_per_auxiliary(self, chain):
+        formula = chain.conjunction()
+        cnf, kept, _ = self._traced(lambda: tseitin_cnf(formula, chain.variable_order))
+        assert len(cnf.aux_definitions) == 11676
+        # 344 bytes per auxiliary with a name string and two dict entries
+        # for each, and 210 with none.
+        assert kept / len(cnf.aux_definitions) < 280
+
+    def test_dimacs_writer_holds_less_than_it_writes(self, chain):
+        cnf = tseitin_cnf(chain.conjunction(), chain.variable_order)
+        sink = _ByteCounter()
+        _, _, peak = self._traced(lambda: write_dimacs(cnf, sink))
+        assert sink.count == 864044
+        # 3.87 times the output when the whole output was built at once,
+        # and 0.69 times it in chunks.
+        assert peak < sink.count
 
 
 class TestFormulaText:

@@ -132,7 +132,7 @@ CASES = {
     "KconfigModel": (
         KconfigModel,
         _MODEL,
-        dict(modules_option="N"),
+        dict(modules_option="S"),
         dict(source_name="other"),
         "KconfigModel(items=(ConfigItem(name='N', type=<OptionType.INT: 'int'>, prompts=(), "
         "defaults=(), depends=None, selects=(), "
@@ -188,7 +188,7 @@ CASES = {
         dict(num_vars=2, clauses=[(1, -2)], var_map={"A": 1, "B": 2}),
         dict(clauses=[(1, 2)]),
         None,
-        "CnfFormula(num_vars=2, clauses=[(1, -2)], var_map={'A': 1, 'B': 2}, aux_definitions={})",
+        "CnfFormula(num_vars=2, clauses=[(1, -2)], var_map={'A': 1, 'B': 2}, aux_definitions=())",
     ),
     "TestReport": (
         difftest.TestReport,
@@ -287,7 +287,9 @@ def test_mutable_defaults_are_not_shared():
     one, two = ConstraintSet(), ConstraintSet()
     assert one.constraints is not two.constraints
     assert one.variable_order is not two.variable_order
-    assert CnfFormula(0, [], {}).aux_definitions is not CnfFormula(0, [], {}).aux_definitions
+    # The default auxiliary definitions are an empty tuple: immutable, so
+    # safe to share.
+    assert CnfFormula(0, [], {}).aux_definitions == ()
 
 
 def test_empty_variable_name_raises():
