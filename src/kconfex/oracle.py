@@ -42,6 +42,7 @@ from .kconfig import (
     Literal,
     OptionType,
     Sym,
+    _unquote,
     number_text,
     parse_number,
     value_dependency_edges,
@@ -472,19 +473,6 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
-
-
 def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
     """Write the kernel-style ``.config`` form of a configuration.
 
@@ -531,7 +519,7 @@ def parse_dotconfig(source) -> Configuration:
         if value in ("y", "m", "n"):
             cfg[name] = Tri.from_label(value)
         elif value.startswith('"') and value.endswith('"') and len(value) >= 2:
-            cfg[name] = _unescape(value[1:-1])
+            cfg[name] = _unquote(value)
         else:
             cfg[name] = value
     return cfg

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections.abc import Mapping
 from itertools import islice
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -471,90 +470,39 @@ class Clauses(Record):
         return repr(list(self))
 
 
-class VarMap(Mapping):
-    """The read-only name -> index map of a CNF from :func:`tseitin_cnf`:
-    the original variables' dict, then the auxiliaries ``__aux0``,
-    ``__aux1``, ... numbered on after them.  It holds no string per
-    auxiliary: iteration makes each name, and a lookup reads the number
-    back out of it.  It compares equal, as a ``Mapping``, to the dict with
-    the same entries."""
-
-    __slots__ = ("names", "auxiliaries")
-
-    def __init__(self, names: dict[str, int], auxiliaries: int) -> None:
-        self.names = names
-        self.auxiliaries = auxiliaries
-
-    def auxiliary(self, name: str) -> int | None:
-        """``k`` when ``name`` is ``__aux<k>`` for an auxiliary ``k``, else
-        None."""
-        if isinstance(name, str) and name.startswith("__aux"):
-            digits = name[5:]
-            if digits.isascii() and digits.isdigit() and len(digits) <= len(str(self.auxiliaries)):
-                k = int(digits)
-                if k < self.auxiliaries and digits == str(k):
-                    return k
-        return None
-
-    def __getitem__(self, name: str) -> int:
-        index = self.names.get(name)
-        if index is None:
-            k = self.auxiliary(name)
-            if k is None:
-                raise KeyError(name)
-            index = len(self.names) + k + 1
-        return index
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self.names
-        for k in range(self.auxiliaries):
-            yield f"__aux{k}"
-
-    def __len__(self) -> int:
-        return len(self.names) + self.auxiliaries
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+def _auxiliary(name: str, count: int) -> int | None:
+    """``k`` when ``name`` is ``__aux<k>``, the DIMACS name of auxiliary
+    ``k`` of ``count``, else None."""
+    digits = name[5:]
+    # The length check keeps ``int`` off digit strings too long to convert.
+    if name.startswith("__aux") and digits.isascii() and digits.isdigit() and len(digits) <= len(str(count)):
+        k = int(digits)
+        if k < count and digits == str(k):
+            return k
+    return None
 
 
 class CnfFormula(Record):
-    """A CNF over variables ``1..num_vars``.  ``clauses`` is a
-    :class:`Clauses`; assigning it (or passing it to ``__init__``) any other
-    iterable of clauses stores their literals flat, in order.  ``var_map``
-    maps names to positive indices, original variables first.
-    ``aux_definitions`` holds the subformula that each auxiliary variable
-    stands for, in auxiliary order: the last ``len(aux_definitions)``
-    variables, ``__aux0`` first."""
+    """A CNF over variables ``1..num_vars``; ``clauses`` is a
+    :class:`Clauses`.  ``var_map`` is the dict from the names of the named
+    variables to their indices.  ``aux_definitions`` holds the subformula
+    that each auxiliary variable stands for, in auxiliary order: the
+    auxiliaries are the last ``len(aux_definitions)`` variables, unnamed in
+    ``var_map``, and DIMACS output names them ``__aux0``, ``__aux1``, ...."""
 
-    _fields = ("num_vars", "clauses", "var_map", "aux_definitions")
+    __slots__ = _fields = ("num_vars", "clauses", "var_map", "aux_definitions")
 
     def __init__(
         self,
         num_vars: int,
-        clauses: Clauses | Iterable[Iterable[int]],
-        var_map: Mapping[str, int],
+        clauses: Clauses,
+        var_map: dict[str, int],
         aux_definitions: tuple[PropFormula, ...] = (),
     ) -> None:
         self.num_vars = num_vars
         self.clauses = clauses
         self.var_map = var_map
         self.aux_definitions = aux_definitions
-
-    @property
-    def clauses(self) -> Clauses:
-        return self._clauses
-
-    @clauses.setter
-    def clauses(self, clauses: Clauses | Iterable[Iterable[int]]) -> None:
-        if type(clauses) is not Clauses:
-            literals: list[int] = []
-            sizes: list[int] = []
-            for clause in clauses:
-                before = len(literals)
-                literals.extend(clause)
-                sizes.append(len(literals) - before)
-            clauses = Clauses(literals, sizes)
-        self._clauses = clauses
 
 
 @_gc_paused
@@ -571,9 +519,10 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
 
     The conversion preserves per-assignment verdicts: extending any total
     assignment of the original variables by the (unique) induced auxiliary
-    values satisfies the clauses iff the formula holds.  Auxiliary variables
-    are named ``__aux<k>`` and follow the originals in ``var_map``, a
-    :class:`VarMap` that stores only the originals' names;
+    values satisfies the clauses iff the formula holds.  The auxiliaries
+    follow the originals, and ``var_map`` is the dict of the originals
+    alone; only DIMACS output names the auxiliaries, ``__aux0`` first, and
+    an original of such a name raises :class:`ValueError`.
     ``aux_definitions`` is a tuple in auxiliary order.  Duplicate literals
     are dropped from a clause, first occurrence kept, and tautological
     clauses are left out.  The clauses go straight into the flat lists of a
@@ -709,14 +658,14 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         # tables now rather than at the next cyclic garbage collection.
         del literal
 
-    var_map = VarMap(names, len(aux_definitions))
-    clashes = [k for name in names if name.startswith("__aux") and (k := var_map.auxiliary(name)) is not None]
+    auxiliaries = len(aux_definitions)
+    clashes = [k for name in names if name.startswith("__aux") and (k := _auxiliary(name, auxiliaries)) is not None]
     if clashes:
         raise ValueError(f"variable '__aux{min(clashes)}' has the name of an auxiliary variable")
     return CnfFormula(
-        num_vars=originals + len(aux_definitions),
+        num_vars=originals + auxiliaries,
         clauses=Clauses(literals, sizes),
-        var_map=var_map,
+        var_map=names,
         aux_definitions=tuple(aux_definitions),
     )
 
@@ -725,18 +674,19 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
 _CHUNK_LINES = 4096
 
 
-def _name_lines(var_map: Mapping[str, int]) -> Iterator[str]:
-    """The ``c <index> <name>`` lines of ``var_map``, ``_CHUNK_LINES`` at a
-    time, each chunk in one format operation.  The auxiliaries of a
-    :class:`VarMap` are formatted from their numbers, with no name made."""
-    names, auxiliaries = (var_map.names, var_map.auxiliaries) if type(var_map) is VarMap else (var_map, 0)
+def _name_lines(cnf: CnfFormula) -> Iterator[str]:
+    """The ``c <index> <name>`` lines of ``cnf``, ``_CHUNK_LINES`` at a
+    time, each chunk in one format operation: those of ``var_map``, then
+    one per auxiliary, ``__aux<k>`` formatted from its number ``k``."""
+    names = cnf.var_map
     keys, indices = iter(names), iter(names.values())
     while chunk := list(islice(keys, _CHUNK_LINES)):
         fields = [None] * (2 * len(chunk))
         fields[::2] = islice(indices, len(chunk))
         fields[1::2] = chunk
         yield "c %d %s\n" * len(chunk) % tuple(fields)
-    first = len(names) + 1
+    auxiliaries = len(cnf.aux_definitions)
+    first = cnf.num_vars - auxiliaries + 1
     for start in range(0, auxiliaries, _CHUNK_LINES):
         stop = min(start + _CHUNK_LINES, auxiliaries)
         fields = [0] * (2 * (stop - start))
@@ -753,7 +703,7 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
     of the whole output is held.
     """
     write = sink.write
-    for text in _name_lines(cnf.var_map):
+    for text in _name_lines(cnf):
         write(text.encode("utf-8"))
     literals, sizes = cnf.clauses.literals, cnf.clauses.sizes
     write(f"p cnf {cnf.num_vars} {len(sizes)}\n".encode("utf-8"))

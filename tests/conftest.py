@@ -31,6 +31,7 @@ from kconfex.prop import (
     FALSE,
     TRUE,
     AndF,
+    Clauses,
     Iff,
     Implies,
     NotF,
@@ -170,11 +171,30 @@ def large_chain_text(options):
     return "\n".join(lines)
 
 
+def flat_clauses(clauses: Iterable[Iterable[int]]) -> Clauses:
+    """``clauses`` in the flat layout of a CNF: their literals one clause
+    after another, and each clause's length."""
+    literals: list[int] = []
+    sizes: list[int] = []
+    for clause in clauses:
+        before = len(literals)
+        literals.extend(clause)
+        sizes.append(len(literals) - before)
+    return Clauses(literals, sizes)
+
+
+def auxiliary_names(cnf) -> dict[str, int]:
+    """The names that DIMACS output gives the auxiliaries of ``cnf``, the
+    last ``len(cnf.aux_definitions)`` variables: ``__aux0``, ``__aux1``, ..."""
+    first = cnf.num_vars - len(cnf.aux_definitions) + 1
+    return {f"__aux{k}": first + k for k in range(len(cnf.aux_definitions))}
+
+
 def one_shot_dimacs(cnf):
     """A plain DIMACS writer that formats each name and clause on its own
     and builds the whole output at once: the reference for
     ``write_dimacs``."""
-    out = [f"c {idx} {name}" for name, idx in cnf.var_map.items()]
+    out = [f"c {idx} {name}" for name, idx in {**cnf.var_map, **auxiliary_names(cnf)}.items()]
     out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for clause in cnf.clauses:
         out.append("%d " * len(clause) % tuple(clause) + "0")

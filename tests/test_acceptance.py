@@ -55,6 +55,7 @@ from conftest import (
     BOUND_MODEL_SOURCE,
     NOPROMPT_CHOICE_SOURCE,
     assignment_masks,
+    auxiliary_names,
     corpus_models,
     equivalent,
     eval_expr,
@@ -267,7 +268,10 @@ def test_criterion_7_tseitin_dimacs():
         back = parse_dimacs(io.BytesIO(sink.getvalue()))
         assert back.num_vars == cnf.num_vars, name
         assert back.clauses == cnf.clauses, name
-        assert back.var_map == cnf.var_map, name
+        assert back.var_map == {**cnf.var_map, **auxiliary_names(cnf)}, name
+        again = io.BytesIO()
+        write_dimacs(back, again)
+        assert again.getvalue() == sink.getvalue(), name
     elapsed = clock.check("criterion 7")
     report("7 tseitin-dimacs", elapsed)
 

@@ -420,6 +420,31 @@ class TestDotConfig:
         back = parse_dotconfig(io.StringIO(sink.getvalue()))
         assert back == cfg
 
+    @pytest.mark.parametrize(
+        "value, line",
+        [
+            ("a\\", r'CONFIG_S="a\\"'),
+            ('a"b', r'CONFIG_S="a\"b"'),
+            ('\\"', r'CONFIG_S="\\\""'),
+            (r"x\y\\z", r'CONFIG_S="x\\y\\\\z"'),
+            ("", 'CONFIG_S=""'),
+            ("\t", 'CONFIG_S="\t"'),
+        ],
+        ids=["trailing-backslash", "quote", "backslash-quote", "backslashes", "empty", "tab"],
+    )
+    def test_string_values_round_trip(self, value, line):
+        """A backslash escapes a backslash or a quote on writing; on reading,
+        a backslash and any character give that character."""
+        model = _model('config S\n\tstring "s"\n')
+        sink = io.StringIO()
+        write_dotconfig({"S": value}, sink, model)
+        assert sink.getvalue() == line + "\n"
+        assert parse_dotconfig(io.StringIO(sink.getvalue())) == {"S": value}
+
+    def test_backslash_reads_as_the_character_after_it(self):
+        # The final backslash has no character after it and stays.
+        assert parse_dotconfig(io.StringIO('CONFIG_S="a\\q\\"\n')) == {"S": "aq\\"}
+
     def test_quoting_follows_the_declared_type(self):
         """A string option holding a numeric text is quoted, and an int or
         hex value is written bare; both read back unchanged."""

@@ -42,9 +42,11 @@ from kconfex.prop import (
 from conftest import (
     TooManyVariables,
     assignment_masks,
+    auxiliary_names,
     corpus_models,
     equivalent,
     evaluate,
+    flat_clauses,
     formula_text,
     formula_vars,
     large_chain_text,
@@ -281,7 +283,7 @@ class TestTseitin:
             for idx, definition in enumerate(cnf.aux_definitions, start=first):
                 values[idx] = evaluate(definition, assignment)
             assert _satisfied(cnf, values) == evaluate(f, assignment), assignment
-        assert sorted(cnf.var_map.values()) == list(range(1, cnf.num_vars + 1))
+        assert list(cnf.var_map.values()) == list(range(1, cnf.num_vars - len(cnf.aux_definitions) + 1))
 
     def test_golden_assignment_preserving(self):
         self._assert_assignment_preserving(GOLDEN)
@@ -393,7 +395,7 @@ class TestTseitin:
         cnf = tseitin_cnf(gate, ["B", "C"])
         root = cnf.num_vars
         assert list(cnf.clauses) == clauses + [(root,)]
-        assert list(cnf.var_map) == ["B", "C"] + [f"__aux{k}" for k in range(root - 2)]
+        assert cnf.var_map == {"B": 1, "C": 2} and len(cnf.aux_definitions) == root - 2
         assert cnf.aux_definitions[-1] is gate  # the last auxiliary, variable ``root``
 
     def test_clauses_hold_no_object_per_clause(self):
@@ -426,24 +428,44 @@ class TestTseitin:
         with pytest.raises(ValueError, match="__aux0"):
             tseitin_cnf(and_(var("__aux0"), or_(A, B)), ["__aux0", "A", "B"])
 
-    def test_var_map_holds_no_auxiliary_name(self):
+    def test_var_map_is_the_dict_of_the_originals(self):
         f = and_(or_(A, B), iff(A, NP), implies(B, or_(A, B)))
         cnf = tseitin_cnf(f, ["A", "B", "NOPROMPT", "UNUSED"])
-        originals = {"A": 1, "B": 2, "NOPROMPT": 3, "UNUSED": 4}
-        expected = {**originals, "__aux0": 5, "__aux1": 6, "__aux2": 7, "__aux3": 8}
-        assert cnf.var_map == expected and expected == cnf.var_map
-        assert list(cnf.var_map) == list(expected) and len(cnf.var_map) == 8
-        assert list(cnf.var_map.items()) == list(expected.items())
-        assert cnf.var_map.names == originals
-        assert repr(cnf.var_map) == repr(expected)
-        for name in ("__aux4", "__aux00", "__aux01", "__aux-1", "__aux", "__aux\u0661", "C", 5):
-            assert name not in cnf.var_map
-            assert cnf.var_map.get(name) is None
-            with pytest.raises(KeyError):
-                cnf.var_map[name]
-        with pytest.raises(TypeError):
-            cnf.var_map["X"] = 9
+        assert type(cnf.var_map) is dict
+        assert list(cnf.var_map.items()) == [("A", 1), ("B", 2), ("NOPROMPT", 3), ("UNUSED", 4)]
+        assert cnf.num_vars == 8
         assert cnf.aux_definitions == (or_(A, B), iff(A, NP), implies(B, or_(A, B)), f)
+
+    def test_dimacs_names_every_auxiliary_after_the_originals(self):
+        f = and_(or_(A, B), iff(A, NP), implies(B, or_(A, B)))
+        sink = io.BytesIO()
+        write_dimacs(tseitin_cnf(f, ["A", "B", "NOPROMPT", "UNUSED"]), sink)
+        names = [line for line in sink.getvalue().decode().splitlines() if line.startswith("c ")]
+        assert names == [
+            "c 1 A",
+            "c 2 B",
+            "c 3 NOPROMPT",
+            "c 4 UNUSED",
+            "c 5 __aux0",
+            "c 6 __aux1",
+            "c 7 __aux2",
+            "c 8 __aux3",
+        ]
+
+    # Two auxiliaries, __aux0 and __aux1: none of these names is one of
+    # theirs.  The last has too many digits for ``int`` to convert.
+    @pytest.mark.parametrize(
+        "name",
+        ["__aux00", "__aux01", "__aux-1", "__aux", "__aux\u0661", "__aux2", "__aux" + "9" * 5000],
+        ids=["zero-0", "zero-1", "negative", "no-digits", "arabic-indic", "past-the-last", "5000-digits"],
+    )
+    def test_variable_named_like_no_auxiliary_is_kept(self, name):
+        cnf = tseitin_cnf(and_(var(name), or_(A, B)), [name, "A", "B"])
+        assert cnf.var_map == {name: 1, "A": 2, "B": 3} and len(cnf.aux_definitions) == 2
+        sink = io.BytesIO()
+        write_dimacs(cnf, sink)
+        names = f"c 1 {name}\nc 2 A\nc 3 B\nc 4 __aux0\nc 5 __aux1\n"
+        assert sink.getvalue().decode().startswith(names + "p cnf 5 ")
 
     def test_order_missing_a_variable_raises(self):
         with pytest.raises(MissingVariable) as info:
@@ -455,7 +477,8 @@ class TestDimacs:
     def test_matches_the_per_clause_writer(self):
         cnfs = [tseitin_cnf(FALSE, []), tseitin_cnf(TRUE, ["A"])]
         assert list(cnfs[0].clauses) == [()] and list(cnfs[1].clauses) == []
-        cnfs.append(CnfFormula(num_vars=3, clauses=[[3, -1], (2,), [], (-3, 1, 2)], var_map={"A": 1}))
+        clauses = flat_clauses([[3, -1], (2,), [], (-3, 1, 2)])
+        cnfs.append(CnfFormula(num_vars=3, clauses=clauses, var_map={"A": 1}))
         for _, model in corpus_models():
             constraints = translate(model)
             cnfs.append(tseitin_cnf(constraints.conjunction(), constraints.variable_order))
@@ -468,7 +491,7 @@ class TestDimacs:
     def test_single_clause_format(self):
         from kconfex.prop import CnfFormula
 
-        cnf = CnfFormula(num_vars=2, clauses=[[1, -2]], var_map={"A": 1, "B": 2})
+        cnf = CnfFormula(num_vars=2, clauses=flat_clauses([[1, -2]]), var_map={"A": 1, "B": 2})
         sink = io.BytesIO()
         write_dimacs(cnf, sink)
         text = sink.getvalue().decode()
@@ -479,14 +502,14 @@ class TestDimacs:
         from kconfex.prop import CnfFormula
 
         sink = io.BytesIO()
-        write_dimacs(CnfFormula(num_vars=2, clauses=[(), [2, -1], (1,)], var_map={}), sink)
+        write_dimacs(CnfFormula(num_vars=2, clauses=flat_clauses([(), [2, -1], (1,)]), var_map={}), sink)
         assert sink.getvalue().decode().splitlines() == ["p cnf 2 3", "0", "2 -1 0", "1 0"]
 
     def test_header_only(self):
         from kconfex.prop import CnfFormula
 
         sink = io.BytesIO()
-        write_dimacs(CnfFormula(num_vars=3, clauses=[], var_map={}), sink)
+        write_dimacs(CnfFormula(num_vars=3, clauses=flat_clauses([]), var_map={}), sink)
         assert sink.getvalue().decode().splitlines() == ["p cnf 3 0"]
 
     def test_round_trip(self):
@@ -496,7 +519,11 @@ class TestDimacs:
         back = parse_dimacs(io.BytesIO(sink.getvalue()))
         assert back.num_vars == cnf.num_vars
         assert list(back.clauses) == list(cnf.clauses)
-        assert back.var_map == cnf.var_map
+        assert back.var_map == {**cnf.var_map, **auxiliary_names(cnf)}
+        assert back.aux_definitions == ()
+        again = io.BytesIO()
+        write_dimacs(back, again)
+        assert again.getvalue() == sink.getvalue()
 
     def test_random_round_trip(self):
         rng = random.Random(19)
@@ -513,11 +540,14 @@ class TestDimacs:
             elif case == 2:
                 clauses.append(tuple(rng.choice((1, -1)) * rng.randrange(1, num_vars + 1) for _ in range(3001)))
             names = rng.sample(range(1, num_vars + 1), rng.randrange(num_vars + 1))
-            cnf = CnfFormula(num_vars, clauses, {f"V{idx}": idx for idx in names})
+            cnf = CnfFormula(num_vars, flat_clauses(clauses), {f"V{idx}": idx for idx in names})
             sink = io.BytesIO()
             write_dimacs(cnf, sink)
             back = parse_dimacs(io.BytesIO(sink.getvalue()))
             assert back == cnf
+            again = io.BytesIO()
+            write_dimacs(back, again)
+            assert again.getvalue() == sink.getvalue()
             assert list(back.clauses) == clauses
             assert len(back.clauses) == len(clauses)
 
@@ -632,8 +662,8 @@ class TestDimacs:
                 for _ in range(count)
             ]
             names = {f"V{k}": k % 50 + 1 for k in range(count)}
-            cnfs.append(CnfFormula(num_vars=50, clauses=clauses, var_map=names))
-        assert cnfs[0].var_map.auxiliaries > chunk and len(cnfs[0].clauses) > 4 * chunk
+            cnfs.append(CnfFormula(num_vars=50, clauses=flat_clauses(clauses), var_map=names))
+        assert len(cnfs[0].aux_definitions) > chunk and len(cnfs[0].clauses) > 4 * chunk
         for cnf in cnfs:
             writes = []
             write_dimacs(cnf, SimpleNamespace(write=writes.append))

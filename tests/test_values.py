@@ -47,6 +47,7 @@ from kconfex.prop import (
     FALSE,
     TRUE,
     AndF,
+    Clauses,
     CnfFormula,
     ConstraintSet,
     Iff,
@@ -185,8 +186,8 @@ CASES = {
     ),
     "CnfFormula": (
         CnfFormula,
-        dict(num_vars=2, clauses=[(1, -2)], var_map={"A": 1, "B": 2}),
-        dict(clauses=[(1, 2)]),
+        dict(num_vars=2, clauses=Clauses([1, -2], [2]), var_map={"A": 1, "B": 2}),
+        dict(clauses=Clauses([1, 2], [2])),
         None,
         "CnfFormula(num_vars=2, clauses=[(1, -2)], var_map={'A': 1, 'B': 2}, aux_definitions=())",
     ),
@@ -289,7 +290,7 @@ def test_mutable_defaults_are_not_shared():
     assert one.variable_order is not two.variable_order
     # The default auxiliary definitions are an empty tuple: immutable, so
     # safe to share.
-    assert CnfFormula(0, [], {}).aux_definitions == ()
+    assert CnfFormula(0, Clauses([], []), {}).aux_definitions == ()
 
 
 def test_empty_variable_name_raises():
