@@ -57,6 +57,15 @@ def numbered_lines(source: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+class UnwritableValue(KconfexError):
+    """A string value that a ``.config`` file cannot hold: it has a line
+    break, where the reader would split it."""
+
+    def __init__(self, name: str, value: str):
+        super().__init__(f"CONFIG_{name}: string value {value!r} holds a line break")
+        self.name = name
+
+
 class InvalidModulesSwitch(KconfexError):
     """A model's modules switch is not one of its bool options."""
 

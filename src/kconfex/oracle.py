@@ -29,10 +29,9 @@ comparison meaningful.
 from __future__ import annotations
 
 import os
-import subprocess
 from typing import NamedTuple
 
-from .errors import FormatError, NonConvergence, ProcessError, numbered_lines
+from .errors import FormatError, NonConvergence, ProcessError, UnwritableValue, numbered_lines
 from .kconfig import (
     ChoiceBlock,
     ConfigItem,
@@ -478,7 +477,10 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
 
     Lines appear in model declaration order; options the model does not
     declare and unset non-boolean options produce no line.  String values
-    are quoted, int and hex values written bare.
+    are quoted, int and hex values written bare.  A string value with a
+    character where ``str.splitlines`` breaks a line, which
+    :func:`parse_dotconfig` could not read back, raises
+    :class:`UnwritableValue` naming the option.
     """
     lines = []
     for item in model.items:
@@ -491,6 +493,9 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
         elif value is None:
             continue
         elif item.type is OptionType.STRING:
+            # With an "x" appended, a break at the end splits off a line too.
+            if len((value + "x").splitlines()) > 1:
+                raise UnwritableValue(name, value)
             lines.append(f'CONFIG_{name}="{_escape(value)}"')
         else:
             lines.append(f"CONFIG_{name}={value}")
@@ -548,6 +553,10 @@ def external_conf_oracle(
     whether a select overrode an option's dependencies, which conf reports
     with its "unmet direct dependencies" warning.
     """
+    # Imported here: the builtin oracle never starts a process, and the
+    # module pulls in several others.
+    import subprocess
+
     config_path = os.path.join(workdir, ".config.kconfex")
     with open(config_path, "w", encoding="utf-8") as sink:
         write_dotconfig(cfg, sink, model)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import gc
+from array import array
 from itertools import islice
 from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -363,8 +364,11 @@ class _Renderer:
     the use site adds the parentheses its own level needs, against the
     node's level in ``_LEVELS``.  A negation is not kept: its text is ``!``
     and its operand's text, built again at each use, which costs no more
-    than its share of the output.  The caller keeps every rendered node
-    alive while the renderer is in use, so no id is reused.
+    than its share of the output.  Nor is a root, a node rendered at parent
+    level 0: its line already holds the text.  A root that recurs inside
+    another formula is kept from its first inner use, so the cost stays
+    linear.  The caller keeps every rendered node alive while the renderer
+    is in use, so no id is reused.
     """
 
     __slots__ = ("done",)
@@ -384,7 +388,9 @@ class _Renderer:
         key = id(node)
         text = self.done.get(key)
         if text is None:
-            text = self.done[key] = self._compound(node)
+            text = self._compound(node)
+            if parent:
+                self.done[key] = text
         return f"({text})" if parent > _LEVELS[kind] else text
 
     def _compound(self, node: PropFormula) -> str:
@@ -443,16 +449,17 @@ class ConstraintSet(Record):
 
 
 class Clauses(Record):
-    """The clauses of a :class:`CnfFormula`, stored flat: ``literals`` holds
-    every clause's literals one clause after another, ``sizes`` each
-    clause's length, in order.  No object is kept per clause.  It reads as a
+    """The clauses of a :class:`CnfFormula`, stored flat as C ints:
+    ``literals`` is an ``array("i")`` of every clause's literals one clause
+    after another, ``sizes`` an ``array("i")`` of each clause's length, in
+    order.  No object is kept per clause or per literal.  It reads as a
     sequence of clauses: ``len`` counts them and iteration yields each as a
     tuple of ints; it equals another :class:`Clauses` with the same clauses.
     """
 
     __slots__ = _fields = ("literals", "sizes")
 
-    def __init__(self, literals: list[int], sizes: list[int]) -> None:
+    def __init__(self, literals: array, sizes: array) -> None:
         self.literals = literals
         self.sizes = sizes
 
@@ -505,6 +512,13 @@ class CnfFormula(Record):
         self.aux_definitions = aux_definitions
 
 
+# Runs of clause sizes that ``tseitin_cnf`` appends whole: ``_TWO * n`` for
+# a gate's n binary clauses, and those of an Implies and an Iff gate.
+_TWO = array("i", [2])
+_IMPLIES_SIZES = array("i", [3, 2, 2])
+_IFF_SIZES = array("i", [3, 3, 3, 3])
+
+
 @_gc_paused
 def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     """Convert to CNF with one auxiliary variable per distinct gate: an And,
@@ -525,15 +539,16 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     an original of such a name raises :class:`ValueError`.
     ``aux_definitions`` is a tuple in auxiliary order.  Duplicate literals
     are dropped from a clause, first occurrence kept, and tautological
-    clauses are left out.  The clauses go straight into the flat lists of a
-    :class:`Clauses`, with no object per clause.  The cost is linear in the
-    number of distinct node objects and the total length of the clauses.
+    clauses are left out.  The clauses go straight into the two
+    ``array("i")`` of a :class:`Clauses`, each gate's literals converted
+    to C ints in one ``fromlist`` call, with no object per clause.  The
+    cost is linear in the number of distinct node objects and the total
+    length of the clauses.
     """
     names: dict[str, int] = {}
     # The int object of each variable (``positive``) and of its negation
-    # (``negative``), by variable.  Each literal in the clauses is one of
-    # these, so the literal list shares them instead of holding a copy of
-    # the same number each time.
+    # (``negative``), by variable.  The gate keys below hold these rather
+    # than a copy of the same number each time.
     positive: list[int] = [0]
     negative: list[int] = [0]
 
@@ -545,9 +560,10 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
     originals = len(names)
     get = names.get
 
-    literals: list[int] = []
-    sizes: list[int] = []
-    extend = literals.extend
+    literals = array("i")
+    sizes = array("i")
+    fromlist = literals.fromlist
+    extend_sizes = sizes.extend
     aux_definitions: list[PropFormula] = []
     by_id: dict[int, int] = {}  # id of a compound node -> its literal
     # Per operator: operand literals -> auxiliary.  The keys hold only ints,
@@ -561,14 +577,14 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
         for lit in distinct:
             if -lit in distinct:
                 return
-        extend(distinct)
+        fromlist(list(distinct))
         sizes.append(len(distinct))
 
     def literal(node: PropFormula) -> int:
         # Returns a literal equisatisfiable with the node, defining auxiliary
         # variables (with both polarities) for compound nodes.  A variable
-        # operand is looked up in place rather than by a call; a missing one
-        # falls through to ``literal``, which raises.
+        # operand, or a negated one, is looked up in place rather than by a
+        # call; a missing one falls through to ``literal``, which raises.
         op = type(node)
         if op is Var:
             try:
@@ -591,7 +607,18 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
             operands = (node.antecedent, node.consequent)
         else:
             operands = (node.left, node.right)
-        lits = tuple([(type(o) is Var and get(o.name)) or literal(o) for o in operands])
+        lits = []
+        for o in operands:
+            kind = type(o)
+            if kind is Var:
+                lit = get(o.name)
+            elif kind is NotF and type(o.operand) is Var:
+                lit = get(o.operand.name)
+                lit = lit and negative[lit]
+            else:
+                lit = None
+            lits.append(lit or literal(o))
+        lits = tuple(lits)
         g = table.get(lits)
         if g is None:
             g = table[lits] = originals + len(aux_definitions) + 1
@@ -604,10 +631,14 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
             # and one operand literal never holds a repeat or a complementary
             # pair.  A longer clause can only when two operand literals name
             # the same variable; only then does it go through ``add``.
-            plain = len(set(map(abs, lits))) == len(lits)
+            n = len(lits)
+            if n == 2:
+                a, b = lits
+                plain = a != b and a != -b
+            else:
+                plain = len(set(map(abs, lits))) == n
             if op is AndF or op is OrF:
                 # One binary clause per operand, then the long clause.
-                n = len(lits)
                 if op is AndF:
                     pairs = [ng] * (2 * n)
                     pairs[1::2] = lits
@@ -616,29 +647,30 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
                     pairs = [g] * (2 * n)
                     pairs[::2] = negated
                     long = [ng, *lits]
-                extend(pairs)
-                sizes.extend([2] * n)
+                extend_sizes(_TWO * n)
                 if plain:
-                    extend(long)
+                    pairs += long
+                    fromlist(pairs)
                     sizes.append(n + 1)
                 else:
+                    fromlist(pairs)
                     add(long)
             elif op is Implies:
                 a, b = lits
                 na, nb = negated
                 if plain:
-                    extend((ng, na, b, g, a, g, nb))
-                    sizes.extend((3, 2, 2))
+                    fromlist([ng, na, b, g, a, g, nb])
+                    extend_sizes(_IMPLIES_SIZES)
                 else:
                     add([ng, na, b])
-                    extend((g, a, g, nb))
-                    sizes.extend((2, 2))
+                    fromlist([g, a, g, nb])
+                    extend_sizes(_TWO * 2)
             else:
                 a, b = lits
                 na, nb = negated
                 if plain:
-                    extend((ng, na, b, ng, a, nb, g, a, b, g, na, nb))
-                    sizes.extend((3, 3, 3, 3))
+                    fromlist([ng, na, b, ng, a, nb, g, a, b, g, na, nb])
+                    extend_sizes(_IFF_SIZES)
                 else:
                     add([ng, na, b])
                     add([ng, a, nb])
@@ -673,6 +705,9 @@ def tseitin_cnf(f: PropFormula, var_order: Iterable[str]) -> CnfFormula:
 # Lines per write in ``write_dimacs``.
 _CHUNK_LINES = 4096
 
+# The most variables a CNF can have: its literals are C ints.
+_MAX_VARS = 2**31 - 1
+
 
 def _name_lines(cnf: CnfFormula) -> Iterator[str]:
     """The ``c <index> <name>`` lines of ``cnf``, ``_CHUNK_LINES`` at a
@@ -699,8 +734,9 @@ def write_dimacs(cnf: CnfFormula, sink: IO[bytes]) -> None:
     """Emit DIMACS: name comments, the ``p cnf`` header, one clause per line.
 
     Byte-deterministic; LF endings, single spaces.  The name lines and then
-    the clause lines go to ``sink`` ``_CHUNK_LINES`` at a time, so no copy
-    of the whole output is held.
+    the clause lines go to ``sink`` ``_CHUNK_LINES`` at a time, each chunk
+    formatted from slices of the clause arrays, so no copy of the whole
+    output is held.
     """
     write = sink.write
     for text in _name_lines(cnf):
@@ -724,15 +760,17 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
     """Inverse of :func:`write_dimacs`; clauses come back in file order.
 
     A ``c <index> <name>`` line names a variable.  The source is read line
-    by line.  Raises :class:`FormatError` with the line number on a line
-    that is not UTF-8, a malformed or repeated header, a negative count, an
-    index named twice or out of the declared range, a name given two
-    indices, and a malformed clause.
+    by line, and the clauses go into the ``array("i")`` of a
+    :class:`Clauses`.  Raises :class:`FormatError` with the line number on a
+    line that is not UTF-8, a malformed or repeated header, a negative
+    count, a variable count above ``_MAX_VARS`` (a literal must fit a C
+    int), an index named twice or out of the declared range, a name given
+    two indices, and a malformed clause.
     """
     var_map: dict[str, int] = {}
     name_lines: dict[int, int] = {}  # index -> line that named it
-    literals: list[int] = []
-    sizes: list[int] = []
+    literals = array("i")
+    sizes = array("i")
     num_vars: int | None = None
     declared_clauses = 0
     for lineno, raw in numbered_lines(source):
@@ -763,6 +801,8 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
                 raise FormatError("malformed DIMACS header", lineno) from None
             if num_vars < 0 or declared_clauses < 0:
                 raise FormatError("negative count in DIMACS header", lineno)
+            if num_vars > _MAX_VARS:
+                raise FormatError(f"variable count above {_MAX_VARS}", lineno)
             continue
         if num_vars is None:
             raise FormatError("clause before DIMACS header", lineno)
@@ -776,7 +816,7 @@ def parse_dimacs(source: IO[bytes]) -> CnfFormula:
             raise FormatError("literal 0 inside clause", lineno)
         if any(abs(lit) > num_vars for lit in lits):
             raise FormatError("literal exceeds declared variable count", lineno)
-        literals.extend(lits)
+        literals.fromlist(lits)
         sizes.append(len(lits))
     if num_vars is None:
         raise FormatError("missing DIMACS header", 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Iterable
 
@@ -172,10 +173,10 @@ def large_chain_text(options):
 
 
 def flat_clauses(clauses: Iterable[Iterable[int]]) -> Clauses:
-    """``clauses`` in the flat layout of a CNF: their literals one clause
-    after another, and each clause's length."""
-    literals: list[int] = []
-    sizes: list[int] = []
+    """``clauses`` in the flat layout of a CNF: an ``array("i")`` of their
+    literals one clause after another, and one of each clause's length."""
+    literals = array("i")
+    sizes = array("i")
     for clause in clauses:
         before = len(literals)
         literals.extend(clause)

@@ -20,7 +20,7 @@ from kconfex.difftest import (
     check_model,
     generate_model_text,
 )
-from kconfex.errors import EvalError, FormatError, NonConvergence, ProcessError
+from kconfex.errors import EvalError, FormatError, NonConvergence, ProcessError, UnwritableValue
 from kconfex.kconfig import (
     ConfigItem,
     Default,
@@ -440,6 +440,22 @@ class TestDotConfig:
         write_dotconfig({"S": value}, sink, model)
         assert sink.getvalue() == line + "\n"
         assert parse_dotconfig(io.StringIO(sink.getvalue())) == {"S": value}
+
+    @pytest.mark.parametrize(
+        "value",
+        ["a\nb", "a\rb", "\r\n", "a\vb", "a\fb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b", "a\n"],
+        ids=["lf", "cr", "crlf", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps", "lf-at-end"],
+    )
+    def test_string_value_with_a_line_break_is_refused(self, value):
+        """``parse_dotconfig`` splits lines where ``str.splitlines`` does, so
+        it could not read such a value back."""
+        model = _model('config A\n\tbool "a"\nconfig S\n\tstring "s"\n')
+        sink = io.StringIO()
+        with pytest.raises(UnwritableValue) as info:
+            write_dotconfig({"A": Tri.Y, "S": value}, sink, model)
+        assert isinstance(info.value, kconfex.KconfexError)
+        assert info.value.name == "S" and str(info.value).startswith("CONFIG_S: ")
+        assert sink.getvalue() == ""
 
     def test_backslash_reads_as_the_character_after_it(self):
         # The final backslash has no character after it and stays.

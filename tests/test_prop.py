@@ -1,5 +1,6 @@
 import ast
 import gc
+from array import array
 import io
 import itertools
 import random
@@ -16,6 +17,7 @@ from kconfex.kconfig import parse_model
 from kconfex.prop import (
     _Const,
     _gc_paused,
+    _Renderer,
     FALSE,
     TRUE,
     AndF,
@@ -525,6 +527,20 @@ class TestDimacs:
         write_dimacs(back, again)
         assert again.getvalue() == sink.getvalue()
 
+    def test_clauses_are_c_int_arrays(self):
+        cnf = tseitin_cnf(or_(A, and_(B, not_(NP))), ["A", "B", "NOPROMPT"])
+        sink = io.BytesIO()
+        write_dimacs(cnf, sink)
+        back = parse_dimacs(io.BytesIO(sink.getvalue()))
+        for clauses in (cnf.clauses, back.clauses):
+            assert type(clauses.literals) is array and clauses.literals.typecode == "i"
+            assert type(clauses.sizes) is array and clauses.sizes.typecode == "i"
+        assert back.clauses == cnf.clauses
+
+    def test_largest_variable_count_reads(self):
+        back = parse_dimacs(io.BytesIO(b"p cnf 2147483647 1\n-2147483647 0\n"))
+        assert (back.num_vars, list(back.clauses)) == (2147483647, [(-2147483647,)])
+
     def test_random_round_trip(self):
         rng = random.Random(19)
         for case in range(40):
@@ -608,6 +624,7 @@ class TestDimacs:
             (b"p cnf 1 1\n1 2 0\n", "literal exceeds declared variable count", 2),
             (b"c 1 A\n", "missing DIMACS header", 1),
             (b"p cnf 1 2\n1 0\n", "declared 2 clauses, found 1", 1),
+            (b"c 1 A\np cnf 2147483648 1\n2147483648 0\n", "variable count above 2147483647", 2),
         ],
         ids=[
             "count-not-an-int",
@@ -617,6 +634,7 @@ class TestDimacs:
             "literal-above-count",
             "no-header",
             "clause-count",
+            "count-above-c-int",
         ],
     )
     def test_malformed_input_message(self, text, message, line):
@@ -713,8 +731,16 @@ class TestMemory:
         cnf, kept, _ = self._traced(lambda: tseitin_cnf(formula, chain.variable_order))
         assert len(cnf.aux_definitions) == 11676
         # 344 bytes per auxiliary with a name string and two dict entries
-        # for each, and 210 with none.
-        assert kept / len(cnf.aux_definitions) < 280
+        # for each, 210 with none, and 87 with the clauses in C-int arrays
+        # rather than lists of int objects.
+        assert kept / len(cnf.aux_definitions) < 120
+
+    def test_model_text_peaks_below_eight_times_its_output(self, chain):
+        text, _, peak = self._traced(chain.model_text)
+        assert len(text) == 336829
+        # 9.27 times the output when the memo kept each root's text too,
+        # and 6.83 times it without.
+        assert peak < 8 * len(text)
 
     def test_dimacs_writer_holds_less_than_it_writes(self, chain):
         cnf = tseitin_cnf(chain.conjunction(), chain.variable_order)
@@ -761,6 +787,22 @@ class TestFormulaText:
             "A | B => !(A | B) <=> NOPROMPT & (A | B)",
         ]
         assert [formula_text(root) for root in roots] == [tree_text(root) for root in roots]
+        assert cs.model_text() == tree_model_text(cs)
+
+    def test_root_text_is_not_kept(self):
+        # ``shared`` is a root of its own and recurs inside two later roots
+        # (and inside an earlier one): the memo keeps it from its first
+        # inner use, and every line still reads as the tree renderer's.
+        shared = or_(A, and_(B, NP))
+        roots = [shared, and_(NP, shared), implies(shared, NP), shared, iff(not_(shared), A)]
+        cs = ConstraintSet([Constraint(root, f"root{k}") for k, root in enumerate(roots)])
+        renderer = _Renderer()
+        first = renderer.render(shared, 0)
+        assert id(shared) not in renderer.done and id(shared.operands[1]) in renderer.done
+        lines = [renderer.render(root, 0) for root in roots]
+        assert lines == [tree_text(root) for root in roots] and lines[0] == first
+        assert id(shared) in renderer.done
+        assert not {id(root) for root in roots[1:3] + roots[4:]} & renderer.done.keys()
         assert cs.model_text() == tree_model_text(cs)
 
     def test_corpus_model_text_matches_tree_renderer(self):

@@ -1,8 +1,9 @@
 """Value semantics of the package's record classes.
 
 Importing the package must not load ``dataclasses`` (creating its classes
-was most of the import's cost) or ``concurrent.futures`` (only a parallel
-corpus run needs it).
+was most of the import's cost), ``concurrent.futures`` (only a parallel
+corpus run needs it) or ``subprocess`` (only the external ``conf`` oracle
+starts a process).
 
 Every class below is an immutable value (equal and hash-equal by its
 compared fields, assignment raises) or a mutable record (equal by its
@@ -13,6 +14,7 @@ classes; ``UnsupportedComparison`` messages embed it and reach reports.
 
 import copy
 import pickle
+from array import array
 import subprocess
 import sys
 from pathlib import Path
@@ -186,8 +188,8 @@ CASES = {
     ),
     "CnfFormula": (
         CnfFormula,
-        dict(num_vars=2, clauses=Clauses([1, -2], [2]), var_map={"A": 1, "B": 2}),
-        dict(clauses=Clauses([1, 2], [2])),
+        dict(num_vars=2, clauses=Clauses(array("i", [1, -2]), array("i", [2])), var_map={"A": 1, "B": 2}),
+        dict(clauses=Clauses(array("i", [1, 2]), array("i", [2]))),
         None,
         "CnfFormula(num_vars=2, clauses=[(1, -2)], var_map={'A': 1, 'B': 2}, aux_definitions=())",
     ),
@@ -290,7 +292,7 @@ def test_mutable_defaults_are_not_shared():
     assert one.variable_order is not two.variable_order
     # The default auxiliary definitions are an empty tuple: immutable, so
     # safe to share.
-    assert CnfFormula(0, Clauses([], []), {}).aux_definitions == ()
+    assert CnfFormula(0, Clauses(array("i"), array("i")), {}).aux_definitions == ()
 
 
 def test_empty_variable_name_raises():
@@ -338,7 +340,7 @@ def test_import_loads_neither_dataclasses_nor_concurrent_futures():
     src = str(Path(kconfex.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import kconfex, kconfex.cli; "
-        "print([m for m in ('dataclasses', 'concurrent.futures') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'concurrent.futures', 'subprocess') if m in sys.modules])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
