@@ -15,7 +15,6 @@ else is a FAILURE.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -28,7 +27,7 @@ from .errors import KconfexError, TooManyOptions
 from .kconfig import KconfigModel, OptionType, parse_model, validate_model
 from .oracle import repair_space
 from .prop import ConstraintSet, Record, evaluate_mask
-from .tri import Columns, Configuration, Tri
+from .tri import Columns, Configuration, Tri, row_config
 
 __all__ = [
     "DEFAULT_MAX_OPTIONS",
@@ -49,54 +48,26 @@ DEFAULT_MAX_OPTIONS = 10
 # Enumeration and boolean images
 
 
-class _Space(NamedTuple):
-    """The enumeration axes of a model: the enumerated options in declaration
-    order, each with the values it ranges over, and the rows they span.
-
-    Row k is a mixed-radix number, the last axis its lowest digit, so an
-    axis's value number j holds on runs of ``stride`` rows starting at
-    ``j * stride`` within every period of ``stride * len(axis)`` rows.
-    ``columns`` holds those rows per option and value, ``ones`` one bit per
-    row.
-    """
-
-    names: list[str]
-    axes: list[list]
-    notes: list[str]
-    dom: dict[str, list[str]]
-    columns: Columns
-    ones: int
-
-    def configs(self) -> list[Configuration]:
-        return [dict(zip(self.names, combo)) for combo in itertools.product(*self.axes)]
-
-    def config(self, k: int) -> Configuration:
-        digits = []
-        for axis in reversed(self.axes):
-            k, j = divmod(k, len(axis))
-            digits.append(axis[j])
-        return dict(zip(self.names, reversed(digits)))
+# An oracle maps a model and its enumerated rows (per-option columns and the
+# mask of all rows) to two row masks: the rows it finds valid and the rows
+# where a select overrode an option's dependencies.
+Oracle = Callable[[KconfigModel, Columns, int], tuple[int, int]]
 
 
-# An oracle maps a model and its enumerated rows to two row masks: the rows it
-# finds valid and the rows where a select overrode an option's dependencies.
-Oracle = Callable[[KconfigModel, _Space], tuple[int, int]]
-
-
-def builtin_oracle(model: KconfigModel, space: _Space) -> tuple[int, int]:
+def builtin_oracle(model: KconfigModel, columns: Columns, ones: int) -> tuple[int, int]:
     """The reference configurator, repairing every row at once."""
-    outcome = repair_space(model, space.columns, space.ones)
-    return space.ones ^ outcome.changed, outcome.select_override_fired
+    outcome = repair_space(model, columns, ones)
+    return ones ^ outcome.changed, outcome.select_override_fired
 
 
 def row_oracle(verdict: Callable[[KconfigModel, Configuration], tuple[bool, bool]]) -> Oracle:
     """An oracle asking ``verdict`` for (valid, select override fired) one
     configuration at a time, in row order."""
 
-    def oracle(model: KconfigModel, space: _Space) -> tuple[int, int]:
+    def oracle(model: KconfigModel, columns: Columns, ones: int) -> tuple[int, int]:
         valid = override = 0
-        for k, cfg in enumerate(space.configs()):
-            ok, fired = verdict(model, cfg)
+        for k in range(ones.bit_length()):
+            ok, fired = verdict(model, row_config(columns, k))
             valid |= ok << k
             override |= fired << k
         return valid, override
@@ -104,8 +75,9 @@ def row_oracle(verdict: Callable[[KconfigModel, Configuration], tuple[bool, bool
     return oracle
 
 
-def _enumerate(model: KconfigModel, max_options: int) -> _Space:
-    """The configurations of a small model, in deterministic order.
+def _enumerate(model: KconfigModel, max_options: int) -> tuple[Columns, int, list[str]]:
+    """The configurations of a small model as rows: per option and value the
+    rows holding it, the mask of all rows, and notes on skipped options.
 
     Options enumerate in declaration order, the last declared option varying
     fastest; bool options range over n,y, tristate over n,m,y, and valued
@@ -115,28 +87,25 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
     if len(model.items) > max_options:
         raise TooManyOptions(len(model.items), max_options)
     dom = collect_numeric_values(model)
-    names: list[str] = []
-    axes: list[list] = []
+    axes: dict[str, list] = {}
     notes: list[str] = []
     for item in model.items:
         if item.type is OptionType.BOOL:
-            names.append(item.name)
-            axes.append([Tri.N, Tri.Y])
+            axes[item.name] = [Tri.N, Tri.Y]
         elif item.type is OptionType.TRISTATE:
-            names.append(item.name)
-            axes.append([Tri.N, Tri.M, Tri.Y])
+            axes[item.name] = [Tri.N, Tri.M, Tri.Y]
+        elif dom[item.name]:
+            axes[item.name] = dom[item.name]
         else:
-            domain = dom[item.name]
-            if domain:
-                names.append(item.name)
-                axes.append(list(domain))
-            else:
-                notes.append(f"{item.name}: no known values, skipped in enumeration")
-    rows = math.prod(len(axis) for axis in axes)
+            notes.append(f"{item.name}: no known values, skipped in enumeration")
+    rows = math.prod(len(axis) for axis in axes.values())
     ones = (1 << rows) - 1
     columns: Columns = {}
     stride = rows
-    for name, axis in zip(names, axes):
+    for name, axis in axes.items():
+        # Row k is a mixed-radix number, the last option its lowest digit:
+        # value j holds on runs of ``stride`` rows starting at ``j * stride``
+        # within every period of ``stride * len(axis)`` rows.
         period, stride = stride, stride // len(axis)
         # Value 0's rows: one run per period, copied over the next periods by
         # doubling; value j's are the same rows shifted by j runs.
@@ -145,25 +114,25 @@ def _enumerate(model: KconfigModel, max_options: int) -> _Space:
             first |= first << width
             width *= 2
         columns[name] = {value: (first << (j * stride)) & ones for j, value in enumerate(axis)}
-    return _Space(names, axes, notes, dom, columns, ones)
+    return columns, ones, notes
 
 
-def _masks(model: KconfigModel, space: _Space) -> tuple[dict[str, int], int]:
+def _masks(model: KconfigModel, columns: Columns) -> dict[str, int]:
     """The boolean images of all enumerated configurations at once, read off
     the enumeration's columns: bit k of ``masks[v]`` is the value of variable
     ``v`` in configuration k (``O``: O is y, ``O_MODULE``: O is m, ``O_EQ_v``:
-    O holds v); ``ones`` has one bit per configuration."""
+    O holds v).  A valued option's column holds exactly its harvested values;
+    one without any has no column and no variable."""
     masks: dict[str, int] = {}
     for item in model.items:
+        column = columns.get(item.name, {})
         if item.is_boolish:
-            column = space.columns[item.name]
             masks[item.name] = column[Tri.Y]
             masks[item.name + "_MODULE"] = column.get(Tri.M, 0)
         else:
-            column = space.columns.get(item.name, {})
-            for value in space.dom[item.name]:
-                masks[f"{item.name}_EQ_{value}"] = column.get(value, 0)
-    return masks, space.ones
+            for value, rows in column.items():
+                masks[f"{item.name}_EQ_{value}"] = rows
+    return masks
 
 
 # --------------------------------------------------------------------------
@@ -248,9 +217,9 @@ def check_model(
     started = time.perf_counter()
     if constraints is None:
         constraints = translate(model)
-    space = _enumerate(model, max_options)
-    valid, override = oracle(model, space)
-    masks, ones = _masks(model, space)
+    columns, ones, notes = _enumerate(model, max_options)
+    valid, override = oracle(model, columns, ones)
+    masks = _masks(model, columns)
     holds = [evaluate_mask(c.formula, masks, ones) for c in constraints]
     verdict = ones
     for rows in holds:
@@ -260,7 +229,7 @@ def check_model(
     while disagree:
         row = disagree & -disagree
         disagree ^= row
-        cfg = space.config(row.bit_length() - 1)
+        cfg = row_config(columns, row.bit_length() - 1)
         oracle_verdict = bool(valid & row)
         if oracle_verdict and override & row:
             classification = "KNOWN-LIMITATION"
@@ -277,7 +246,7 @@ def check_model(
         config_count=ones.bit_length(),
         mismatches=mismatches,
         millis=millis,
-        notes=space.notes,
+        notes=notes,
     )
 
 

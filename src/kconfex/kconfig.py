@@ -1057,7 +1057,7 @@ def _value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
         choice = model.choice_of(it)
         if choice is not None:
             reads |= choice_reads[it.declared_in_choice]
-        if model.modules_option is not None and (
+        if model.modules_option not in (None, it.name) and (
             it.type is OptionType.TRISTATE
             or (choice is not None and choice.type is OptionType.TRISTATE)
         ):

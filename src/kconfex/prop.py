@@ -26,7 +26,6 @@ __all__ = [
     "OrF",
     "Implies",
     "Iff",
-    "var",
     "not_",
     "and_",
     "or_",
@@ -219,10 +218,6 @@ class Iff(PropFormula):
 # --------------------------------------------------------------------------
 # Folding constructors.  Constant subformulas never survive construction,
 # which keeps emitted constraints small and makes CNF conversion simpler.
-
-
-def var(name: str) -> PropFormula:
-    return Var(name)
 
 
 def not_(f: PropFormula) -> PropFormula:

@@ -48,6 +48,7 @@ __all__ = [
     "TriRows",
     "RowValues",
     "single_row",
+    "row_config",
 ]
 
 
@@ -316,3 +317,13 @@ class RowValues:
 def single_row(cfg: Configuration) -> Columns:
     """The columns of the one row ``cfg``."""
     return {name: {value: 1} for name, value in cfg.items()}
+
+
+def row_config(columns: Columns, k: int) -> Configuration:
+    """Row k of ``columns`` as a configuration, the inverse of
+    :func:`single_row`: each option, in the columns' order, with the value
+    whose rows include row k."""
+    bit = 1 << k
+    return {
+        name: value for name, column in columns.items() for value, rows in column.items() if rows & bit
+    }

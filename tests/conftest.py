@@ -43,7 +43,7 @@ from kconfex.prop import (
     _Renderer,
     evaluate_mask,
 )
-from kconfex.tri import Configuration, RowValues, Tri, single_row
+from kconfex.tri import Configuration, RowValues, Tri, row_config, single_row
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -118,8 +118,16 @@ def model_counts(model, constraints=None):
         constraints = translate(model)
     masks, ones = assignment_masks(constraints.variable_order)
     models = evaluate_mask(constraints.conjunction(), masks, ones)
-    valid, _ = builtin_oracle(model, _enumerate(model, DEFAULT_MAX_OPTIONS))
+    columns, rows, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    valid, _ = builtin_oracle(model, columns, rows)
     return models.bit_count(), valid.bit_count()
+
+
+def enumerated_configs(model):
+    """The enumerated rows of ``model`` and their configurations, in row
+    order: ``(columns, ones, configs)``."""
+    columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    return columns, ones, [row_config(columns, k) for k in range(ones.bit_length())]
 
 
 def tree_text(f, parent=0):

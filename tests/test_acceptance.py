@@ -41,13 +41,13 @@ from kconfex.oracle import repair
 from kconfex.prop import (
     FALSE,
     ConstraintSet,
+    Var,
     evaluate_mask,
     implies,
     not_,
     or_,
     and_,
     tseitin_cnf,
-    var,
 )
 from kconfex.tri import RowValues, Tri
 
@@ -57,6 +57,7 @@ from conftest import (
     assignment_masks,
     auxiliary_names,
     corpus_models,
+    enumerated_configs,
     equivalent,
     eval_expr,
     model_counts,
@@ -84,19 +85,19 @@ def test_criterion_1_golden_choice_golden(tmp_path, capsys):
     clock = Stopwatch(1.0)
     model = parse_model(NOPROMPT_CHOICE_SOURCE, "golden_choice")
 
-    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-    valid_rows, _ = builtin_oracle(model, space)
-    assert space.ones == 0xFF
+    columns, ones, configs = enumerated_configs(model)
+    valid_rows, _ = builtin_oracle(model, columns, ones)
+    assert ones == 0xFF
     valid = {
-        frozenset(k for k, v in space.config(row).items() if v is Tri.Y)
-        for row in range(8)
+        frozenset(k for k, v in cfg.items() if v is Tri.Y)
+        for row, cfg in enumerate(configs)
         if valid_rows >> row & 1
     }
     assert valid == {frozenset({"A", "NOPROMPT"}), frozenset({"B", "NOPROMPT"})}
 
     conjunction = translate(model).conjunction()
-    bool_only = and_(*(not_(var(name + "_MODULE")) for name in ("A", "B", "NOPROMPT")))
-    a, b, npt = var("A"), var("B"), var("NOPROMPT")
+    bool_only = and_(*(not_(Var(name + "_MODULE")) for name in ("A", "B", "NOPROMPT")))
+    a, b, npt = Var("A"), Var("B"), Var("NOPROMPT")
     reference = and_(npt, or_(and_(a, not_(b)), and_(not_(a), b)))
     assert equivalent(and_(bool_only, conjunction), and_(bool_only, reference))
 
@@ -132,9 +133,9 @@ def test_criterion_3_pair_encoding_correspondence():
         "pairs",
     )
     dom = collect_numeric_values(model)
-    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-    masks, ones = _masks(model, space)
-    values = RowValues(model, space.columns, ones)
+    columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    masks = _masks(model, columns)
+    values = RowValues(model, columns, ones)
     assert ones.bit_length() == 27
     rng = random.Random(20140401)
     syms = ["A", "B", "C"]
@@ -175,13 +176,13 @@ def test_criterion_4_encoding_rule_spot_checks():
         "dep",
     )
     (dep,) = [c.formula for c in translate(dep_model) if c.provenance == "A:depends"]
-    expected = implies(var("A"), or_(not_(or_(var("B"), var("B_MODULE"))), var("C")))
+    expected = implies(Var("A"), or_(not_(or_(Var("B"), Var("B_MODULE"))), Var("C")))
     assert equivalent(dep, expected)
 
     num_model = parse_model('config N\n\tint "n"\nconfig G\n\tbool "g"\n\tdepends on N <= 5\n', "num")
     leq = encode_expr(num_model.item("G").depends, Translation(num_model, {"N": ["0", "5", "100"]}))
     assert leq.f_m is FALSE
-    assert equivalent(leq.f_y, or_(var("N_EQ_0"), var("N_EQ_5")))
+    assert equivalent(leq.f_y, or_(Var("N_EQ_0"), Var("N_EQ_5")))
 
     inv_model = parse_model(
         'config P\n\tbool "p"\nconfig C\n\tbool "c"\n'
@@ -189,8 +190,8 @@ def test_criterion_4_encoding_rule_spot_checks():
         "inv",
     )
     (rule,) = [c.formula for c in translate(inv_model) if c.provenance == "O:default[0]"]
-    bool_only = and_(*(not_(var(n + "_MODULE")) for n in ("P", "C", "O")))
-    expected = implies(not_(var("P")), implies(var("C"), var("O")))
+    bool_only = and_(*(not_(Var(n + "_MODULE")) for n in ("P", "C", "O")))
+    expected = implies(not_(Var("P")), implies(Var("C"), Var("O")))
     assert equivalent(and_(bool_only, rule), and_(bool_only, expected))
 
     elapsed = clock.check("criterion 4")
@@ -296,7 +297,7 @@ def test_criterion_8_cross_strategy():
 def test_criterion_9_oracle_idempotence():
     clock = Stopwatch(30.0)
     for name, model in corpus_models():
-        for cfg in _enumerate(model, DEFAULT_MAX_OPTIONS).configs():
+        for cfg in enumerated_configs(model)[2]:
             outcome = repair(model, cfg)
             again = repair(model, outcome.repaired)
             assert not again.changed, (name, cfg)
@@ -337,10 +338,9 @@ def test_criterion_10_external_conf(corpus_dir, tmp_path):
     for name in compatible:
         path = corpus_dir / name
         model = parse_model(path.read_text(), name)
-        space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-        valid, _ = builtin_oracle(model, space)
-        for row in range(space.ones.bit_length()):
-            cfg = space.config(row)
+        columns, ones, configs = enumerated_configs(model)
+        valid, _ = builtin_oracle(model, columns, ones)
+        for row, cfg in enumerate(configs):
             external, _ = external_conf_oracle(conf, str(path), cfg, str(tmp_path), model)
             assert bool(valid >> row & 1) == external, (name, cfg)
     report("10 external-conf", 0.0)

@@ -17,13 +17,13 @@ from kconfex.difftest import (
     generate_model_text,
     run_corpus,
 )
-from kconfex.encode import translate
+from kconfex.encode import collect_numeric_values, translate
 from kconfex.errors import ParseError, TooManyOptions, UnsupportedComparison
-from kconfex.kconfig import parse_model, validate_model
+from kconfex.kconfig import OptionType, parse_model, validate_model
 from kconfex.prop import ConstraintSet
-from kconfex.tri import Tri
+from kconfex.tri import Tri, row_config, single_row
 
-from conftest import BOUND_MODEL_SOURCE, corpus_models, model_counts
+from conftest import BOUND_MODEL_SOURCE, corpus_models, enumerated_configs, model_counts
 
 
 def _model(text):
@@ -32,14 +32,14 @@ def _model(text):
 
 def _oracle_rows(model):
     """The enumerated configurations, each with the builtin oracle's verdict."""
-    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-    valid, _ = builtin_oracle(model, space)
-    return [(space.config(k), bool(valid >> k & 1)) for k in range(space.ones.bit_length())]
+    columns, ones, configs = enumerated_configs(model)
+    valid, _ = builtin_oracle(model, columns, ones)
+    return [(cfg, bool(valid >> k & 1)) for k, cfg in enumerate(configs)]
 
 
 class TestEnumerate:
     def test_noprompt_choice_count_and_rows(self, noprompt_choice_model):
-        configs = _enumerate(noprompt_choice_model, DEFAULT_MAX_OPTIONS).configs()
+        _, _, configs = enumerated_configs(noprompt_choice_model)
         assert len(configs) == 8
         assert configs[0] == {"A": Tri.N, "B": Tri.N, "NOPROMPT": Tri.N}
         assert configs[-1] == {"A": Tri.Y, "B": Tri.Y, "NOPROMPT": Tri.Y}
@@ -47,14 +47,14 @@ class TestEnumerate:
 
     def test_single_tristate(self):
         model = _model('config T\n\ttristate "t"\n')
-        assert len(_enumerate(model, DEFAULT_MAX_OPTIONS).configs()) == 3
+        assert _enumerate(model, DEFAULT_MAX_OPTIONS)[1] == 0b111
 
     def test_mixed_domain_product(self):
         model = _model(
             'config A\n\tbool "a"\nconfig B\n\tbool "b"\nconfig T\n\ttristate "t"\n'
             'config N\n\tint "n"\n\tdefault 0\n\tdefault 5\n\tdefault 100\n'
         )
-        assert len(_enumerate(model, DEFAULT_MAX_OPTIONS).configs()) == 2 * 2 * 3 * 3
+        assert _enumerate(model, DEFAULT_MAX_OPTIONS)[1].bit_length() == 2 * 2 * 3 * 3
 
     def test_bound(self):
         text = "".join(f'config O{i}\n\tbool "o"\n' for i in range(11))
@@ -63,7 +63,7 @@ class TestEnumerate:
 
     def test_skipped_empty_domain(self):
         model = _model('config N\n\tint "n"\nconfig A\n\tbool "a"\n')
-        configs = _enumerate(model, DEFAULT_MAX_OPTIONS).configs()
+        _, _, configs = enumerated_configs(model)
         assert len(configs) == 2
         assert all("N" not in c for c in configs)
 
@@ -253,9 +253,9 @@ class TestEmbed:
 
     @staticmethod
     def _image(model, cfg):
-        space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-        masks, _ = _masks(model, space)
-        (k,) = [k for k in range(space.ones.bit_length()) if space.config(k) == cfg]
+        columns, _, configs = enumerated_configs(model)
+        masks = _masks(model, columns)
+        (k,) = [k for k, row in enumerate(configs) if row == cfg]
         return {v: bool(rows >> k & 1) for v, rows in masks.items()}
 
     def test_tristate_pair_image(self):
@@ -279,10 +279,10 @@ class TestMasks:
         ]
         valued = 0
         for name, model in models:
-            space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-            masks, ones = _masks(model, space)
-            configs = space.configs()
+            columns, ones, configs = enumerated_configs(model)
+            masks = _masks(model, columns)
             assert ones == (1 << len(configs)) - 1, name
+            dom = collect_numeric_values(model)
             for k, cfg in enumerate(configs):
                 image = {}
                 for item in model.items:
@@ -291,7 +291,7 @@ class TestMasks:
                         image[item.name] = value is Tri.Y
                         image[item.name + "_MODULE"] = value is Tri.M
                     else:
-                        for known in space.dom[item.name]:
+                        for known in dom[item.name]:
                             image[f"{item.name}_EQ_{known}"] = value == known
                 assert {v: bool(rows >> k & 1) for v, rows in masks.items()} == image, (name, cfg)
             valued += sum("_EQ_" in v for v in masks)
@@ -299,34 +299,56 @@ class TestMasks:
 
     def test_columns_match_configs(self):
         """Bit k of ``columns[name][value]`` is set exactly when configuration
-        k of ``configs()`` holds ``value``; on every corpus model, generated
-        seeds 0-99 and the bound model."""
+        k holds ``value``, and ``row_config`` decodes row k to configuration
+        k; on every corpus model, generated seeds 0-99 and the bound model.
+        Configuration k is the k-th of ``itertools.product`` over the
+        options' values in declaration order: bool n,y, tristate n,m,y, and
+        a valued option its harvested values, if it has any."""
         models = corpus_models() + [
             (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
             for seed in range(100)
         ]
         models.append(("bound", parse_model(BOUND_MODEL_SOURCE, "bound")))
         for name, model in models:
-            space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-            configs = space.configs()
+            dom = collect_numeric_values(model)
+            axes = {}
+            for item in model.items:
+                if item.type is OptionType.BOOL:
+                    axes[item.name] = [Tri.N, Tri.Y]
+                elif item.type is OptionType.TRISTATE:
+                    axes[item.name] = [Tri.N, Tri.M, Tri.Y]
+                elif dom[item.name]:
+                    axes[item.name] = dom[item.name]
+            configs = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
             expected = {
                 option: {
                     value: int("".join("01"[cfg[option] == value] for cfg in reversed(configs)), 2)
                     for value in axis
                 }
-                for option, axis in zip(space.names, space.axes)
+                for option, axis in axes.items()
             }
-            assert space.columns == expected, name
+            columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            assert ones == (1 << len(configs)) - 1, name
+            assert columns == expected, name
+            assert [row_config(columns, k) for k in range(len(configs))] == configs, name
+
+    def test_decoder_inverts_single_row(self):
+        """``row_config(single_row(cfg), 0) == cfg`` on every enumerated row
+        of the corpus, the order of the options included."""
+        for name, model in corpus_models():
+            for cfg in enumerated_configs(model)[2]:
+                decoded = row_config(single_row(cfg), 0)
+                assert list(decoded.items()) == list(cfg.items()), (name, cfg)
 
     def test_skipped_and_never_true_variables(self):
         model = _model(
             'config N\n\tint "n"\nconfig A\n\tbool "a"\n'
             'config S\n\tstring "s"\n\tdefault "x"\n\tdefault "y"\n'
         )
-        space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-        masks, ones = _masks(model, space)
+        columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+        masks = _masks(model, columns)
         # N has no known value: skipped in enumeration, no variable of its own.
-        assert space.names == ["A", "S"]
+        assert list(columns) == ["A", "S"]
         assert masks == {
             "A": 0b1100,
             "A_MODULE": 0,

@@ -56,7 +56,6 @@ from kconfex.prop import (
     not_,
     or_,
     tseitin_cnf,
-    var,
     write_dimacs,
 )
 from kconfex.tri import Tri
@@ -110,14 +109,14 @@ class TestEncodeExpr:
         # B='n' || C='y' has the y-part !(B | B_MODULE) | C
         e = Or(Eq(Sym("B"), Literal("n")), Eq(Sym("C"), Literal("y")))
         enc = encode_expr(e, Translation(THREE_TRISTATES, EMPTY_DOM))
-        expected = or_(not_(or_(var("B"), var("B_MODULE"))), var("C"))
+        expected = or_(not_(or_(Var("B"), Var("B_MODULE"))), Var("C"))
         assert equivalent(enc.f_y, expected)
         assert enc.f_m is FALSE
 
     def test_bool_symbol_has_false_m(self):
         model = _model('config X\n\tbool "x"\n')
         enc = encode_expr(Sym("X"), Translation(model, collect_numeric_values(model)))
-        assert enc.f_y == var("X")
+        assert enc.f_y == Var("X")
         assert enc.f_m is FALSE
 
     def test_and_matches_min_semantics(self):
@@ -210,7 +209,7 @@ class TestNumericConstraint:
 
     def test_leq_over_known_values(self):
         f = self._encode("N <= 5")
-        assert equivalent(f, or_(var("N_EQ_0"), var("N_EQ_5")))
+        assert equivalent(f, or_(Var("N_EQ_0"), Var("N_EQ_5")))
 
     def test_unsatisfiable_comparison(self):
         assert self._encode("N < 0") is FALSE
@@ -237,7 +236,7 @@ class TestEncodeOption:
         cs = translate(model)
         (dep,) = [c.formula for c in cs if c.provenance == "A:depends"]
         expected = implies(
-            var("A"), or_(not_(or_(var("B"), var("B_MODULE"))), var("C"))
+            Var("A"), or_(not_(or_(Var("B"), Var("B_MODULE"))), Var("C"))
         )
         assert equivalent(dep, expected)
 
@@ -248,15 +247,15 @@ class TestEncodeOption:
         )
         cs = translate(model)
         (d0,) = [c.formula for c in cs if c.provenance == "O:default[0]"]
-        bool_only = and_(*(not_(var(n + "_MODULE")) for n in ("P", "C", "O")))
-        expected = implies(not_(var("P")), implies(var("C"), var("O")))
+        bool_only = and_(*(not_(Var(n + "_MODULE")) for n in ("P", "C", "O")))
+        expected = implies(not_(Var("P")), implies(Var("C"), Var("O")))
         assert equivalent(and_(bool_only, d0), and_(bool_only, expected))
 
     def test_unconstrained_bool_emits_only_module_shape(self):
         model = _model('config O\n\tbool "o"\n')
         cs = translate(model)
         assert [c.provenance for c in cs] == ["O:bool-no-module"]
-        assert equivalent(cs.conjunction(), not_(var("O_MODULE")))
+        assert equivalent(cs.conjunction(), not_(Var("O_MODULE")))
 
     def test_tristate_mutual_exclusion(self):
         model = _model('config T\n\ttristate "t"\n')
@@ -580,7 +579,7 @@ def test_failing_builders_leave_the_collector_enabled():
         parse_model('config A\n\tbool "a"\n\tdepends on &&\n')
     assert gc.isenabled()
     with pytest.raises(MissingVariable):
-        tseitin_cnf(and_(var("A"), var("B")), ["A"])
+        tseitin_cnf(and_(Var("A"), Var("B")), ["A"])
     assert gc.isenabled()
 
 
@@ -688,7 +687,7 @@ def test_extract_builders_promote_nothing_with_the_collector_off():
     "call, error",
     [
         (lambda: parse_model('config A\n\tbool "a"\n\tdepends on &&\n'), ParseError),
-        (lambda: tseitin_cnf(and_(var("A"), var("B")), ["A"]), MissingVariable),
+        (lambda: tseitin_cnf(and_(Var("A"), Var("B")), ["A"]), MissingVariable),
     ],
     ids=["parse_model", "tseitin_cnf"],
 )

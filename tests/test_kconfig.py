@@ -707,7 +707,7 @@ def _ref_value_dependency_edges(model):
                 reads |= declared(p.condition)
             for d in choice.defaults:
                 reads |= declared(d.condition)
-        if model.modules_option is not None and (
+        if model.modules_option not in (None, it.name) and (
             it.type is OptionType.TRISTATE
             or (choice is not None and choice.type is OptionType.TRISTATE)
         ):
@@ -789,12 +789,27 @@ def _planted_cycle_model(seed):
     return parse_model("\n".join(lines) + "\n", f"cycles-{seed}")
 
 
+# A bool modules switch inside a tristate choice; the second model adds a
+# bool member and a tristate that depends on a member.
+SWITCH_IN_TRISTATE_CHOICE = (
+    'choice\n\ttristate "c"\nconfig M\n\tbool "m"\n\toption modules\n'
+    'config T\n\ttristate "t"\nendchoice\n'
+)
+SWITCH_IN_WIDER_CHOICE = (
+    'choice\n\ttristate "c"\nconfig M\n\tbool "m"\n\toption modules\n'
+    'config T\n\ttristate "t"\nconfig U\n\tbool "u"\nendchoice\n'
+    'config X\n\ttristate "x"\n\tdepends on T\n'
+)
+
+
 class TestValueDependencies:
     def _models(self):
         yield from (model for _, model in corpus_models())
         for seed in range(300):
             yield parse_model(generate_model_text(seed), f"gen-{seed}")
         yield parse_model(CHOICE_WITH_CONDITIONS, "choice")
+        yield parse_model(SWITCH_IN_TRISTATE_CHOICE, "switch")
+        yield parse_model(SWITCH_IN_WIDER_CHOICE, "switch-wider")
 
     def test_edges_match_the_reference(self):
         for model in self._models():
@@ -819,6 +834,20 @@ class TestValueDependencies:
         assert edges["C1"] == {"C2", "P", "Q", "D", "S", "MODULES"} - {"C2"}
         assert edges["C2"] == {"S", "P", "Q", "D", "MODULES"}
         assert edges["C3"] == {"P", "Q", "D", "S", "MODULES"}
+
+    @pytest.mark.parametrize(
+        "text, configs",
+        [(SWITCH_IN_TRISTATE_CHOICE, 6), (SWITCH_IN_WIDER_CHOICE, 36)],
+        ids=["switch", "switch-wider"],
+    )
+    def test_switch_in_a_tristate_choice_reads_no_switch(self, text, configs):
+        """The switch does not read itself; the choice step still re-runs when
+        it changes, as a choice step reads its members."""
+        model = parse_model(text, "switch")
+        assert "M" not in value_dependency_edges(model)["M"]
+        assert [d for d in validate_model(model) if d.severity == "error"] == []
+        report = check_model(model)
+        assert (report.config_count, report.failures) == (configs, [])
 
     def test_planted_cycles_match_the_recursive_search(self):
         found = 0

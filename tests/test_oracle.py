@@ -17,8 +17,10 @@ from kconfex.cli import _make_oracle, main
 from kconfex.difftest import (
     DEFAULT_MAX_OPTIONS,
     _enumerate,
+    builtin_oracle,
     check_model,
     generate_model_text,
+    row_oracle,
 )
 from kconfex.errors import EvalError, FormatError, NonConvergence, ProcessError, UnwritableValue
 from kconfex.kconfig import (
@@ -41,9 +43,9 @@ from kconfex.oracle import (
     repair_space,
     write_dotconfig,
 )
-from kconfex.tri import Tri
+from kconfex.tri import Tri, row_config
 
-from conftest import BOUND_MODEL_SOURCE, CORPUS_DIR, corpus_models
+from conftest import BOUND_MODEL_SOURCE, CORPUS_DIR, corpus_models, enumerated_configs
 
 REPAIR_DIGEST = Path(__file__).resolve().parent / "repair_digest.json"
 
@@ -63,9 +65,9 @@ def _repair_digests() -> dict[str, str]:
     ]
     digests = {}
     for name, model in models:
-        space, whole = _whole_space(model)
+        _, ones, whole = _whole_space(model)
         sha = hashlib.sha256()
-        for k in range(space.ones.bit_length()):
+        for k in range(ones.bit_length()):
             repaired = sorted(
                 (n, v.label if isinstance(v, Tri) else v)
                 for n, v in whole.repaired.config(k).items()
@@ -166,8 +168,8 @@ class TestRepair:
 
 
 def _whole_space(model):
-    space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-    return space, repair_space(model, space.columns, space.ones)
+    columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    return columns, ones, repair_space(model, columns, ones)
 
 
 class TestRepairSpace:
@@ -180,14 +182,36 @@ class TestRepairSpace:
             for seed in range(100)
         ]
         for name, model in models:
-            space, whole = _whole_space(model)
-            for k, cfg in enumerate(space.configs()):
+            columns, ones, whole = _whole_space(model)
+            for k in range(ones.bit_length()):
+                cfg = row_config(columns, k)
                 one = repair(model, cfg)
                 assert one.repaired == whole.repaired.config(k), (name, cfg)
                 assert one.changed == bool(whole.changed >> k & 1), (name, cfg)
                 assert one.select_override_fired == bool(
                     whole.select_override_fired >> k & 1
                 ), (name, cfg)
+
+    def test_row_oracle_of_one_row_repairs_equals_builtin(self):
+        """``row_oracle`` asking the one-row repair for each decoded row gives
+        the builtin oracle's valid and override masks, on every corpus model
+        and generated seeds 0-99."""
+
+        def verdict(model, cfg):
+            outcome = repair(model, cfg)
+            return not outcome.changed, outcome.select_override_fired
+
+        models = corpus_models() + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        overridden = 0
+        for name, model in models:
+            columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            expected = builtin_oracle(model, columns, ones)
+            assert row_oracle(verdict)(model, columns, ones) == expected, name
+            overridden += bool(expected[1])
+        assert overridden > 0
 
     def test_empty_configuration(self, noprompt_choice_model):
         outcome = repair(noprompt_choice_model, {})
@@ -248,7 +272,7 @@ class TestRepairSpace:
             "config D\n\tbool\n\tdefault y if T < 5\n"
             "config C\n\tbool\n\tdefault y\n"
         )
-        first, second = _enumerate(model, DEFAULT_MAX_OPTIONS).configs()[:2]
+        first, second = enumerated_configs(model)[2][:2]
         with pytest.raises(EvalError, match="'tb'"):
             repair(model, first)
         with pytest.raises(EvalError, match="'sa'"):
@@ -271,8 +295,8 @@ class TestRepairSpace:
             for seed in range(100)
         ]
         for name, model in models:
-            space, whole = _whole_space(model)
-            values, ones = whole.repaired, space.ones
+            _, ones, whole = _whole_space(model)
+            values = whole.repaired
             assert values.ones == ones, name
             for item in model.items:
                 option = (name, item.name)

@@ -37,7 +37,6 @@ from kconfex.prop import (
     or_,
     parse_dimacs,
     tseitin_cnf,
-    var,
     write_dimacs,
 )
 
@@ -57,7 +56,7 @@ from conftest import (
     tree_text,
 )
 
-A, B, NP = var("A"), var("B"), var("NOPROMPT")
+A, B, NP = Var("A"), Var("B"), Var("NOPROMPT")
 GOLDEN = and_(NP, or_(and_(A, not_(B)), and_(not_(A), B)))
 
 GOLDEN_VALID_ROWS = [
@@ -123,7 +122,7 @@ class TestEquivalent:
             assert equivalent(f, g) == equivalent(g, f)
 
     def test_variable_bound(self):
-        wide = or_(*(var(f"v{i}") for i in range(25)))
+        wide = or_(*(Var(f"v{i}") for i in range(25)))
         with pytest.raises(TooManyVariables):
             equivalent(wide, TRUE)
 
@@ -140,7 +139,7 @@ class TestMaskEvaluation:
             if built[depth] and rng.random() < 0.2:
                 return rng.choice(built[depth])
             if depth == 0 or rng.random() < 0.2:
-                return var(rng.choice(names))
+                return Var(rng.choice(names))
             op = rng.randrange(5)
             if op == 0:
                 f = not_(gen(depth - 1))
@@ -232,8 +231,8 @@ def tree_vars(f):
 
 class TestFormulaVars:
     def test_shared_subtree_keeps_tree_order(self):
-        shared = or_(var("C"), and_(var("D"), not_(A)))
-        f = and_(implies(B, shared), iff(shared, var("E")), or_(var("F"), not_(shared)), A)
+        shared = or_(Var("C"), and_(Var("D"), not_(A)))
+        f = and_(implies(B, shared), iff(shared, Var("E")), or_(Var("F"), not_(shared)), A)
         assert f.operands[0].consequent is f.operands[1].left is f.operands[2].operands[1].operand
         assert formula_vars(f) == tree_vars(f) == ["B", "C", "D", "A", "E", "F"]
 
@@ -245,9 +244,9 @@ class TestFormulaVars:
     def test_doubling_dag(self):
         # Each level refers to the one below twice: about 2**17 tree
         # positions, 33 distinct nodes.
-        f = var("BASE")
+        f = Var("BASE")
         for k in range(16):
-            f = implies(f, iff(f, var(f"V{k}")))
+            f = implies(f, iff(f, Var(f"V{k}")))
         assert formula_vars(f) == tree_vars(f) == ["BASE"] + [f"V{k}" for k in range(16)]
         cnf = tseitin_cnf(f, formula_vars(f))
         assert len(cnf.aux_definitions) == 32
@@ -296,7 +295,7 @@ class TestTseitin:
 
         def gen(depth):
             if depth == 0 or rng.random() < 0.3:
-                return var(rng.choice(names))
+                return Var(rng.choice(names))
             op = rng.randrange(5)
             kids = [gen(depth - 1), gen(depth - 1)]
             return [not_(kids[0]), and_(*kids), or_(*kids), implies(*kids), iff(*kids)][op]
@@ -305,7 +304,7 @@ class TestTseitin:
             self._assert_assignment_preserving(gen(3))
 
     def test_long_conjunction(self):
-        f = and_(*(var(f"V{i}") for i in range(3000)))
+        f = and_(*(Var(f"V{i}") for i in range(3000)))
         cnf = tseitin_cnf(f, formula_vars(f))
         assert len(cnf.aux_definitions) == 1
         assert cnf.num_vars == 3001
@@ -316,7 +315,7 @@ class TestTseitin:
         assert clauses[3001] == (3001,)
 
     def test_tautological_long_disjunction_has_no_clause(self):
-        f = or_(*(var(f"V{i}") for i in range(3000)), not_(var("V0")))
+        f = or_(*(Var(f"V{i}") for i in range(3000)), not_(Var("V0")))
         cnf = tseitin_cnf(f, formula_vars(f))
         g = cnf.num_vars
         # one binary clause per operand, the root unit, and no defining clause
@@ -324,7 +323,7 @@ class TestTseitin:
 
     def test_duplicate_literals_keep_first_occurrence(self):
         names = [f"V{i}" for i in range(2000)]
-        operands = [var(n) for n in names + names[::-1]] + [not_(var("W"))]
+        operands = [Var(n) for n in names + names[::-1]] + [not_(Var("W"))]
         cnf = tseitin_cnf(or_(*operands), names + ["W"])
         g = cnf.num_vars
         w = cnf.var_map["W"]
@@ -362,7 +361,7 @@ class TestTseitin:
     # auxiliary, 3.  The gate's auxiliary is the next index.  The clauses of
     # a gate whose operand literals repeat a variable drop a repeated literal
     # (first occurrence kept) and leave out a tautology.
-    C = var("C")
+    C = Var("C")
     X = OrF((B, C))
     X_CLAUSES = [(-1, 3), (-2, 3), (-3, 1, 2)]
 
@@ -405,7 +404,7 @@ class TestTseitin:
         # and B<i> are 2i+1 and 2i+2; the disjunctions get 6001..9000 and
         # the root 9001, the order in which their literals are first needed.
         n = 3000
-        f = and_(*[or_(var(f"A{i}"), var(f"B{i}")) for i in range(n)])
+        f = and_(*[or_(Var(f"A{i}"), Var(f"B{i}")) for i in range(n)])
         order = [name for i in range(n) for name in (f"A{i}", f"B{i}")]
         gc.collect()
         gc.disable()
@@ -428,7 +427,7 @@ class TestTseitin:
 
     def test_variable_with_an_auxiliary_name_raises(self):
         with pytest.raises(ValueError, match="__aux0"):
-            tseitin_cnf(and_(var("__aux0"), or_(A, B)), ["__aux0", "A", "B"])
+            tseitin_cnf(and_(Var("__aux0"), or_(A, B)), ["__aux0", "A", "B"])
 
     def test_var_map_is_the_dict_of_the_originals(self):
         f = and_(or_(A, B), iff(A, NP), implies(B, or_(A, B)))
@@ -462,7 +461,7 @@ class TestTseitin:
         ids=["zero-0", "zero-1", "negative", "no-digits", "arabic-indic", "past-the-last", "5000-digits"],
     )
     def test_variable_named_like_no_auxiliary_is_kept(self, name):
-        cnf = tseitin_cnf(and_(var(name), or_(A, B)), [name, "A", "B"])
+        cnf = tseitin_cnf(and_(Var(name), or_(A, B)), [name, "A", "B"])
         assert cnf.var_map == {name: 1, "A": 2, "B": 3} and len(cnf.aux_definitions) == 2
         sink = io.BytesIO()
         write_dimacs(cnf, sink)
@@ -671,7 +670,7 @@ class TestDimacs:
         chunk = kconfex.prop._CHUNK_LINES
         cnfs = []
         for n in (chunk + 100, chunk // 2):
-            f = and_(*[or_(var(f"A{i}"), not_(var(f"B{i}"))) for i in range(n)])
+            f = and_(*[or_(Var(f"A{i}"), not_(Var(f"B{i}"))) for i in range(n)])
             cnfs.append(tseitin_cnf(f, [name for i in range(n) for name in (f"A{i}", f"B{i}")]))
         rng = random.Random(5)
         for count in (2 * chunk, 3 * chunk + 17):

@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from kconfex.difftest import DEFAULT_MAX_OPTIONS, _enumerate
 from kconfex.errors import EvalError
 from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Prompt, Sym, parse_model
 from kconfex.tri import RowValues, Tri, single_row
 
-from conftest import corpus_models, eval_expr
+from conftest import corpus_models, enumerated_configs, eval_expr
 
 ALL = (Tri.N, Tri.M, Tri.Y)
 
@@ -173,23 +172,23 @@ class TestWholeSpaceVisibility:
     P_Q = _model('config P\n\ttristate "p"\nconfig Q\n\ttristate "q"\n')
 
     def _rows(self):
-        space = _enumerate(self.P_Q, DEFAULT_MAX_OPTIONS)
-        return space, RowValues(self.P_Q, space.columns, space.ones)
+        columns, ones, configs = enumerated_configs(self.P_Q)
+        return ones, configs, RowValues(self.P_Q, columns, ones)
 
     def test_unconditional_prompt_is_the_dependency_value(self):
-        space, values = self._rows()
-        depends = values.tri(Q, space.ones)
-        assert depends != (space.ones, space.ones) and depends != (0, 0)
-        assert values.visibility((Prompt("i"),), depends, space.ones) == depends
+        ones, _, values = self._rows()
+        depends = values.tri(Q, ones)
+        assert depends != (ones, ones) and depends != (0, 0)
+        assert values.visibility((Prompt("i"),), depends, ones) == depends
 
     @pytest.mark.parametrize("conditional_first", [True, False])
     def test_unconditional_beside_conditional_is_the_maximum(self, conditional_first):
-        space, values = self._rows()
+        ones, configs, values = self._rows()
         prompts = (Prompt("i", Sym("P")), Prompt("i"))
         if not conditional_first:
             prompts = prompts[::-1]
-        ge, y = values.visibility(prompts, values.tri(Q, space.ones), space.ones)
-        for k, cfg in enumerate(space.configs()):
+        ge, y = values.visibility(prompts, values.tri(Q, ones), ones)
+        for k, cfg in enumerate(configs):
             p, q = cfg["P"].value, cfg["Q"].value
             assert Tri((ge >> k & 1) + (y >> k & 1)) == Tri(max(min(p, q), q)), cfg
 
@@ -198,12 +197,12 @@ class TestWholeSpaceVisibility:
         one-row visibility in configuration k."""
         checked = 0
         for name, model in corpus_models():
-            space = _enumerate(model, DEFAULT_MAX_OPTIONS)
-            values = RowValues(model, space.columns, space.ones)
+            columns, ones, configs = enumerated_configs(model)
+            values = RowValues(model, columns, ones)
             for item in model.items:
-                depends = values.tri(model.effective_depends(item), space.ones)
-                ge, y = values.visibility(item.prompts, depends, space.ones)
-                for k, cfg in enumerate(space.configs()):
+                depends = values.tri(model.effective_depends(item), ones)
+                ge, y = values.visibility(item.prompts, depends, ones)
+                for k, cfg in enumerate(configs):
                     expected = _visibility(item, cfg, model)
                     assert Tri((ge >> k & 1) + (y >> k & 1)) is expected, (name, item.name, cfg)
                     checked += 1
