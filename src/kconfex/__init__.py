@@ -4,7 +4,7 @@ brute-force reference configurator and a differential-testing harness."""
 from .errors import KconfexError
 from .kconfig import KconfigModel, parse_model, validate_model
 from .encode import translate
-from .oracle import repair
+from .oracle import repair_space
 from .difftest import check_model, run_corpus
 
 __all__ = [
@@ -13,7 +13,7 @@ __all__ = [
     "parse_model",
     "validate_model",
     "translate",
-    "repair",
+    "repair_space",
     "check_model",
     "run_corpus",
 ]

@@ -59,12 +59,8 @@ def _output(path: str, mode: str = "w"):
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.file)
-        constraints = translate(model)
-    except KconfexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    model = _load_model(args.file)
+    constraints = translate(model)
     if args.model_out:
         with _output(args.model_out) as sink:
             sink.write(constraints.model_text())
@@ -87,6 +83,8 @@ def _make_oracle(selector: str, model_file: str):
         return builtin_oracle, None
     if selector.startswith("exec:"):
         conf_path = selector[len("exec:") :]
+        if not conf_path:
+            raise KconfexError(f"oracle {selector!r} names no configurator (use 'exec:<path>')")
         workdir = tempfile.mkdtemp(prefix="kconfex-conf-")
 
         def verdict(model, cfg):
@@ -105,9 +103,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     except TooManyOptions as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except KconfexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     finally:
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -149,12 +144,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.file)
-        constraints = translate(model)
-    except KconfexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    model = _load_model(args.file)
+    constraints = translate(model)
     cnf = tseitin_cnf(constraints.conjunction(), constraints.variable_order)
     print(f"options: {len(model.items)}")
     print(f"choices: {len(model.choices)}")

@@ -17,8 +17,10 @@ every row gets the result, the select-override flag and the ``MAX_PASSES``
 limit of its own repair.  After the first pass, a pass re-runs only the steps
 that read an option written since their last run: the others would write
 nothing (see :class:`_Repair`), so each pass changes the same rows as one
-that re-runs every step.  A configuration's verdict is whether its final
-values differ from its initial ones.  :func:`repair` is the one-row case.
+that re-runs every step.  The repair takes the rows as per-option columns
+and returns the final values as columns of the same shape, and a
+configuration's verdict is whether its final values differ from its initial
+ones.
 
 This module deliberately shares nothing with the encoder beyond the
 declaration model (which owns the numeric-literal format) and the
@@ -46,10 +48,9 @@ from .kconfig import (
     parse_number,
     value_dependency_edges,
 )
-from .tri import Columns, Configuration, ConfigValue, RowValues, Tri, TriRows, single_row
+from .tri import Columns, Configuration, ConfigValue, RowValues, Tri, TriRows
 
 __all__ = [
-    "repair",
     "repair_space",
     "write_dotconfig",
     "parse_dotconfig",
@@ -59,18 +60,13 @@ __all__ = [
 MAX_PASSES = 32
 
 
-class RepairOutcome(NamedTuple):
-    repaired: Configuration
-    changed: bool
-    select_override_fired: bool
-
-
 class SpaceRepair(NamedTuple):
-    """The repair of every row: the final values, and the row masks of the
-    rows it changed and of the rows where a select overrode an option's
-    dependencies."""
+    """The repair of every row: the final values as columns in the shape
+    :func:`repair_space` takes (see :meth:`RowValues.columns`), and the row
+    masks of the rows it changed and of the rows where a select overrode an
+    option's dependencies."""
 
-    repaired: RowValues
+    repaired: Columns
     changed: int
     select_override_fired: int
 
@@ -431,7 +427,6 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
     ``MAX_PASSES`` passes.
     """
     values = RowValues(model, columns, ones)
-    initial = values.snapshot()
     state = _Repair(model, values)
     for _ in range(MAX_PASSES):
         if not state.one_pass():
@@ -443,25 +438,13 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
         row = failing & -failing
         errors = (exc for rows, exc in values.errors if rows & row)
         raise next(errors, NonConvergence(model.source_name, MAX_PASSES))
-    return SpaceRepair(
-        repaired=values,
-        changed=values.rows_differing(initial),
-        select_override_fired=state.override,
-    )
-
-
-def repair(model: KconfigModel, cfg: Configuration) -> RepairOutcome:
-    """Repair one configuration, the one-row case of :func:`repair_space`.
-
-    Options missing from ``cfg`` read as n, or as unset; the repaired
-    configuration holds them once the repair writes a value that differs.
-    """
-    outcome = repair_space(model, single_row(cfg), 1)
-    return RepairOutcome(
-        repaired={**cfg, **outcome.repaired.config(0)},
-        changed=bool(outcome.changed),
-        select_override_fired=bool(outcome.select_override_fired),
-    )
+    repaired = values.columns()
+    changed = 0  # the rows where some option's value, or whether it is held, moved
+    for item in model.items:
+        before, after = columns.get(item.name, {}), repaired.get(item.name, {})
+        for value in before.keys() | after.keys():
+            changed |= before.get(value, 0) ^ after.get(value, 0)
+    return SpaceRepair(repaired, changed, state.override)
 
 
 # --------------------------------------------------------------------------

@@ -47,7 +47,6 @@ __all__ = [
     "Columns",
     "TriRows",
     "RowValues",
-    "single_row",
     "row_config",
 ]
 
@@ -140,7 +139,8 @@ class RowValues:
 
     ``ones`` is ``2**n - 1`` for n rows; a column mask with a bit outside it
     raises :class:`ValueError`, as the complements rely on every mask lying
-    inside ``ones``.
+    inside ``ones``, and so does a row in two masks of one column.
+    :meth:`columns` gives the values back in the shape they were given.
     """
 
     __slots__ = ("model", "ones", "ge", "y", "values", "present", "errors")
@@ -162,6 +162,8 @@ class RowValues:
             for value, rows in column.items():
                 if rows < 0 or rows.bit_length() > width:
                     raise ValueError(f"{item.name} holds {value!r} outside the {width} rows")
+                if rows & present:
+                    raise ValueError(f"{item.name} holds {value!r} on a row holding another of its values")
                 present |= rows
             self.present[item.name] = present
             if item.is_boolish:
@@ -174,46 +176,24 @@ class RowValues:
                 part[None] = part.get(None, 0) | (ones ^ present)
                 self.values[item.name] = {value: rows for value, rows in part.items() if rows}
 
-    def config(self, k: int) -> Configuration:
-        """Row k as a configuration of the options it holds."""
-        bit = 1 << k
-        cfg: Configuration = {}
+    def columns(self) -> Columns:
+        """The values in the shape they were given: per option, in
+        declaration order, the rows of each value it holds on some row.  A
+        row whose configuration does not hold the option is in none of them,
+        and an option no row holds has no column."""
+        columns: Columns = {}
         for item in self.model.items:
             name = item.name
-            if not self.present[name] & bit:
+            present = self.present[name]
+            if not present:
                 continue
             if name in self.ge:
-                cfg[name] = Tri(bool(self.ge[name] & bit) + bool(self.y[name] & bit))
+                ge, y = self.ge[name], self.y[name]
+                column = {Tri.N: present ^ ge, Tri.M: ge ^ y, Tri.Y: y}
             else:
-                cfg[name] = next(v for v, rows in self.values[name].items() if rows & bit)
-        return cfg
-
-    def snapshot(self) -> RowValues:
-        """A copy of the values now, without the errors.  The option dicts
-        are copied, but not the ``{value: rows}`` parts they hold: a writer
-        must replace an option's part rather than mutate it, as the repair
-        does, for the copy to keep the old values."""
-        copy = RowValues.__new__(RowValues)
-        copy.model, copy.ones, copy.errors = self.model, self.ones, []
-        copy.ge, copy.y = dict(self.ge), dict(self.y)
-        copy.values, copy.present = dict(self.values), dict(self.present)
-        return copy
-
-    def rows_differing(self, other: RowValues) -> int:
-        """The rows on which some option's value, or whether the row holds
-        it, differs from ``other``."""
-        diff = 0
-        for name, present in self.present.items():
-            diff |= present ^ other.present[name]
-        for name, ge in self.ge.items():
-            diff |= (ge ^ other.ge[name]) | (self.y[name] ^ other.y[name])
-        for name, part in self.values.items():
-            theirs = other.values[name]
-            same = 0
-            for value, rows in part.items():
-                same |= rows & theirs.get(value, 0)
-            diff |= self.ones ^ same
-        return diff
+                column = {value: rows & present for value, rows in self.values[name].items()}
+            columns[name] = {value: rows for value, rows in column.items() if rows}
+        return columns
 
     # ---- evaluation
 
@@ -314,15 +294,9 @@ class RowValues:
         return holds
 
 
-def single_row(cfg: Configuration) -> Columns:
-    """The columns of the one row ``cfg``."""
-    return {name: {value: 1} for name, value in cfg.items()}
-
-
 def row_config(columns: Columns, k: int) -> Configuration:
-    """Row k of ``columns`` as a configuration, the inverse of
-    :func:`single_row`: each option, in the columns' order, with the value
-    whose rows include row k."""
+    """Row k of ``columns`` as a configuration: each option, in the columns'
+    order, with the value whose rows include row k."""
     bit = 1 << k
     return {
         name: value for name, column in columns.items() for value, rows in column.items() if rows & bit

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from array import array
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import pytest
 
@@ -43,7 +43,8 @@ from kconfex.prop import (
     _Renderer,
     evaluate_mask,
 )
-from kconfex.tri import Configuration, RowValues, Tri, row_config, single_row
+from kconfex.oracle import repair_space
+from kconfex.tri import Columns, Configuration, RowValues, Tri, row_config
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -121,6 +122,31 @@ def model_counts(model, constraints=None):
     columns, rows, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
     valid, _ = builtin_oracle(model, columns, rows)
     return models.bit_count(), valid.bit_count()
+
+
+def single_row(cfg: Configuration) -> Columns:
+    """The columns of the one row ``cfg``."""
+    return {name: {value: 1} for name, value in cfg.items()}
+
+
+class RowRepair(NamedTuple):
+    repaired: Configuration
+    changed: bool
+    select_override_fired: bool
+
+
+def repair_row(model: KconfigModel, cfg: Configuration) -> RowRepair:
+    """Repair the one configuration ``cfg``: :func:`repair_space` on one row.
+
+    Options missing from ``cfg`` read as n, or as unset; the repaired
+    configuration holds them once the repair writes a value that differs.
+    """
+    outcome = repair_space(model, single_row(cfg), 1)
+    return RowRepair(
+        repaired=row_config(outcome.repaired, 0),
+        changed=bool(outcome.changed),
+        select_override_fired=bool(outcome.select_override_fired),
+    )
 
 
 def enumerated_configs(model):

@@ -37,7 +37,6 @@ from kconfex.kconfig import (
     Sym,
     parse_model,
 )
-from kconfex.oracle import repair
 from kconfex.prop import (
     FALSE,
     ConstraintSet,
@@ -61,6 +60,7 @@ from conftest import (
     equivalent,
     eval_expr,
     model_counts,
+    repair_row,
 )
 
 ALL_TRI = (Tri.N, Tri.M, Tri.Y)
@@ -298,8 +298,8 @@ def test_criterion_9_oracle_idempotence():
     clock = Stopwatch(30.0)
     for name, model in corpus_models():
         for cfg in enumerated_configs(model)[2]:
-            outcome = repair(model, cfg)
-            again = repair(model, outcome.repaired)
+            outcome = repair_row(model, cfg)
+            again = repair_row(model, outcome.repaired)
             assert not again.changed, (name, cfg)
     elapsed = clock.check("criterion 9")
     report("9 oracle-idempotence", elapsed)

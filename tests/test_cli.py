@@ -107,6 +107,15 @@ class TestCheckCommand:
         assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 0
         assert not list(tmp_path.glob("kconfex-conf-*"))
 
+    def test_empty_exec_path_creates_no_workdir(self, tmp_path, monkeypatch):
+        def mkdtemp(*args, **kwargs):
+            raise AssertionError("a work directory was created")
+
+        path = tmp_path / "one.kconfig"
+        path.write_text('config A\n\tbool "a"\n')
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        assert main(["check", str(path), "--oracle", "exec:"]) == 2
+
     def test_exec_oracle_with_relative_paths(self, tmp_path, monkeypatch):
         conf = tmp_path / "conf"
         conf.write_text('#!/bin/sh\ntest -f "$2"\n')  # fails unless the model file is found
@@ -154,8 +163,15 @@ _REWRITING_CONF = '#!/bin/sh\necho CONFIG_A=y > "$KCONFIG_CONFIG"\n'  # any A=n 
             [],
             "error: unknown oracle 'magic' (use 'builtin' or 'exec:<path>')\n",
         ),
+        (
+            'config A\n\tbool "a"\n',
+            "exec:",
+            2,
+            [],
+            "error: oracle 'exec:' names no configurator (use 'exec:<path>')\n",
+        ),
     ],
-    ids=["failure-row", "note", "unknown-oracle"],
+    ids=["failure-row", "note", "unknown-oracle", "empty-exec-path"],
 )
 def test_check_exit_code_and_output(text, oracle, code, out, err, tmp_path, monkeypatch, capsys):
     conf = tmp_path / "conf"

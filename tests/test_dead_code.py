@@ -6,8 +6,8 @@ referenced somewhere in the package other than at its own definition.  A
 reference is any name or attribute that spells it, f-string fields
 included; dunder names are called by the language and are exempt.  Every
 exported function is referenced outside its own body by the package or by
-the benchmark harness (``bench/*.py``), unless the package itself
-re-exports it: a function that only tests call belongs with the tests.  An
+the benchmark harness (``bench/*.py``), re-exported at the top level or
+not: a function that only tests call belongs with the tests.  An
 attribute spelling the name of a method that a package class defines is
 taken for a call of that method, not a use of the function.
 Every ``__all__`` entry names something its module defines or imports.
@@ -91,11 +91,10 @@ def _method_names(trees):
 def test_every_exported_function_is_used_outside_the_tests():
     trees = _parse(PACKAGE)
     references = _references([*trees.values(), *_parse(BENCH).values()])
-    reexported = _exported(trees["__init__.py"])
     methods = _method_names(trees.values())
     unused = []
     for module, tree in trees.items():
-        exported = _exported(tree) - reexported
+        exported = _exported(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exported:
                 own = {id(inner) for inner in ast.walk(node)}

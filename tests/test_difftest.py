@@ -21,9 +21,9 @@ from kconfex.encode import collect_numeric_values, translate
 from kconfex.errors import ParseError, TooManyOptions, UnsupportedComparison
 from kconfex.kconfig import OptionType, parse_model, validate_model
 from kconfex.prop import ConstraintSet
-from kconfex.tri import Tri, row_config, single_row
+from kconfex.tri import Tri, row_config
 
-from conftest import BOUND_MODEL_SOURCE, corpus_models, enumerated_configs, model_counts
+from conftest import BOUND_MODEL_SOURCE, corpus_models, enumerated_configs, model_counts, single_row
 
 
 def _model(text):

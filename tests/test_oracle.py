@@ -39,13 +39,12 @@ from kconfex.oracle import (
     _plan,
     external_conf_oracle,
     parse_dotconfig,
-    repair,
     repair_space,
     write_dotconfig,
 )
-from kconfex.tri import Tri, row_config
+from kconfex.tri import RowValues, Tri, row_config
 
-from conftest import BOUND_MODEL_SOURCE, CORPUS_DIR, corpus_models, enumerated_configs
+from conftest import BOUND_MODEL_SOURCE, CORPUS_DIR, corpus_models, enumerated_configs, repair_row
 
 REPAIR_DIGEST = Path(__file__).resolve().parent / "repair_digest.json"
 
@@ -70,7 +69,7 @@ def _repair_digests() -> dict[str, str]:
         for k in range(ones.bit_length()):
             repaired = sorted(
                 (n, v.label if isinstance(v, Tri) else v)
-                for n, v in whole.repaired.config(k).items()
+                for n, v in row_config(whole.repaired, k).items()
             )
             row = [repaired, bool(whole.changed >> k & 1), bool(whole.select_override_fired >> k & 1)]
             sha.update(json.dumps(row).encode("utf-8") + b"\n")
@@ -88,27 +87,27 @@ def test_repair_matches_recorded_digest():
 class TestRepair:
     def test_golden_valid_config_unchanged(self, noprompt_choice_model):
         cfg = {"A": Tri.Y, "B": Tri.N, "NOPROMPT": Tri.Y}
-        outcome = repair(noprompt_choice_model, cfg)
+        outcome = repair_row(noprompt_choice_model, cfg)
         assert not outcome.changed
         assert outcome.repaired == cfg
 
     def test_golden_empty_config_repaired(self, noprompt_choice_model):
         cfg = {"A": Tri.N, "B": Tri.N, "NOPROMPT": Tri.N}
-        outcome = repair(noprompt_choice_model, cfg)
+        outcome = repair_row(noprompt_choice_model, cfg)
         assert outcome.changed
         assert outcome.repaired["NOPROMPT"] is Tri.Y
         assert [outcome.repaired[n] for n in "AB"].count(Tri.Y) == 1
 
     def test_unconstrained_bool(self):
         model = _model('config X\n\tbool "x"\n')
-        assert not repair(model, {"X": Tri.Y}).changed
-        assert not repair(model, {"X": Tri.N}).changed
+        assert not repair_row(model, {"X": Tri.Y}).changed
+        assert not repair_row(model, {"X": Tri.N}).changed
 
     def test_golden_truth_table(self, noprompt_choice_model):
         valid = set()
         for a, b, npt in itertools.product((Tri.N, Tri.Y), repeat=3):
             cfg = {"A": a, "B": b, "NOPROMPT": npt}
-            if not repair(noprompt_choice_model, cfg).changed:
+            if not repair_row(noprompt_choice_model, cfg).changed:
                 names = frozenset(k for k, v in cfg.items() if v is Tri.Y)
                 valid.add(names)
         assert valid == {
@@ -117,14 +116,14 @@ class TestRepair:
         }
 
     def test_empty_model(self):
-        assert not repair(_model(""), {}).changed
+        assert not repair_row(_model(""), {}).changed
 
     def test_select_truth_table(self):
         model = _model('config O\n\tbool "o"\n\tselect P\nconfig P\n\tbool "p"\n')
         valid = {
             (o, p)
             for o, p in itertools.product((Tri.N, Tri.Y), repeat=2)
-            if not repair(model, {"O": o, "P": p}).changed
+            if not repair_row(model, {"O": o, "P": p}).changed
         }
         assert valid == {(Tri.N, Tri.N), (Tri.N, Tri.Y), (Tri.Y, Tri.Y)}
 
@@ -135,7 +134,7 @@ class TestRepair:
             'config O\n\tbool "o"\n\tselect P\n'
         )
         cfg = {"D": Tri.N, "P": Tri.Y, "O": Tri.Y}
-        outcome = repair(model, cfg)
+        outcome = repair_row(model, cfg)
         assert not outcome.changed
         assert outcome.select_override_fired
 
@@ -146,7 +145,7 @@ class TestRepair:
             "config L\n\thex\n\tdefault 0x100\n\trange 0x0 0xff\n"
         )
         cfg = {"A": Tri.Y, "H": "0x10", "L": "0xff"}
-        assert not repair(model, cfg).changed
+        assert not repair_row(model, cfg).changed
 
     def test_nonconvergence_reported(self):
         # a self-referential invisible default oscillates; built directly
@@ -158,13 +157,13 @@ class TestRepair:
         )
         model = KconfigModel(items=(item,), choices=(), modules_option=None)
         with pytest.raises(NonConvergence):
-            repair(model, {"A": Tri.N})
+            repair_row(model, {"A": Tri.N})
 
     def test_idempotence_smoke(self, noprompt_choice_model):
         for a, b, npt in itertools.product((Tri.N, Tri.Y), repeat=3):
             cfg = {"A": a, "B": b, "NOPROMPT": npt}
-            repaired = repair(noprompt_choice_model, cfg).repaired
-            assert not repair(noprompt_choice_model, repaired).changed
+            repaired = repair_row(noprompt_choice_model, cfg).repaired
+            assert not repair_row(noprompt_choice_model, repaired).changed
 
 
 def _whole_space(model):
@@ -174,7 +173,7 @@ def _whole_space(model):
 
 class TestRepairSpace:
     def test_one_row_equals_whole_space(self):
-        """repair(model, cfg_k) is row k of the whole-space repair, repaired
+        """The one-row repair of cfg_k is row k of the whole-space repair, repaired
         values and the options they hold included, on every corpus model and
         generated seeds 0-99."""
         models = corpus_models() + [
@@ -185,8 +184,8 @@ class TestRepairSpace:
             columns, ones, whole = _whole_space(model)
             for k in range(ones.bit_length()):
                 cfg = row_config(columns, k)
-                one = repair(model, cfg)
-                assert one.repaired == whole.repaired.config(k), (name, cfg)
+                one = repair_row(model, cfg)
+                assert one.repaired == row_config(whole.repaired, k), (name, cfg)
                 assert one.changed == bool(whole.changed >> k & 1), (name, cfg)
                 assert one.select_override_fired == bool(
                     whole.select_override_fired >> k & 1
@@ -198,7 +197,7 @@ class TestRepairSpace:
         and generated seeds 0-99."""
 
         def verdict(model, cfg):
-            outcome = repair(model, cfg)
+            outcome = repair_row(model, cfg)
             return not outcome.changed, outcome.select_override_fired
 
         models = corpus_models() + [
@@ -213,8 +212,27 @@ class TestRepairSpace:
             overridden += bool(expected[1])
         assert overridden > 0
 
+    def test_changed_rows_are_the_decoded_differences(self):
+        """``changed`` holds exactly the rows whose repaired configuration
+        differs from the enumerated one, on every corpus model and
+        generated seeds 0-99."""
+        models = corpus_models() + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        changed_rows = 0
+        for name, model in models:
+            columns, ones, whole = _whole_space(model)
+            differing = 0
+            for k in range(ones.bit_length()):
+                if row_config(whole.repaired, k) != row_config(columns, k):
+                    differing |= 1 << k
+            assert whole.changed == differing, name
+            changed_rows += differing.bit_count()
+        assert changed_rows > 0
+
     def test_empty_configuration(self, noprompt_choice_model):
-        outcome = repair(noprompt_choice_model, {})
+        outcome = repair_row(noprompt_choice_model, {})
         assert outcome.changed
         assert outcome.repaired == {"A": Tri.Y, "B": Tri.N, "NOPROMPT": Tri.Y}
 
@@ -223,7 +241,7 @@ class TestRepairSpace:
             'choice\n\ttristate "pick"\nconfig A\n\ttristate "a"\n'
             'config B\n\ttristate "b"\nendchoice\n'
         )
-        outcome = repair(model, {"A": Tri.M})
+        outcome = repair_row(model, {"A": Tri.M})
         assert not outcome.changed
         assert outcome.repaired == {"A": Tri.M}
 
@@ -232,9 +250,9 @@ class TestRepairSpace:
             'config N\n\tint "n"\n\trange 0 100\n\tdefault 5\n'
             'config H\n\thex "h"\n\tdefault 0x10\n'
         )
-        assert not repair(model, {"N": "42", "H": "7f"}).changed
-        assert not repair(model, {"N": "42", "H": "0X7F"}).changed
-        outcome = repair(model, {"N": "200"})
+        assert not repair_row(model, {"N": "42", "H": "7f"}).changed
+        assert not repair_row(model, {"N": "42", "H": "0X7F"}).changed
+        outcome = repair_row(model, {"N": "200"})
         assert outcome.repaired == {"N": "5", "H": "0x10"}
 
     def test_unreached_comparison_does_not_raise(self):
@@ -243,7 +261,7 @@ class TestRepairSpace:
             'config A\n\tbool "a"\nconfig S\n\tstring "s"\n\tdefault "sa"\n'
             "config B\n\tbool\n\tdefault y if A\n\tdefault y if S < 5\n"
         )
-        assert not repair(model, {"A": Tri.Y, "S": "sa", "B": Tri.Y}).changed
+        assert not repair_row(model, {"A": Tri.Y, "S": "sa", "B": Tri.Y}).changed
         columns = {"A": {Tri.Y: 0b11}, "S": {"sa": 0b11}, "B": {Tri.N: 0b01, Tri.Y: 0b10}}
         assert repair_space(model, columns, 0b11).changed == 0b01
         with pytest.raises(EvalError, match="'sa'"):
@@ -260,7 +278,7 @@ class TestRepairSpace:
             'config O\n\tbool "o"\n\tselect P if S < 5\n'
         )
         with pytest.raises(EvalError, match="'tb'"):
-            repair(model, {"S": "sa", "T": "tb", "P": Tri.N, "D": Tri.N})
+            repair_row(model, {"S": "sa", "T": "tb", "P": Tri.N, "D": Tri.N})
 
     def test_error_of_the_first_failing_row(self):
         # Row 0 (C=n) first fails at D on T's text; rows with C=y fail
@@ -274,29 +292,39 @@ class TestRepairSpace:
         )
         first, second = enumerated_configs(model)[2][:2]
         with pytest.raises(EvalError, match="'tb'"):
-            repair(model, first)
+            repair_row(model, first)
         with pytest.raises(EvalError, match="'sa'"):
-            repair(model, second)
+            repair_row(model, second)
         with pytest.raises(EvalError, match="'tb'"):
             _whole_space(model)
 
-    def test_masks_lie_inside_the_row_set(self):
+    def test_masks_lie_inside_the_row_set(self, monkeypatch):
         """After the repair, each bool or tristate option has y inside ge
         inside present inside ``ones``, each int, hex or string option's
         parts are disjoint and cover ``ones``, and the changed and override
         masks lie inside ``ones``: the complements ``ones ^ x`` and ``a ^ b``
-        of the repair and the comparison operands rely on it."""
+        of the repair and the comparison operands rely on it.  The final
+        values are read where the repair turns them into columns."""
 
         def inside(a, b):
             return a >= 0 and a | b == b
 
+        final = []
+        columns = RowValues.columns
+
+        def captured(values):
+            final.append(values)
+            return columns(values)
+
+        monkeypatch.setattr(RowValues, "columns", captured)
         models = corpus_models() + [("bound", _model(BOUND_MODEL_SOURCE))] + [
             (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
             for seed in range(100)
         ]
         for name, model in models:
             _, ones, whole = _whole_space(model)
-            values = whole.repaired
+            values = final.pop()
+            assert not final and whole.repaired == columns(values), name
             assert values.ones == ones, name
             for item in model.items:
                 option = (name, item.name)
@@ -590,15 +618,16 @@ import sys
 
 sys.path.insert(0, {src!r})
 from kconfex.kconfig import parse_model
-from kconfex.oracle import parse_dotconfig, repair, write_dotconfig
+from kconfex.oracle import parse_dotconfig, repair_space, write_dotconfig
+from kconfex.tri import row_config
 
 config = os.environ["KCONFIG_CONFIG"]
 model = parse_model(open(sys.argv[-1], encoding="utf-8").read(), sys.argv[-1])
 with open(config, encoding="utf-8") as fh:
     cfg = parse_dotconfig(fh)
-outcome = repair(model, cfg)
+outcome = repair_space(model, {{name: {{value: 1}} for name, value in cfg.items()}}, 1)
 with open(config, "w", encoding="utf-8") as fh:
-    write_dotconfig(outcome.repaired, fh, model)
+    write_dotconfig(row_config(outcome.repaired, 0), fh, model)
 if outcome.select_override_fired:
     print("WARNING: unmet direct dependencies detected", file=sys.stderr)
 {tail}"""

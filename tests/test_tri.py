@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
+from kconfex.difftest import generate_model_text
 from kconfex.errors import EvalError
 from kconfex.kconfig import And, Eq, Leq, Literal, Lt, Neq, Not, Or, Prompt, Sym, parse_model
-from kconfex.tri import RowValues, Tri, single_row
+from kconfex.tri import RowValues, Tri
 
-from conftest import corpus_models, enumerated_configs, eval_expr
+from conftest import corpus_models, enumerated_configs, eval_expr, single_row
 
 ALL = (Tri.N, Tri.M, Tri.Y)
 
@@ -231,7 +232,37 @@ class TestRowSet:
         with pytest.raises(ValueError, match="N holds '5'"):
             RowValues(model, {"N": {"5": 0b100}}, 0b11)
 
+    def test_row_in_two_values_rejected(self):
+        with pytest.raises(ValueError, match="X holds <Tri.Y: 2> on a row holding another"):
+            RowValues(TRI_PAIR, {"X": {Tri.N: 0b01, Tri.M: 0b10, Tri.Y: 0b10}}, 0b11)
+        with pytest.raises(ValueError, match="X holds <Tri.M: 1> on a row holding another"):
+            RowValues(TRI_PAIR, {"X": {Tri.N: 0b01, Tri.M: 0b01, Tri.Y: 0b01}}, 0b1)
+        model = _model('config N\n\tint "n"\n\tdefault 5\n')
+        with pytest.raises(ValueError, match="N holds None on a row holding another"):
+            RowValues(model, {"N": {"5": 0b10, None: 0b10}}, 0b11)
+
     @pytest.mark.parametrize("ones", [-1, 0b101, 0b10])
     def test_row_set_of_other_form_rejected(self, ones):
         with pytest.raises(ValueError, match="row set"):
             RowValues(TRI_PAIR, {}, ones)
+
+    def test_columns_give_the_enumeration_back(self):
+        """``columns()`` is the enumeration's columns without the values no
+        row holds, on every corpus model and generated seeds 0-99."""
+        models = corpus_models() + [
+            (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+            for seed in range(100)
+        ]
+        for name, model in models:
+            columns, ones, _ = enumerated_configs(model)
+            expected = {
+                option: {value: rows for value, rows in column.items() if rows}
+                for option, column in columns.items()
+            }
+            assert RowValues(model, columns, ones).columns() == expected, name
+
+    def test_columns_leave_out_the_rows_without_the_option(self):
+        model = _model('config N\n\tint "n"\n\tdefault 5\nconfig S\n\tstring "s"\n')
+        columns = {"X": {Tri.N: 0b001, Tri.M: 0}, "N": {"5": 0b010, None: 0b001}}
+        assert RowValues(TRI_PAIR, columns, 0b111).columns() == {"X": {Tri.N: 0b001}}
+        assert RowValues(model, columns, 0b111).columns() == {"N": {"5": 0b010, None: 0b001}}
