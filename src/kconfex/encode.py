@@ -27,7 +27,6 @@ from .kconfig import (
     COMPARISONS,
     ChoiceBlock,
     ConfigItem,
-    Eq,
     Expr,
     KconfigModel,
     Literal,
@@ -265,7 +264,8 @@ class Translation:
     def readings(self, item: ConfigItem) -> list[_Reading]:
         """Every text the option can take as a comparison operand, with its
         number and the formula under which the option holds it: n, m and y
-        for a bool or tristate option, each known value for the others."""
+        for a bool or tristate option, each known value for the others.  An
+        option with no known value is always unset, and reads as ``""``."""
         found = self._readings.get(item.name)
         if found is None:
             if item.is_boolish:
@@ -274,6 +274,7 @@ class Translation:
             else:
                 name = item.name
                 found = [(v, parse_number(v), self.value_var(name, v)) for v in self.dom[name]]
+                found = found or [("", None, TRUE)]
             self._readings[item.name] = found
         return found
 
@@ -333,20 +334,20 @@ def _operand(e: Expr, tr: Translation) -> tuple[ConfigItem | None, list[_Reading
 def _encode_comparison(e: Expr, tr: Translation) -> PropFormula:
     """Where comparison ``e`` holds: the OR, over every pair of operand
     readings that satisfies it, of both readings' formulas.  Texts are equal
-    when they are the same text or the same number; ordered comparisons read
-    both sides as numbers."""
+    when they are the same text or the same number, so two options with no
+    known value are equal (``""`` both); ordered comparisons read both sides
+    as numbers, and raise :class:`UnsupportedComparison` on an option with
+    no known value, whose one reading has none."""
     kind = type(e)
     left, lefts = _operand(e.left, tr)
     right, rights = _operand(e.right, tr)
     compare = ORDERED_COMPARISONS.get(kind)
     if compare is not None:
         message = ordered_comparison_error(e, tr.model)
-        if message is None and not (lefts and rights):
+        if message is None and any(number is None for _, number, _ in lefts + rights):
             message = f"comparison over {(left or right).name} with an empty harvested domain"
         if message is not None:
             raise UnsupportedComparison(message)
-    elif not lefts and not rights:
-        return TRUE if kind is Eq else FALSE  # both permanently unset: "" equals ""
     if left is not None and left.is_boolish:
         # Disjuncts in the right operand's order: `T = S` lists S's values
         # in domain order, which the pinned `.model` digests record.

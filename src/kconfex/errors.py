@@ -70,6 +70,11 @@ class InvalidModulesSwitch(KconfexError):
     """A model's modules switch is not one of its bool options."""
 
 
+class DuplicateItem(KconfexError):
+    """A model holds two options of one name.  The parser reports the same
+    rule, with its line, as :class:`DuplicateOption`."""
+
+
 class UnsupportedComparison(KconfexError):
     pass
 

@@ -15,7 +15,7 @@ import operator
 import re
 from typing import NamedTuple
 
-from .errors import DuplicateOption, InvalidModulesSwitch, ParseError
+from .errors import DuplicateItem, DuplicateOption, InvalidModulesSwitch, ParseError
 from .prop import Value, _gc_paused, _set
 
 __all__ = [
@@ -278,7 +278,12 @@ class KconfigModel(Value):
         _set(self, "choices", choices)
         _set(self, "modules_option", modules_option)
         _set(self, "source_name", source_name)
-        _set(self, "_by_name", {it.name: it for it in items})
+        by_name: dict[str, ConfigItem] = {}
+        for it in items:
+            if it.name in by_name:
+                raise DuplicateItem(f"option {it.name} declared twice")
+            by_name[it.name] = it
+        _set(self, "_by_name", by_name)
         if modules_option is not None:
             switch = self._by_name.get(modules_option)
             message = _modules_switch_error(modules_option, None if switch is None else switch.type)
@@ -344,8 +349,6 @@ class _TokenStream:
             m = match(text, pos)
             if m is None:
                 rest = text[pos:].lstrip()
-                if not rest:
-                    break
                 raise ParseError(f"unexpected character {rest[0]!r}", line, pos + 1, source)
             kind = m.lastgroup
             add((kind, m[kind], m.start(kind) + 1))
@@ -479,17 +482,6 @@ def _parse_expr(ts: _TokenStream) -> Expr:
 
 def _comparison(ts: _TokenStream, cls: type, left: Expr, right: Expr) -> Expr:
     """``cls(left, right)``, or the error raised at ``ts.index`` for operands that do not fit."""
-    if cls is not Eq and cls is not Neq:
-        # <, <=, >, >= require a symbol on one side and a numeric literal on the other.
-        sides = (left, right)
-        has_sym = any(type(s) is Sym and parse_number(s.name) is None for s in sides)
-        has_num = any(
-            (type(s) is Literal and parse_number(s.text) is not None)
-            or (type(s) is Sym and parse_number(s.name) is not None)
-            for s in sides
-        )
-        if not (has_sym and has_num):
-            raise ts.error("ordered comparison needs a symbol and a numeric literal")
     if type(left) not in (Sym, Literal) or type(right) not in (Sym, Literal):
         raise ts.error("comparison operands must be symbols or literals")
     return cls(left, right)

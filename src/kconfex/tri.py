@@ -119,19 +119,11 @@ def _split(column) -> TriRows:
     return ge, y
 
 
-def _text(value: ConfigValue) -> str:
-    """A value as a comparison operand: Tri values through their canonical
-    names, unset as ""."""
-    if isinstance(value, Tri):
-        return value.label
-    return value if value is not None else ""
-
-
 class RowValues:
     """The values of a model's options on a set of rows.
 
     ``ge``/``y`` hold the bool and tristate options (rows at m or y, rows at
-    y), ``values`` the int, hex and string options (``{value: rows}``, None
+    y), ``values`` the int, hex and string options (``{text: rows}``, None
     for unset) and ``present`` the rows whose configuration holds the option
     at all; a row without it reads n, or unset.  Evaluation records each
     :class:`EvalError` in ``errors`` with the rows it applies to, in the order
@@ -139,7 +131,9 @@ class RowValues:
 
     ``ones`` is ``2**n - 1`` for n rows; a column mask with a bit outside it
     raises :class:`ValueError`, as the complements rely on every mask lying
-    inside ``ones``, and so does a row in two masks of one column.
+    inside ``ones``, and so does a row in two masks of one column.  A value
+    that is not a Tri in a bool or tristate column, or neither text nor None
+    in the others, raises :class:`TypeError`.
     :meth:`columns` gives the values back in the shape they were given.
     """
 
@@ -172,6 +166,9 @@ class RowValues:
                         raise TypeError(f"{item.name} holds {value!r}, not a Tri value")
                 self.ge[item.name], self.y[item.name] = _split(column.items())
             else:
+                for value in column:
+                    if value is not None and not isinstance(value, str):
+                        raise TypeError(f"{item.name} holds {value!r}, not text or None")
                 part = dict(column)
                 part[None] = part.get(None, 0) | (ones ^ present)
                 self.values[item.name] = {value: rows for value, rows in part.items() if rows}
@@ -209,10 +206,8 @@ class RowValues:
             if name in self.ge:
                 return self.ge[name], self.y[name]
             if name in self.values:
-                return _split(
-                    (value if isinstance(value, Tri) else _boolish_value(_text(value)), rows)
-                    for value, rows in self.values[name].items()
-                )
+                column = self.values[name].items()
+                return _split((_boolish_value(value or ""), rows) for value, rows in column)
             return self._const(Tri.from_label(name) if name in TRI_NAMES else Tri.N)
         if kind is Literal:
             return self._const(_boolish_value(e.text))
@@ -264,7 +259,7 @@ class RowValues:
         if name in self.values:
             texts: dict[str, int] = {}
             for value, rows in self.values[name].items():
-                text = _text(value)
+                text = value or ""
                 texts[text] = texts.get(text, 0) | rows
             return texts
         return {name: self.ones}

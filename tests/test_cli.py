@@ -203,6 +203,24 @@ def test_ordered_comparison_of_a_constant_exits_2(command, tmp_path, capsys):
     assert "error [X]: ordered comparison over non-numeric constants 'y', '3'" in err
 
 
+@pytest.mark.parametrize(
+    "condition, message",
+    [
+        ("N <= M", "ordered comparison of N against non-numeric 'M'"),
+        ("A < B", "ordered comparison over non-numeric constants 'A', 'B'"),
+    ],
+    ids=["two-options", "two-undeclared-symbols"],
+)
+def test_ordered_comparison_without_a_number_is_a_validation_error(condition, message, tmp_path, capsys):
+    path = tmp_path / "ordered.kconfig"
+    options = 'config N\n\tint "n"\n\tdefault 1\nconfig M\n\tint "m"\n\tdefault 2\n'
+    path.write_text(options + f'config X\n\tbool "x" if {condition}\n')
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error [X]: {message}" in err
+    assert err.endswith("error: validation failed\n")
+
+
 @pytest.mark.parametrize("command", ["check", "translate"])
 @pytest.mark.parametrize("case", list(DERIVED_NAME_COLLISIONS))
 def test_name_of_a_derived_variable_exits_2(command, case, tmp_path, capsys):

@@ -134,6 +134,23 @@ class TestCheckModel:
             assert m.oracle_verdict != m.formula_verdict
 
 
+    @pytest.mark.parametrize(
+        "options, condition",
+        [
+            ('config S\n\tstring "s"\n', 'S = ""'),
+            ('config S\n\tstring "s"\n', 'S != ""'),
+            ('config S\n\tstring "s"\nconfig T\n\tstring "t"\n\tdefault ""\n', "S = T"),
+            ("", "1 < 2"),
+            ("", '"5" < 7'),
+        ],
+        ids=["unset-eq-empty", "unset-neq-empty", "unset-eq-empty-default", "numbers", "quoted-number"],
+    )
+    def test_comparison_agrees_with_the_oracle(self, options, condition):
+        # S has no known value, so it is always unset and reads as "".
+        model = _model(options + f'config B\n\tbool "b"\n\tdepends on {condition}\n')
+        assert [d for d in validate_model(model) if d.severity == "error"] == []
+        assert check_model(model).mismatches == []
+
     @pytest.mark.parametrize("value, reader", [("n", "bool"), ("m", "tristate")])
     def test_valued_option_holding_n_or_m_in_a_boolean_position(self, value, reader):
         # The configurator reads the text n as n and m as m, not as y.
@@ -142,7 +159,9 @@ class TestCheckModel:
         assert report.passed, [m.describe() for m in report.failures]
 
 
-# Every option is prompted and has no dependencies, so none is ever unset.
+# Every option is prompted and has no dependencies.  E and J have no known
+# value (unless a comparison with a number gives J one), so they are always
+# unset; the others never are.
 _MATRIX_OPTIONS = (
     'config B\n\tbool "b"\n'
     'config T\n\ttristate "t"\n'
@@ -150,9 +169,11 @@ _MATRIX_OPTIONS = (
     'config H\n\thex "h"\n\tdefault 0x10\n'
     'config S\n\tstring "s"\n\tdefault "y"\n\tdefault "n" if B\n\tdefault "m" if T\n'
     '\tdefault "zeta" if T=m\n\tdefault ""\n'
+    'config E\n\tstring "e"\n'
+    'config J\n\tint "j"\n'
 )
 _MATRIX_OPERANDS = (
-    "B", "T", "I", "H", "S",
+    "B", "T", "I", "H", "S", "E", "J",
     "y", "m", "n", "'y'", "'m'", "'zeta'", "''", "3", "0x10", "16", "UNDECLARED",
 )
 _MATRIX_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
@@ -173,8 +194,9 @@ def _operand_matrix():
 
 def test_every_operand_kind_agrees_with_the_oracle():
     """Each kind of comparison operand (bool, tristate, int, hex and string
-    options, tristate names, quoted texts, numbers, an undeclared symbol)
-    under each operator reads the same in the formula as in the oracle."""
+    options, options with no known value, tristate names, quoted texts,
+    numbers, an undeclared symbol) under each operator reads the same in the
+    formula as in the oracle."""
     checked = untranslated = rejected = 0
     failing = []
     for name, text in _operand_matrix():
@@ -194,7 +216,7 @@ def test_every_operand_kind_agrees_with_the_oracle():
         if not report.passed:
             failing.append((name, report.error, len(report.failures)))
     assert failing == []
-    assert (checked, untranslated, rejected) == (576, 0, 168)
+    assert (checked, untranslated, rejected) == (774, 0, 1188)
 
 
 class TestTruthTableFormula:
@@ -410,6 +432,14 @@ class TestRunCorpus:
             ]
 
         assert strip(seq) == strip(par)
+
+    def test_render_lists_the_notes_of_a_file(self, tmp_path):
+        (tmp_path / "unset.kconfig").write_text('config A\n\tbool "a"\nconfig S\n\tstring "s"\n')
+        lines = run_corpus(tmp_path).render_text().splitlines()
+        assert lines[1:] == [
+            "  note: S: no known values, skipped in enumeration",
+            "corpus files=1 failing=0 errors=0 seed=0 status=PASS",
+        ]
 
     def test_render_contains_per_file_records(self, corpus_dir):
         report = run_corpus(corpus_dir)

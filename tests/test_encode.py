@@ -221,6 +221,15 @@ class TestNumericConstraint:
             assignment = {n: n == hot for n in names}
             assert evaluate(f, assignment) == (hot != "N_EQ_5")
 
+    @pytest.mark.parametrize("kind, holds", [("=", TRUE), ("!=", FALSE)])
+    def test_options_with_no_known_value_are_equal(self, kind, holds):
+        # Both are always unset, and "" equals "".
+        model = _model(
+            f'config S\n\tstring "s"\nconfig N\n\tint "n"\nconfig G\n\tbool "g"\n\tdepends on S {kind} N\n'
+        )
+        enc = encode_expr(model.item("G").depends, Translation(model, collect_numeric_values(model)))
+        assert (enc.f_y, enc.f_m) == (holds, FALSE)
+
     def test_empty_domain_rejected(self):
         model, e = self._parsed("N >= 1")
         with pytest.raises(UnsupportedComparison, match="empty harvested domain"):
@@ -336,6 +345,10 @@ class TestReverseDependencies:
             Translation(model, collect_numeric_values(model))
         )
         assert constraints == []  # undeclared FOO is constant n
+
+    def test_select_of_an_undeclared_target_is_skipped(self):
+        model = _model('config O\n\tbool "o"\n\tselect NOPE\n')
+        assert encode_reverse_dependencies(Translation(model, collect_numeric_values(model))) == []
 
     def test_select_on_valued_target_raises(self):
         model = _model('config O\n\tbool "o"\n\tselect N\nconfig N\n\tint "n"\n')

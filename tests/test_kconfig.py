@@ -7,6 +7,7 @@ import kconfex.kconfig as kconfig
 from kconfex.difftest import check_model, generate_model_text
 from kconfex.encode import translate
 from kconfex.errors import (
+    DuplicateItem,
     DuplicateOption,
     InvalidModulesSwitch,
     KconfexError,
@@ -151,6 +152,10 @@ class TestParseModel:
             '\t  More text.\nconfig B\n\tbool "b"\n',
             "t",
         )
+        assert [it.name for it in model.items] == ["A", "B"]
+
+    def test_help_without_a_body(self):
+        model = parse_model('config A\n\tbool "a"\n\thelp\nconfig B\n\tbool "b"\n', "t")
         assert [it.name for it in model.items] == ["A", "B"]
 
     def test_modules_flag(self):
@@ -304,6 +309,16 @@ class TestValidateModel:
             KconfigModel(model.items, model.choices, switch)
         assert isinstance(info.value, KconfexError)
         assert str(info.value) == message
+
+    def test_api_model_with_two_options_of_one_name_raises(self):
+        # The parser rejects the second declaration at its line; a model
+        # built through the API gets the same rule when it is made.
+        bool_a = parse_model('config A\n\tbool "a"\n', "t").items[0]
+        tristate_a = parse_model('config A\n\ttristate "a"\n', "t").items[0]
+        with pytest.raises(DuplicateItem) as info:
+            KconfigModel((bool_a, tristate_a), (), None)
+        assert isinstance(info.value, KconfexError)
+        assert str(info.value) == "option A declared twice"
 
     def test_api_model_with_a_bool_modules_switch_checks(self):
         model = parse_model('config B\n\tbool "b"\nconfig T\n\ttristate "t"\n', "t")
@@ -516,8 +531,6 @@ def _ref_parse_cmp(ts):
         ts.next()
         right = _ref_parse_atom(ts)
         cls = _REF_COMPARISONS[tok[1]]
-        if cls is not Eq and cls is not Neq:
-            _ref_check_ordered_operands(ts, left, right)
         if not isinstance(left, (Sym, Literal)) or not isinstance(right, (Sym, Literal)):
             raise ts.error("comparison operands must be symbols or literals")
         return cls(left, right)
@@ -533,19 +546,6 @@ def _ref_parse_atom(ts):
     return _ref_parse_value(ts)
 
 
-def _ref_check_ordered_operands(ts, left, right):
-    sides = (left, right)
-    number = kconfig.parse_number
-    has_sym = any(isinstance(s, Sym) and number(s.name) is None for s in sides)
-    has_num = any(
-        (isinstance(s, Literal) and number(s.text) is not None)
-        or (isinstance(s, Sym) and number(s.name) is not None)
-        for s in sides
-    )
-    if not (has_sym and has_num):
-        raise ts.error("ordered comparison needs a symbol and a numeric literal")
-
-
 _ATOMS = ["A", "B", "N", "y", "m", "n", "3", "0x1f", "-2", "07", '"s t"', "'q'", '"a\\"b"', "UNDECLARED"]
 _COMPARISON_TOKENS = list(_REF_COMPARISONS)
 _TOKENS = _ATOMS + _COMPARISON_TOKENS + ["(", ")", "!", "&&", "||", "if", "@"]
@@ -553,8 +553,7 @@ _LINES = ["\tdepends on {}", "\tselect B if {}", "\tdefault {}", "\tdefault y if
 
 
 def _expr_tokens(rng, depth):
-    """Tokens of a well-formed expression (ordered comparisons may still be
-    rejected for their operands)."""
+    """Tokens of a well-formed expression."""
     r = rng.random()
     if depth <= 0 or r < 0.3:
         if rng.random() < 0.3:
@@ -622,7 +621,6 @@ class TestParserAgainstRecursiveDescent:
             "unexpected end of line",
             "expected a symbol",
             "expected ')'",
-            "ordered comparison needs a symbol and a numeric literal",
             "comparison operands must be symbols or literals",
             "trailing tokens",
             "unexpected character '@'",
@@ -639,7 +637,6 @@ class TestParserAgainstRecursiveDescent:
             ("A && )", "expected a symbol, number, or quoted string, got ')'", 1),
             ("A = !B", "expected a symbol, number, or quoted string, got '!'", 17),
             ("(A B", "expected ')'", 15),
-            ("A <= B", "ordered comparison needs a symbol and a numeric literal", 1),
             ("!(A ||", "unexpected end of line", 1),
         ],
     )

@@ -536,6 +536,11 @@ class TestDotConfig:
             parse_dotconfig(io.StringIO("CONFIG_A=y\nwhat is this\n"))
         assert info.value.line == 2
 
+    def test_setting_without_a_name_rejected(self):
+        with pytest.raises(FormatError) as info:
+            parse_dotconfig(io.StringIO("CONFIG_A=y\nCONFIG_=y\n"))
+        assert (info.value.message, info.value.line) == ("missing option name", 2)
+
     def test_bytes_parse_as_text_does(self):
         text = 'CONFIG_A=y\r\n# CONFIG_B is not set\rCONFIG_S="caf\u00e9"\nCONFIG_N=3'
         assert parse_dotconfig(io.BytesIO(text.encode("utf-8"))) == parse_dotconfig(io.StringIO(text))

@@ -75,6 +75,11 @@ class TestEvalExpr:
             is Tri.M
         )
 
+    def test_unset_int_reads_as_zero_in_an_ordered_comparison(self):
+        model = _model('config N\n\tint "n"\n')
+        assert eval_expr(Lt(Sym("N"), Literal("1")), {"N": None}, model) is Tri.Y
+        assert eval_expr(Lt(Literal("0"), Sym("N")), {"N": None}, model) is Tri.N
+
     def test_numeric_boundary(self):
         model = _model('config CPU\n\tint "cpu"\n\tdefault 5\n')
         assert eval_expr(Leq(Sym("CPU"), Literal("5")), {"CPU": "5"}, model) is Tri.Y
@@ -240,6 +245,13 @@ class TestRowSet:
         model = _model('config N\n\tint "n"\n\tdefault 5\n')
         with pytest.raises(ValueError, match="N holds None on a row holding another"):
             RowValues(model, {"N": {"5": 0b10, None: 0b10}}, 0b11)
+
+    def test_value_of_the_wrong_kind_rejected(self):
+        with pytest.raises(TypeError, match="X holds 'y', not a Tri value"):
+            RowValues(TRI_PAIR, {"X": {"y": 0b1}}, 0b1)
+        model = _model('config S\n\tstring "s"\n\tdefault "y"\n')
+        with pytest.raises(TypeError, match="S holds <Tri.Y: 2>, not text or None"):
+            RowValues(model, {"S": {Tri.Y: 0b1}}, 0b1)
 
     @pytest.mark.parametrize("ones", [-1, 0b101, 0b10])
     def test_row_set_of_other_form_rejected(self, ones):
