@@ -108,12 +108,21 @@ def _enumerate(model: KconfigModel, max_options: int) -> tuple[Columns, int, lis
         # within every period of ``stride * len(axis)`` rows.
         period, stride = stride, stride // len(axis)
         # Value 0's rows: one run per period, copied over the next periods by
-        # doubling; value j's are the same rows shifted by j runs.
+        # doubling and cut to the rows; value j's are the same rows shifted
+        # by j runs, which keeps them inside the rows, and the last value's
+        # are the rows no other value holds.
         first, width = (1 << stride) - 1, period
         while width < rows:
             first |= first << width
             width *= 2
-        columns[name] = {value: (first << (j * stride)) & ones for j, value in enumerate(axis)}
+        first &= ones
+        column, last = {}, ones
+        for j, value in enumerate(axis[:-1]):
+            held = first << (j * stride) if j else first
+            column[value] = held
+            last ^= held
+        column[axis[-1]] = last
+        columns[name] = column
     return columns, ones, notes
 
 

@@ -75,6 +75,11 @@ class DuplicateItem(KconfexError):
     rule, with its line, as :class:`DuplicateOption`."""
 
 
+class ChoiceMembership(KconfexError):
+    """A model's choices and its options' ``declared_in_choice`` disagree on
+    which options a choice holds.  The parser builds them in agreement."""
+
+
 class UnsupportedComparison(KconfexError):
     pass
 

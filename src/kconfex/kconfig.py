@@ -15,7 +15,7 @@ import operator
 import re
 from typing import NamedTuple
 
-from .errors import DuplicateItem, DuplicateOption, InvalidModulesSwitch, ParseError
+from .errors import ChoiceMembership, DuplicateItem, DuplicateOption, InvalidModulesSwitch, ParseError
 from .prop import Value, _gc_paused, _set
 
 __all__ = [
@@ -289,6 +289,21 @@ class KconfigModel(Value):
             message = _modules_switch_error(modules_option, None if switch is None else switch.type)
             if message:
                 raise InvalidModulesSwitch(message)
+        listed: dict[str, int] = {}  # member -> the index of the choice listing it
+        for i, choice in enumerate(choices):
+            for name in choice.members:
+                if name in listed:
+                    j = listed[name]
+                    message = f"choices {j} and {i} both list option {name}"
+                    raise ChoiceMembership(f"choice {i} lists option {name} twice" if i == j else message)
+                listed[name] = i
+        for it in items:
+            i, j = listed.pop(it.name, None), it.declared_in_choice
+            if i != j:
+                where = ["no choice" if k is None else f"choice {k}" for k in (j, i)]
+                raise ChoiceMembership(f"option {it.name} is declared in {where[0]} but listed in {where[1]}")
+        for name, i in listed.items():
+            raise ChoiceMembership(f"choice {i} lists undeclared option {name}")
         selectors: dict[str, list[tuple[ConfigItem, Select]]] = {}
         for it in items:
             for sel in it.selects:
@@ -594,7 +609,7 @@ def _indent_width(line: str) -> int:
 
 class _Parser:
     def __init__(self, source_text: str, source_name: str):
-        self.lines = source_text.splitlines()
+        self.lines = source_text.split("\n")  # kconfig breaks lines at \n alone
         self.source = source_name
         self.pos = 0
         self.items: list[ConfigItem] = []

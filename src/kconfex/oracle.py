@@ -19,8 +19,9 @@ that read an option written since their last run: the others would write
 nothing (see :class:`_Repair`), so each pass changes the same rows as one
 that re-runs every step.  The repair takes the rows as per-option columns
 and returns the final values as columns of the same shape, and a
-configuration's verdict is whether its final values differ from its initial
-ones.
+configuration's verdict is whether some pass changed its row, which is
+exactly whether its final values differ from its initial ones
+(:func:`repair_space`).
 
 This module deliberately shares nothing with the encoder beyond the
 declaration model (which owns the numeric-literal format) and the
@@ -62,9 +63,10 @@ MAX_PASSES = 32
 
 class SpaceRepair(NamedTuple):
     """The repair of every row: the final values as columns in the shape
-    :func:`repair_space` takes (see :meth:`RowValues.columns`), and the row
-    masks of the rows it changed and of the rows where a select overrode an
-    option's dependencies."""
+    :func:`repair_space` takes (see :meth:`RowValues.columns`), the mask of
+    the rows some pass changed, which are the rows whose final values differ
+    from their given ones, and the mask of the rows where a select overrode
+    an option's dependencies."""
 
     repaired: Columns
     changed: int
@@ -421,6 +423,17 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
     """Run the repair to a fixpoint on every row of ``columns`` at once
     (``ones`` has one bit per row).
 
+    ``changed`` is the OR of the rows each pass changed, with no comparison
+    of the final columns against the given ones, and it is exactly the rows
+    whose final values differ from their given ones.  A pass acts on each
+    row by that row's values alone, and it changes a row exactly when the
+    row is not at a fixpoint.  A repair that returns leaves every row at a
+    fixpoint.  So a row that no pass changed ends as it started, and a row
+    that some pass changed did not start at a fixpoint, so it cannot end
+    where it started.  A row that a pass changes and then restores within
+    the same pass is back where that pass began, so every later pass
+    repeats that and the repair ends in :class:`NonConvergence`.
+
     Raises what the repair of the first failing row raises: the first
     :class:`~kconfex.errors.EvalError` met on that row, or
     :class:`NonConvergence` when its values still change after
@@ -428,9 +441,12 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
     """
     values = RowValues(model, columns, ones)
     state = _Repair(model, values)
+    changed = 0
     for _ in range(MAX_PASSES):
-        if not state.one_pass():
+        rows = state.one_pass()
+        if not rows:
             break
+        changed |= rows
     failing = state.changed  # rows still changing after the last pass
     for rows, _ in values.errors:
         failing |= rows
@@ -438,13 +454,7 @@ def repair_space(model: KconfigModel, columns: Columns, ones: int) -> SpaceRepai
         row = failing & -failing
         errors = (exc for rows, exc in values.errors if rows & row)
         raise next(errors, NonConvergence(model.source_name, MAX_PASSES))
-    repaired = values.columns()
-    changed = 0  # the rows where some option's value, or whether it is held, moved
-    for item in model.items:
-        before, after = columns.get(item.name, {}), repaired.get(item.name, {})
-        for value in before.keys() | after.keys():
-            changed |= before.get(value, 0) ^ after.get(value, 0)
-    return SpaceRepair(repaired, changed, state.override)
+    return SpaceRepair(values.columns(), changed, state.override)
 
 
 # --------------------------------------------------------------------------

@@ -131,7 +131,9 @@ class RowValues:
 
     ``ones`` is ``2**n - 1`` for n rows; a column mask with a bit outside it
     raises :class:`ValueError`, as the complements rely on every mask lying
-    inside ``ones``, and so does a row in two masks of one column.  A value
+    inside ``ones``, and so does a row in two masks of one column.  With the
+    rows of a column disjoint, a bool or tristate option's ``ge`` is its
+    held rows outside n, and its ``y`` is its y column.  A value
     that is not a Tri in a bool or tristate column, or neither text nor None
     in the others, raises :class:`TypeError`.
     :meth:`columns` gives the values back in the shape they were given.
@@ -164,7 +166,8 @@ class RowValues:
                 for value in column:
                     if not isinstance(value, Tri):
                         raise TypeError(f"{item.name} holds {value!r}, not a Tri value")
-                self.ge[item.name], self.y[item.name] = _split(column.items())
+                self.ge[item.name] = present ^ column.get(Tri.N, 0)
+                self.y[item.name] = column.get(Tri.Y, 0)
             else:
                 for value in column:
                     if value is not None and not isinstance(value, str):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import importlib
+import sys
 from array import array
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -47,6 +50,7 @@ from kconfex.oracle import repair_space
 from kconfex.tri import Columns, Configuration, RowValues, Tri, row_config
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 NOPROMPT_CHOICE_SOURCE = """\
 choice
@@ -96,6 +100,24 @@ def noprompt_choice_model():
 def corpus_dir():
     assert CORPUS_DIR.is_dir()
     return CORPUS_DIR
+
+
+@contextlib.contextmanager
+def bench_module(name: str):
+    """Module ``name`` of ``bench/``, imported for the ``with`` block and
+    dropped with the other ``bench/`` modules it imported.  Nothing under
+    ``bench/`` is written."""
+    before, dont_write = set(sys.modules), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH_DIR))
+    sys.dont_write_bytecode = True  # no __pycache__ under bench/
+    try:
+        yield importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH_DIR))
+        for module in ("workloads", "gen", "tracing"):
+            if module not in before:
+                sys.modules.pop(module, None)
 
 
 def corpus_models():

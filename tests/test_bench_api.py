@@ -9,30 +9,19 @@ Nothing under ``bench/`` is written.
 """
 
 import importlib
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import kconfex
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import bench_module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    before, dont_write = set(sys.modules), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True  # no __pycache__ under bench/
-    try:
-        yield importlib.import_module("workloads")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(BENCH))
-        for name in ("workloads", "gen", "tracing"):
-            if name not in before:
-                sys.modules.pop(name, None)
+    with bench_module("workloads") as module:
+        yield module
 
 
 @pytest.mark.parametrize("name", ["bound", "extract"])

@@ -7,6 +7,7 @@ import kconfex.kconfig as kconfig
 from kconfex.difftest import check_model, generate_model_text
 from kconfex.encode import translate
 from kconfex.errors import (
+    ChoiceMembership,
     DuplicateItem,
     DuplicateOption,
     InvalidModulesSwitch,
@@ -38,7 +39,13 @@ from kconfex.kconfig import (
     value_dependency_edges,
 )
 
-from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE, corpus_models, pretty_model
+from conftest import (
+    CORPUS_DIR,
+    DERIVED_NAME_COLLISIONS,
+    NOPROMPT_CHOICE_SOURCE,
+    corpus_models,
+    pretty_model,
+)
 
 EXPR_CLASSES = (Sym, Literal, Not, And, Or, Eq, Neq, Lt, Leq, Gt, Geq)
 
@@ -78,6 +85,10 @@ class TestExprNodes:
             e = Not(e)
         nodes = expr_nodes(e)
         assert len(nodes) == 20_001 and type(nodes[-1]) is Sym
+
+
+# Characters where str.splitlines breaks a line and kconfig does not.
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestParseModel:
@@ -190,6 +201,33 @@ class TestParseModel:
         m1 = parse_model(NOPROMPT_CHOICE_SOURCE, "x")
         m2 = parse_model(NOPROMPT_CHOICE_SOURCE, "x")
         assert m1 == m2
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=repr)
+    def test_prompt_keeps_a_character_that_ends_no_line(self, char):
+        model = parse_model(f'config A\n\tbool "a{char}b"\n', "t")
+        assert model.items[0].prompts[0].text == f"a{char}b"
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=repr)
+    def test_help_holding_a_character_that_ends_no_line_is_skipped(self, char):
+        text = f'config A\n\tbool "a"\n\thelp\n\t  one{char}two\nconfig B\n\tbool "b"\n'
+        assert [it.name for it in parse_model(text, "t").items] == ["A", "B"]
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=repr)
+    def test_error_line_counts_newlines_alone(self, char):
+        text = f'config A\n\tbool "a"\n\thelp\n\t  one{char}\t  two\nmenu "m"\n'
+        with pytest.raises(ParseError) as info:
+            parse_model(text, "t")
+        assert info.value.line == 5
+
+    def test_crlf_parses_as_lf(self):
+        for name, model in corpus_models():
+            text = (CORPUS_DIR / name).read_text(encoding="utf-8")
+            assert parse_model(text.replace("\n", "\r\n"), name) == model, name
+
+
+def _rebuilt(value, **changes):
+    """A copy of a declaration with some fields replaced."""
+    return type(value)(**{**{name: getattr(value, name) for name in value._fields}, **changes})
 
 
 class TestValidateModel:
@@ -319,6 +357,40 @@ class TestValidateModel:
             KconfigModel((bool_a, tristate_a), (), None)
         assert isinstance(info.value, KconfexError)
         assert str(info.value) == "option A declared twice"
+
+    @pytest.mark.parametrize(
+        "members, c_choice, message",
+        [
+            (("A", "B", "Z"), None, "choice 0 lists undeclared option Z"),
+            (("A", "B"), 5, "option C is declared in choice 5 but listed in no choice"),
+            (("A", "B", "A"), None, "choice 0 lists option A twice"),
+            (("A", "B", "C"), None, "option C is declared in no choice but listed in choice 0"),
+            (("A", "B"), 0, "option C is declared in choice 0 but listed in no choice"),
+        ],
+        ids=["undeclared-member", "no-such-choice", "member-twice", "member-outside", "unlisted"],
+    )
+    def test_api_model_with_disagreeing_choice_members_raises(self, members, c_choice, message):
+        # The parser lists each option of a choice once, in the choice it is
+        # declared in; a model built through the API gets the same rule.
+        model = parse_model(
+            'choice\n\tbool "c"\nconfig A\n\tbool "a"\nconfig B\n\tbool "b"\nendchoice\n'
+            'config C\n\tbool "c"\n',
+            "t",
+        )
+        (choice,) = model.choices
+        a, b, c = model.items
+        items = (a, b, _rebuilt(c, declared_in_choice=c_choice))
+        with pytest.raises(ChoiceMembership) as info:
+            KconfigModel(items, (_rebuilt(choice, members=members),), None)
+        assert isinstance(info.value, KconfexError)
+        assert str(info.value) == message
+
+    def test_api_model_with_a_member_of_two_choices_raises(self):
+        model = parse_model('choice\n\tbool "c"\nconfig A\n\tbool "a"\nendchoice\n', "t")
+        (choice,) = model.choices
+        with pytest.raises(ChoiceMembership) as info:
+            KconfigModel(model.items, (choice, _rebuilt(choice, id=1)), None)
+        assert str(info.value) == "choices 0 and 1 both list option A"
 
     def test_api_model_with_a_bool_modules_switch_checks(self):
         model = parse_model('config B\n\tbool "b"\nconfig T\n\ttristate "t"\n', "t")

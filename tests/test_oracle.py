@@ -44,7 +44,14 @@ from kconfex.oracle import (
 )
 from kconfex.tri import RowValues, Tri, row_config
 
-from conftest import BOUND_MODEL_SOURCE, CORPUS_DIR, corpus_models, enumerated_configs, repair_row
+from conftest import (
+    BOUND_MODEL_SOURCE,
+    CORPUS_DIR,
+    bench_module,
+    corpus_models,
+    enumerated_configs,
+    repair_row,
+)
 
 REPAIR_DIGEST = Path(__file__).resolve().parent / "repair_digest.json"
 
@@ -230,6 +237,33 @@ class TestRepairSpace:
             assert whole.changed == differing, name
             changed_rows += differing.bit_count()
         assert changed_rows > 0
+
+    def test_changed_is_the_column_difference(self):
+        """``changed``, the OR of the rows each pass changed, equals the OR
+        over options and values of each given column XOR its repaired
+        column, on the corpus, generated seeds 0-299, the benchmark's 100
+        fuzz models of seed 0 (valued options with partial domains, which
+        exercise ``set_values``) and its bound models of seeds 0-9."""
+        with bench_module("gen") as gen:
+            texts = [generate_model_text(seed) for seed in range(300)]
+            texts += [gen.fuzz_model_text(0, index) for index in range(100)]
+            texts += [gen.bound_model_text(seed) for seed in range(10)]
+        models = corpus_models() + [
+            (f"text[{i}]", parse_model(text, "t")) for i, text in enumerate(texts)
+        ]
+        changed_rows = valued = 0
+        for name, model in models:
+            columns, _, whole = _whole_space(model)
+            differing = 0
+            for item in model.items:
+                before, after = columns.get(item.name, {}), whole.repaired.get(item.name, {})
+                for value in before.keys() | after.keys():
+                    differing |= before.get(value, 0) ^ after.get(value, 0)
+            assert whole.changed == differing, name
+            changed_rows += differing.bit_count()
+            valued += any(not item.is_boolish for item in model.items) and bool(differing)
+        assert changed_rows > 0
+        assert valued > 0
 
     def test_empty_configuration(self, noprompt_choice_model):
         outcome = repair_row(noprompt_choice_model, {})
