@@ -35,7 +35,7 @@ EXIT_BOUND = 3
 
 def _load_model(path: str) -> KconfigModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")  # no newline translation
     except (OSError, UnicodeDecodeError) as exc:
         raise KconfexError(f"cannot read {path}: {exc}") from exc
     model = parse_model(text, Path(path).name)

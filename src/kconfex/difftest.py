@@ -342,7 +342,7 @@ def run_corpus(directory: str | Path, options: CorpusOptions | None = None) -> C
     unreadable: list[TestReport] = []
     for path in sorted(directory.glob("*.kconfig")):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_bytes().decode("utf-8")  # no newline translation
         except (OSError, UnicodeDecodeError) as exc:
             unreadable.append(_error_report(path.name, f"cannot read {path.name}: {exc}"))
             continue

@@ -263,6 +263,16 @@ def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "translate", "stats"])
+def test_carriage_return_inside_a_line_ends_no_line(command, tmp_path, capsys):
+    # kconfig breaks lines at \n alone; a \r before it is dropped.
+    path = tmp_path / "cr.kconfig"
+    path.write_bytes(b'config A\r\n\tbool "a\rb"\r\n')
+    extra = ["--model", str(tmp_path / "out.model")] if command == "translate" else []
+    assert main([command, str(path), *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # Past Python's recursion limit in the encoder: a 1,000-term conjunction and
 # 1,000 ``depends on`` lines.
 _DEEP_PREFIX = 'config A\n\tbool "a"\nconfig B\n\tbool "b"\n'
@@ -383,6 +393,11 @@ class TestCorpusCommand:
         assert "status=ERROR error=\"cannot read dir.kconfig: " in rows[1]
         assert rows[2].endswith("status=PASS")
         assert rows[3].startswith("corpus files=3 failing=2 errors=2 ")
+
+    def test_carriage_return_inside_a_line_ends_no_line(self, tmp_path, capsys):
+        (tmp_path / "cr.kconfig").write_bytes(b'config A\r\n\tbool "a\rb"\r\n')
+        assert main(["corpus", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("file=cr.kconfig options=1 ")
 
     def test_deep_file_is_an_error_row(self, tmp_path, capsys):
         (tmp_path / "deep.kconfig").write_text(DEEP_MODELS["conjunction"])
