@@ -13,16 +13,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .difftest import (
-    CorpusOptions,
-    DEFAULT_MAX_OPTIONS,
-    builtin_oracle,
-    check_model,
-    row_oracle,
-    run_corpus,
-)
+from .difftest import MAX_ROWS, CorpusOptions, builtin_oracle, check_model, row_oracle, run_corpus
 from .encode import translate
-from .errors import KconfexError, TooManyOptions
+from .errors import KconfexError, TooManyRows
 from .kconfig import KconfigModel, parse_model, validate_model
 from .oracle import external_conf_oracle
 from .prop import tseitin_cnf, write_dimacs
@@ -79,8 +72,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _make_oracle(selector: str, model_file: str):
+    """The oracle a selector names, the most rows it may judge, and the work
+    directory it needs removed afterwards, if any."""
     if selector == "builtin":
-        return builtin_oracle, None
+        return builtin_oracle, MAX_ROWS, None
     if selector.startswith("exec:"):
         conf_path = selector[len("exec:") :]
         if not conf_path:
@@ -90,7 +85,8 @@ def _make_oracle(selector: str, model_file: str):
         def verdict(model, cfg):
             return external_conf_oracle(conf_path, model_file, cfg, workdir, model)
 
-        return row_oracle(verdict), workdir
+        # One conf process per row: at most the rows of ten tristates.
+        return row_oracle(verdict), 3**10, workdir
     raise KconfexError(f"unknown oracle {selector!r} (use 'builtin' or 'exec:<path>')")
 
 
@@ -98,9 +94,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     workdir = None
     try:
         model = _load_model(args.file)
-        oracle, workdir = _make_oracle(args.oracle, args.file)
-        report = check_model(model, oracle=oracle, max_options=args.max_options)
-    except TooManyOptions as exc:
+        oracle, max_rows, workdir = _make_oracle(args.oracle, args.file)
+        report = check_model(model, oracle=oracle, max_rows=max_rows)
+    except TooManyRows as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     finally:
@@ -128,12 +124,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    options = CorpusOptions(
-        max_options=args.max_options,
-        jobs=args.jobs,
-        generated=args.generated,
-        seed=args.seed,
-    )
+    options = CorpusOptions(jobs=args.jobs, generated=args.generated, seed=args.seed)
     report = run_corpus(directory, options)
     text = report.render_text()
     if args.report:
@@ -189,13 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="differentially test one file")
     p.add_argument("file")
-    p.add_argument("--max-options", type=_count(0), default=DEFAULT_MAX_OPTIONS)
     p.add_argument("--oracle", default="builtin", help="'builtin' or 'exec:<conf path>'")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("corpus", help="differentially test a directory of .kconfig files")
     p.add_argument("dir")
-    p.add_argument("--max-options", type=_count(0), default=DEFAULT_MAX_OPTIONS)
     p.add_argument("--jobs", type=_count(1), default=1)
     p.add_argument(
         "--generated", type=_count(0), default=0, help="additionally check N seeded generated models"

@@ -38,11 +38,18 @@ class FormatError(KconfexError):
         self.line = line
 
 
-def numbered_lines(source: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
-    """The lines of a text or binary stream, numbered from 1 and split where
-    ``str.splitlines`` splits.  Bytes are decoded as UTF-8, one line at a
-    time; bytes that are not UTF-8 raise :class:`FormatError` naming their
-    line."""
+def numbered_lines(
+    source: str | bytes | Iterable[str | bytes], at_lf: bool = False
+) -> Iterator[tuple[int, str]]:
+    """The lines of a text, of bytes, or of a text or binary stream, numbered
+    from 1.  A line ends where ``str.splitlines`` splits, or, with ``at_lf``,
+    at ``\\n`` alone, as kconfig reads a ``.config`` file; there a ``\\r``
+    ending a line is dropped, so CRLF files read too.  Bytes are decoded
+    as UTF-8, one chunk at a time; bytes that are not UTF-8 raise
+    :class:`FormatError` naming their line."""
+    if isinstance(source, (str, bytes)):
+        source = (source,)
+    split = _split_at_lf if at_lf else str.splitlines
     lineno = 0
     for raw in source:
         if isinstance(raw, bytes):
@@ -51,15 +58,19 @@ def numbered_lines(source: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 # The lines before the bad byte, counted as the text splits them.
                 before = raw[: exc.start].decode("utf-8") + "x"
-                raise FormatError("not UTF-8 text", lineno + len(before.splitlines())) from None
-        for line in raw.splitlines():
+                raise FormatError("not UTF-8 text", lineno + len(split(before))) from None
+        for line in split(raw):
             lineno += 1
             yield lineno, line
 
 
+def _split_at_lf(text: str) -> list[str]:
+    return [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")]
+
+
 class UnwritableValue(KconfexError):
-    """A string value that a ``.config`` file cannot hold: it has a line
-    break, where the reader would split it."""
+    """A string value that a ``.config`` file cannot hold: it has a ``\\n``,
+    where the reader would split it."""
 
     def __init__(self, name: str, value: str):
         super().__init__(f"CONFIG_{name}: string value {value!r} holds a line break")
@@ -102,8 +113,5 @@ class ProcessError(KconfexError):
     pass
 
 
-class TooManyOptions(KconfexError):
-    def __init__(self, count: int, bound: int):
-        super().__init__(f"model declares {count} options, enumeration bound is {bound}")
-        self.count = count
-        self.bound = bound
+class TooManyRows(KconfexError):
+    """A model has more configurations than the enumeration may build."""

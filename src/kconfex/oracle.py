@@ -470,9 +470,8 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
 
     Lines appear in model declaration order; options the model does not
     declare and unset non-boolean options produce no line.  String values
-    are quoted, int and hex values written bare.  A string value with a
-    character where ``str.splitlines`` breaks a line, which
-    :func:`parse_dotconfig` could not read back, raises
+    are quoted, int and hex values written bare.  A string value holding a
+    ``\\n``, which :func:`parse_dotconfig` could not read back, raises
     :class:`UnwritableValue` naming the option.
     """
     lines = []
@@ -486,8 +485,7 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
         elif value is None:
             continue
         elif item.type is OptionType.STRING:
-            # With an "x" appended, a break at the end splits off a line too.
-            if len((value + "x").splitlines()) > 1:
+            if "\n" in value:
                 raise UnwritableValue(name, value)
             lines.append(f'CONFIG_{name}="{_escape(value)}"')
         else:
@@ -496,11 +494,12 @@ def write_dotconfig(cfg: Configuration, sink, model: KconfigModel) -> None:
 
 
 def parse_dotconfig(source) -> Configuration:
-    """Parse ``.config`` text or bytes back into a configuration map.
-    Raises :class:`FormatError` naming the line on bytes that are not
-    UTF-8 and on a line that is no setting."""
+    """Parse ``.config`` text or bytes, whole or as a stream, back into a
+    configuration map.  Lines end at ``\\n`` alone, as kconfig reads them
+    (see :func:`numbered_lines`).  Raises :class:`FormatError` naming the
+    line on bytes that are not UTF-8 and on a line that is no setting."""
     cfg: Configuration = {}
-    for lineno, raw in numbered_lines(source):
+    for lineno, raw in numbered_lines(source, at_lf=True):
         line = raw.strip()
         if not line:
             continue
@@ -553,7 +552,7 @@ def external_conf_oracle(
     config_path = os.path.join(workdir, ".config.kconfex")
     with open(config_path, "w", encoding="utf-8") as sink:
         write_dotconfig(cfg, sink, model)
-    with open(config_path, "r", encoding="utf-8") as fh:
+    with open(config_path, "rb") as fh:
         before = parse_dotconfig(fh)
 
     env = dict(os.environ)

@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple
 
 import pytest
 
-from kconfex.difftest import DEFAULT_MAX_OPTIONS, _enumerate, builtin_oracle
+from kconfex.difftest import _enumerate, builtin_oracle
 from kconfex.encode import translate
 from kconfex.errors import KconfexError, MissingVariable
 from kconfex.kconfig import (
@@ -71,7 +71,7 @@ endchoice
 """
 
 
-# MODULES plus nine chained tristates, the 10-option enumeration bound:
+# MODULES plus nine chained tristates, the benchmark's ``bound`` model:
 # 2 * 3**9 = 39,366 configurations.
 BOUND_MODEL_SOURCE = 'config MODULES\n\tbool "modules"\n\toption modules\n' + "".join(
     f'config T{i}\n\ttristate "t{i}"\n' + (f"\tdepends on T{i - 1}\n" if i > 1 else "")
@@ -141,7 +141,7 @@ def model_counts(model, constraints=None):
         constraints = translate(model)
     masks, ones = assignment_masks(constraints.variable_order)
     models = evaluate_mask(constraints.conjunction(), masks, ones)
-    columns, rows, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    columns, rows, _ = _enumerate(model)
     valid, _ = builtin_oracle(model, columns, rows)
     return models.bit_count(), valid.bit_count()
 
@@ -174,7 +174,7 @@ def repair_row(model: KconfigModel, cfg: Configuration) -> RowRepair:
 def enumerated_configs(model):
     """The enumerated rows of ``model`` and their configurations, in row
     order: ``(columns, ones, configs)``."""
-    columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    columns, ones, _ = _enumerate(model)
     return columns, ones, [row_config(columns, k) for k in range(ones.bit_length())]
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from kconfex.cli import main as cli_main
 from kconfex.difftest import (
-    DEFAULT_MAX_OPTIONS,
     CorpusOptions,
     _enumerate,
     _masks,
@@ -133,7 +132,7 @@ def test_criterion_3_pair_encoding_correspondence():
         "pairs",
     )
     dom = collect_numeric_values(model)
-    columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    columns, ones, _ = _enumerate(model)
     masks = _masks(model, columns)
     values = RowValues(model, columns, ones)
     assert ones.bit_length() == 27
@@ -307,8 +306,8 @@ def test_criterion_9_oracle_idempotence():
 
 def test_criterion_11_bound_model_within_budget():
     """MODULES plus nine chained tristates, 2 * 3**9 configurations: the
-    whole-space repair checks the model at the 10-option bound in well
-    under a second."""
+    whole-space repair checks the benchmark's ``bound`` model in well under
+    a second."""
     clock = Stopwatch(1.0)
     model = parse_model(BOUND_MODEL_SOURCE, "bound")
     rep = check_model(model)

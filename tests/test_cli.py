@@ -10,6 +10,11 @@ from kconfex.prop import parse_dimacs
 from conftest import DERIVED_NAME_COLLISIONS, NOPROMPT_CHOICE_SOURCE
 
 
+def _bools(count):
+    """A model of ``count`` prompted bool options, ``2**count`` rows."""
+    return "".join(f'config O{i}\n\tbool "o"\n' for i in range(count))
+
+
 @pytest.fixture
 def golden_choice_file(tmp_path):
     path = tmp_path / "golden_choice.kconfig"
@@ -92,10 +97,52 @@ class TestCheckCommand:
         path.write_text("source oops\n")
         assert main(["check", str(path)]) == 2
 
-    def test_bound_exceeded_exits_3(self, tmp_path):
+    def test_bound_exceeded_exits_3(self, tmp_path, capsys):
         path = tmp_path / "wide.kconfig"
-        path.write_text("".join(f'config O{i}\n\tbool "o"\n' for i in range(12)))
+        path.write_text(_bools(23))
         assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model has 8388608 configurations, enumeration bound is 4194304\n"
+
+    def test_few_options_of_many_values_exceed_the_bound(self, tmp_path, capsys):
+        """Ten string options of eight defaults each: 8**10 rows."""
+        path = tmp_path / "strings.kconfig"
+        path.write_text(
+            "".join(
+                f'config S{i}\n\tstring "s"\n' + "".join(f'\tdefault "v{j}"\n' for j in range(8))
+                for i in range(10)
+            )
+        )
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(
+            "error: model has 1073741824 configurations, enumeration bound is 4194304\n"
+        )
+
+    def test_wide_single_value_options_exceed_the_cell_bound(self, tmp_path, capsys):
+        """20 bools and 137 single-default strings: 2**20 rows of 177
+        values, each a column of 2**20 bits, past 44 * 2**22 cells; one
+        string fewer checks."""
+        strings = "".join(f'config S{i}\n\tstring "s"\n\tdefault "v"\n' for i in range(137))
+        path = tmp_path / "wide.kconfig"
+        path.write_text(_bools(20) + strings)
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model has 185597952 rows x values, enumeration bound is 184549376\n"
+
+    def test_exec_oracle_bound_exits_3_before_running_conf(self, tmp_path, capsys):
+        """One conf process per row: the exec oracle stops at 3**10 rows."""
+        conf = tmp_path / "conf"
+        conf.write_text('#!/bin/sh\ntouch "$0.ran"\nexit 1\n')
+        conf.chmod(0o755)
+        path = tmp_path / "wide.kconfig"
+        path.write_text(_bools(16))
+        assert main(["check", str(path), "--oracle", f"exec:{conf}"]) == 3
+        assert capsys.readouterr().err == (
+            "error: model has 65536 configurations, enumeration bound is 59049\n"
+        )
+        assert not (tmp_path / "conf.ran").exists()
 
     def test_exec_oracle_removes_its_workdir(self, tmp_path, monkeypatch):
         conf = tmp_path / "conf"
@@ -124,10 +171,13 @@ class TestCheckCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["check", "one.kconfig", "--oracle", "exec:./conf"]) == 0
 
-    def test_bound_override(self, tmp_path):
+    def test_bound_override(self, tmp_path, capsys):
+        """The row budget bounds the check, not the option count: 16
+        options check exactly, with no flag."""
         path = tmp_path / "wide.kconfig"
-        path.write_text("".join(f'config O{i}\n\tbool "o"\n' for i in range(12)))
-        assert main(["check", str(path), "--max-options", "12"]) == 0
+        path.write_text(_bools(16))
+        assert main(["check", str(path)]) == 0
+        assert "wide.kconfig: 65536 configurations, 0 failures" in capsys.readouterr().out
 
 
 _REWRITING_CONF = '#!/bin/sh\necho CONFIG_A=y > "$KCONFIG_CONFIG"\n'  # any A=n row is repaired to A=y
@@ -340,8 +390,16 @@ def test_flat_dependency_chain_exits_0(command, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["check", "{file}", "--max-options", "-1"], "argument --max-options: must be at least 0, got -1"),
-        (["corpus", "{dir}", "--max-options", "-2"], "argument --max-options: must be at least 0, got -2"),
+        pytest.param(
+            ["check", "{file}", "--max-options", "12"],
+            "unrecognized arguments: --max-options 12",
+            id="check-max-options-is-gone",
+        ),
+        pytest.param(
+            ["corpus", "{dir}", "--max-options", "12"],
+            "unrecognized arguments: --max-options 12",
+            id="corpus-max-options-is-gone",
+        ),
         (["corpus", "{dir}", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
         (["corpus", "{dir}", "--jobs", "-3"], "argument --jobs: must be at least 1, got -3"),
         (["corpus", "{dir}", "--generated", "-5"], "argument --generated: must be at least 0, got -5"),
@@ -413,12 +471,12 @@ class TestCorpusCommand:
 
 
     def test_too_many_options_row_counts_the_options(self, tmp_path, capsys):
-        (tmp_path / "one.kconfig").write_text('config A\n\tbool "a"\n')
-        assert main(["corpus", str(tmp_path), "--max-options", "0"]) == 1
+        (tmp_path / "wide.kconfig").write_text(_bools(23))
+        assert main(["corpus", str(tmp_path)]) == 1
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == (
-            "file=one.kconfig options=1 configs=0 failures=0 known_limits=0 millis=0.0 "
-            "status=ERROR error='model declares 1 options, enumeration bound is 0'"
+            "file=wide.kconfig options=23 configs=0 failures=0 known_limits=0 millis=0.0 "
+            "status=ERROR error='model has 8388608 configurations, enumeration bound is 4194304'"
         )
         assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
 

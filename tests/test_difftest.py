@@ -3,12 +3,14 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from kconfex.difftest import (
-    DEFAULT_MAX_OPTIONS,
+    MAX_CELLS,
+    MAX_ROWS,
     CorpusOptions,
     _enumerate,
     _masks,
@@ -18,7 +20,7 @@ from kconfex.difftest import (
     run_corpus,
 )
 from kconfex.encode import collect_numeric_values, translate
-from kconfex.errors import ParseError, TooManyOptions, UnsupportedComparison
+from kconfex.errors import ParseError, TooManyRows, UnsupportedComparison
 from kconfex.kconfig import OptionType, parse_model, validate_model
 from kconfex.prop import ConstraintSet
 from kconfex.tri import Tri, row_config
@@ -47,19 +49,60 @@ class TestEnumerate:
 
     def test_single_tristate(self):
         model = _model('config T\n\ttristate "t"\n')
-        assert _enumerate(model, DEFAULT_MAX_OPTIONS)[1] == 0b111
+        assert _enumerate(model)[1] == 0b111
 
     def test_mixed_domain_product(self):
         model = _model(
             'config A\n\tbool "a"\nconfig B\n\tbool "b"\nconfig T\n\ttristate "t"\n'
             'config N\n\tint "n"\n\tdefault 0\n\tdefault 5\n\tdefault 100\n'
         )
-        assert _enumerate(model, DEFAULT_MAX_OPTIONS)[1].bit_length() == 2 * 2 * 3 * 3
+        assert _enumerate(model)[1].bit_length() == 2 * 2 * 3 * 3
 
     def test_bound(self):
-        text = "".join(f'config O{i}\n\tbool "o"\n' for i in range(11))
-        with pytest.raises(TooManyOptions):
-            _enumerate(_model(text), DEFAULT_MAX_OPTIONS)
+        """The bound counts rows, and a model past it raises before any
+        column is built: one column of 2**23 rows alone takes 1 MiB."""
+        wide = _model("".join(f'config O{i}\n\tbool "o"\n' for i in range(23)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyRows) as info:
+                _enumerate(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"model has {2**23} configurations, enumeration bound is {MAX_ROWS}"
+        assert peak < 2**17
+        twelve = _model("".join(f'config O{i}\n\tbool "o"\n' for i in range(12)))
+        assert _enumerate(twelve, 2**12)[1].bit_length() == 2**12
+        with pytest.raises(TooManyRows):
+            _enumerate(twelve, 2**12 - 1)
+
+    def test_cell_bound(self):
+        """Columns cost rows x values, so single-value options, which leave
+        the rows alone, count too; past the bound nothing is built."""
+        bools = "".join(f'config O{i}\n\tbool "o"\n' for i in range(20))
+        strings = "".join(f'config S{i}\n\tstring "s"\n\tdefault "v"\n' for i in range(137))
+        model = _model(bools + strings)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyRows) as info:
+                _enumerate(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"model has {2**20 * 177} rows x values, enumeration bound is {MAX_CELLS}"
+        assert peak < 2**17
+        at_bound = _model(bools + strings.rsplit("config ", 1)[0])
+        assert len(at_bound.items) == 156 and 2**20 * 176 == MAX_CELLS
+        assert _enumerate(at_bound)[1].bit_length() == 2**20
+
+    def test_check_refuses_before_translating(self, monkeypatch):
+        def translate(model):
+            raise AssertionError("a model past the bound was translated")
+
+        monkeypatch.setattr("kconfex.difftest.translate", translate)
+        wide = _model("".join(f'config O{i}\n\tbool "o"\n' for i in range(23)))
+        with pytest.raises(TooManyRows):
+            check_model(wide)
 
     def test_skipped_empty_domain(self):
         model = _model('config N\n\tint "n"\nconfig A\n\tbool "a"\n')
@@ -349,7 +392,7 @@ class TestMasks:
                 }
                 for option, axis in axes.items()
             }
-            columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            columns, ones, _ = _enumerate(model)
             assert ones == (1 << len(configs)) - 1, name
             assert columns == expected, name
             assert [row_config(columns, k) for k in range(len(configs))] == configs, name
@@ -367,7 +410,7 @@ class TestMasks:
             'config N\n\tint "n"\nconfig A\n\tbool "a"\n'
             'config S\n\tstring "s"\n\tdefault "x"\n\tdefault "y"\n'
         )
-        columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+        columns, ones, _ = _enumerate(model)
         masks = _masks(model, columns)
         # N has no known value: skipped in enumeration, no variable of its own.
         assert list(columns) == ["A", "S"]

@@ -15,7 +15,6 @@ import kconfex
 from kconfex import oracle
 from kconfex.cli import _make_oracle, main
 from kconfex.difftest import (
-    DEFAULT_MAX_OPTIONS,
     _enumerate,
     builtin_oracle,
     check_model,
@@ -174,7 +173,7 @@ class TestRepair:
 
 
 def _whole_space(model):
-    columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+    columns, ones, _ = _enumerate(model)
     return columns, ones, repair_space(model, columns, ones)
 
 
@@ -213,7 +212,7 @@ class TestRepairSpace:
         ]
         overridden = 0
         for name, model in models:
-            columns, ones, _ = _enumerate(model, DEFAULT_MAX_OPTIONS)
+            columns, ones, _ = _enumerate(model)
             expected = builtin_oracle(model, columns, ones)
             assert row_oracle(verdict)(model, columns, ones) == expected, name
             overridden += bool(expected[1])
@@ -515,26 +514,51 @@ class TestDotConfig:
             (r"x\y\\z", r'CONFIG_S="x\\y\\\\z"'),
             ("", 'CONFIG_S=""'),
             ("\t", 'CONFIG_S="\t"'),
+            ("a\vb", 'CONFIG_S="a\vb"'),
+            ("a\fb", 'CONFIG_S="a\fb"'),
+            ("a\x1cb", 'CONFIG_S="a\x1cb"'),
+            ("a\x1db", 'CONFIG_S="a\x1db"'),
+            ("a\x1eb", 'CONFIG_S="a\x1eb"'),
+            ("a\x85b", 'CONFIG_S="a\x85b"'),
+            ("a\u2028b", 'CONFIG_S="a\u2028b"'),
+            ("a\u2029b", 'CONFIG_S="a\u2029b"'),
+            ("a\rb", 'CONFIG_S="a\rb"'),
         ],
-        ids=["trailing-backslash", "quote", "backslash-quote", "backslashes", "empty", "tab"],
+        ids=[
+            "trailing-backslash",
+            "quote",
+            "backslash-quote",
+            "backslashes",
+            "empty",
+            "tab",
+            "vt",
+            "ff",
+            "fs",
+            "gs",
+            "rs",
+            "nel",
+            "ls",
+            "ps",
+            "cr",
+        ],
     )
     def test_string_values_round_trip(self, value, line):
         """A backslash escapes a backslash or a quote on writing; on reading,
-        a backslash and any character give that character."""
+        a backslash and any character give that character.  Lines end at
+        ``\\n`` alone, so a string may hold any other line break."""
         model = _model('config S\n\tstring "s"\n')
         sink = io.StringIO()
         write_dotconfig({"S": value}, sink, model)
         assert sink.getvalue() == line + "\n"
         assert parse_dotconfig(io.StringIO(sink.getvalue())) == {"S": value}
+        assert parse_dotconfig(io.BytesIO(sink.getvalue().encode("utf-8"))) == {"S": value}
 
     @pytest.mark.parametrize(
-        "value",
-        ["a\nb", "a\rb", "\r\n", "a\vb", "a\fb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b", "a\n"],
-        ids=["lf", "cr", "crlf", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps", "lf-at-end"],
+        "value", ["a\nb", "\r\n", "a\n"], ids=["lf", "crlf", "lf-at-end"]
     )
     def test_string_value_with_a_line_break_is_refused(self, value):
-        """``parse_dotconfig`` splits lines where ``str.splitlines`` does, so
-        it could not read such a value back."""
+        """``parse_dotconfig`` ends a line at ``\\n``, so it could not read
+        such a value back."""
         model = _model('config A\n\tbool "a"\nconfig S\n\tstring "s"\n')
         sink = io.StringIO()
         with pytest.raises(UnwritableValue) as info:
@@ -575,6 +599,22 @@ class TestDotConfig:
             parse_dotconfig(io.StringIO("CONFIG_A=y\nCONFIG_=y\n"))
         assert (info.value.message, info.value.line) == ("missing option name", 2)
 
+    @pytest.mark.parametrize("form", [str, lambda text: text.encode("utf-8")], ids=["str", "bytes"])
+    def test_whole_text_reads_line_by_line(self, form):
+        text = 'CONFIG_S="a b"\n# CONFIG_A is not set\nCONFIG_N=3'
+        assert parse_dotconfig(form(text)) == {"S": "a b", "A": Tri.N, "N": "3"}
+        with pytest.raises(FormatError) as info:
+            parse_dotconfig(form(text + "\nwhat"))
+        assert (info.value.message, info.value.line) == ("unrecognized line 'what'", 4)
+
+    def test_lines_end_at_lf_alone(self):
+        """As kconfig reads a ``.config``: a CR ends no line, and one before
+        the LF is dropped."""
+        data = b'CONFIG_A=y\r\nCONFIG_S="a\rb"\r\n# CONFIG_B is not set\rCONFIG_C=y\r\n'
+        cfg = {"A": Tri.Y, "S": "a\rb"}
+        assert parse_dotconfig(data) == parse_dotconfig(data.decode("utf-8")) == cfg
+        assert parse_dotconfig(io.BytesIO(data)) == parse_dotconfig(io.StringIO(data.decode("utf-8"))) == cfg
+
     def test_bytes_parse_as_text_does(self):
         text = 'CONFIG_A=y\r\n# CONFIG_B is not set\rCONFIG_S="caf\u00e9"\nCONFIG_N=3'
         assert parse_dotconfig(io.BytesIO(text.encode("utf-8"))) == parse_dotconfig(io.StringIO(text))
@@ -584,9 +624,10 @@ class TestDotConfig:
         [
             (b'CONFIG_S="\xff"\n', 1),
             (b'CONFIG_A=y\n\nCONFIG_S="caf\xe9"\n', 3),
-            (b"CONFIG_A=y\rCONFIG_B=\xc3", 2),
+            (b"CONFIG_A=y\r\nCONFIG_B=\xc3", 2),
+            (b"CONFIG_A=y\rCONFIG_B=\xc3", 1),
         ],
-        ids=["first-line", "third-line", "after-a-cr"],
+        ids=["first-line", "third-line", "after-a-cr", "cr-ends-no-line"],
     )
     def test_bytes_that_are_not_utf8_name_the_line(self, data, line):
         with pytest.raises(FormatError) as info:
@@ -662,7 +703,7 @@ from kconfex.tri import row_config
 
 config = os.environ["KCONFIG_CONFIG"]
 model = parse_model(open(sys.argv[-1], encoding="utf-8").read(), sys.argv[-1])
-with open(config, encoding="utf-8") as fh:
+with open(config, "rb") as fh:
     cfg = parse_dotconfig(fh)
 outcome = repair_space(model, {{name: {{value: 1}} for name, value in cfg.items()}}, 1)
 with open(config, "w", encoding="utf-8") as fh:
@@ -683,9 +724,9 @@ def _check_with_stub_conf(tmp_path, model_name, tail=""):
     conf = _stub_conf(tmp_path, tail)
     path = CORPUS_DIR / model_name
     model = parse_model(path.read_text(encoding="utf-8"), model_name)
-    oracle, workdir = _make_oracle(f"exec:{conf}", str(path))
+    oracle, max_rows, workdir = _make_oracle(f"exec:{conf}", str(path))
     try:
-        return model, check_model(model, oracle=oracle)
+        return model, check_model(model, oracle=oracle, max_rows=max_rows)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

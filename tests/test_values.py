@@ -208,7 +208,7 @@ CASES = {
         dict(jobs=2),
         dict(jobs=3),
         None,
-        "CorpusOptions(max_options=10, jobs=2, generated=0, seed=0)",
+        "CorpusOptions(jobs=2, generated=0, seed=0)",
     ),
     "CorpusReport": (
         CorpusReport,
