@@ -102,10 +102,15 @@ def _enumerate(model: KconfigModel, max_rows: int = MAX_ROWS) -> tuple[Columns, 
             axes[item.name] = dom[item.name]
         else:
             notes.append(f"{item.name}: no known values, skipped in enumeration")
-    rows = math.prod(len(axis) for axis in axes.values())
+    rows = 1
+    for axis in axes.values():
+        rows *= len(axis)
+        if rows > max_rows:  # before the product grows with the options
+            # Past 18 digits, the power of ten: Python prints no int of over 4,300.
+            power = sum(math.log10(len(a)) for a in axes.values())
+            count = f"about 10^{power:.0f}" if power >= 18 else math.prod(len(a) for a in axes.values())
+            raise TooManyRows(f"model has {count} configurations, enumeration bound is {max_rows}")
     cells = rows * sum(len(axis) for axis in axes.values())
-    if rows > max_rows:
-        raise TooManyRows(f"model has {rows} configurations, enumeration bound is {max_rows}")
     if cells > MAX_CELLS:
         raise TooManyRows(f"model has {cells} rows x values, enumeration bound is {MAX_CELLS}")
     ones = (1 << rows) - 1
@@ -360,8 +365,10 @@ def run_corpus(directory: str | Path, options: CorpusOptions | None = None) -> C
         # Imported here: only a pool needs it, and it would slow every start-up.
         from concurrent.futures import ProcessPoolExecutor
 
+        # A few chunks per worker: a task per model costs more than its check.
+        chunksize = max(1, len(jobs) // (4 * options.jobs))
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            reports = list(pool.map(_check_source, jobs))
+            reports = list(pool.map(_check_source, jobs, chunksize=chunksize))
     else:
         reports = [_check_source(job) for job in jobs]
     reports += unreadable

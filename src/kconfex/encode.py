@@ -43,6 +43,7 @@ from .kconfig import (
     number_text,
     ordered_comparison_error,
     parse_number,
+    read_number,
 )
 from .prop import (
     Constraint,
@@ -149,18 +150,15 @@ def collect_numeric_values(model: KconfigModel) -> dict[str, list[str]]:
     option has a key; bool and tristate options have none.
 
     int/hex options: default literals, range endpoints, and comparison
-    literals (against a literal or an undeclared symbol), deduplicated by
-    numeric value and sorted ascending.  A text that does not parse in the
-    option's base is read with the base its prefix names.  String options:
-    default literals in source order.
+    literals (against a literal or an undeclared symbol), read by
+    ``read_number``, deduplicated by numeric value and sorted ascending.
+    String options: default literals in source order.
     """
     dom: dict[str, list[str]] = {}
     numbers: dict[str, set[int]] = {}
 
     def harvest(name: str, text: str) -> None:
-        value = parse_number(text, model.item(name).type)
-        if value is None:
-            value = parse_number(text)
+        value = read_number(text, model.item(name).type)
         if value is not None:
             numbers[name].add(value)
 
@@ -288,11 +286,6 @@ class Translation:
                 "can select or be a choice member"
             )
         return self.symbol(item).nonzero
-
-    def bool_effective(self, bool_typed: bool) -> PropFormula:
-        """Where a value cannot be m: everywhere for bool options and bool
-        choices, else while the modules switch is off."""
-        return TRUE if bool_typed else self.modules_off
 
     def select_condition(self, sel: Select) -> TriEncoding:
         """A select's condition, read by the select's own constraints and by
@@ -423,9 +416,8 @@ class _ItemContext:
         self.visible = self.vis.nonzero
         self.invisible = not_(self.visible)
         choice = model.choice_of(item)
-        self.bool_effective = tr.bool_effective(
-            item.type is OptionType.BOOL or (choice is not None and choice.type is OptionType.BOOL)
-        )
+        bool_typed = item.type is OptionType.BOOL or (choice is not None and choice.type is OptionType.BOOL)
+        self.bool_effective = TRUE if bool_typed else tr.modules_off
 
     def select_floor(self, tr: Translation) -> tuple[PropFormula, PropFormula]:
         """(floor is y, floor is at least m) over all selects targeting the item."""
@@ -487,15 +479,8 @@ def _forced_value(
 
 
 # --------------------------------------------------------------------------
-# Per-option constraints
-
-
-def encode_option(item: ConfigItem, tr: Translation) -> list[Constraint]:
-    """Constraints for one option: variable shape, modules gating, dependency
-    bounds, visibility cap, and the forced value of invisible options."""
-    if item.is_boolish:
-        return _encode_boolish_option(item, tr)
-    return _encode_valued_option(item, tr)
+# Per-option constraints: variable shape, modules gating, dependency bounds,
+# visibility cap, and the forced value of invisible options
 
 
 def _add(out: list[Constraint], formula: PropFormula, provenance: str) -> None:
@@ -682,7 +667,7 @@ def encode_choice(choice: ChoiceBlock, tr: Translation) -> list[Constraint]:
 
     ch_vis = _prompt_visibility(choice.prompts, _encode_opt(choice.depends, tr), tr)
     active = ch_vis.nonzero
-    bool_effective = tr.bool_effective(choice.type is OptionType.BOOL)
+    bool_effective = TRUE if choice.type is OptionType.BOOL else tr.modules_off
 
     members = [model.item(name) for name in choice.members]
     member_visible = {it.name: tr.item_context(it).visible for it in members}
@@ -752,7 +737,8 @@ def translate(model: KconfigModel) -> ConstraintSet:
     tr = Translation(model, collect_numeric_values(model))
     cs = ConstraintSet(variable_order=variable_order(model, tr.dom))
     for item in model.items:
-        cs.constraints.extend(encode_option(item, tr))
+        encode = _encode_boolish_option if item.is_boolish else _encode_valued_option
+        cs.constraints.extend(encode(item, tr))
     for choice in model.choices:
         cs.constraints.extend(encode_choice(choice, tr))
     cs.constraints.extend(encode_reverse_dependencies(tr))

@@ -264,7 +264,13 @@ def _modules_switch_error(name: str, option_type: OptionType | None) -> str | No
 
 class KconfigModel(Value):
     _fields = ("items", "choices", "modules_option", "source_name")
-    __slots__ = _fields + ("_by_name", "_selectors", "_value_edges")
+    # ``value_edges``: the declared options each option's computed value reads
+    # through dependencies, prompt and default conditions, default values,
+    # range conditions, selects (the target reads selector and condition),
+    # its choice's conditions, and the modules switch for tristates; not the
+    # other members of its choice, which the selection discipline resolves.
+    # Computed once, when the model is built; callers must not mutate it.
+    __slots__ = _fields + ("_by_name", "_selectors", "value_edges")
     _uncompared = ("source_name",)
 
     def __init__(
@@ -309,7 +315,7 @@ class KconfigModel(Value):
             for sel in it.selects:
                 selectors.setdefault(sel.target, []).append((it, sel))
         _set(self, "_selectors", selectors)
-        _set(self, "_value_edges", _value_dependency_edges(self))
+        _set(self, "value_edges", _value_dependency_edges(self))
 
     def item(self, name: str) -> ConfigItem:
         return self._by_name[name]
@@ -517,6 +523,13 @@ def parse_number(text: str, opt_type: OptionType | None = None) -> int | None:
         return None
 
 
+def read_number(text: str, opt_type: OptionType) -> int | None:
+    """A text as an int or hex option reads it: in the option's base, else in
+    the base its prefix names."""
+    value = parse_number(text, opt_type)
+    return parse_number(text) if value is None else value
+
+
 def number_text(value: int, opt_type: OptionType) -> str:
     """Canonical text of a numeric value: ``0x…``/``-0x…`` in lowercase for
     hex options, plain decimal otherwise."""
@@ -537,24 +550,29 @@ _TYPE_KEYWORDS = {
     "string": OptionType.STRING,
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_]+$")
 
+class _Builder:
+    """What an option and a choice declare alike, collected line by line."""
 
-class _ItemBuilder:
-    def __init__(self, name: str, line: int, choice_id: int | None):
-        self.name = name
+    def __init__(self, line: int):
         self.line = line
-        self.choice_id = choice_id
         self.type: OptionType | None = None
         self.prompts: list[Prompt] = []
         self.defaults: list[Default] = []
         self.depends: Expr | None = None
-        self.selects: list[Select] = []
-        self.ranges: list[Range] = []
-        self.modules_line: int | None = None  # the line of its 'option modules'
 
     def add_depends(self, e: Expr) -> None:
         self.depends = e if self.depends is None else And(self.depends, e)
+
+
+class _ItemBuilder(_Builder):
+    def __init__(self, name: str, line: int, choice_id: int | None):
+        super().__init__(line)
+        self.name = name
+        self.choice_id = choice_id
+        self.selects: list[Select] = []
+        self.ranges: list[Range] = []
+        self.modules_line: int | None = None  # the line of its 'option modules'
 
     def build(self, source: str) -> ConfigItem:
         if self.type is None:
@@ -575,18 +593,11 @@ class _ItemBuilder:
         )
 
 
-class _ChoiceBuilder:
+class _ChoiceBuilder(_Builder):
     def __init__(self, choice_id: int, line: int):
+        super().__init__(line)
         self.id = choice_id
-        self.line = line
-        self.type: OptionType | None = None
-        self.prompts: list[Prompt] = []
-        self.defaults: list[Default] = []
-        self.depends: Expr | None = None
         self.members: list[str] = []
-
-    def add_depends(self, e: Expr) -> None:
-        self.depends = e if self.depends is None else And(self.depends, e)
 
     def build(self, source: str) -> ChoiceBlock:
         if not self.members:
@@ -635,10 +646,9 @@ class _Parser:
                 raise ParseError(f"unexpected token {word!r}", lineno, col, self.source)
 
             if word == "config":
-                if current is not None:
-                    self._finish_item(current, choice)
+                self._finish_item(current, choice)
                 name_kind, name, ncol = ts.next()
-                if name_kind != "ident" or not _IDENT_RE.match(name):
+                if name_kind != "ident":
                     raise ParseError("expected option name after 'config'", lineno, ncol, self.source)
                 if not ts.at_end():
                     raise ts.error("trailing tokens after option name")
@@ -655,9 +665,8 @@ class _Parser:
             if word == "choice":
                 if choice is not None:
                     raise ParseError("nested choice blocks are not supported", lineno, col, self.source)
-                if current is not None:
-                    self._finish_item(current, None)
-                    current = None
+                self._finish_item(current, choice)
+                current = None
                 if not ts.at_end():
                     raise ts.error("trailing tokens after 'choice'")
                 choice = _ChoiceBuilder(len(self.choices), lineno)
@@ -666,9 +675,8 @@ class _Parser:
             if word == "endchoice":
                 if choice is None:
                     raise ParseError("'endchoice' outside a choice block", lineno, col, self.source)
-                if current is not None:
-                    self._finish_item(current, choice)
-                    current = None
+                self._finish_item(current, choice)
+                current = None
                 self.choices.append(choice.build(self.source))
                 choice = None
                 continue
@@ -681,12 +689,9 @@ class _Parser:
                 raise ParseError(f"{word!r} outside any declaration", lineno, col, self.source)
             self._parse_attr(word, ts, target, lineno, raw)
 
-        if current is not None:
-            if choice is not None:
-                raise ParseError("choice block not closed before end of file", choice.line, 1, self.source)
-            self._finish_item(current, None)
         if choice is not None:
             raise ParseError("choice block not closed before end of file", choice.line, 1, self.source)
+        self._finish_item(current, choice)
 
         return KconfigModel(
             items=tuple(self.items),
@@ -695,7 +700,9 @@ class _Parser:
             source_name=self.source,
         )
 
-    def _finish_item(self, builder: _ItemBuilder, choice: _ChoiceBuilder | None) -> None:
+    def _finish_item(self, builder: _ItemBuilder | None, choice: _ChoiceBuilder | None) -> None:
+        if builder is None:
+            return
         item = builder.build(self.source)
         self.items.append(item)
         if builder.modules_line is not None:
@@ -764,9 +771,10 @@ class _Parser:
             target.add_depends(e)
             return
 
+        if word in ("select", "range") and isinstance(target, _ChoiceBuilder):
+            raise ParseError(f"{word!r} is not valid on a choice", lineno, 1, self.source)
+
         if word == "select":
-            if isinstance(target, _ChoiceBuilder):
-                raise ParseError("'select' is not valid on a choice", lineno, 1, self.source)
             kind, name, scol = ts.next()
             if kind != "ident":
                 raise ParseError("expected option name after 'select'", lineno, scol, self.source)
@@ -776,8 +784,6 @@ class _Parser:
             return
 
         if word == "range":
-            if isinstance(target, _ChoiceBuilder):
-                raise ParseError("'range' is not valid on a choice", lineno, 1, self.source)
             low = _parse_value(ts)
             high = _parse_value(ts)
             for bound in (low, high):
@@ -896,10 +902,18 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
 
     by_name = model._by_name
 
+    def check_number(text: str, option: ConfigItem, owner: str) -> None:
+        # conf reads int and hex values as signed 64-bit numbers.
+        value = read_number(text, option.type)
+        if value is not None and not -(2**63) <= value < 2**63:
+            shown = text if len(text) <= 24 else f"{text[:16]}... ({len(text)} characters)"
+            message = f"number {shown} read by {option.name} is outside the signed 64-bit range"
+            out.append(Diagnostic("error", message, owner))
+
     def check_expr(e: Expr | None, owner: str) -> None:
         if e is None:
             return
-        ordered = []
+        compared = []
         for node in expr_nodes(e):
             kind = type(node)
             if kind is Sym:
@@ -909,12 +923,22 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                 warned.add(name)
                 message = f"symbol {name} is never declared and is treated as a constant"
                 out.append(Diagnostic("warning", message, owner))
-            elif kind in ORDERED_COMPARISONS:
-                ordered.append(node)
-        for node in ordered:  # after the expression's warnings
-            message = ordered_comparison_error(node, model)
-            if message is not None:
+            elif kind in COMPARISONS:
+                compared.append(node)
+        for node in compared:  # after the expression's warnings
+            message = type(node) in ORDERED_COMPARISONS and ordered_comparison_error(node, model)
+            if message:
                 out.append(Diagnostic("error", message, owner))
+            # An int or hex option reads the literal or undeclared symbol it is
+            # compared with as a number.
+            for side, other in ((node.left, node.right), (node.right, node.left)):
+                option = by_name.get(side.name) if type(side) is Sym else None
+                if option is None or not option.is_numeric:
+                    continue
+                if type(other) is Literal:
+                    check_number(other.text, option, owner)
+                elif type(other) is Sym and other.name not in by_name:
+                    check_number(other.name, option, owner)
 
     # The translation names a bool/tristate option's m variable O_MODULE, a
     # valued option's value variables N_EQ_<value> and Tseitin auxiliaries
@@ -946,7 +970,11 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                     out.append(
                         Diagnostic("error", "numeric option default must be a numeric literal", it.name)
                     )
+                else:
+                    check_number(d.value.text, it, it.name)
             for r in it.ranges:
+                check_number(r.low, it, it.name)
+                check_number(r.high, it, it.name)
                 low, high = parse_number(r.low, it.type), parse_number(r.high, it.type)
                 if low is None or high is None:
                     out.append(
@@ -1019,19 +1047,6 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
     return out
 
 
-def value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
-    """Which declared options each option's computed value reads.
-
-    Covers dependencies, prompt and default conditions, default values,
-    range conditions, selects (target reads selector and condition), the
-    enclosing choice's conditions, and the modules switch for tristate
-    options.  Coupling between members of the same choice is excluded: the
-    selection discipline resolves it.  Computed once, when the model is
-    built; callers must not mutate the returned mapping.
-    """
-    return model._value_edges
-
-
 def _value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
     edges: dict[str, set[str]] = {it.name: set() for it in model.items}
 
@@ -1079,7 +1094,7 @@ def _value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
 def value_dependency_cycles(model: KconfigModel) -> list[list[str]]:
     """Cycles in the value-dependency graph, one representative per cycle,
     found by a depth-first search (successors sorted) on explicit stacks."""
-    edges = value_dependency_edges(model)
+    edges = model.value_edges
     color: dict[str, int] = {}  # 1: on the search path, 2: finished
     cycles: list[list[str]] = []
     for root in edges:

@@ -43,11 +43,9 @@ from .kconfig import (
     KconfigModel,
     Literal,
     OptionType,
-    Sym,
     _unquote,
     number_text,
     parse_number,
-    value_dependency_edges,
 )
 from .tri import Columns, Configuration, ConfigValue, RowValues, Tri, TriRows
 
@@ -78,8 +76,6 @@ class _Option(NamedTuple):
     repair."""
 
     item: ConfigItem
-    name: str
-    boolish: bool
     depends: Expr | None  # with the enclosing choice's dependencies folded in
     selectors: tuple[tuple[str, Expr | None], ...]  # (bool/tristate selector, condition)
     literal_defaults: tuple[Default, ...]
@@ -98,14 +94,11 @@ class _Choice(NamedTuple):
 def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
     """The steps of one repair pass: options outside choices in declaration
     order, and each choice at the position of its first member."""
-    edges = value_dependency_edges(model)
 
     def option(item: ConfigItem) -> _Option:
         choice = model.choice_of(item)
         return _Option(
             item=item,
-            name=item.name,
-            boolish=item.is_boolish,
             depends=model.effective_depends(item),
             selectors=tuple(
                 (selector.name, sel.condition)
@@ -119,7 +112,7 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
                 and choice is not None
                 and choice.type is OptionType.BOOL
             ),
-            reads=edges[item.name],
+            reads=model.value_edges[item.name],
         )
 
     steps: list[_Option | _Choice] = []
@@ -264,8 +257,8 @@ class _Repair:
             )
         # Shown rows keep their value clamped between the floor and the
         # visibility.
-        ge = (v.ge[opt.name] & vis[0]) | fge
-        y = (v.y[opt.name] & vis[1]) | fy
+        ge = (v.ge[opt.item.name] & vis[0]) | fge
+        y = (v.y[opt.item.name] & vis[1]) | fy
         if hidden:
             # Hidden rows take the first applicable default, clamped by its
             # condition and the dependencies and raised to the floor.
@@ -278,7 +271,7 @@ class _Repair:
             ge = (ge & shown) | (dge & hidden)
             y = (y & shown) | (dy & hidden)
         y |= ge & self.effective_bool(opt)
-        self.set_tri(opt.name, (ge, y), lanes)
+        self.set_tri(opt.item.name, (ge, y), lanes)
 
     def recompute_valued(self, opt: _Option, dep: TriRows, vis: TriRows) -> None:
         item, ones = opt.item, self.ones
@@ -320,9 +313,6 @@ class _Repair:
                 rows = drows & lrows
                 if not rows:
                     continue
-                if number is None:
-                    _add(assignment, None, rows)
-                    continue
                 value = number if bounds is None else min(max(number, bounds[0]), bounds[1])
                 _add(assignment, number_text(value, item.type), rows)
         self.set_values(item.name, assignment)
@@ -340,7 +330,7 @@ class _Repair:
         # boolean.
         any_y = 0
         for opt, (shown, _) in zip(step.members, member_vis):
-            any_y |= shown & v.y[opt.name]
+            any_y |= shown & v.y[opt.item.name]
         mode_on = ch_vis[0]
         mode_y = (any_y & ch_vis[1]) | (mode_on & eff_bool)
         mode_m = mode_on ^ mode_y
@@ -350,8 +340,8 @@ class _Repair:
         for opt, (shown, _), pick in zip(step.members, member_vis, picks):
             # n mode clears the visible members, y mode selects the chosen
             # one alone, m mode lowers a visible y to m.
-            lanes = shown & (mode_off | mode_y | (mode_m & v.y[opt.name]))
-            self.set_tri(opt.name, (mode_m | pick, pick), lanes)
+            lanes = shown & (mode_off | mode_y | (mode_m & v.y[opt.item.name]))
+            self.set_tri(opt.item.name, (mode_m | pick, pick), lanes)
 
         for opt in step.members:
             # The selection above may have changed what a member's
@@ -378,14 +368,12 @@ class _Repair:
         ]
         picks = [0] * len(members)
         for i, opt in enumerate(members):
-            picks[i] = lanes & candidates[i] & v.y[opt.name]
+            picks[i] = lanes & candidates[i] & v.y[opt.item.name]
             lanes ^= picks[i]
         if not lanes:
             return picks
-        index = {opt.name: i for i, opt in enumerate(members)}
+        index = {opt.item.name: i for i, opt in enumerate(members)}
         for default in step.block.defaults:
-            if not (isinstance(default.value, Sym) and default.value.name in index):
-                continue
             i = index[default.value.name]
             naming = lanes & candidates[i]
             if naming:
@@ -412,7 +400,7 @@ class _Repair:
                 self.run_choice(step)
                 continue
             dep, vis = self.dependency_and_visibility(step)
-            if step.boolish:
+            if step.item.is_boolish:
                 self.recompute_boolish(step, dep, vis, self.ones)
             else:
                 self.recompute_valued(step, dep, vis)

@@ -15,6 +15,13 @@ def _bools(count):
     return "".join(f'config O{i}\n\tbool "o"\n' for i in range(count))
 
 
+# An int option compared with a hex literal of 4,000 digits, which reads
+# past the signed 64-bit range (and past the 4,300 decimal digits that
+# Python turns into text).
+HUGE_LITERAL = 'config N\n\tint "n"\n\tdefault 1\nconfig A\n\tbool "a"\n\tdepends on N = 0x' + "f" * 4000 + "\n"
+HUGE_LITERAL_ERROR = "error [A]: number 0xffffffffffffff... (4002 characters) read by N is outside the signed 64-bit range"
+
+
 @pytest.fixture
 def golden_choice_file(tmp_path):
     path = tmp_path / "golden_choice.kconfig"
@@ -143,6 +150,25 @@ class TestCheckCommand:
             "error: model has 65536 configurations, enumeration bound is 59049\n"
         )
         assert not (tmp_path / "conf.ran").exists()
+
+    def test_row_count_too_long_to_print_exits_3(self, tmp_path, capsys):
+        """15,000 bools: 2**15000 rows, a count of 4,516 digits, is named by
+        its power of ten."""
+        path = tmp_path / "huge.kconfig"
+        path.write_text(_bools(15000))
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model has about 10^4515 configurations, enumeration bound is 4194304\n"
+
+    @pytest.mark.parametrize("command", ["check", "translate", "stats"])
+    def test_literal_past_64_bits_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "literal.kconfig"
+        path.write_text(HUGE_LITERAL)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == HUGE_LITERAL_ERROR + "\nerror: validation failed\n"
 
     def test_exec_oracle_removes_its_workdir(self, tmp_path, monkeypatch):
         conf = tmp_path / "conf"
@@ -479,6 +505,24 @@ class TestCorpusCommand:
             "status=ERROR error='model has 8388608 configurations, enumeration bound is 4194304'"
         )
         assert rows[1].startswith("corpus files=1 failing=1 errors=1 ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_inputs_too_large_to_print_are_error_rows(self, jobs, tmp_path, capsys):
+        (tmp_path / "huge.kconfig").write_text(_bools(15000))
+        (tmp_path / "literal.kconfig").write_text(HUGE_LITERAL)
+        (tmp_path / "small.kconfig").write_text(_bools(2))
+        assert main(["corpus", str(tmp_path), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        rows = [re.sub(r"millis=\d+\.\d", "millis=MS", row) for row in captured.out.splitlines()]
+        assert rows == [
+            "file=huge.kconfig options=15000 configs=0 failures=0 known_limits=0 millis=MS status=ERROR "
+            "error='model has about 10^4515 configurations, enumeration bound is 4194304'",
+            "file=literal.kconfig options=2 configs=0 failures=0 known_limits=0 millis=MS status=ERROR "
+            f"error={HUGE_LITERAL_ERROR!r}",
+            "file=small.kconfig options=2 configs=4 failures=0 known_limits=0 millis=MS status=PASS",
+            "corpus files=3 failing=2 errors=2 seed=0 status=FAIL",
+        ]
+        assert captured.err == ""
 
     def test_non_bool_modules_switch_is_an_error_row(self, tmp_path, capsys):
         (tmp_path / "m.kconfig").write_text(_NON_BOOL_SWITCHES["int"])

@@ -153,6 +153,27 @@ class TestCheckModel:
             for m in report.failures
         )
 
+    def test_failure_row_describes_valued_options(self):
+        """A FAILURE row of a translation with one rule dropped names int,
+        hex and string values by their text, and an unset one as ``?``."""
+        model = _model(
+            'config N\n\tint "n"\n\trange 1 10\n\tdefault 5\n'
+            'config H\n\thex "h"\n\tdefault 0x10\n'
+            'config S\n\tstring "s"\n\tdefault "x"\n'
+            "config A\n\tbool\n\tdefault y if N = 5\n"
+        )
+        full = translate(model)
+        doctored = ConstraintSet(
+            constraints=[c for c in full if c.provenance != "A:default[0]"],
+            variable_order=full.variable_order,
+        )
+        (failure,) = check_model(model, constraints=doctored).mismatches
+        assert failure.describe() == (
+            "[FAILURE] {N='5', H='0x10', S='x', A=n}: oracle=invalid formula=valid"
+        )
+        unset = failure._replace(cfg={**failure.cfg, "N": None, "S": None})
+        assert unset.describe() == "[FAILURE] {N=?, H='0x10', S=?, A=n}: oracle=invalid formula=valid"
+
     def test_known_limitation_classification(self):
         model = _model(
             'config D\n\tbool "d"\n'

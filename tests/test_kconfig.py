@@ -36,7 +36,6 @@ from kconfex.kconfig import (
     parse_model,
     validate_model,
     value_dependency_cycles,
-    value_dependency_edges,
 )
 
 from conftest import (
@@ -504,13 +503,56 @@ _DIAGNOSTICS = [
         'choice\n\tbool "c"\nconfig A\n\tbool "a"\nconfig N\n\tint "n"\nendchoice\n',
         [("error", "choice member N is not bool/tristate", "choice#0")],
     ),
+    # conf reads int and hex values as signed 64-bit numbers.
+    (
+        'config N\n\tint "n"\n\tdefault 9223372036854775808\n',
+        [("error", "number 9223372036854775808 read by N is outside the signed 64-bit range", "N")],
+    ),
+    (
+        'config H\n\thex "h"\n\tdefault 0x8000000000000000\n',
+        [("error", "number 0x8000000000000000 read by H is outside the signed 64-bit range", "H")],
+    ),
+    (
+        'config N\n\tint "n"\n\trange -9223372036854775809 0\n',
+        [("error", "number -9223372036854775809 read by N is outside the signed 64-bit range", "N")],
+    ),
+    (
+        'config N\n\tint "n"\n\tdefault 1\nconfig A\n\tbool "a" if 0x10000000000000000 != N\n',
+        [("error", "number 0x10000000000000000 read by N is outside the signed 64-bit range", "A")],
+    ),
+    (
+        'config H\n\thex "h"\n\tdefault 1\nconfig A\n\tbool "a"\n\tdepends on H = fffffffffffffffff\n',
+        [
+            ("warning", "symbol fffffffffffffffff is never declared and is treated as a constant", "A"),
+            ("error", "number fffffffffffffffff read by H is outside the signed 64-bit range", "A"),
+        ],
+    ),
+    (
+        'config N\n\tint "n"\n\trange -9223372036854775808 9223372036854775807\n'
+        "\tdefault -9223372036854775808\n"
+        'config H\n\thex "h"\n\tdefault 0x7fffffffffffffff\n'
+        'config A\n\tbool "a" if N = 9223372036854775807 && H != 0x7fffffffffffffff\n',
+        [],
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "text, expected",
     _DIAGNOSTICS,
-    ids=["numeric-default", "string-default", "undeclared-select", "choice-default", "choice-member"],
+    ids=[
+        "numeric-default",
+        "string-default",
+        "undeclared-select",
+        "choice-default",
+        "choice-member",
+        "int-default-past-64-bits",
+        "hex-default-past-64-bits",
+        "range-past-64-bits",
+        "literal-past-64-bits",
+        "undeclared-symbol-past-64-bits",
+        "numbers-at-the-64-bit-limits",
+    ],
 )
 def test_validate_model_diagnostics(text, expected):
     assert validate_model(parse_model(text, "t")) == [Diagnostic(*d) for d in expected]
@@ -882,7 +924,7 @@ class TestValueDependencies:
 
     def test_edges_match_the_reference(self):
         for model in self._models():
-            assert value_dependency_edges(model) == _ref_value_dependency_edges(model), model.source_name
+            assert model.value_edges == _ref_value_dependency_edges(model), model.source_name
 
     def test_edges_are_computed_once_per_model(self, monkeypatch):
         names = []
@@ -899,7 +941,7 @@ class TestValueDependencies:
         assert names == ["choice"]
 
     def test_choice_conditions_reach_every_member(self):
-        edges = value_dependency_edges(parse_model(CHOICE_WITH_CONDITIONS, "choice"))
+        edges = parse_model(CHOICE_WITH_CONDITIONS, "choice").value_edges
         assert edges["C1"] == {"C2", "P", "Q", "D", "S", "MODULES"} - {"C2"}
         assert edges["C2"] == {"S", "P", "Q", "D", "MODULES"}
         assert edges["C3"] == {"P", "Q", "D", "S", "MODULES"}
@@ -913,7 +955,7 @@ class TestValueDependencies:
         """The switch does not read itself; the choice step still re-runs when
         it changes, as a choice step reads its members."""
         model = parse_model(text, "switch")
-        assert "M" not in value_dependency_edges(model)["M"]
+        assert "M" not in model.value_edges["M"]
         assert [d for d in validate_model(model) if d.severity == "error"] == []
         report = check_model(model)
         assert (report.config_count, report.failures) == (configs, [])
@@ -923,7 +965,7 @@ class TestValueDependencies:
         for seed in range(300):
             model = _planted_cycle_model(seed)
             cycles = value_dependency_cycles(model)
-            assert cycles == _ref_value_dependency_cycles(value_dependency_edges(model)), seed
+            assert cycles == _ref_value_dependency_cycles(model.value_edges), seed
             found += bool(cycles)
             recursive = [d for d in validate_model(model) if "recursive value dependency" in d.message]
             assert [d.message.split(": ", 1)[1] for d in recursive] == [" -> ".join(c) for c in cycles]

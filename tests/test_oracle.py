@@ -331,6 +331,25 @@ class TestRepairSpace:
         with pytest.raises(EvalError, match="'tb'"):
             _whole_space(model)
 
+    @pytest.mark.parametrize("row_at_y, error", [(0, "'tb'"), (1, "'sa'")])
+    def test_error_of_the_lowest_failing_row(self, row_at_y, error):
+        """Two rows, each failing with an error of its own: X reads S's text
+        where A is n, Y reads T's where A is y, and X's error is met first in
+        the pass.  The repair raises the error of row 0, whichever it is."""
+        model = _model(
+            'config S\n\tstring "s"\n\tdefault "sa"\n'
+            'config T\n\tstring "t"\n\tdefault "tb"\n'
+            'config A\n\tbool "a"\n'
+            "config X\n\tbool\n\tdefault n if A\n\tdefault y if S < 5\n"
+            "config Y\n\tbool\n\tdefault n if !A\n\tdefault y if T < 5\n"
+        )
+        at_y = 1 << row_at_y
+        columns = {"S": {"sa": 0b11}, "T": {"tb": 0b11}, "A": {Tri.N: 0b11 ^ at_y, Tri.Y: at_y}}
+        with pytest.raises(EvalError, match=error):
+            repair_space(model, columns, 0b11)
+        with pytest.raises(EvalError, match=error):
+            repair_row(model, row_config(columns, 0))
+
     def test_masks_lie_inside_the_row_set(self, monkeypatch):
         """After the repair, each bool or tristate option has y inside ge
         inside present inside ``ones``, each int, hex or string option's
@@ -394,7 +413,7 @@ class TestSkippedSteps:
             return one_pass(state)
 
         def counted_step(state, opt, *args):
-            passes[-1].append(opt.name)
+            passes[-1].append(opt.item.name)
             return recompute_boolish(state, opt, *args)
 
         monkeypatch.setattr(oracle._Repair, "one_pass", counted_pass)
@@ -450,8 +469,6 @@ def test_read_sets_cover_what_each_step_evaluates():
     add it to ``_evaluated_options`` and to the read sets."""
     assert _Option._fields == (
         "item",
-        "name",
-        "boolish",
         "depends",
         "selectors",
         "literal_defaults",
