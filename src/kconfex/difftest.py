@@ -164,8 +164,7 @@ def _masks(model: KconfigModel, columns: Columns) -> dict[str, int]:
 
 class Mismatch(NamedTuple):
     cfg: Configuration
-    oracle_verdict: bool
-    formula_verdict: bool
+    oracle_verdict: bool  # the formula's verdict is the other one
     classification: str  # "FAILURE" | "KNOWN-LIMITATION"
     failed_constraints: tuple[str, ...] = ()
 
@@ -180,7 +179,7 @@ class Mismatch(NamedTuple):
         text = (
             f"[{self.classification}] {{{where}}}: "
             f"oracle={'valid' if self.oracle_verdict else 'invalid'} "
-            f"formula={'valid' if self.formula_verdict else 'invalid'}"
+            f"formula={'invalid' if self.oracle_verdict else 'valid'}"
         )
         if self.failed_constraints:
             text += " violates " + "; ".join(self.failed_constraints)
@@ -259,9 +258,7 @@ def check_model(
         else:
             classification = "FAILURE"
         failed = tuple(c.provenance for c, rows in zip(constraints, holds) if not rows & row)
-        mismatches.append(
-            Mismatch(cfg, oracle_verdict, not oracle_verdict, classification, failed)
-        )
+        mismatches.append(Mismatch(cfg, oracle_verdict, classification, failed))
     millis = (time.perf_counter() - started) * 1000.0
     return TestReport(
         name=name or model.source_name,

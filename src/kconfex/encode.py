@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import EmptyChoice, SelectOnNonBoolean, UnsupportedComparison
+from .errors import SelectOnNonBoolean, UnsupportedComparison
 from .kconfig import (
     And,
     COMPARISONS,
@@ -632,7 +632,7 @@ def encode_reverse_dependencies(tr: Translation) -> list[Constraint]:
                 )
             cond = tr.select_condition(sel)
             guard = TRUE
-            if target.declared_in_choice is not None:
+            if sel.target in model.choice_index:
                 guard = tr.item_context(target).invisible
             _add(
                 out,
@@ -651,19 +651,17 @@ def encode_reverse_dependencies(tr: Translation) -> list[Constraint]:
 # Choices
 
 
-def encode_choice(choice: ChoiceBlock, tr: Translation) -> list[Constraint]:
-    """Selection discipline among the visible members of a choice.
+def encode_choice(choice: ChoiceBlock, tag: str, tr: Translation) -> list[Constraint]:
+    """Selection discipline among the visible members of a choice, with
+    provenance labels that start with ``tag``.
 
     While the choice is active and effectively boolean, exactly one visible
     member is y; a tristate choice reached only at m, or with no member at y,
     instead allows any set of visible members at m.  Invisible members are
     governed by their own per-option constraints.
     """
-    if not choice.members:
-        raise EmptyChoice(f"choice#{choice.id} has no members")
     model = tr.model
     out: list[Constraint] = []
-    tag = f"choice#{choice.id}"
 
     ch_vis = _prompt_visibility(choice.prompts, _encode_opt(choice.depends, tr), tr)
     active = ch_vis.nonzero
@@ -739,8 +737,8 @@ def translate(model: KconfigModel) -> ConstraintSet:
     for item in model.items:
         encode = _encode_boolish_option if item.is_boolish else _encode_valued_option
         cs.constraints.extend(encode(item, tr))
-    for choice in model.choices:
-        cs.constraints.extend(encode_choice(choice, tr))
+    for i, choice in enumerate(model.choices):
+        cs.constraints.extend(encode_choice(choice, f"choice#{i}", tr))
     cs.constraints.extend(encode_reverse_dependencies(tr))
     for item in model.items:
         domain = tr.dom.get(item.name, [])

@@ -87,8 +87,9 @@ class DuplicateItem(KconfexError):
 
 
 class ChoiceMembership(KconfexError):
-    """A model's choices and its options' ``declared_in_choice`` disagree on
-    which options a choice holds.  The parser builds them in agreement."""
+    """A model's choice has no members, lists an option twice (in one choice
+    or in two), or lists an option the model does not declare.  The parser
+    rejects an empty choice at its line and builds no other such model."""
 
 
 class UnsupportedComparison(KconfexError):
@@ -96,10 +97,6 @@ class UnsupportedComparison(KconfexError):
 
 
 class SelectOnNonBoolean(KconfexError):
-    pass
-
-
-class EmptyChoice(KconfexError):
     pass
 
 

@@ -198,7 +198,6 @@ class ConfigItem(Value):
         "depends",
         "selects",
         "ranges",
-        "declared_in_choice",
         "line",
     )
     __slots__ = _fields + ("is_boolish", "is_numeric")
@@ -213,7 +212,6 @@ class ConfigItem(Value):
         depends: Expr | None = None,
         selects: tuple[Select, ...] = (),
         ranges: tuple[Range, ...] = (),
-        declared_in_choice: int | None = None,
         line: int = 0,
     ) -> None:
         _set(self, "name", name)
@@ -223,19 +221,21 @@ class ConfigItem(Value):
         _set(self, "depends", depends)
         _set(self, "selects", selects)
         _set(self, "ranges", ranges)
-        _set(self, "declared_in_choice", declared_in_choice)
         _set(self, "line", line)
         _set(self, "is_boolish", type in (OptionType.BOOL, OptionType.TRISTATE))
         _set(self, "is_numeric", type in (OptionType.INT, OptionType.HEX))
 
 
 class ChoiceBlock(Value):
-    __slots__ = _fields = ("id", "type", "prompts", "depends", "defaults", "members", "line")
+    """One choice.  It owns the names of its members; its place in
+    ``KconfigModel.choices`` is its number, ``choice#<i>`` in diagnostics
+    and constraint provenance."""
+
+    __slots__ = _fields = ("type", "prompts", "depends", "defaults", "members", "line")
     _uncompared = ("line",)
 
     def __init__(
         self,
-        id: int,
         type: OptionType,
         prompts: tuple[Prompt, ...] = (),
         depends: Expr | None = None,
@@ -243,7 +243,6 @@ class ChoiceBlock(Value):
         members: tuple[str, ...] = (),
         line: int = 0,
     ) -> None:
-        _set(self, "id", id)
         _set(self, "type", type)
         _set(self, "prompts", prompts)
         _set(self, "depends", depends)
@@ -269,8 +268,10 @@ class KconfigModel(Value):
     # range conditions, selects (the target reads selector and condition),
     # its choice's conditions, and the modules switch for tristates; not the
     # other members of its choice, which the selection discipline resolves.
-    # Computed once, when the model is built; callers must not mutate it.
-    __slots__ = _fields + ("_by_name", "_selectors", "value_edges")
+    # ``choice_index``: each choice member's name -> the index in ``choices``
+    # of the one choice listing it.  Both are computed once, when the model
+    # is built; callers must not mutate them.
+    __slots__ = _fields + ("_by_name", "_selectors", "choice_index", "value_edges")
     _uncompared = ("source_name",)
 
     def __init__(
@@ -295,21 +296,19 @@ class KconfigModel(Value):
             message = _modules_switch_error(modules_option, None if switch is None else switch.type)
             if message:
                 raise InvalidModulesSwitch(message)
-        listed: dict[str, int] = {}  # member -> the index of the choice listing it
+        choice_index: dict[str, int] = {}
         for i, choice in enumerate(choices):
+            if not choice.members:
+                raise ChoiceMembership(f"choice {i} has no members")
             for name in choice.members:
-                if name in listed:
-                    j = listed[name]
+                if name in choice_index:
+                    j = choice_index[name]
                     message = f"choices {j} and {i} both list option {name}"
                     raise ChoiceMembership(f"choice {i} lists option {name} twice" if i == j else message)
-                listed[name] = i
-        for it in items:
-            i, j = listed.pop(it.name, None), it.declared_in_choice
-            if i != j:
-                where = ["no choice" if k is None else f"choice {k}" for k in (j, i)]
-                raise ChoiceMembership(f"option {it.name} is declared in {where[0]} but listed in {where[1]}")
-        for name, i in listed.items():
-            raise ChoiceMembership(f"choice {i} lists undeclared option {name}")
+                if name not in by_name:
+                    raise ChoiceMembership(f"choice {i} lists undeclared option {name}")
+                choice_index[name] = i
+        _set(self, "choice_index", choice_index)
         selectors: dict[str, list[tuple[ConfigItem, Select]]] = {}
         for it in items:
             for sel in it.selects:
@@ -324,9 +323,8 @@ class KconfigModel(Value):
         return name in self._by_name
 
     def choice_of(self, item: ConfigItem) -> ChoiceBlock | None:
-        if item.declared_in_choice is None:
-            return None
-        return self.choices[item.declared_in_choice]
+        i = self.choice_index.get(item.name)
+        return None if i is None else self.choices[i]
 
     def effective_depends(self, item: ConfigItem) -> Expr | None:
         """Item dependencies with the enclosing choice's dependencies folded in."""
@@ -345,10 +343,12 @@ class KconfigModel(Value):
 # --------------------------------------------------------------------------
 # Lexer for expressions and attribute arguments
 
+_NUMBER = r"-?(?:0[xX][0-9a-fA-F]+|\d+)"
+_NUMBER_RE = re.compile(_NUMBER)
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<op><=|>=|!=|=|<|>|\(|\)|!|&&|\|\|)
-      | (?P<num>-?(?:0[xX][0-9a-fA-F]+|\d+)(?![A-Za-z0-9_]))
+      | (?P<num>{_NUMBER}(?![A-Za-z0-9_]))
       | (?P<ident>[A-Za-z0-9_]+)
       | (?P<str>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
     )""",
@@ -566,10 +566,9 @@ class _Builder:
 
 
 class _ItemBuilder(_Builder):
-    def __init__(self, name: str, line: int, choice_id: int | None):
+    def __init__(self, name: str, line: int):
         super().__init__(line)
         self.name = name
-        self.choice_id = choice_id
         self.selects: list[Select] = []
         self.ranges: list[Range] = []
         self.modules_line: int | None = None  # the line of its 'option modules'
@@ -588,22 +587,19 @@ class _ItemBuilder(_Builder):
             depends=self.depends,
             selects=tuple(self.selects),
             ranges=tuple(self.ranges),
-            declared_in_choice=self.choice_id,
             line=self.line,
         )
 
 
 class _ChoiceBuilder(_Builder):
-    def __init__(self, choice_id: int, line: int):
+    def __init__(self, line: int):
         super().__init__(line)
-        self.id = choice_id
         self.members: list[str] = []
 
     def build(self, source: str) -> ChoiceBlock:
         if not self.members:
             raise ParseError("choice has no members", self.line, 1, source)
         return ChoiceBlock(
-            id=self.id,
             type=self.type or OptionType.BOOL,
             prompts=tuple(self.prompts),
             depends=self.depends,
@@ -657,7 +653,7 @@ class _Parser:
                 if name in TRI_NAMES:
                     raise ParseError(f"option name {name!r} is a reserved constant", lineno, ncol, self.source)
                 self.names.add(name)
-                current = _ItemBuilder(name, lineno, choice.id if choice else None)
+                current = _ItemBuilder(name, lineno)
                 if choice is not None:
                     choice.members.append(name)
                 continue
@@ -669,7 +665,7 @@ class _Parser:
                 current = None
                 if not ts.at_end():
                     raise ts.error("trailing tokens after 'choice'")
-                choice = _ChoiceBuilder(len(self.choices), lineno)
+                choice = _ChoiceBuilder(lineno)
                 continue
 
             if word == "endchoice":
@@ -903,9 +899,12 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
     by_name = model._by_name
 
     def check_number(text: str, option: ConfigItem, owner: str) -> None:
-        # conf reads int and hex values as signed 64-bit numbers.
+        # conf reads int and hex values as signed 64-bit numbers.  A number
+        # that int() refuses for its length is outside that range too.
         value = read_number(text, option.type)
-        if value is not None and not -(2**63) <= value < 2**63:
+        if value is None and not _NUMBER_RE.fullmatch(text):
+            return
+        if value is None or not -(2**63) <= value < 2**63:
             shown = text if len(text) <= 24 else f"{text[:16]}... ({len(text)} characters)"
             message = f"number {shown} read by {option.name} is outside the signed 64-bit range"
             out.append(Diagnostic("error", message, owner))
@@ -1003,7 +1002,7 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
                     out.append(
                         Diagnostic("error", f"select target {s.target} is not bool/tristate", it.name)
                     )
-                if model.item(s.target).declared_in_choice is not None:
+                if s.target in model.choice_index:
                     out.append(
                         Diagnostic(
                             "warning",
@@ -1019,21 +1018,18 @@ def validate_model(model: KconfigModel) -> list[Diagnostic]:
         for r in it.ranges:
             check_expr(r.condition, it.name)
 
-    for ch in model.choices:
-        check_expr(ch.depends, f"choice#{ch.id}")
+    for i, ch in enumerate(model.choices):
+        owner = f"choice#{i}"
+        check_expr(ch.depends, owner)
         for p in ch.prompts:
-            check_expr(p.condition, f"choice#{ch.id}")
+            check_expr(p.condition, owner)
         for d in ch.defaults:
-            check_expr(d.condition, f"choice#{ch.id}")
+            check_expr(d.condition, owner)
             if not isinstance(d.value, Sym) or d.value.name not in ch.members:
-                out.append(
-                    Diagnostic("error", "choice default must name one of its members", f"choice#{ch.id}")
-                )
+                out.append(Diagnostic("error", "choice default must name one of its members", owner))
         for member in ch.members:
-            if model.item(member).type not in (OptionType.BOOL, OptionType.TRISTATE):
-                out.append(
-                    Diagnostic("error", f"choice member {member} is not bool/tristate", f"choice#{ch.id}")
-                )
+            if not model.item(member).is_boolish:
+                out.append(Diagnostic("error", f"choice member {member} is not bool/tristate", owner))
 
     for cycle in value_dependency_cycles(model):
         out.append(
@@ -1056,11 +1052,12 @@ def _value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
                 if type(node) is Sym and node.name in edges:
                     reads.add(node.name)
 
-    choice_reads = []  # in the order of model.choices, as declared_in_choice indexes it
     for ch in model.choices:
-        choice_reads.append(reads := set())
+        reads = set()
         for e in (ch.depends, *[p.condition for p in ch.prompts], *[d.condition for d in ch.defaults]):
             read(reads, e)
+        for member in ch.members:
+            edges[member] |= reads
 
     for it in model.items:
         reads = edges[it.name]
@@ -1077,8 +1074,6 @@ def _value_dependency_edges(model: KconfigModel) -> dict[str, frozenset[str]]:
                 edges[s.target].add(it.name)
                 read(edges[s.target], s.condition)
         choice = model.choice_of(it)
-        if choice is not None:
-            reads |= choice_reads[it.declared_in_choice]
         if model.modules_option not in (None, it.name) and (
             it.type is OptionType.TRISTATE
             or (choice is not None and choice.type is OptionType.TRISTATE)

@@ -118,11 +118,12 @@ def _plan(model: KconfigModel) -> tuple[_Option | _Choice, ...]:
     steps: list[_Option | _Choice] = []
     done_choices: set[int] = set()
     for item in model.items:
-        if item.declared_in_choice is None:
+        i = model.choice_index.get(item.name)
+        if i is None:
             steps.append(option(item))
-        elif item.declared_in_choice not in done_choices:
-            done_choices.add(item.declared_in_choice)
-            block = model.choices[item.declared_in_choice]
+        elif i not in done_choices:
+            done_choices.add(i)
+            block = model.choices[i]
             members = tuple(option(model.item(name)) for name in block.members)
             reads = frozenset(block.members).union(*(opt.reads for opt in members))
             steps.append(_Choice(block, members, reads))

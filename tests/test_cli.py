@@ -20,6 +20,10 @@ def _bools(count):
 # Python turns into text).
 HUGE_LITERAL = 'config N\n\tint "n"\n\tdefault 1\nconfig A\n\tbool "a"\n\tdepends on N = 0x' + "f" * 4000 + "\n"
 HUGE_LITERAL_ERROR = "error [A]: number 0xffffffffffffff... (4002 characters) read by N is outside the signed 64-bit range"
+# The same rule for a decimal literal of 5,000 digits, more than Python's
+# int() reads from text by default.
+LONG_DECIMAL = 'config N\n\tint "n"\n\tdefault 1\nconfig A\n\tbool "a"\n\tdepends on N = ' + "1" * 5000 + "\n"
+LONG_DECIMAL_ERROR = "error [A]: number 1111111111111111... (5000 characters) read by N is outside the signed 64-bit range"
 
 
 @pytest.fixture
@@ -169,6 +173,14 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == HUGE_LITERAL_ERROR + "\nerror: validation failed\n"
+
+    def test_decimal_past_int_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "decimal.kconfig"
+        path.write_text(LONG_DECIMAL)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == LONG_DECIMAL_ERROR + "\nerror: validation failed\n"
 
     def test_exec_oracle_removes_its_workdir(self, tmp_path, monkeypatch):
         conf = tmp_path / "conf"
@@ -523,6 +535,16 @@ class TestCorpusCommand:
             "corpus files=3 failing=2 errors=2 seed=0 status=FAIL",
         ]
         assert captured.err == ""
+
+    def test_decimal_past_int_digit_limit_is_an_error_row(self, tmp_path, capsys):
+        (tmp_path / "decimal.kconfig").write_text(LONG_DECIMAL)
+        assert main(["corpus", str(tmp_path)]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows == [
+            "file=decimal.kconfig options=2 configs=0 failures=0 known_limits=0 millis=0.0 "
+            f"status=ERROR error={LONG_DECIMAL_ERROR!r}",
+            "corpus files=1 failing=1 errors=1 seed=0 status=FAIL",
+        ]
 
     def test_non_bool_modules_switch_is_an_error_row(self, tmp_path, capsys):
         (tmp_path / "m.kconfig").write_text(_NON_BOOL_SWITCHES["int"])

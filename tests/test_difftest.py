@@ -184,7 +184,9 @@ class TestCheckModel:
         assert report.passed
         assert report.mismatches
         assert all(m.classification == "KNOWN-LIMITATION" for m in report.mismatches)
-        assert all(m.oracle_verdict and not m.formula_verdict for m in report.mismatches)
+        for m in report.mismatches:
+            assert m.oracle_verdict and m.failed_constraints
+            assert "oracle=valid formula=invalid violates " in m.describe()
 
     def test_mismatch_names_failed_constraints(self, noprompt_choice_model):
         full = translate(noprompt_choice_model)
@@ -195,8 +197,9 @@ class TestCheckModel:
         report = check_model(noprompt_choice_model, constraints=doctored)
         assert not report.passed
         for m in report.failures:
-            assert m.oracle_verdict != m.formula_verdict
-
+            # The formula admits what the oracle rejects, so no constraint fails.
+            assert not m.oracle_verdict and m.failed_constraints == ()
+            assert m.describe().endswith(": oracle=invalid formula=valid")
 
     @pytest.mark.parametrize(
         "options, condition",

@@ -392,13 +392,13 @@ class TestReverseDependencies:
 
 class TestEncodeChoice:
     def test_empty_choice_rejected(self):
-        from kconfex.encode import encode_choice
-        from kconfex.errors import EmptyChoice
-        from kconfex.kconfig import ChoiceBlock, OptionType
+        # The model rejects it when it is built, so no encoder sees one.
+        from kconfex.errors import ChoiceMembership
+        from kconfex.kconfig import ChoiceBlock, KconfigModel, OptionType
 
-        empty = ChoiceBlock(id=0, type=OptionType.BOOL, members=())
-        with pytest.raises(EmptyChoice):
-            encode_choice(empty, Translation(THREE_TRISTATES, EMPTY_DOM))
+        with pytest.raises(ChoiceMembership) as info:
+            KconfigModel(THREE_TRISTATES.items, (ChoiceBlock(OptionType.BOOL),), None)
+        assert str(info.value) == "choice 0 has no members"
 
     def test_singleton_choice_forces_member(self):
         model = _model('choice\n\tbool "pick"\nconfig X\n\tbool "x"\nendchoice\n')

@@ -488,6 +488,32 @@ def test_read_sets_cover_what_each_step_evaluates():
     assert choices > 0
 
 
+def test_choice_membership_has_one_owner():
+    """Each member's ``choice_of`` is the block that lists it, and the plan
+    places each choice's step at its first member; on every corpus model
+    and generated seeds 0-299."""
+    models = corpus_models() + [
+        (f"generated[seed={seed}]", parse_model(generate_model_text(seed), "generated"))
+        for seed in range(300)
+    ]
+    choices = 0
+    for name, model in models:
+        listing = {member: block for block in model.choices for member in block.members}
+        for item in model.items:
+            assert model.choice_of(item) is listing.get(item.name), (name, item.name)
+        expected = []
+        for item in model.items:
+            block = listing.get(item.name)
+            if block is None:
+                expected.append(item.name)
+            elif item.name == block.members[0]:
+                expected.append(block)
+        steps = [step.block if isinstance(step, _Choice) else step.item.name for step in _plan(model)]
+        assert steps == expected, name  # the choices of one model list different members
+        choices += len(model.choices)
+    assert choices > 0
+
+
 class TestDotConfig:
     MODEL = _model(
         'config A\n\tbool "a"\nconfig B\n\tbool "b"\nconfig X\n\ttristate "x"\n'

@@ -8,8 +8,8 @@ starts a process).
 Every class below is an immutable value (equal and hash-equal by its
 compared fields, assignment raises) or a mutable record (equal by its
 fields, unhashable).  Equality needs exactly the same class.  Each ``repr``
-string was recorded from the earlier ``dataclasses`` definitions of these
-classes; ``UnsupportedComparison`` messages embed it and reach reports.
+string has the form the earlier ``dataclasses`` definitions of these classes
+printed; ``UnsupportedComparison`` messages embed it and reach reports.
 """
 
 import copy
@@ -81,7 +81,7 @@ _MODEL = dict(
     modules_option=None,
     source_name="m.kconfig",
 )
-_MISMATCH = Mismatch({"A": Tri.M, "N": None}, True, False, "FAILURE", ("A:depends",))
+_MISMATCH = Mismatch({"A": Tri.M, "N": None}, True, "FAILURE", ("A:depends",))
 
 # name -> (class, keyword arguments of an instance, a field change that makes
 #          it unequal, a change of fields that equality ignores or None, the
@@ -120,15 +120,14 @@ CASES = {
         "prompts=(Prompt(text='a', condition=Sym(name='M')),), "
         "defaults=(Default(value=Literal(text='m'), condition=None),), "
         "depends=Not(operand=Sym(name='B')), "
-        "selects=(Select(target='C', condition=Sym(name='B')),), ranges=(), "
-        "declared_in_choice=None, line=3)",
+        "selects=(Select(target='C', condition=Sym(name='B')),), ranges=(), line=3)",
     ),
     "ChoiceBlock": (
         ChoiceBlock,
-        dict(id=0, type=OptionType.BOOL, prompts=(Prompt("pick"),), members=("A", "B"), line=9),
+        dict(type=OptionType.BOOL, prompts=(Prompt("pick"),), members=("A", "B"), line=9),
         dict(members=("B", "A")),
         dict(line=1),
-        "ChoiceBlock(id=0, type=<OptionType.BOOL: 'bool'>, "
+        "ChoiceBlock(type=<OptionType.BOOL: 'bool'>, "
         "prompts=(Prompt(text='pick', condition=None),), depends=None, defaults=(), "
         "members=('A', 'B'), line=9)",
     ),
@@ -139,13 +138,13 @@ CASES = {
         dict(source_name="other"),
         "KconfigModel(items=(ConfigItem(name='N', type=<OptionType.INT: 'int'>, prompts=(), "
         "defaults=(), depends=None, selects=(), "
-        "ranges=(Range(low='1', high='9', condition=None),), declared_in_choice=None, "
+        "ranges=(Range(low='1', high='9', condition=None),), "
         "line=1), ConfigItem(name='S', "
         "type=<OptionType.BOOL: 'bool'>, prompts=(), defaults=(), depends=None, "
-        "selects=(Select(target='T', condition=None),), ranges=(), declared_in_choice=None, "
+        "selects=(Select(target='T', condition=None),), ranges=(), "
         "line=2), ConfigItem(name='T', "
         "type=<OptionType.BOOL: 'bool'>, prompts=(), defaults=(), depends=None, selects=(), "
-        "ranges=(), declared_in_choice=None, line=3)), choices=(), "
+        "ranges=(), line=3)), choices=(), "
         "modules_option=None, source_name='m.kconfig')",
     ),
     "Var": (Var, dict(name="A"), dict(name="B"), None, "Var(name='A')"),
@@ -200,7 +199,7 @@ CASES = {
         None,
         "TestReport(name='t', option_count=2, config_count=6, "
         "mismatches=[Mismatch(cfg={'A': <Tri.M: 1>, 'N': None}, oracle_verdict=True, "
-        "formula_verdict=False, classification='FAILURE', failed_constraints=('A:depends',))], "
+        "classification='FAILURE', failed_constraints=('A:depends',))], "
         "millis=1.5, notes=['n1'], error=None)",
     ),
     "CorpusOptions": (
